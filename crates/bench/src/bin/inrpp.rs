@@ -7,7 +7,7 @@
 //! inrpp run <experiment>... [--threads N] [--format table|csv|json]
 //!                           [--quick] [--seeds N] [--out DIR]
 //! inrpp run all --quick --threads 8
-//! inrpp bench [--quick] [--out FILE] [--note key=value]...
+//! inrpp serve [--listen ADDR] [--workers N]
 //! ```
 //!
 //! Examples:
@@ -22,7 +22,7 @@
 use std::process::ExitCode;
 
 use inrpp_bench::sweeps::{self, OutputFormat, SweepOptions};
-use inrpp_runner::{run_sweep, RunnerConfig};
+use inrpp_runner::{json_string, try_run_sweep, RunnerConfig};
 
 const USAGE: &str = "\
 usage: inrpp <command>
@@ -36,16 +36,6 @@ commands:
       --quick                short-horizon configuration where available
       --seeds N              aggregate Fig. 4a over N derived seeds
       --out DIR              write sweep artifacts (.topo files, CDF dumps)
-  bench                      time representative sweeps, record the perf
-                             baseline (wall-clock, cells/sec, events/sec)
-      --quick                short-horizon workloads (the CI setting)
-      --out FILE             output path (default: BENCH_flowsim.json)
-      --note KEY=VALUE       pin a context note into the recorded file
-      --compare OLD [NEW]    with two files: diff them without running;
-                             with one file: run the bench, then diff the
-                             fresh result against it. Exits non-zero on a
-                             >10% cells/sec regression (same-mode files)
-                             or a drifted workload set
   serve                      service mode: the multi-session daemon speaking
                              line-delimited JSON — open/feed/advance/snapshot/
                              checkpoint/resume steppable sessions on either
@@ -70,7 +60,6 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         Some("run") => run(&args[1..]),
-        Some("bench") => bench(&args[1..]),
         Some("serve") => match serve(&args[1..]) {
             Ok(()) => ExitCode::SUCCESS,
             Err(e) => {
@@ -174,111 +163,15 @@ fn serve(args: &[String]) -> Result<(), String> {
                 .map_err(|e| format!("cannot listen on {spec:?}: {e}"))?;
             // announce the bound address (crucial for ':0' port picks)
             // on stdout so drivers can discover where to connect
-            let addr = transport.local_addr().unwrap_or(spec);
+            let mut line = String::from("{\"event\":\"listening\",\"addr\":");
+            json_string(&mut line, &transport.local_addr().unwrap_or(spec));
             use std::io::Write as _;
             let mut stdout = std::io::stdout();
-            let _ = writeln!(
-                stdout,
-                "{{\"event\":\"listening\",\"addr\":\"{}\",\"workers\":{workers}}}",
-                addr.replace('\\', "\\\\").replace('"', "\\\"")
-            );
+            let _ = writeln!(stdout, "{line},\"workers\":{workers}}}");
             let _ = stdout.flush();
             daemon.serve(&mut transport).map_err(|e| e.to_string())
         }
     }
-}
-
-fn bench(args: &[String]) -> ExitCode {
-    use inrpp_bench::perf::{compare, BenchSnapshot};
-    let mut quick = false;
-    let mut out_path = "BENCH_flowsim.json".to_string();
-    let mut notes: Vec<(String, String)> = Vec::new();
-    let mut compare_files: Vec<String> = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--quick" => quick = true,
-            "--out" => match value_of(&mut it, "--out") {
-                Ok(v) => out_path = v.to_string(),
-                Err(e) => {
-                    eprintln!("inrpp bench: {e}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--note" => match value_of(&mut it, "--note").map(|v| v.split_once('=')) {
-                Ok(Some((k, v))) => notes.push((k.to_string(), v.to_string())),
-                Ok(None) => {
-                    eprintln!("inrpp bench: --note takes KEY=VALUE");
-                    return ExitCode::FAILURE;
-                }
-                Err(e) => {
-                    eprintln!("inrpp bench: {e}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--compare" => match value_of(&mut it, "--compare") {
-                Ok(v) => compare_files.push(v.to_string()),
-                Err(e) => {
-                    eprintln!("inrpp bench: {e}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            // bare paths after --compare extend the comparison set
-            other if !other.starts_with("--") && !compare_files.is_empty() => {
-                compare_files.push(other.to_string());
-            }
-            other => {
-                eprintln!("inrpp bench: unknown argument '{other}'");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if compare_files.len() > 2 {
-        eprintln!("inrpp bench: --compare takes at most two files");
-        return ExitCode::FAILURE;
-    }
-
-    // pure diff mode: two files, no fresh run
-    if compare_files.len() == 2 {
-        let load = |p: &str| {
-            BenchSnapshot::load(std::path::Path::new(p)).unwrap_or_else(|e| {
-                eprintln!("inrpp bench: {e}");
-                std::process::exit(1);
-            })
-        };
-        let report = compare(&load(&compare_files[0]), &load(&compare_files[1]));
-        print!("{}", report.render_table());
-        return if report.failed() {
-            ExitCode::FAILURE
-        } else {
-            ExitCode::SUCCESS
-        };
-    }
-
-    let report = inrpp_bench::perf::run_bench(quick, notes);
-    print!("{}", report.render_table());
-    if let Err(e) = std::fs::write(&out_path, report.to_json()) {
-        eprintln!("inrpp bench: cannot write {out_path}: {e}");
-        return ExitCode::FAILURE;
-    }
-    eprintln!("wrote {out_path}");
-
-    // run-then-compare mode: one baseline file
-    if let Some(baseline) = compare_files.first() {
-        let old = match BenchSnapshot::load(std::path::Path::new(baseline)) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("inrpp bench: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let diff = compare(&old, &BenchSnapshot::of(&report));
-        print!("\n{}", diff.render_table());
-        if diff.failed() {
-            return ExitCode::FAILURE;
-        }
-    }
-    ExitCode::SUCCESS
 }
 
 fn run(args: &[String]) -> ExitCode {
@@ -307,13 +200,20 @@ fn run(args: &[String]) -> ExitCode {
     }
     let many = jobs.len() > 1;
     let mut json_reports = Vec::new();
+    let mut failures = 0usize;
+    let cfg = RunnerConfig {
+        threads: parsed.threads,
+    };
     for (i, (id, spec)) in jobs.iter().enumerate() {
-        let report = run_sweep(
-            spec,
-            &RunnerConfig {
-                threads: parsed.threads,
-            },
-        );
+        // one broken experiment must not cost the others their output
+        let report = match try_run_sweep(spec, &cfg) {
+            Ok(report) => report,
+            Err(e) => {
+                failures += 1;
+                eprintln!("inrpp run: experiment '{id}' panicked ({e}); continuing with the rest");
+                continue;
+            }
+        };
         match parsed.format {
             OutputFormat::Json => json_reports.push(report.to_json()),
             OutputFormat::Csv => {
@@ -345,9 +245,13 @@ fn run(args: &[String]) -> ExitCode {
     if parsed.format == OutputFormat::Json {
         if many {
             println!("[{}]", json_reports.join(","));
-        } else {
-            println!("{}", json_reports[0]);
+        } else if let Some(report) = json_reports.first() {
+            println!("{report}");
         }
+    }
+    if failures > 0 {
+        eprintln!("inrpp run: {failures} experiment(s) failed");
+        return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
 }

@@ -1,7 +1,7 @@
 //! Experiment implementations — one function per paper artifact/ablation.
 //!
-//! Binaries print; these functions compute. Keeping them here makes every
-//! experiment unit-testable and lets `run_all` compose them. Every
+//! The CLI prints; these functions compute. Keeping them here makes every
+//! experiment unit-testable and lets the sweeps compose them. Every
 //! simulation runs through the `inrpp::session` facade — flow-level
 //! experiments on the fluid engine, chunk-level ones on the packet
 //! engine — and every public function returns a named row type (no

@@ -2,35 +2,34 @@
 //!
 //! Every table and figure of the paper (and every ablation) is a
 //! declarative sweep in [`sweeps`], executed by the parallel runner
-//! (`inrpp-runner`) and reachable three ways:
+//! (`inrpp-runner`) and reachable two ways:
 //!
-//! * the unified `inrpp` CLI — `inrpp run table1 --threads 8 --format json`;
-//! * sixteen thin legacy binaries (`table1_detours`, `fig4a_throughput`,
-//!   …) that keep the original one-experiment entry points alive;
+//! * the `inrpp` CLI — `inrpp run table1 --threads 8 --format json`;
 //! * the library functions in [`experiments`], unit-tested like any other
-//!   code — binaries print, these functions compute.
+//!   code — the CLI prints, these functions compute.
 //!
 //! [`table`] holds the plain-text table renderer all output shares, and
-//! [`perf`] the `inrpp bench` wall-clock recorder behind
-//! `BENCH_flowsim.json`.
+//! the test-only `serve` module pins the v1 wire bytes of `inrpp serve`.
+//! The suite's performance benchmark lives outside the workspace, in
+//! `perfbench/` (see its README).
 //!
-//! | Artifact | Sweep id | Legacy binary |
-//! |---|---|---|
-//! | Table 1 | `table1` | `table1_detours` |
-//! | Fig. 2 regimes | `fig2` | `fig2_regimes` |
-//! | Fig. 3 worked example | `fig3` | `fig3_fairness` |
-//! | Fig. 4a throughput bars | `fig4a` | `fig4a_throughput` |
-//! | Fig. 4b stretch CDF | `fig4b` | `fig4b_stretch` |
-//! | §3.3 custody arithmetic | `custody` | `custody_feasibility` |
-//! | Ablations A1–A8 | `ablation-*`, `coexistence` | `ablation_*`, `coexistence` |
-//! | Topology edge lists | `export-topologies` | `export_topologies` |
-//! | Everything at once | `all` | `run_all` |
+//! | Artifact | Sweep id |
+//! |---|---|
+//! | Table 1 | `table1` |
+//! | Fig. 2 regimes | `fig2` |
+//! | Fig. 3 worked example | `fig3` |
+//! | Fig. 4a throughput bars | `fig4a` |
+//! | Fig. 4b stretch CDF | `fig4b` |
+//! | §3.3 custody arithmetic | `custody` |
+//! | Ablations A1–A8 | `ablation-*`, `coexistence` |
+//! | Topology edge lists | `export-topologies` |
+//! | Everything at once | `all` |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod experiments;
-pub mod perf;
-pub mod serve;
+#[cfg(test)]
+mod serve;
 pub mod sweeps;
 pub mod table;

@@ -122,6 +122,26 @@ pub fn run_sweep(spec: &SweepSpec, cfg: &RunnerConfig) -> SweepReport {
     report
 }
 
+/// [`run_sweep`] with a panic caught instead of unwound into the caller,
+/// so a batch of sweeps can report one broken experiment and still run
+/// the rest. The panic itself is printed by the panic hook as usual.
+///
+/// # Errors
+/// Returns the panic message when a cell or the `finish` hook panics.
+/// A cell panic surfaces through the worker scope, whose message is
+/// generic; the cell's own message is the one the hook printed.
+pub fn try_run_sweep(spec: &SweepSpec, cfg: &RunnerConfig) -> Result<SweepReport, String> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_sweep(spec, cfg))).map_err(
+        |payload| {
+            payload
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "panic with a non-string payload".to_string())
+        },
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -239,6 +259,25 @@ mod tests {
         let b = run_sweep(&spec, &RunnerConfig { threads: 100 });
         assert_eq!(a, b);
         assert!(RunnerConfig::default().threads >= 1);
+    }
+
+    #[test]
+    fn try_run_sweep_turns_a_panicking_cell_into_an_error() {
+        let mut spec = counting_spec(4);
+        spec.push_cell("boom", |_| panic!("cell exploded"));
+        for threads in [1, 3] {
+            assert!(try_run_sweep(&spec, &RunnerConfig { threads }).is_err());
+        }
+        // a panicking finish hook runs on the caller's thread: its message
+        // comes back verbatim
+        let mut spec = counting_spec(2);
+        spec.set_finish(|_, _| panic!("finish exploded"));
+        let err = try_run_sweep(&spec, &RunnerConfig { threads: 2 }).unwrap_err();
+        assert!(err.contains("finish exploded"), "{err}");
+        // a healthy sweep is untouched
+        let spec = counting_spec(5);
+        let cfg = RunnerConfig { threads: 2 };
+        assert_eq!(try_run_sweep(&spec, &cfg), Ok(run_sweep(&spec, &cfg)));
     }
 
     #[test]

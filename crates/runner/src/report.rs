@@ -159,8 +159,10 @@ impl SweepReport {
 }
 
 /// Append a JSON string literal (with escaping) to `out` — the one copy
-/// of the escaping rules every JSON emitter in the suite shares (the
-/// sweep reports here, `inrpp bench`'s `BENCH_flowsim.json`).
+/// of the escaping rules every JSON writer in the workspace shares: the
+/// sweep reports here, the serve protocol's replies, and the `inrpp
+/// serve` listening line. `inrpp_server::protocol::parse_object` reads
+/// back every escape this writes.
 pub fn json_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {

@@ -23,8 +23,8 @@ use std::sync::Arc;
 use crate::daemon::Shared;
 use crate::host::{HostCmd, SessionHandle};
 use crate::protocol::{
-    append_fields, err_reply, esc, hello_reply, num, opt_num_field, opt_str_field, parse_feed_req,
-    parse_object, str_field, OpenSpec,
+    append_fields, err_reply, hello_reply, num, opt_num_field, opt_str_field, parse_feed_req,
+    parse_object, quote, str_field, OpenSpec,
 };
 
 /// Serve one client until EOF, `exit`, or `shutdown`. All open sessions
@@ -63,7 +63,7 @@ pub fn drive_conn(
         };
         let mut tail = String::new();
         if let Some(sid) = &sid {
-            tail.push_str(&format!(",\"sid\":\"{}\"", esc(sid)));
+            tail.push_str(&format!(",\"sid\":{}", quote(sid)));
         }
         match opt_num_field(&obj, "seq") {
             Ok(Some(seq)) => tail.push_str(&format!(",\"seq\":{}", num(seq))),
@@ -208,8 +208,8 @@ fn stats_reply(shared: &Shared, sessions: &BTreeMap<String, SessionHandle>) -> S
             per.push(',');
         }
         per.push_str(&format!(
-            "{{\"sid\":\"{}\",{}}}",
-            esc(sid),
+            "{{\"sid\":{},{}}}",
+            quote(sid),
             handle.request(HostCmd::Stats)
         ));
     }
@@ -288,6 +288,7 @@ mod tests {
             assert_eq!(replies.len(), 5, "{engine}: {replies:?}");
             for r in &replies {
                 assert_ok(r);
+                assert!(!r.contains("\"sid\""), "bare sessions carry no sid: {r}");
             }
             assert!(replies[0].contains("\"event\":\"open\""), "{}", replies[0]);
             assert!(replies[2].contains("\"now_secs\":1.5"), "{}", replies[2]);
@@ -367,6 +368,59 @@ mod tests {
         assert_kind(&replies[6], "parse");
         assert_kind(&replies[7], "state");
         assert_ok(&replies[8]); // session survived every error
+    }
+
+    #[test]
+    fn seed_and_workers_must_be_exact_non_negative_integers() {
+        // `as u64` used to turn -1 into 0 (the same session fingerprint
+        // as seed 0), 7.9 into 7, and 1e30 into u64::MAX
+        let mut script = String::new();
+        for cmd in ["open", "resume"] {
+            for field in ["seed", "workers"] {
+                for bad in ["-1", "7.9", "1e30"] {
+                    script.push_str(&format!(
+                        "{{\"cmd\":\"{cmd}\",\"engine\":\"packet\",\"topology\":\"fig3\",\
+                         \"strategy\":\"urp\",\"horizon_secs\":5,\"path\":\"x.ckpt\",\
+                         \"{field}\":{bad}}}\n"
+                    ));
+                }
+            }
+        }
+        let replies = run(&script);
+        assert_eq!(replies.len(), 12, "{replies:?}");
+        for r in &replies {
+            assert_kind(r, "config");
+            assert!(r.contains("must be a non-negative integer"), "{r}");
+        }
+    }
+
+    #[test]
+    fn escaped_request_strings_address_the_same_session_as_raw_ones() {
+        // a client escaping non-ASCII (Python's json.dumps default) and
+        // one sending it raw name the same session; the reply echoes the
+        // sid through the shared escaper, which leaves non-ASCII raw
+        let replies = run(concat!(
+            r#"{"cmd":"open","sid":"caf\u00e9","engine":"fluid","topology":"fig3","strategy":"urp","horizon_secs":5}"#,
+            "\n",
+            r#"{"cmd":"advance","sid":"café","to_secs":1}"#,
+            "\n",
+            r#"{"cmd":"close","sid":"caf\u00E9","seq":3}"#,
+            "\n",
+            r#"{"cmd":"open","sid":"\udc00","engine":"fluid","topology":"fig3","strategy":"urp","horizon_secs":5}"#,
+            "\n",
+        ));
+        assert_eq!(replies.len(), 4, "{replies:?}");
+        for r in &replies[..3] {
+            assert_ok(r);
+        }
+        assert!(replies[0].ends_with(",\"sid\":\"café\"}"), "{}", replies[0]);
+        assert!(
+            replies[2].ends_with(",\"sid\":\"café\",\"seq\":3}"),
+            "{}",
+            replies[2]
+        );
+        assert_kind(&replies[3], "parse");
+        assert!(replies[3].contains("lone surrogate"), "{}", replies[3]);
     }
 
     #[test]

@@ -41,7 +41,7 @@ use inrpp_topology::Topology;
 
 use crate::daemon::Shared;
 use crate::protocol::{
-    err_reply, esc, num, ok_reply, report_reply, session_err_kind, FeedReq, OpenSpec, ResumeFrom,
+    err_reply, num, ok_reply, quote, report_reply, session_err_kind, FeedReq, OpenSpec, ResumeFrom,
 };
 
 /// Fixed slice count per `advance`: the preemption quantum. A client
@@ -587,8 +587,8 @@ fn host_main(
         ));
         if !recovery_skipped.is_empty() {
             open_extra.push_str(&format!(
-                ",\"diagnostics\":\"{}\"",
-                esc(&recovery_skipped.join("; "))
+                ",\"diagnostics\":{}",
+                quote(&recovery_skipped.join("; "))
             ));
         }
     }
@@ -659,7 +659,7 @@ fn host_main(
                         shared.stats.ckpt_writes.fetch_add(1, Ordering::Relaxed);
                         ok_reply(
                             "checkpoint",
-                            &format!("\"path\":\"{}\",\"bytes\":{}", esc(&path), bytes.len()),
+                            &format!("\"path\":{},\"bytes\":{}", quote(&path), bytes.len()),
                         )
                     }
                     Err(e) => err_reply("io", &format!("cannot write checkpoint {path:?}: {e}")),

@@ -21,6 +21,7 @@ use std::fmt::Write as _;
 use inrpp::config::InrppConfig;
 use inrpp::session::{EngineKind, RunReport, SessionError, SessionStrategy};
 use inrpp_packetsim::{AimdConfig, PacketEngine, PacketSimConfig, TransportKind};
+use inrpp_runner::json_string;
 use inrpp_sim::time::{SimDuration, SimTime};
 use inrpp_sim::units::{ByteSize, Rate};
 use inrpp_topology::Topology;
@@ -48,7 +49,11 @@ pub enum Json {
 }
 
 /// Parse one flat JSON object (`{"k": v, ...}` — no nesting) into its
-/// key/value pairs. Line-oriented protocol, so errors are plain strings.
+/// key/value pairs, in one pass over the line. String values take every
+/// escape `inrpp_runner::json_string` writes plus the rest of RFC 8259's
+/// (`\b`, `\f`, `\uXXXX` with surrogate pairs). Line-oriented protocol,
+/// so errors are plain strings; the connection replies to them with
+/// kind `parse`.
 pub fn parse_object(s: &str) -> Result<Vec<(String, Json)>, String> {
     let b = s.as_bytes();
     let mut i = 0usize;
@@ -61,11 +66,11 @@ pub fn parse_object(s: &str) -> Result<Vec<(String, Json)>, String> {
     } else {
         loop {
             skip_ws(b, &mut i);
-            let key = parse_string(b, &mut i)?;
+            let key = parse_string(s, &mut i)?;
             skip_ws(b, &mut i);
             expect(b, &mut i, b':')?;
             skip_ws(b, &mut i);
-            let val = parse_value(b, &mut i)?;
+            let val = parse_value(s, &mut i)?;
             out.push((key, val));
             skip_ws(b, &mut i);
             match peek(b, i) {
@@ -114,45 +119,79 @@ fn expect(b: &[u8], i: &mut usize, want: u8) -> Result<(), String> {
     }
 }
 
-fn parse_string(b: &[u8], i: &mut usize) -> Result<String, String> {
+fn parse_string(s: &str, i: &mut usize) -> Result<String, String> {
+    let b = s.as_bytes();
     expect(b, i, b'"')?;
     let mut out = String::new();
     loop {
-        match peek(b, *i) {
-            None => return Err("unterminated string".into()),
-            Some(b'"') => {
-                *i += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *i += 1;
-                let esc = peek(b, *i).ok_or("unterminated escape")?;
-                *i += 1;
-                match esc {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'/' => out.push('/'),
-                    b'n' => out.push('\n'),
-                    b't' => out.push('\t'),
-                    b'r' => out.push('\r'),
-                    other => return Err(format!("unsupported escape '\\{}'", char::from(other))),
-                }
-            }
-            Some(_) => {
-                // advance one UTF-8 scalar, not one byte
-                let rest = &b[*i..];
-                let s = std::str::from_utf8(rest).map_err(|_| "invalid UTF-8".to_string())?;
-                let ch = s.chars().next().unwrap();
-                out.push(ch);
-                *i += ch.len_utf8();
-            }
+        // copy the run up to the next quote or backslash as one slice;
+        // both are ASCII, so the cut always lands on a char boundary
+        let run = b[*i..]
+            .iter()
+            .position(|&c| c == b'"' || c == b'\\')
+            .ok_or("unterminated string")?;
+        out.push_str(&s[*i..*i + run]);
+        *i += run + 1;
+        if b[*i - 1] == b'"' {
+            return Ok(out);
+        }
+        let esc = peek(b, *i).ok_or("unterminated escape")?;
+        *i += 1;
+        match esc {
+            b'"' => out.push('"'),
+            b'\\' => out.push('\\'),
+            b'/' => out.push('/'),
+            b'b' => out.push('\u{8}'),
+            b'f' => out.push('\u{c}'),
+            b'n' => out.push('\n'),
+            b'r' => out.push('\r'),
+            b't' => out.push('\t'),
+            b'u' => out.push(unicode_escape(b, i)?),
+            other => return Err(format!("unsupported escape '\\{}'", char::from(other))),
         }
     }
 }
 
-fn parse_value(b: &[u8], i: &mut usize) -> Result<Json, String> {
+/// The character of a `\uXXXX` escape whose `\u` is consumed, joining a
+/// UTF-16 surrogate pair written as two escapes.
+fn unicode_escape(b: &[u8], i: &mut usize) -> Result<char, String> {
+    let unit = hex4(b, i)?;
+    let code = match unit {
+        0xD800..=0xDBFF => {
+            let low = if b[*i..].starts_with(b"\\u") {
+                *i += 2;
+                hex4(b, i)?
+            } else {
+                0
+            };
+            if !(0xDC00..=0xDFFF).contains(&low) {
+                return Err(format!("lone surrogate \\u{unit:04x} in string"));
+            }
+            0x10000 + ((unit - 0xD800) << 10) + (low - 0xDC00)
+        }
+        0xDC00..=0xDFFF => return Err(format!("lone surrogate \\u{unit:04x} in string")),
+        _ => unit,
+    };
+    Ok(char::from_u32(code).expect("surrogates are excluded above"))
+}
+
+fn hex4(b: &[u8], i: &mut usize) -> Result<u32, String> {
+    let digits = b.get(*i..*i + 4).ok_or("truncated \\u escape")?;
+    let mut v = 0;
+    for &d in digits {
+        let nibble = char::from(d)
+            .to_digit(16)
+            .ok_or_else(|| format!("bad hex digit {:?} in \\u escape", char::from(d)))?;
+        v = v * 16 + nibble;
+    }
+    *i += 4;
+    Ok(v)
+}
+
+fn parse_value(s: &str, i: &mut usize) -> Result<Json, String> {
+    let b = s.as_bytes();
     match peek(b, *i) {
-        Some(b'"') => Ok(Json::Str(parse_string(b, i)?)),
+        Some(b'"') => Ok(Json::Str(parse_string(s, i)?)),
         Some(b't') if b[*i..].starts_with(b"true") => {
             *i += 4;
             Ok(Json::Bool(true))
@@ -174,7 +213,8 @@ fn parse_value(b: &[u8], i: &mut usize) -> Result<Json, String> {
             ) {
                 *i += 1;
             }
-            let text = std::str::from_utf8(&b[start..*i]).unwrap_or("");
+            // the scanned bytes are ASCII, so this slice is on boundaries
+            let text = &s[start..*i];
             text.parse::<f64>()
                 .map(Json::Num)
                 .map_err(|_| format!("not a number: {text:?}"))
@@ -183,22 +223,11 @@ fn parse_value(b: &[u8], i: &mut usize) -> Result<Json, String> {
     }
 }
 
-/// Escape a string for JSON output.
-pub fn esc(s: &str) -> String {
+/// A JSON string literal, quotes included, written by the workspace's
+/// one escaper ([`json_string`]).
+pub(crate) fn quote(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
+    json_string(&mut out, s);
     out
 }
 
@@ -270,8 +299,19 @@ pub fn opt_bool_field(obj: &Obj, key: &str) -> Result<Option<bool>, String> {
 
 /// A required non-negative integer field.
 pub fn u64_field(obj: &Obj, key: &str) -> Result<u64, String> {
-    let v = num_field(obj, key)?;
-    if v >= 0.0 && v.fract() == 0.0 && v <= u64::MAX as f64 {
+    to_u64(key, num_field(obj, key)?)
+}
+
+/// An optional non-negative integer field (`null` counts as absent),
+/// under [`u64_field`]'s rule.
+pub(crate) fn opt_u64_field(obj: &Obj, key: &str) -> Result<Option<u64>, String> {
+    opt_num_field(obj, key)?.map(|v| to_u64(key, v)).transpose()
+}
+
+/// `v` as a `u64` when it is a whole number that fits, never rounded,
+/// clamped or saturated: `2^64` is the first float past `u64::MAX`.
+fn to_u64(key: &str, v: f64) -> Result<u64, String> {
+    if v >= 0.0 && v.fract() == 0.0 && v < u64::MAX as f64 {
         Ok(v as u64)
     } else {
         Err(format!("field {key:?} must be a non-negative integer"))
@@ -366,8 +406,8 @@ impl OpenSpec {
             topology: str_field(obj, "topology")?,
             strategy: str_field(obj, "strategy")?,
             horizon_secs: num_field(obj, "horizon_secs")?,
-            seed: opt_num_field(obj, "seed")?.map(|v| v as u64),
-            workers: opt_num_field(obj, "workers")?.map(|v| v as u64),
+            seed: opt_u64_field(obj, "seed")?,
+            workers: opt_u64_field(obj, "workers")?,
             chunk_bytes,
             trace: opt_str_field(obj, "trace")?,
             faults: opt_str_field(obj, "faults")?,
@@ -472,9 +512,9 @@ pub fn secs_to_time(secs: f64) -> Result<SimTime, SessionError> {
 /// `timeout`. The session (if any) stays open.
 pub fn err_reply(kind: &str, msg: &str) -> String {
     format!(
-        "{{\"ok\":false,\"kind\":\"{}\",\"error\":\"{}\"}}",
-        esc(kind),
-        esc(msg)
+        "{{\"ok\":false,\"kind\":{},\"error\":{}}}",
+        quote(kind),
+        quote(msg)
     )
 }
 
@@ -491,9 +531,9 @@ pub fn session_err_kind(e: &SessionError) -> &'static str {
 /// (pre-rendered `"k":v` pairs).
 pub fn ok_reply(event: &str, extra: &str) -> String {
     if extra.is_empty() {
-        format!("{{\"ok\":true,\"event\":\"{}\"}}", esc(event))
+        format!("{{\"ok\":true,\"event\":{}}}", quote(event))
     } else {
-        format!("{{\"ok\":true,\"event\":\"{}\",{extra}}}", esc(event))
+        format!("{{\"ok\":true,\"event\":{},{extra}}}", quote(event))
     }
 }
 
@@ -520,11 +560,11 @@ pub fn report_reply(event: &str, topo: &Topology, report: &RunReport) -> String 
         }
         let _ = write!(
             flows,
-            "{{\"flow\":{},\"src\":\"{}\",\"dst\":\"{}\",\"offered_bits\":{},\
+            "{{\"flow\":{},\"src\":{},\"dst\":{},\"offered_bits\":{},\
              \"delivered_bits\":{},\"arrival_secs\":{},\"fct_secs\":{},\"retransmits\":{}",
             f.flow,
-            esc(&topo.node(f.src).name),
-            esc(&topo.node(f.dst).name),
+            quote(&topo.node(f.src).name),
+            quote(&topo.node(f.dst).name),
             num(f.offered_bits),
             num(f.delivered_bits),
             num(f.arrival.as_secs_f64()),
@@ -545,14 +585,14 @@ pub fn report_reply(event: &str, topo: &Topology, report: &RunReport) -> String 
         flows.push('}');
     }
     format!(
-        "{{\"ok\":true,\"event\":\"{}\",\"engine\":\"{}\",\"strategy\":\"{}\",\
-         \"topology\":\"{}\",\"arrived_flows\":{},\"completed_flows\":{},\
+        "{{\"ok\":true,\"event\":{},\"engine\":\"{}\",\"strategy\":{},\
+         \"topology\":{},\"arrived_flows\":{},\"completed_flows\":{},\
          \"offered_bits\":{},\"delivered_bits\":{},\"duration_secs\":{},\
          \"mean_fct_secs\":{},\"mean_utilisation\":{},\"flows\":[{}]}}",
-        esc(event),
+        quote(event),
         report.engine,
-        esc(&report.strategy),
-        esc(&report.topology),
+        quote(&report.strategy),
+        quote(&report.topology),
         a.arrived_flows,
         a.completed_flows,
         num(a.offered_bits),
@@ -595,6 +635,53 @@ mod tests {
         );
         let esc = parse_object(r#"{"s":"a\"b\\c\nd"}"#).unwrap();
         assert_eq!(str_field(&esc, "s").unwrap(), "a\"b\\c\nd");
+    }
+
+    #[test]
+    fn unicode_escapes_decode_and_lone_surrogates_are_rejected() {
+        let s = |line: &str| str_field(&parse_object(line).unwrap(), "s").unwrap();
+        // what Python's json.dumps sends for non-ASCII text
+        assert_eq!(s(r#"{"s":"caf\u00e9"}"#), "café");
+        assert_eq!(s(r#"{"s":"\u0001\b\f\/"}"#), "\u{1}\u{8}\u{c}/");
+        assert_eq!(s(r#"{"s":"\ud83d\uDE00!"}"#), "😀!");
+        assert_eq!(s(r#"{"s":"raw é 😀 stays"}"#), "raw é 😀 stays");
+        for bad in [
+            r#"{"s":"\ud800"}"#,
+            r#"{"s":"\ud800x"}"#,
+            r#"{"s":"\ud800A"}"#,
+            r#"{"s":"\udc00"}"#,
+        ] {
+            let e = parse_object(bad).unwrap_err();
+            assert!(e.contains("lone surrogate"), "{bad}: {e}");
+        }
+        for bad in [r#"{"s":"\u12"}"#, r#"{"s":"\u12g4"}"#, r#"{"s":"\x"}"#] {
+            assert!(parse_object(bad).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn a_mebibyte_string_field_parses() {
+        let big = "é".repeat(1 << 19) + "\\n";
+        let obj = parse_object(&format!("{{\"s\":\"{big}\",\"n\":1}}")).unwrap();
+        let s = str_field(&obj, "s").unwrap();
+        assert_eq!(s.len(), (1 << 20) + 1);
+        assert!(s.ends_with("é\n"));
+        assert_eq!(num_field(&obj, "n").unwrap(), 1.0);
+    }
+
+    #[test]
+    fn optional_integers_are_never_rounded_or_clamped() {
+        let obj = parse_object(r#"{"a":7,"b":-1,"c":7.9,"d":1e30,"e":null}"#).unwrap();
+        assert_eq!(opt_u64_field(&obj, "a"), Ok(Some(7)));
+        for key in ["b", "c", "d"] {
+            assert!(opt_u64_field(&obj, key).is_err(), "{key}");
+        }
+        assert_eq!(opt_u64_field(&obj, "e"), Ok(None));
+        assert_eq!(opt_u64_field(&obj, "missing"), Ok(None));
+        let edge =
+            parse_object(r#"{"max":18446744073709549568,"over":18446744073709551616}"#).unwrap();
+        assert_eq!(u64_field(&edge, "max"), Ok(u64::MAX - 2047));
+        assert!(u64_field(&edge, "over").is_err());
     }
 
     #[test]

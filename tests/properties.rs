@@ -937,3 +937,49 @@ proptest! {
         prop_assert_eq!(parsed, transfers);
     }
 }
+
+/// A code point for the wire-string round trip, drawn by class so every
+/// class an escaper can get wrong shows up often: ASCII (control
+/// characters, quotes and backslashes included), the rest of the BMP,
+/// and the astral planes, which take a surrogate pair when escaped.
+/// Surrogate code points are not `char`s and map to U+FFFD.
+fn wire_char(class: u8, v: u32) -> char {
+    let c = match class {
+        0 => v % 0x80,
+        1 => v % 0x1_0000,
+        _ => v % 0x11_0000,
+    };
+    char::from_u32(c).unwrap_or('\u{fffd}')
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The serve protocol's reader takes back any string the workspace's
+    /// one JSON writer emits, and the same string with every character
+    /// written as a `\uXXXX` escape (a client's `ensure_ascii` form),
+    /// whether it is a key or a value.
+    #[test]
+    fn wire_strings_round_trip_through_the_shared_escaper(
+        points in proptest::collection::vec((0u8..3, 0u32..0x11_0000), 0..48),
+    ) {
+        use inrpp_runner::json_string;
+        use inrpp_server::protocol::{parse_object, Json};
+
+        let s: String = points.iter().map(|&(class, v)| wire_char(class, v)).collect();
+        let mut written = String::new();
+        json_string(&mut written, &s);
+        let mut ascii = String::from("\"");
+        for unit in s.encode_utf16() {
+            ascii.push_str(&format!("\\u{unit:04x}"));
+        }
+        ascii.push('"');
+        for lit in [&written, &ascii] {
+            let line = format!("{{{lit}:{lit},\"n\":1}}");
+            prop_assert_eq!(
+                parse_object(&line),
+                Ok(vec![(s.clone(), Json::Str(s.clone())), ("n".to_string(), Json::Num(1.0))])
+            );
+        }
+    }
+}

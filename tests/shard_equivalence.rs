@@ -324,6 +324,104 @@ fn fixed_scenarios_are_byte_identical_at_every_worker_count() {
     }
 }
 
+/// Two sharding-safe workloads at 100k delivered chunks, far past the
+/// fixed matrix above: two opposing 50,000-chunk INRPP transfers across
+/// a six-hop line, every chunk crossing several region boundaries, and
+/// 32 mixed INRPP/AIMD flows on a 16-pair dumbbell with custody and
+/// back-pressure on the shared bottleneck.
+fn large_scenarios() -> Vec<Scenario> {
+    let line = Topology::line(6, Rate::mbps(97.3), SimDuration::from_nanos(1_300_017));
+    let ids: Vec<_> = line.node_ids().collect();
+    let deep = |flow, src: usize, dst: usize| {
+        (
+            TransferSpec {
+                flow,
+                src: ids[src],
+                dst: ids[dst],
+                chunks: 50_000,
+                start: SimTime::ZERO,
+            },
+            FlowTransport::Inrpp,
+        )
+    };
+    let line_deep = Scenario {
+        name: "line-inrpp-deep",
+        cfg: PacketSimConfig {
+            transport: TransportKind::Inrpp(inrpp_no_detour_probe()),
+            horizon: SimDuration::from_secs(8),
+            ..PacketSimConfig::default()
+        },
+        transfers: vec![deep(1, 0, 5), deep(2, 5, 0)],
+        topo: line,
+    };
+
+    let pairs = 16u32;
+    let mut transfers = Vec::new();
+    for i in 0..pairs {
+        for (j, kind) in [FlowTransport::Inrpp, FlowTransport::Aimd]
+            .into_iter()
+            .enumerate()
+        {
+            let spec = TransferSpec {
+                flow: u64::from(i) * 2 + j as u64 + 1,
+                src: NodeId(i),
+                dst: NodeId(pairs + 2 + i),
+                chunks: 3_200,
+                start: SimTime::ZERO,
+            };
+            transfers.push((spec, kind));
+        }
+    }
+    let dumbbell = Scenario {
+        name: "dumbbell-mixed-many",
+        topo: Topology::dumbbell(
+            pairs as usize,
+            Rate::mbps(97.3),
+            Rate::mbps(393.9),
+            SimDuration::from_nanos(2_700_031),
+        ),
+        cfg: PacketSimConfig {
+            transport: TransportKind::Mixed {
+                inrpp: inrpp_no_detour_probe(),
+                aimd: AimdConfig::default(),
+            },
+            horizon: SimDuration::from_secs(5),
+            ..PacketSimConfig::default()
+        },
+        transfers,
+    };
+    vec![line_deep, dumbbell]
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "100k chunks through both drivers take tens of seconds in debug; \
+              CI runs it in release with --include-ignored"
+)]
+fn large_workloads_match_the_sequential_engine() {
+    for sc in large_scenarios() {
+        let sim = || {
+            let mut sim = PacketSim::new(&sc.topo, sc.cfg);
+            for &(spec, kind) in &sc.transfers {
+                sim.add_transfer_as(spec, kind);
+            }
+            sim
+        };
+        let sequential = sim().run();
+        let sharded = sim()
+            .try_run_sharded(4, 7)
+            .expect("the workload meets the sharding preconditions");
+        assert_eq!(
+            fingerprint(&sequential),
+            fingerprint(&sharded),
+            "{}: report bits diverged at 4 workers",
+            sc.name
+        );
+        assert_eq!(sequential, sharded, "{}", sc.name);
+    }
+}
+
 #[test]
 fn explicit_contiguous_partitions_are_byte_identical() {
     for sc in scenarios() {
