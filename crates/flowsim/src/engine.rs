@@ -10,30 +10,62 @@
 //!
 //! [`AllocEngine`] is the production engine the simulator uses instead:
 //!
-//! * [`FlowPaths`] — an arena that resolves each flow's preference-ordered
+//! * `FlowPaths` — an arena that resolves each flow's preference-ordered
 //!   subpaths to flat directed-channel index slices (`Vec<u32>` + offsets)
 //!   **once at flow arrival**, via the O(1) dense adjacency table
-//!   ([`inrpp_topology::dense::DenseChannels`]). Departed flows return
-//!   their slot (and its buffers) to a free list, so steady-state churn
-//!   allocates nothing.
-//! * [`AllocatorScratch`] — the progressive-filling working state
-//!   (residuals, per-channel flow counts, frozen flags, subpath cursors)
-//!   held across events and reused, so a re-allocation touches only
-//!   pre-sized flat arrays.
+//!   ([`inrpp_topology::dense::DenseChannels`]). It also keeps the
+//!   standing channel incidence: per directed channel, the `(slot,
+//!   subpath)` pair of every subpath of every active flow crossing it.
+//!   Departed flows return their slot (and its buffers) to a free list,
+//!   so steady-state churn allocates nothing.
+//! * `AllocatorScratch` — the progressive-filling state, indexed by arena
+//!   slot and by channel, plus the *round-0 state*: each flow's first
+//!   subpath clear of zero-capacity channels and the channel counts that
+//!   choice implies. Insert and remove keep the round-0 state current, so
+//!   an allocation starts from a copy of it.
 //! * An active set sorted by caller key (the simulator uses flow ids), so
-//!   iteration order — and therefore every floating-point operation —
-//!   matches the reference allocator fed the same flows in the same
-//!   order.
+//!   outputs come out in the order the reference allocator is fed.
 //!
 //! **Exactness contract:** for any active set, [`AllocEngine::allocate`]
 //! produces bit-identical `flow_rates`, `subpath_rates`, and `dir_used`
-//! to the reference allocator. The filling loop performs the same
-//! arithmetic in the same order; the one shortcut — re-scanning a flow's
-//! subpath preference from its *current* cursor instead of from zero — is
-//! sound because channel saturation is monotone within one allocation
-//! (residuals only fall, saturated channels are clamped to zero and stay
-//! there), so subpaths once skipped stay skipped. The contract is gated
-//! by unit tests here and the reference-equivalence property test in
+//! to the reference allocator fed the same flows in key order. The
+//! filling loop does less work per round than the reference, and each
+//! shortcut keeps every floating-point result:
+//!
+//! 1. **Cursors and counts.** Saturation is monotone within one
+//!    allocation: residuals only fall, and a saturated channel is clamped
+//!    to zero and never counted again. So a flow's preference changes
+//!    only when a channel of its preferred subpath saturates, the new
+//!    choice lies after the old cursor, and per-flow re-selection does
+//!    not depend on the order flows are visited in. The engine
+//!    re-selects exactly the flows whose preferred subpath crosses a
+//!    channel that just saturated, found through the standing incidence.
+//!    Channel counts are integer bookkeeping kept in step with the
+//!    cursors.
+//! 2. **δ.** The reference takes `min(residual / count)` over channels
+//!    with `count > 0`. The engine keeps an exact list of those channels,
+//!    makes the same division for each, and splits the minimum across
+//!    four accumulators. Every quotient is positive, so the minimum does
+//!    not depend on the order it is taken in.
+//! 3. **Residual steps.** Within a round every subtraction on channel `d`
+//!    uses the same δ and no other channel's update touches it, so
+//!    `residual[d]` sees `count[d]` subtractions of δ in a row, as in the
+//!    reference's per-flow loop. [`subtract_repeated`] replaces that loop
+//!    by one step where the result is provably the same (see its docs).
+//! 4. **Subpath rates.** A flow's cursor only moves forward, so each
+//!    subpath is preferred for one unbroken run of rounds `a..=b`, and
+//!    the reference's rate for it is `((0 + δ_a) + …) + δ_b`. That sum
+//!    depends only on `a` and `b`, so the engine keeps one running sum
+//!    per round in which some flow took up a new subpath, and stores it
+//!    into the subpath's rate when the flow moves on or freezes.
+//! 5. **Round-0 state.** Before the first round `residual = capacity`, so
+//!    the reference's first selection is each flow's first subpath with
+//!    no zero-capacity channel. That depends only on the flow and the
+//!    capacities, so insert and remove maintain it, and a capacity change
+//!    recomputes it.
+//!
+//! The contract is gated by unit tests here and by the
+//! reference-equivalence and residual-step property tests in
 //! `tests/properties.rs`.
 
 use inrpp_topology::dense::DenseChannels;
@@ -42,6 +74,61 @@ use inrpp_topology::spath::Path;
 
 use crate::allocator::{UnresolvedHop, MAX_ROUNDS, REL_EPS};
 
+/// Cursor value of a flow with no subpath left (and of a free slot).
+const FROZEN: u32 = u32::MAX;
+
+/// `r` after `count` successive subtractions `r -= delta`, bit for bit,
+/// in O(1) wherever that is provably exact.
+///
+/// Let `u` be the spacing of the floats in `r`'s binade
+/// `[2^e, 2^(e+1))` and `k·u` the multiple of `u` nearest to `delta`.
+/// While an exact difference `x − delta` stays at or above `2^e`, its
+/// nearest float is the multiple of `u` nearest to it, which is
+/// `x − k·u` when `delta` is not a tie (`delta mod u ≠ u/2`). If the
+/// final value `r − count·k·u` is at least `2^e + u`, every intermediate
+/// difference exceeds `2^e + u/2`, so every subtraction rounds exactly
+/// like that and the loop's result is `r − count·k·u`, computed exactly.
+/// When either condition fails (a tie, a crossing into the binade below,
+/// a residual that is not a positive normal number), the loop runs.
+///
+/// The multiple is found without `round` (a libm call on the default
+/// target): `t = delta / u` is an exact scaling, and for `0 ≤ t < 2⁵²`
+/// `(t + 2⁵²) − 2⁵²` is `t` rounded to the nearest integer.
+///
+/// ```
+/// use inrpp_flowsim::engine::subtract_repeated;
+/// let (r, delta) = (1e9, 0.1);
+/// let mut looped = r;
+/// for _ in 0..1000 {
+///     looped -= delta;
+/// }
+/// assert_eq!(subtract_repeated(r, delta, 1000).to_bits(), looped.to_bits());
+/// ```
+#[inline]
+pub fn subtract_repeated(r: f64, delta: f64, count: u32) -> f64 {
+    const TWO_52: f64 = (1u64 << 52) as f64;
+    // biased exponent; out of range for zero, subnormals, negatives and
+    // values whose `u` or `1/u` would not be a normal power of two
+    let e = r.to_bits() >> 52;
+    if (53..=2046).contains(&e) {
+        let floor = f64::from_bits(e << 52);
+        let u = f64::from_bits((e - 52) << 52);
+        let t = delta * f64::from_bits((2098 - e) << 52);
+        let k = (t + TWO_52) - TWO_52;
+        if t < TWO_52 && (k - t).abs() != 0.5 {
+            let out = r - count as f64 * k * u;
+            if out >= floor + u {
+                return out;
+            }
+        }
+    }
+    let mut out = r;
+    for _ in 0..count {
+        out -= delta;
+    }
+    out
+}
+
 /// One flow's resolved subpaths inside the [`FlowPaths`] arena.
 #[derive(Debug, Clone, Default)]
 struct SlotData {
@@ -49,6 +136,8 @@ struct SlotData {
     dirs: Vec<u32>,
     /// Exclusive end offset of each subpath within `dirs`.
     ends: Vec<u32>,
+    /// Rate per subpath from the last allocation (bits/s).
+    rates: Vec<f64>,
 }
 
 impl SlotData {
@@ -64,32 +153,52 @@ impl SlotData {
     fn len(&self) -> usize {
         self.ends.len()
     }
+
+    /// First subpath at or after `from` with no saturated channel (the
+    /// reference allocator's predicate), or `None`.
+    #[inline]
+    fn first_clear(&self, from: usize, residual: &[f64], caps: &[f64]) -> Option<u32> {
+        (from..self.len())
+            .find(|&p| {
+                !self
+                    .subpath(p)
+                    .iter()
+                    .any(|&d| residual[d as usize] <= caps[d as usize] * REL_EPS)
+            })
+            .map(|p| p as u32)
+    }
 }
 
 /// Arena of per-flow resolved subpaths: flat `Vec<u32>` channel slices
 /// plus offsets, filled once at flow arrival through an O(1) dense
-/// adjacency lookup and recycled through a slot free list.
+/// adjacency lookup and recycled through a slot free list, with the
+/// standing per-channel incidence of every active subpath.
 #[derive(Debug)]
-pub struct FlowPaths {
+struct FlowPaths {
     dense: DenseChannels,
     slots: Vec<SlotData>,
     free: Vec<u32>,
+    /// Per directed channel: `(slot, subpath)` once for every crossing of
+    /// it by a subpath of an active flow, unordered.
+    incidence: Vec<Vec<(u32, u32)>>,
 }
 
 impl FlowPaths {
     /// An empty arena resolving against `topo`.
-    pub fn new(topo: &Topology) -> Self {
+    fn new(topo: &Topology) -> Self {
         FlowPaths {
             dense: DenseChannels::build(topo),
             slots: Vec::new(),
             free: Vec::new(),
+            incidence: vec![Vec::new(); topo.link_count() * 2],
         }
     }
 
-    /// Resolve `paths` into a fresh (or recycled) slot and return its id.
-    /// On an unresolvable hop nothing is retained and the typed error
-    /// names the offending node pair.
-    pub fn insert(&mut self, paths: &[Path]) -> Result<u32, UnresolvedHop> {
+    /// Resolve `paths` into a fresh (or recycled) slot, list its
+    /// subpaths on the channels they cross, and return the slot id. On an
+    /// unresolvable hop nothing is retained and the typed error names the
+    /// offending node pair.
+    fn insert(&mut self, paths: &[Path]) -> Result<u32, UnresolvedHop> {
         let slot = match self.free.pop() {
             Some(s) => s,
             None => {
@@ -117,28 +226,102 @@ impl FlowPaths {
             }
             data.ends.push(data.dirs.len() as u32);
         }
+        data.rates.clear();
+        data.rates.resize(data.len(), 0.0);
+        for p in 0..data.len() {
+            for &d in data.subpath(p) {
+                self.incidence[d as usize].push((slot, p as u32));
+            }
+        }
         Ok(slot)
     }
 
-    /// Release `slot` back to the free list (its buffers keep their
-    /// capacity for the next flow).
-    pub fn remove(&mut self, slot: u32) {
+    /// Unlist `slot` from the channel incidence and release it to the
+    /// free list (its buffers keep their capacity for the next flow).
+    fn remove(&mut self, slot: u32) {
         let data = &mut self.slots[slot as usize];
+        for p in 0..data.len() {
+            for &d in data.subpath(p) {
+                let list = &mut self.incidence[d as usize];
+                let at = list
+                    .iter()
+                    .position(|&e| e == (slot, p as u32))
+                    .expect("every subpath crossing is listed at insert");
+                list.swap_remove(at);
+            }
+        }
         data.dirs.clear();
         data.ends.clear();
+        data.rates.clear();
         self.free.push(slot);
-    }
-
-    /// Slots currently allocated (live + free), i.e. the arena footprint.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
     }
 }
 
-/// Reusable progressive-filling working state, held by the engine across
-/// events so re-allocations are allocation-free in steady state.
+/// Directed channels crossed by preferred subpaths: how many cross each
+/// channel, and an unordered list of the channels with a positive count.
 #[derive(Debug)]
-pub struct AllocatorScratch {
+struct ChannelUse {
+    count: Vec<u32>,
+    list: Vec<u32>,
+    /// Index of each listed channel in `list`.
+    pos: Vec<u32>,
+}
+
+impl ChannelUse {
+    fn new(ndir: usize) -> Self {
+        ChannelUse {
+            count: vec![0; ndir],
+            list: Vec::new(),
+            pos: vec![0; ndir],
+        }
+    }
+
+    /// Count one more preferred subpath crossing `d`.
+    #[inline]
+    fn add(&mut self, d: u32) {
+        let c = &mut self.count[d as usize];
+        if *c == 0 {
+            self.pos[d as usize] = self.list.len() as u32;
+            self.list.push(d);
+        }
+        *c += 1;
+    }
+
+    /// Count one preferred subpath fewer crossing `d`.
+    #[inline]
+    fn remove(&mut self, d: u32) {
+        let c = &mut self.count[d as usize];
+        *c -= 1;
+        if *c == 0 {
+            let at = self.pos[d as usize] as usize;
+            self.list.swap_remove(at);
+            if let Some(&moved) = self.list.get(at) {
+                self.pos[moved as usize] = at as u32;
+            }
+        }
+    }
+
+    /// Become a copy of `other` without reallocating.
+    fn copy_from(&mut self, other: &ChannelUse) {
+        self.count.copy_from_slice(&other.count);
+        self.list.clear();
+        self.list.extend_from_slice(&other.list);
+        self.pos.copy_from_slice(&other.pos);
+    }
+
+    fn clear(&mut self) {
+        for &d in &self.list {
+            self.count[d as usize] = 0;
+        }
+        self.list.clear();
+    }
+}
+
+/// Progressive-filling state, held by the engine across events so
+/// re-allocations are allocation-free in steady state. Per-flow state is
+/// indexed by arena slot.
+#[derive(Debug)]
+struct AllocatorScratch {
     /// Effective capacity per directed channel: base scaled by the current
     /// fault factor (0 while the link is down).
     caps: Vec<f64>,
@@ -146,37 +329,26 @@ pub struct AllocatorScratch {
     base_caps: Vec<f64>,
     /// Remaining capacity per directed channel.
     residual: Vec<f64>,
-    /// Occurrences of each directed channel across unfrozen flows'
-    /// preferred subpaths, maintained incrementally across rounds.
-    count: Vec<u32>,
-    /// Per active position: no subpath with headroom left.
-    frozen: Vec<bool>,
-    /// Per active position: cursor into the subpath preference order.
+    /// Round-0 channel use: every active flow on its round-0 subpath.
+    use0: ChannelUse,
+    /// Per slot: the round-0 subpath, or [`FROZEN`] (also for free slots).
+    preferred0: Vec<u32>,
+    /// Active flows with a round-0 subpath.
+    unfrozen0: usize,
+    /// Channel use of the unfrozen flows' preferred subpaths.
+    used: ChannelUse,
+    /// Per slot: cursor into the subpath preference order, or [`FROZEN`].
     preferred: Vec<u32>,
-    /// Per channel: active positions whose preferred subpath was routed
-    /// through it when selected (lazy — may contain stale entries, which
-    /// the rescan filters out). Drives the targeted re-selection: only
-    /// flows on a newly saturated channel can change preference.
-    on_channel: Vec<Vec<u32>>,
-    /// Unfrozen active positions (order-free: every per-flow update in a
-    /// round is independent, so iteration order does not affect results).
-    unfrozen: Vec<u32>,
-    /// Per active position: its index in `unfrozen` (for swap-removal).
-    unfrozen_pos: Vec<u32>,
+    /// Per slot: the running sum its preferred subpath's rate accrues in.
+    sum_of: Vec<u32>,
+    /// Running rate sums, one per round in which flows took up a subpath.
+    sums: Vec<f64>,
+    /// Per sum: flows still accruing in it.
+    holders: Vec<u32>,
+    /// Sums with holders left; each round adds its δ to all of them.
+    open: Vec<u32>,
     /// Channels saturated by the current round.
     newly_sat: Vec<u32>,
-    /// Channels with `count > 0` (may lag: zero-count entries are swept
-    /// out during the next round's δ pass). The per-round scans iterate
-    /// this instead of every channel — late rounds have few flows left.
-    in_use: Vec<u32>,
-    /// Membership flag for `in_use` (prevents duplicate entries when a
-    /// channel's count returns to zero and climbs again).
-    in_list: Vec<bool>,
-    /// Spare buffer rotated through `on_channel` entries during rescans.
-    rescan_buf: Vec<u32>,
-    /// `2⁻ᵏ` reciprocals: dividing by a power-of-two count is an exact
-    /// scaling, so it can be a multiplication with a bit-identical result.
-    pow2_recip: [f64; 33],
 }
 
 impl AllocatorScratch {
@@ -187,100 +359,113 @@ impl AllocatorScratch {
             caps.push(c);
             caps.push(c);
         }
-        let mut pow2_recip = [0.0; 33];
-        for (k, r) in pow2_recip.iter_mut().enumerate() {
-            *r = 1.0 / (1u64 << k) as f64;
-        }
+        let ndir = caps.len();
         AllocatorScratch {
-            residual: vec![0.0; caps.len()],
-            count: vec![0; caps.len()],
-            on_channel: vec![Vec::new(); caps.len()],
-            in_list: vec![false; caps.len()],
+            residual: vec![0.0; ndir],
             base_caps: caps.clone(),
             caps,
-            frozen: Vec::new(),
+            use0: ChannelUse::new(ndir),
+            preferred0: Vec::new(),
+            unfrozen0: 0,
+            used: ChannelUse::new(ndir),
             preferred: Vec::new(),
-            unfrozen: Vec::new(),
-            unfrozen_pos: Vec::new(),
+            sum_of: Vec::new(),
+            sums: Vec::new(),
+            holders: Vec::new(),
+            open: Vec::new(),
             newly_sat: Vec::new(),
-            in_use: Vec::new(),
-            rescan_buf: Vec::new(),
-            pow2_recip,
         }
-    }
-
-    /// True when channel `d` has no headroom left (identical predicate to
-    /// the reference allocator).
-    #[inline]
-    fn saturated(&self, d: usize) -> bool {
-        self.residual[d] <= self.caps[d] * REL_EPS
     }
 
     /// Set both directions of `link` to `factor` of base capacity; `0`
     /// means the link is down (flows through it freeze at rate 0, since a
     /// zero-capacity channel is saturated from the start of every fill).
-    /// Takes effect at the next [`AllocEngine::allocate`] call.
-    fn set_link_capacity_factor(&mut self, link: usize, factor: f64) {
+    /// Which channels have zero capacity may change, so the round-0 state
+    /// of the active flows in `slots` is derived again.
+    fn set_link_capacity_factor(
+        &mut self,
+        link: usize,
+        factor: f64,
+        arena: &[SlotData],
+        slots: &[u32],
+    ) {
         debug_assert!((0.0..=1.0).contains(&factor), "factor {factor}");
         for d in [2 * link, 2 * link + 1] {
             self.caps[d] = self.base_caps[d] * factor;
         }
-    }
-
-    /// Route flow `i` over channel `d` of its newly preferred subpath:
-    /// count it, list it for targeted re-selection, and make sure the
-    /// channel is on the in-use scan list.
-    #[inline]
-    fn route(&mut self, d: usize, i: u32) {
-        self.count[d] += 1;
-        self.on_channel[d].push(i);
-        if !self.in_list[d] {
-            self.in_list[d] = true;
-            self.in_use.push(d as u32);
+        self.use0.clear();
+        self.preferred0.fill(FROZEN);
+        self.unfrozen0 = 0;
+        for &slot in slots {
+            self.admit(&arena[slot as usize], slot);
         }
     }
 
-    /// First subpath of `data` at or after cursor `from` whose channels
-    /// all have headroom; `None` freezes the flow. Scanning from the
-    /// cursor is sound because saturation is monotone within one
-    /// allocation — everything before the cursor stayed saturated.
-    #[inline]
-    fn select_from(&self, data: &SlotData, from: usize) -> Option<usize> {
-        (from..data.len()).find(|&p| !data.subpath(p).iter().any(|&d| self.saturated(d as usize)))
-    }
-
-    /// Re-evaluate flow `i`'s preference after a channel on its preferred
-    /// subpath saturated, keeping `count`, `on_channel`, and the unfrozen
-    /// set in sync. No-op when the flow is already frozen (stale list
-    /// entry) or its preferred subpath is still clean.
-    fn rescan(&mut self, data: &SlotData, i: u32) {
-        if self.frozen[i as usize] {
-            return;
+    /// Add the flow in `slot` to the round-0 state: its first subpath
+    /// with headroom at full residual, and that subpath's channel counts.
+    fn admit(&mut self, data: &SlotData, slot: u32) {
+        let slot = slot as usize;
+        if self.preferred0.len() <= slot {
+            self.preferred0.resize(slot + 1, FROZEN);
         }
-        let p0 = self.preferred[i as usize] as usize;
-        let choice = self.select_from(data, p0);
-        if choice == Some(p0) {
-            return;
-        }
-        for &d in data.subpath(p0) {
-            self.count[d as usize] -= 1;
-        }
-        match choice {
+        self.preferred0[slot] = match data.first_clear(0, &self.caps, &self.caps) {
             Some(p) => {
-                self.preferred[i as usize] = p as u32;
-                for &d in data.subpath(p) {
-                    self.route(d as usize, i);
+                for &d in data.subpath(p as usize) {
+                    self.use0.add(d);
                 }
+                self.unfrozen0 += 1;
+                p
             }
-            None => {
-                self.frozen[i as usize] = true;
-                // swap-remove from the unfrozen set, fixing the index of
-                // the element that took the vacated slot
-                let at = self.unfrozen_pos[i as usize] as usize;
-                self.unfrozen.swap_remove(at);
-                if let Some(&moved) = self.unfrozen.get(at) {
-                    self.unfrozen_pos[moved as usize] = at as u32;
-                }
+            None => FROZEN,
+        };
+    }
+
+    /// Undo [`Self::admit`] for the flow in `slot`.
+    fn retire(&mut self, data: &SlotData, slot: u32) {
+        let p = std::mem::replace(&mut self.preferred0[slot as usize], FROZEN);
+        if p != FROZEN {
+            for &d in data.subpath(p as usize) {
+                self.use0.remove(d);
+            }
+            self.unfrozen0 -= 1;
+        }
+    }
+
+    /// Largest uniform increment no used channel can refuse: the minimum
+    /// of `residual / count` over channels in use, over four independent
+    /// accumulators (every quotient is positive, so the order of the
+    /// minimum cannot change the result).
+    #[inline]
+    fn delta(&self) -> f64 {
+        let (residual, count) = (&self.residual, &self.used.count);
+        let q = |d: u32| residual[d as usize] / count[d as usize] as f64;
+        let mut m = [f64::INFINITY; 4];
+        let mut quads = self.used.list.chunks_exact(4);
+        for ds in &mut quads {
+            for k in 0..4 {
+                m[k] = m[k].min(q(ds[k]));
+            }
+        }
+        for (k, &d) in quads.remainder().iter().enumerate() {
+            m[k] = m[k].min(q(d));
+        }
+        m[0].min(m[1]).min(m[2].min(m[3]))
+    }
+
+    /// Subtract `count[d]` times `delta` from every used channel's
+    /// residual, clamp the channels that saturate to exactly zero (so the
+    /// saturation predicate is stable), and collect them.
+    #[inline]
+    fn step_residuals(&mut self, delta: f64) {
+        self.newly_sat.clear();
+        for &d in &self.used.list {
+            let d = d as usize;
+            let r = subtract_repeated(self.residual[d], delta, self.used.count[d]);
+            if r <= self.caps[d] * REL_EPS {
+                self.residual[d] = 0.0;
+                self.newly_sat.push(d as u32);
+            } else {
+                self.residual[d] = r;
             }
         }
     }
@@ -315,15 +500,12 @@ impl AllocatorScratch {
 pub struct AllocEngine {
     paths: FlowPaths,
     scratch: AllocatorScratch,
-    /// Active flow keys, ascending — the canonical iteration order.
+    /// Active flow keys, ascending — the canonical output order.
     keys: Vec<u64>,
     /// Arena slot per active position (parallel to `keys`).
     slots: Vec<u32>,
     // ---- outputs of the last `allocate()` ----------------------------
     flow_rates: Vec<f64>,
-    sub_rates: Vec<f64>,
-    /// Per position: exclusive end offset into `sub_rates`.
-    sub_ends: Vec<u32>,
     dir_used: Vec<f64>,
     rounds: usize,
 }
@@ -337,8 +519,6 @@ impl AllocEngine {
             keys: Vec::new(),
             slots: Vec::new(),
             flow_rates: Vec::new(),
-            sub_rates: Vec::new(),
-            sub_ends: Vec::new(),
             dir_used: Vec::new(),
             rounds: 0,
         }
@@ -377,6 +557,7 @@ impl AllocEngine {
             Err(i) => i,
         };
         let slot = self.paths.insert(paths)?;
+        self.scratch.admit(&self.paths.slots[slot as usize], slot);
         self.keys.insert(idx, key);
         self.slots.insert(idx, slot);
         Ok(slot as usize)
@@ -388,187 +569,122 @@ impl AllocEngine {
         let idx = self.keys.binary_search(&key).ok()?;
         self.keys.remove(idx);
         let slot = self.slots.remove(idx);
+        self.scratch.retire(&self.paths.slots[slot as usize], slot);
         self.paths.remove(slot);
         Some(slot as usize)
     }
 
-    /// Recompute max-min rates for the current active set (progressive
-    /// filling over the arena, scratch reused). Outputs are readable
-    /// until the next `insert`/`remove`/`allocate`.
+    /// Recompute max-min rates for the current active set. Outputs are
+    /// readable until the next `insert`/`remove`/`allocate`.
     ///
-    /// The filling loop is restructured against the reference allocator
-    /// for speed, but every restructuring preserves bit-identical
-    /// arithmetic:
-    ///
-    /// * channel counts are maintained incrementally instead of rebuilt
-    ///   per round — pure integer bookkeeping, same values;
-    /// * the per-round `δ` is still the minimum over channels in use —
-    ///   `min` does not depend on scan order;
-    /// * residual subtraction runs per *channel* (`count[d]` repeated
-    ///   subtractions in a register) instead of per flow — the operation
-    ///   sequence each `residual[d]` sees is unchanged, because within a
-    ///   round every subtraction uses the same `δ` and no other channel's
-    ///   updates touch it;
-    /// * re-selection is driven by the flow lists of newly saturated
-    ///   channels — exactly the flows the reference's full rescan could
-    ///   move (a preference changes only when the flow's current subpath
-    ///   loses a channel), and per-flow re-selection is independent of
-    ///   the order flows are visited in.
+    /// Each round takes δ over the channels in use, adds it to the open
+    /// rate sums, steps every used channel's residual, and moves on only
+    /// the flows whose preferred subpath crosses a channel that just
+    /// saturated. The module docs give the argument that every result is
+    /// bit-identical to the reference allocator's.
     pub fn allocate(&mut self) {
         let s = &mut self.scratch;
-        let ndir = s.caps.len();
+        let FlowPaths {
+            slots: arena,
+            incidence,
+            ..
+        } = &mut self.paths;
         s.residual.copy_from_slice(&s.caps);
-        s.frozen.clear();
+        s.used.copy_from(&s.use0);
         s.preferred.clear();
-        self.sub_ends.clear();
-        let mut total_subs = 0u32;
+        s.preferred.extend_from_slice(&s.preferred0);
+        // every flow with a round-0 subpath accrues in sum 0
+        s.sum_of.clear();
+        s.sum_of.resize(s.preferred.len(), 0);
+        s.sums.clear();
+        s.sums.push(0.0);
+        s.holders.clear();
+        s.holders.push(s.unfrozen0 as u32);
+        s.open.clear();
+        s.open.push(0);
         for &slot in &self.slots {
-            let data = &self.paths.slots[slot as usize];
-            total_subs += data.len() as u32;
-            self.sub_ends.push(total_subs);
-            s.frozen.push(data.ends.is_empty());
-            s.preferred.push(0);
+            arena[slot as usize].rates.fill(0.0);
         }
-        self.sub_rates.clear();
-        self.sub_rates.resize(total_subs as usize, 0.0);
-
-        // Initial selection, then seed counts, per-channel flow lists,
-        // the in-use channel list, and the unfrozen set.
-        s.count.fill(0);
-        for l in &mut s.on_channel {
-            l.clear();
-        }
-        for k in 0..s.in_use.len() {
-            s.in_list[s.in_use[k] as usize] = false;
-        }
-        s.in_use.clear();
-        s.unfrozen.clear();
-        s.unfrozen_pos.clear();
-        s.unfrozen_pos.resize(self.slots.len(), 0);
-        for (i, &slot) in self.slots.iter().enumerate() {
-            if s.frozen[i] {
-                continue;
-            }
-            let data = &self.paths.slots[slot as usize];
-            match s.select_from(data, 0) {
-                Some(p) => {
-                    s.preferred[i] = p as u32;
-                    for &d in data.subpath(p) {
-                        s.route(d as usize, i as u32);
-                    }
-                    s.unfrozen_pos[i] = s.unfrozen.len() as u32;
-                    s.unfrozen.push(i as u32);
-                }
-                None => s.frozen[i] = true,
-            }
-        }
+        let mut unfrozen = s.unfrozen0;
 
         let mut rounds = 0;
         while rounds < MAX_ROUNDS {
             rounds += 1;
-            if s.unfrozen.is_empty() {
+            if unfrozen == 0 {
                 break;
             }
-            // Largest uniform increment no used channel can refuse — the
-            // same minimum the reference takes over all channels, since
-            // `min` is scan-order independent and `in_use` ⊇ the channels
-            // with `count > 0` (zero-count leftovers are swept out here).
-            // Dividing by 1 is the identity and dividing by a power of
-            // two is an exact scaling, so only the remaining counts pay
-            // for a hardware division — same bits either way.
-            let mut delta = f64::INFINITY;
-            let mut k = 0;
-            while k < s.in_use.len() {
-                let d = s.in_use[k] as usize;
-                let c = s.count[d];
-                if c == 0 {
-                    s.in_list[d] = false;
-                    s.in_use.swap_remove(k);
-                    continue;
-                }
-                let q = if c == 1 {
-                    s.residual[d]
-                } else if c.is_power_of_two() {
-                    s.residual[d] * s.pow2_recip[c.trailing_zeros() as usize]
-                } else {
-                    s.residual[d] / c as f64
-                };
-                delta = delta.min(q);
-                k += 1;
-            }
+            let delta = s.delta();
             debug_assert!(delta.is_finite(), "unfrozen flows must use channels");
             // `count[d] > 0` implies `residual[d] > caps[d]·ε` (else the
-            // subpath would not have been selectable), so `δ` is strictly
-            // positive whenever any flow is unfrozen — the reference's
-            // `if δ > 0` guard is vacuous here and the saturation clamp
-            // can run fused into the subtraction pass: all of a channel's
-            // subtractions happen below before its clamp check, exactly
-            // as the reference orders them.
-            s.newly_sat.clear();
-            for &i in &s.unfrozen {
-                let i = i as usize;
-                let start = if i == 0 {
-                    0
-                } else {
-                    self.sub_ends[i - 1] as usize
-                };
-                self.sub_rates[start + s.preferred[i] as usize] += delta;
+            // subpath would not have been selectable), so δ is strictly
+            // positive and the reference's `if δ > 0` guard is vacuous.
+            for &g in &s.open {
+                s.sums[g as usize] += delta;
             }
-            for k in 0..s.in_use.len() {
-                let d = s.in_use[k] as usize;
-                let c = s.count[d];
-                if c > 0 {
-                    // per-channel repeated subtraction: the same op
-                    // sequence `residual[d]` saw from the reference's
-                    // per-flow loop, since every subtraction in a round
-                    // uses the same δ and channels are independent
-                    let mut r = s.residual[d];
-                    for _ in 0..c {
-                        r -= delta;
-                    }
-                    // clamp channels that just saturated to exactly zero
-                    // so the saturation predicate is stable, and collect
-                    // them: only flows routed through them can change
-                    // preference
-                    if r <= s.caps[d] * REL_EPS {
-                        r = 0.0;
-                        s.newly_sat.push(d as u32);
-                    }
-                    s.residual[d] = r;
-                }
-            }
-            // Re-select the affected flows. A saturated channel never
-            // re-enters any preference, so its flow list is consumed
-            // (its buffer rotates through `rescan_buf` to keep capacity).
+            s.step_residuals(delta);
+            // Move on every flow whose preferred subpath crosses a channel
+            // that just saturated; flows that move this round share one
+            // new sum, created on first use.
+            let mut fresh = None;
             for k in 0..s.newly_sat.len() {
-                let d = s.newly_sat[k] as usize;
-                let mut pending = std::mem::take(&mut s.rescan_buf);
-                std::mem::swap(&mut pending, &mut s.on_channel[d]);
-                for &i in &pending {
-                    let data = &self.paths.slots[self.slots[i as usize] as usize];
-                    s.rescan(data, i);
+                for &(slot, p) in &incidence[s.newly_sat[k] as usize] {
+                    if s.preferred[slot as usize] != p {
+                        continue;
+                    }
+                    let data = &mut arena[slot as usize];
+                    let held = s.sum_of[slot as usize] as usize;
+                    data.rates[p as usize] = s.sums[held];
+                    s.holders[held] -= 1;
+                    for &d in data.subpath(p as usize) {
+                        s.used.remove(d);
+                    }
+                    match data.first_clear(p as usize + 1, &s.residual, &s.caps) {
+                        Some(q) => {
+                            for &d in data.subpath(q as usize) {
+                                s.used.add(d);
+                            }
+                            let g = *fresh.get_or_insert_with(|| {
+                                let g = s.sums.len() as u32;
+                                s.sums.push(0.0);
+                                s.holders.push(0);
+                                s.open.push(g);
+                                g
+                            });
+                            s.holders[g as usize] += 1;
+                            s.sum_of[slot as usize] = g;
+                            s.preferred[slot as usize] = q;
+                        }
+                        None => {
+                            s.preferred[slot as usize] = FROZEN;
+                            unfrozen -= 1;
+                        }
+                    }
                 }
-                pending.clear();
-                s.rescan_buf = pending;
             }
+            let holders = &s.holders;
+            s.open.retain(|&g| holders[g as usize] > 0);
         }
         debug_assert!(rounds < MAX_ROUNDS, "allocator failed to converge");
+        if unfrozen > 0 {
+            // stopped at the round bound: store the sums still open
+            for &slot in &self.slots {
+                let p = s.preferred[slot as usize];
+                if p != FROZEN {
+                    arena[slot as usize].rates[p as usize] =
+                        s.sums[s.sum_of[slot as usize] as usize];
+                }
+            }
+        }
         self.rounds = rounds;
 
         self.flow_rates.clear();
-        for i in 0..self.slots.len() {
-            let start = if i == 0 {
-                0
-            } else {
-                self.sub_ends[i - 1] as usize
-            };
-            let end = self.sub_ends[i] as usize;
+        for &slot in &self.slots {
             self.flow_rates
-                .push(self.sub_rates[start..end].iter().sum());
+                .push(arena[slot as usize].rates.iter().sum());
         }
         self.dir_used.clear();
-        for d in 0..ndir {
-            self.dir_used.push(s.caps[d] - s.residual[d]);
+        for (cap, residual) in s.caps.iter().zip(&s.residual) {
+            self.dir_used.push(cap - residual);
         }
     }
 
@@ -580,12 +696,7 @@ impl AllocEngine {
     /// Rate per subpath of the flow at `pos` (bits/s, preference order).
     #[inline]
     pub fn subpath_rates(&self, pos: usize) -> &[f64] {
-        let start = if pos == 0 {
-            0
-        } else {
-            self.sub_ends[pos - 1] as usize
-        };
-        &self.sub_rates[start..self.sub_ends[pos] as usize]
+        &self.paths.slots[self.slots[pos] as usize].rates
     }
 
     /// Bits/s consumed on every directed channel.
@@ -601,7 +712,8 @@ impl AllocEngine {
     /// Degrade (or restore) both directions of `link` to `factor` of base
     /// capacity for all subsequent allocations; `0` takes the link down.
     pub fn set_link_capacity_factor(&mut self, link: usize, factor: f64) {
-        self.scratch.set_link_capacity_factor(link, factor);
+        self.scratch
+            .set_link_capacity_factor(link, factor, &self.paths.slots, &self.slots);
     }
 
     /// Mean utilisation over directed channels that carry any capacity —
@@ -764,7 +876,11 @@ mod tests {
         eng.allocate();
         assert_eq!(eng.len(), 1);
         assert!((eng.flow_rates()[0] - 10e6).abs() < 1.0);
-        assert_eq!(eng.paths.capacity(), 1, "failed insert left no slot behind");
+        assert_eq!(
+            eng.paths.slots.len(),
+            1,
+            "failed insert left no slot behind"
+        );
     }
 
     #[test]

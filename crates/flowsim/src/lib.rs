@@ -36,7 +36,7 @@ pub mod strategy;
 pub mod workload;
 
 pub use allocator::{max_min_allocate, Allocation, UnresolvedHop};
-pub use engine::{AllocEngine, AllocatorScratch, FlowPaths};
+pub use engine::AllocEngine;
 pub use metrics::{FlowSimReport, WeightedCdf};
 pub use sim::{FlowObserver, FlowSim, FlowSimConfig};
 pub use strategy::{

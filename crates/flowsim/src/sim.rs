@@ -449,14 +449,24 @@ impl<'a> FlowRun<'a> {
                 best = Some((eta, fid));
             }
         }
-        if let Some((eta, fid)) = best {
-            // +1 ns: over-wait past any float-to-nanosecond rounding so
-            // the flow has definitely drained when the event fires (the
-            // integrator clamps delivery at the remaining volume).
-            self.eng.schedule(
-                SimDuration::from_secs_f64(eta.max(0.0)) + SimDuration::from_nanos(1),
-                Event::Departure(fid, self.epoch),
-            );
+        // +1 ns: over-wait past any float-to-nanosecond rounding so the
+        // flow has definitely drained when the event fires (the
+        // integrator clamps delivery at the remaining volume). A departure
+        // past the end of the u64 nanosecond clock is never scheduled: the
+        // flow drains until the horizon or the next re-allocation.
+        let due = best.and_then(|(eta, fid)| {
+            let wait = SimDuration::try_from_secs_f64(eta.max(0.0)).ok()?;
+            let at = self
+                .eng
+                .now()
+                .checked_add(wait)?
+                .checked_add(SimDuration::from_nanos(1))?;
+            Some((at, fid))
+        });
+        if let Some((at, fid)) = due {
+            self.eng
+                .schedule_at(at, Event::Departure(fid, self.epoch))
+                .expect("departures lie ahead of the clock");
         }
     }
 
@@ -1149,6 +1159,47 @@ mod tests {
         );
         assert!((report.mean_fct_secs - 10.0).abs() < 0.1);
         let _ = Rate::ZERO; // keep the import exercised on all feature sets
+    }
+
+    #[test]
+    fn departures_past_the_end_of_the_clock_are_not_scheduled() {
+        // The clock counts u64 nanoseconds, about 584 years. A flow whose
+        // finish lies beyond that, by its size or by its arrival, drains
+        // until the horizon and is credited as partial.
+        let topo = Topology::fig3();
+        let n = |s: &str| topo.node_by_name(s).unwrap();
+        let spec = |id, size_bits, arrival| FlowSpec {
+            id,
+            src: n("1"),
+            dst: n("3"),
+            size_bits,
+            arrival,
+        };
+        let inrp = InrpStrategy::with_defaults(&topo);
+        let cases = [
+            // 1e30 bits at 10 Mbps or less: about 3e15 years
+            (
+                vec![spec(0, 1e30, SimTime::ZERO), spec(1, 5e6, SimTime::ZERO)],
+                SimDuration::from_secs(10),
+                1,
+            ),
+            // a 0.5 s transfer that arrives 1 µs before the clock ends
+            (
+                vec![spec(0, 5e6, SimTime::from_nanos(u64::MAX - 1_000))],
+                SimDuration::MAX,
+                0,
+            ),
+        ];
+        for (flows, horizon, completed) in cases {
+            let w = Workload {
+                offered_bits: flows.iter().map(|f| f.size_bits).sum(),
+                flows,
+            };
+            let report = FlowSim::new(&topo, &inrp, &w, FlowSimConfig { horizon }).run();
+            assert_eq!(report.arrived_flows, w.flows.len());
+            assert_eq!(report.completed_flows, completed);
+            assert!(report.delivered_bits < report.offered_bits);
+        }
     }
 
     // ---- stepping / checkpoint / feed ----------------------------------

@@ -395,6 +395,96 @@ mod tests {
     }
 
     #[test]
+    fn open_counts_must_be_positive_integers_and_chunk_bits_must_fit() {
+        // `as u64` used to saturate 1e30 into u64::MAX, whose size in
+        // bits then overflowed at the first feed
+        let mut script = String::new();
+        for field in ["chunk_bytes", "ckpt_every", "ckpt_retain"] {
+            for bad in ["0", "-1", "7.5", "1e30"] {
+                script.push_str(&format!(
+                    "{{\"cmd\":\"open\",\"engine\":\"fluid\",\"topology\":\"fig3\",\
+                     \"strategy\":\"urp\",\"horizon_secs\":5,\"{field}\":{bad}}}\n"
+                ));
+            }
+        }
+        // fits a u64 in bytes, not in bits
+        script.push_str(concat!(
+            r#"{"cmd":"open","engine":"fluid","topology":"fig3","strategy":"urp","horizon_secs":5,"chunk_bytes":4e18}"#,
+            "\n",
+        ));
+        let replies = run(&script);
+        assert_eq!(replies.len(), 13, "{replies:?}");
+        for r in &replies[..12] {
+            assert_kind(r, "config");
+            assert!(r.contains("integer"), "{r}");
+        }
+        assert_kind(&replies[12], "config");
+        assert!(replies[12].contains("overflows a u64"), "{}", replies[12]);
+    }
+
+    #[test]
+    fn fed_byte_counts_that_overflow_are_typed_errors() {
+        let replies = run(concat!(
+            r#"{"cmd":"open","engine":"fluid","topology":"fig3","strategy":"urp","horizon_secs":1,"chunk_bytes":1e18}"#,
+            "\n",
+            // 1.9e19 B: past u64::MAX on its own
+            r#"{"cmd":"feed","flow":1,"src":"1","dst":"4","chunks":19,"start_secs":0}"#,
+            "\n",
+            // 1.8e19 B: fits
+            r#"{"cmd":"feed","flow":2,"src":"1","dst":"4","chunks":18,"start_secs":0}"#,
+            "\n",
+            // 1e18 B more: the session's total would pass u64::MAX
+            r#"{"cmd":"feed","flow":3,"src":"1","dst":"3","chunks":1,"start_secs":0}"#,
+            "\n",
+            r#"{"cmd":"stats"}"#,
+            "\n",
+            r#"{"cmd":"close"}"#,
+            "\n",
+        ));
+        assert_eq!(replies.len(), 6, "{replies:?}");
+        assert_ok(&replies[0]);
+        for r in [&replies[1], &replies[3]] {
+            assert_kind(r, "parse");
+            assert!(r.contains("overflow"), "{r}");
+        }
+        assert_ok(&replies[2]);
+        assert!(
+            replies[4].contains("\"feeds\":1,\"bytes_fed\":18000000000000000000"),
+            "{}",
+            replies[4]
+        );
+        assert_ok(&replies[5]);
+        assert!(replies[5].contains("\"arrived_flows\":1"), "{}", replies[5]);
+    }
+
+    #[test]
+    fn a_flow_ending_past_the_end_of_the_clock_leaves_the_session_running() {
+        // 1e15 chunks of 1250 B at 10 Mbit/s or less take over 30,000
+        // years; the clock counts u64 nanoseconds, about 584 years
+        let replies = run(concat!(
+            r#"{"cmd":"open","engine":"fluid","topology":"fig3","strategy":"urp","horizon_secs":30}"#,
+            "\n",
+            r#"{"cmd":"feed","flow":1,"src":"1","dst":"4","chunks":1000000000000000,"start_secs":0}"#,
+            "\n",
+            r#"{"cmd":"advance","to_secs":1.5}"#,
+            "\n",
+            r#"{"cmd":"close"}"#,
+            "\n",
+        ));
+        assert_eq!(replies.len(), 4, "{replies:?}");
+        for r in &replies {
+            assert_ok(r);
+        }
+        assert!(replies[2].contains("\"now_secs\":1.5"), "{}", replies[2]);
+        assert!(
+            replies[3].contains("\"arrived_flows\":1")
+                && replies[3].contains("\"completed_flows\":0"),
+            "{}",
+            replies[3]
+        );
+    }
+
+    #[test]
     fn escaped_request_strings_address_the_same_session_as_raw_ones() {
         // a client escaping non-ASCII (Python's json.dumps default) and
         // one sending it raw name the same session; the reply echoes the

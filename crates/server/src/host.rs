@@ -609,15 +609,17 @@ fn host_main(
     // recv error = connection gone: drop the session unfinished
     while let Ok(cmd) = rx.recv() {
         let reply = match cmd {
-            HostCmd::Feed(req) => match resolve_feed(&req, &topo, spec.chunk_bytes) {
-                Ok(t) => match svc.feed(&t) {
+            HostCmd::Feed(req) => match resolve_feed(&req, &topo, spec.chunk_bytes, bytes_fed) {
+                Ok((t, bytes)) => match svc.feed(&t) {
                     Ok(()) => {
                         feeds += 1;
-                        bytes_fed += t.chunks * spec.chunk_bytes;
-                        shared
-                            .stats
-                            .bytes_fed
-                            .fetch_add(t.chunks * spec.chunk_bytes, Ordering::Relaxed);
+                        bytes_fed += bytes;
+                        // daemon-wide, over every session: saturate, never wrap
+                        let _ = shared.stats.bytes_fed.fetch_update(
+                            Ordering::Relaxed,
+                            Ordering::Relaxed,
+                            |v| Some(v.saturating_add(bytes)),
+                        );
                         ok_reply("feed", &format!("\"flow\":{}", t.flow))
                     }
                     Err(e) => err_reply(session_err_kind(&e), &e.to_string()),
@@ -713,21 +715,39 @@ fn host_main(
 }
 
 /// Resolve a [`FeedReq`] against the session topology into a
-/// [`Transfer`] quantised with the session's chunk size.
-fn resolve_feed(req: &FeedReq, topo: &Topology, chunk_bytes: u64) -> Result<Transfer, String> {
+/// [`Transfer`] quantised with the session's chunk size, and its size in
+/// bytes. A size that overflows a `u64`, alone or added to the
+/// `bytes_fed` so far, is an error.
+fn resolve_feed(
+    req: &FeedReq,
+    topo: &Topology,
+    chunk_bytes: u64,
+    bytes_fed: u64,
+) -> Result<(Transfer, u64), String> {
     let node = |name: &str| {
         topo.node_by_name(name)
             .ok_or_else(|| format!("unknown node {name:?}"))
     };
     let start = crate::protocol::secs_to_time(req.start_secs).map_err(|e| e.to_string())?;
-    Ok(Transfer {
+    let bytes = req
+        .chunks
+        .checked_mul(chunk_bytes)
+        .filter(|b| bytes_fed.checked_add(*b).is_some())
+        .ok_or_else(|| {
+            format!(
+                "{} chunks of {chunk_bytes} B overflow the session's u64 byte count",
+                req.chunks
+            )
+        })?;
+    let transfer = Transfer {
         flow: req.flow,
         src: node(&req.src)?,
         dst: node(&req.dst)?,
         chunks: req.chunks,
         chunk_bytes: ByteSize::bytes(chunk_bytes),
         start,
-    })
+    };
+    Ok((transfer, bytes))
 }
 
 /// The `advance` arm: validate the target, run pool-sliced, then

@@ -308,6 +308,15 @@ pub(crate) fn opt_u64_field(obj: &Obj, key: &str) -> Result<Option<u64>, String>
     opt_num_field(obj, key)?.map(|v| to_u64(key, v)).transpose()
 }
 
+/// An optional integer field (`null` counts as absent) that must be at
+/// least 1, under [`u64_field`]'s rule otherwise.
+fn opt_positive_u64_field(obj: &Obj, key: &str) -> Result<Option<u64>, String> {
+    match opt_u64_field(obj, key)? {
+        Some(0) => Err(format!("field {key:?} must be a positive integer")),
+        v => Ok(v),
+    }
+}
+
 /// `v` as a `u64` when it is a whole number that fits, never rounded,
 /// clamped or saturated: `2^64` is the first float past `u64::MAX`.
 fn to_u64(key: &str, v: f64) -> Result<u64, String> {
@@ -372,19 +381,15 @@ impl OpenSpec {
             "packet" => EngineKind::Packet,
             other => return Err(format!("unknown engine {other:?} (fluid|packet)")),
         };
-        let chunk_bytes = match opt_num_field(obj, "chunk_bytes")? {
-            Some(v) if v >= 1.0 && v.fract() == 0.0 => v as u64,
-            Some(v) => return Err(format!("chunk_bytes must be a positive integer, got {v}")),
-            None => 1250,
-        };
-        let ckpt_every = match opt_num_field(obj, "ckpt_every")? {
-            Some(v) if v >= 1.0 && v.fract() == 0.0 => v as u64,
-            Some(v) => return Err(format!("ckpt_every must be a positive integer, got {v}")),
-            None => 1,
-        };
-        let ckpt_retain = match opt_num_field(obj, "ckpt_retain")? {
-            Some(v) if v >= 1.0 && v.fract() == 0.0 => v as usize,
-            Some(v) => return Err(format!("ckpt_retain must be a positive integer, got {v}")),
+        let chunk_bytes = opt_positive_u64_field(obj, "chunk_bytes")?.unwrap_or(1250);
+        if chunk_bytes.checked_mul(8).is_none() {
+            return Err(format!(
+                "chunk_bytes {chunk_bytes} is too large: its size in bits overflows a u64"
+            ));
+        }
+        let ckpt_every = opt_positive_u64_field(obj, "ckpt_every")?.unwrap_or(1);
+        let ckpt_retain = match opt_positive_u64_field(obj, "ckpt_retain")? {
+            Some(v) => usize::try_from(v).map_err(|_| format!("ckpt_retain {v} is too large"))?,
             None => 3,
         };
         let ckpt_dir = opt_str_field(obj, "ckpt_dir")?;

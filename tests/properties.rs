@@ -94,30 +94,56 @@ proptest! {
     /// The incremental arena-backed engine and the retained from-scratch
     /// reference allocator produce **bit-identical** `flow_rates`,
     /// `subpath_rates`, and `dir_used` across random synthetic
-    /// topologies, multipath (INRP) path sets, and random
-    /// arrival/departure interleavings — the exactness contract of
-    /// `inrpp_flowsim::engine`.
+    /// topologies (on the catalog's round capacities or on irregular
+    /// ones), multipath (INRP) path sets, random arrival/departure
+    /// interleavings, and link degradations and outages through
+    /// `set_link_capacity_factor`, checked against the reference run on
+    /// a topology carrying the scaled capacities — the exactness contract
+    /// of `inrpp_flowsim::engine`.
     #[test]
     fn incremental_engine_matches_reference_allocator(
         n in 5usize..16,
         extra in 0usize..16,
-        steps in proptest::collection::vec((0u8..4, 0u64..1024), 1..40),
+        steps in proptest::collection::vec((0u8..6, 0u64..1024), 1..40),
         seed in 0u64..300,
+        irregular in proptest::bool::ANY,
     ) {
         use inrpp_flowsim::engine::AllocEngine;
         use inrpp_flowsim::strategy::{InrpStrategy, RoutingStrategy};
+        use inrpp_topology::graph::LinkId;
         use inrpp_topology::spath::Path;
-        let topo = random_topology(n, extra, seed);
+        let mut topo = random_topology(n, extra, seed);
+        let mut rng = SimRng::from_seed_u64(seed ^ 0x0A11_0C8A);
+        if irregular {
+            // anywhere from 0.1 to 10,000 Mbit/s, log-uniform, full mantissa
+            for l in 0..topo.link_count() {
+                let bps = 1e5 * 10f64.powf(5.0 * rng.f64());
+                topo.set_capacity(LinkId(l as u32), Rate::bps(bps));
+            }
+        }
         let strat = InrpStrategy::with_defaults(&topo);
         let mut engine = AllocEngine::new(&topo);
-        // shadow active set in key order, as the reference sees it
+        // shadow active set in key order, as the reference sees it, and
+        // the topology the reference sees: capacities scaled per link
         let mut shadow: std::collections::BTreeMap<u64, Vec<Path>> =
             std::collections::BTreeMap::new();
-        let mut rng = SimRng::from_seed_u64(seed ^ 0x0A11_0C8A);
+        let mut scaled = topo.clone();
         let mut next_key = 0u64;
         for (op, pick) in steps {
-            let departure = op == 0 && !shadow.is_empty();
-            if departure {
+            if op >= 4 {
+                // degrade a link to a random fraction, or take it down
+                // (and, on a link already down, bring it back)
+                let l = pick as usize % topo.link_count();
+                let base = topo.link(LinkId(l as u32)).capacity.as_bps();
+                let down = scaled.link(LinkId(l as u32)).capacity.as_bps() == 0.0;
+                let factor = match (op, down) {
+                    (4, _) => rng.f64(),
+                    (_, true) => 1.0,
+                    (_, false) => 0.0,
+                };
+                engine.set_link_capacity_factor(l, factor);
+                scaled.set_capacity(LinkId(l as u32), Rate::bps(base * factor));
+            } else if op == 0 && !shadow.is_empty() {
                 // retire a pseudo-random active flow
                 let keys: Vec<u64> = shadow.keys().copied().collect();
                 let k = keys[pick as usize % keys.len()];
@@ -143,7 +169,7 @@ proptest! {
             }
             engine.allocate();
             let flows: Vec<Vec<Path>> = shadow.values().cloned().collect();
-            let reference = max_min_allocate(&topo, &flows);
+            let reference = max_min_allocate(&scaled, &flows);
             prop_assert_eq!(engine.flow_rates(), reference.flow_rates.as_slice());
             prop_assert_eq!(engine.dir_used(), reference.dir_used.as_slice());
             for (pos, want) in reference.subpath_rates.iter().enumerate() {
@@ -605,6 +631,62 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2000))]
+
+    /// `subtract_repeated`, the allocation engine's O(1) residual step,
+    /// equals `count` successive `r -= delta` bit for bit. The inputs aim
+    /// at where a closed form could go wrong: residuals from 1 to 1.1e12
+    /// at the bottom, the top, or anywhere in their binade; steps that tie
+    /// exactly (δ = (k + ½)·ulp); results that land on the binade's lower
+    /// edge or a few ulps either side of it; and counts up to 10⁴.
+    #[test]
+    fn residual_step_matches_repeated_subtraction(
+        exp in 0u64..40,
+        mantissa in 0u64..(1u64 << 52),
+        edge in 0u8..3,
+        shape in 0u8..5,
+        k in 0u64..(1u64 << 20),
+        count in 1u32..10_001,
+        frac in 0.0f64..1.0,
+    ) {
+        use inrpp_flowsim::engine::subtract_repeated;
+        let m = match edge {
+            0 => mantissa % 4,
+            1 => (1u64 << 52) - 1 - mantissa % 4,
+            _ => mantissa,
+        };
+        let floor = f64::from_bits((1023 + exp) << 52);
+        let ulp = f64::from_bits((1023 + exp - 52) << 52);
+        let r = f64::from_bits(((1023 + exp) << 52) | m);
+        let (r, delta) = match shape {
+            0 => (r, (k as f64 + 0.5) * ulp),
+            // k·ulp steps from exactly `mantissa % 3` ulps above the
+            // edge, each off by up to half an ulp either way
+            1 => (
+                floor + (count as u64 * k + mantissa % 3) as f64 * ulp,
+                (k as f64 + frac - 0.5) * ulp,
+            ),
+            2 => (r, ((r - floor) + (k % 5) as f64 * ulp - 2.0 * ulp) / count as f64),
+            3 => (r, k as f64 * ulp * frac),
+            _ => (r, r * frac / count as f64),
+        };
+        prop_assume!(delta > 0.0);
+        let mut looped = r;
+        for _ in 0..count {
+            looped -= delta;
+        }
+        prop_assert_eq!(
+            subtract_repeated(r, delta, count).to_bits(),
+            looped.to_bits(),
+            "r {} delta {} count {}",
+            r,
+            delta,
+            count
+        );
     }
 }
 
