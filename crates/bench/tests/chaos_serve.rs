@@ -413,3 +413,46 @@ fn sigkill_socket_daemon_mid_outage_recovers_to_a_byte_equal_report() {
 
     fs::remove_dir_all(&dir).ok();
 }
+
+/// Sessions are coroutines on their connection's thread: opening 16
+/// idle sessions on one connection, and closing them again, leaves the
+/// daemon's thread count where the connection alone put it.
+#[cfg(target_os = "linux")]
+#[test]
+fn idle_sessions_add_no_daemon_threads() {
+    let daemon = SocketServe::spawn(2);
+    let stream = daemon.connect();
+    let mut w = stream.try_clone().expect("clone stream");
+    let mut r = BufReader::new(stream);
+    let mut roundtrip = |line: &str| {
+        writeln!(w, "{line}").expect("send");
+        w.flush().expect("flush");
+        let mut reply = String::new();
+        r.read_line(&mut reply).expect("reply");
+        assert!(reply.contains("\"ok\":true"), "{line}: {reply}");
+    };
+    let tasks = Path::new("/proc")
+        .join(daemon.child.id().to_string())
+        .join("task");
+    let threads = || fs::read_dir(&tasks).expect("daemon task list").count();
+
+    roundtrip(r#"{"cmd":"hello"}"#);
+    let connected = threads();
+    for i in 0..16 {
+        roundtrip(&format!(
+            "{{\"cmd\":\"open\",\"sid\":\"idle-{i}\",\"engine\":\"fluid\",\"topology\":\"fig3\",\
+             \"strategy\":\"urp\",\"horizon_secs\":30}}"
+        ));
+    }
+    let idle = threads();
+    for i in 0..16 {
+        roundtrip(&format!("{{\"cmd\":\"close\",\"sid\":\"idle-{i}\"}}"));
+    }
+    let closed = threads();
+    daemon.kill();
+    assert_eq!(
+        (connected, idle, closed),
+        (connected, connected, connected),
+        "daemon threads after hello, with 16 idle sessions, after closing them"
+    );
+}

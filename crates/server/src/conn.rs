@@ -2,21 +2,25 @@
 //! connection-scoped session table.
 //!
 //! One [`drive_conn`] call serves one client for the connection's
-//! lifetime. Session-scoped requests route by their `"sid"` to a
-//! [`SessionHandle`]; requests without a `sid` address the *bare*
-//! session (internally sid `""`), which reproduces the v1 single-
-//! session protocol byte-for-byte — bare-session replies carry no
-//! `sid` field at all.
+//! lifetime, on one thread. Session-scoped requests route by their
+//! `"sid"` to a session host, which this thread polls for the reply;
+//! requests without a `sid` address the *bare* session (internally sid
+//! `""`), which reproduces the v1 single-session protocol
+//! byte-for-byte — bare-session replies carry no `sid` field at all.
 //!
-//! Teardown is deterministic: `close` joins the session's host thread
+//! Request lines are read as bytes, at most 1 MiB of each: a longer
+//! line, or one that is not UTF-8, gets a `parse` error and the
+//! connection keeps serving.
+//!
+//! Teardown is deterministic: `close` drops the session's host
 //! *before* the close reply is written, and client EOF / `exit` /
-//! connection errors abort-and-join every remaining session before the
-//! driver returns — so a client that saw a `close` reply (or the daemon
-//! that saw the connection end) knows the session's checkpoint
-//! directory, trace handle, and worker-slot claims are released.
+//! connection errors drop every remaining session before the driver
+//! returns — so a client that saw a `close` reply (or the daemon that
+//! saw the connection end) knows the session's checkpoint directory,
+//! trace handle, and worker-slot claims are released.
 
 use std::collections::BTreeMap;
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -27,21 +31,34 @@ use crate::protocol::{
     parse_object, quote, str_field, OpenSpec,
 };
 
+/// The longest request line, newline excluded. A longer one is read
+/// past a bounded piece at a time, never held whole.
+const MAX_LINE_BYTES: u64 = 1 << 20;
+
 /// Serve one client until EOF, `exit`, or `shutdown`. All open sessions
-/// are torn down (aborted and joined) before this returns.
+/// are dropped before this returns.
 pub fn drive_conn(
     input: &mut dyn BufRead,
     out: &mut dyn Write,
     shared: &Arc<Shared>,
 ) -> io::Result<()> {
-    let mut sessions: BTreeMap<String, SessionHandle> = BTreeMap::new();
-    let mut line = String::new();
+    let mut sessions: BTreeMap<String, SessionHandle<'_>> = BTreeMap::new();
+    let mut line = Vec::new();
     loop {
-        line.clear();
-        if input.read_line(&mut line)? == 0 {
-            return Ok(()); // EOF: SessionHandle::drop aborts + joins
+        if read_capped(input, &mut line, MAX_LINE_BYTES + 1)? == 0 {
+            return Ok(()); // EOF: dropping `sessions` drops every host
         }
-        let trimmed = line.trim();
+        if line.len() as u64 > MAX_LINE_BYTES && !line.ends_with(b"\n") {
+            while read_capped(input, &mut line, MAX_LINE_BYTES)? > 0 && !line.ends_with(b"\n") {}
+            let e = format!("bad request: line longer than {MAX_LINE_BYTES} bytes");
+            reply(out, err_reply("parse", &e))?;
+            continue;
+        }
+        let Ok(text) = std::str::from_utf8(&line) else {
+            reply(out, err_reply("parse", "bad request: line is not UTF-8"))?;
+            continue;
+        };
+        let trimmed = text.trim();
         if trimmed.is_empty() {
             continue;
         }
@@ -84,7 +101,7 @@ pub fn drive_conn(
         };
         let r = match cmd.as_str() {
             "hello" => hello_reply(shared.pool.slots()),
-            "stats" => stats_reply(shared, &sessions),
+            "stats" => stats_reply(shared, &mut sessions),
             "open" | "resume" => match sessions.entry(key) {
                 std::collections::btree_map::Entry::Occupied(_) => {
                     err_reply("state", &already_open(&sid))
@@ -92,7 +109,7 @@ pub fn drive_conn(
                 std::collections::btree_map::Entry::Vacant(slot) => {
                     match OpenSpec::parse(&obj, cmd == "resume") {
                         Err(e) => err_reply("config", &e),
-                        Ok(spec) => match SessionHandle::open(spec, shared.clone()) {
+                        Ok(spec) => match SessionHandle::open(spec, shared) {
                             Ok((handle, first)) => {
                                 slot.insert(handle);
                                 first
@@ -103,13 +120,13 @@ pub fn drive_conn(
                 }
             },
             "feed" | "advance" | "snapshot" | "checkpoint" | "close" => {
-                match sessions.get(&key) {
+                match sessions.get_mut(&key) {
                     None => err_reply("state", &no_session(&sid, &cmd)),
                     Some(handle) => match session_cmd(&obj, &cmd) {
                         Err(e) => err_reply("parse", &e),
                         Ok(HostCmd::Close) => {
                             let handle = sessions.remove(&key).expect("present");
-                            handle.close() // joins the host before replying
+                            handle.close() // drops the host before replying
                         }
                         Ok(host_cmd) => handle.request(host_cmd),
                     },
@@ -124,11 +141,9 @@ pub fn drive_conn(
                 err_reply("unknown_cmd", &unknown_cmd("exit"))
             }
             "shutdown" => {
-                // stop the whole daemon: tear down this connection's
+                // stop the whole daemon: drop this connection's
                 // sessions, acknowledge, and flag the accept loop
-                for (_, handle) in std::mem::take(&mut sessions) {
-                    handle.abort();
-                }
+                sessions.clear();
                 shared.shutdown.store(true, Ordering::SeqCst);
                 reply(
                     out,
@@ -146,6 +161,13 @@ pub fn drive_conn(
         };
         reply(out, append_fields(r, &tail))?;
     }
+}
+
+/// Read the next line into `buf`, newline included, keeping at most
+/// `limit` bytes of it; the count read, 0 at EOF.
+fn read_capped(input: &mut dyn BufRead, buf: &mut Vec<u8>, limit: u64) -> io::Result<usize> {
+    buf.clear();
+    Read::take(input, limit).read_until(b'\n', buf)
 }
 
 fn reply(out: &mut dyn Write, r: String) -> io::Result<()> {
@@ -198,12 +220,12 @@ fn unknown_cmd(cmd: &str) -> String {
 
 /// The `stats` reply: pool-wide counters plus a per-session array for
 /// this connection's sessions, in sid order.
-fn stats_reply(shared: &Shared, sessions: &BTreeMap<String, SessionHandle>) -> String {
+fn stats_reply(shared: &Shared, sessions: &mut BTreeMap<String, SessionHandle<'_>>) -> String {
     let s = &shared.stats;
     let opened = s.sessions_opened.load(Ordering::Relaxed);
     let closed = s.sessions_closed.load(Ordering::Relaxed);
     let mut per = String::new();
-    for (i, (sid, handle)) in sessions.iter().enumerate() {
+    for (i, (sid, handle)) in sessions.iter_mut().enumerate() {
         if i > 0 {
             per.push(',');
         }
@@ -238,7 +260,11 @@ mod tests {
     use std::io::Cursor;
 
     fn run(script: &str) -> Vec<String> {
-        let mut input = Cursor::new(script.to_string());
+        run_bytes(script.as_bytes())
+    }
+
+    fn run_bytes(script: &[u8]) -> Vec<String> {
+        let mut input = Cursor::new(script);
         let mut out = Vec::new();
         serve_lines(&mut input, &mut out).expect("serve loop");
         String::from_utf8(out)
@@ -368,6 +394,117 @@ mod tests {
         assert_kind(&replies[6], "parse");
         assert_kind(&replies[7], "state");
         assert_ok(&replies[8]); // session survived every error
+    }
+
+    #[test]
+    fn an_overlong_request_line_is_a_parse_error_and_the_connection_keeps_serving() {
+        // valid requests padded with blanks: the one a byte past the
+        // limit is refused unparsed, the one exactly at it is served
+        let limit = super::MAX_LINE_BYTES as usize;
+        let padded = |seq: u32, len: usize| {
+            let mut line = format!("{{\"cmd\":\"hello\",\"seq\":{seq}}}").into_bytes();
+            line.resize(len, b' ');
+            line.push(b'\n');
+            line
+        };
+        let mut script = padded(1, limit + 1);
+        script.extend(padded(2, limit));
+        // an over-long last line with no newline at all
+        script.extend(vec![b'x'; 3 * limit]);
+        let replies = run_bytes(&script);
+        assert_eq!(replies.len(), 3, "{replies:?}");
+        assert_kind(&replies[0], "parse");
+        assert!(
+            replies[0].contains("longer than 1048576 bytes"),
+            "{}",
+            replies[0]
+        );
+        assert_ok(&replies[1]);
+        assert!(replies[1].ends_with(",\"seq\":2}"), "{}", replies[1]);
+        assert_kind(&replies[2], "parse");
+    }
+
+    #[test]
+    fn a_line_that_is_not_utf8_is_a_parse_error_and_the_connection_keeps_serving() {
+        let replies = run_bytes(b"{\"cmd\":\"hello\"}\n\xff\xfe\n{\"cmd\":\"hello\",\"seq\":3}\n");
+        assert_eq!(replies.len(), 3, "{replies:?}");
+        assert_ok(&replies[0]);
+        assert_kind(&replies[1], "parse");
+        assert!(replies[1].contains("not UTF-8"), "{}", replies[1]);
+        assert!(replies[2].ends_with(",\"seq\":3}"), "{}", replies[2]);
+    }
+
+    /// One `open` per topology name, each under its own sid.
+    fn open_each(names: &[&str]) -> Vec<String> {
+        let script: String = names
+            .iter()
+            .map(|t| {
+                format!(
+                    "{{\"cmd\":\"open\",\"sid\":\"{t}\",\"engine\":\"fluid\",\"topology\":\"{t}\",\
+                     \"strategy\":\"urp\",\"horizon_secs\":1}}\n"
+                )
+            })
+            .collect();
+        run(&script)
+    }
+
+    #[test]
+    fn topology_names_below_a_family_minimum_are_config_errors() {
+        // these used to panic the session host; the smallest valid N of
+        // each family still opens
+        let small = [
+            "line:1",
+            "line:0",
+            "star:1",
+            "mesh:1",
+            "ring:2",
+            "ring:0",
+            "dumbbell:0",
+        ];
+        let least = ["line:2", "star:2", "mesh:2", "ring:3", "dumbbell:1"];
+        let replies = open_each(&[&small[..], &least[..]].concat());
+        assert_eq!(replies.len(), small.len() + least.len(), "{replies:?}");
+        for r in &replies[..small.len()] {
+            assert_kind(r, "config");
+            assert!(r.contains("too small"), "{r}");
+        }
+        for r in &replies[small.len()..] {
+            assert_ok(r);
+        }
+    }
+
+    #[test]
+    fn topology_names_past_the_node_and_link_caps_are_config_errors() {
+        // refused by arithmetic before anything is allocated; under a
+        // 1.5 GB address limit, mesh:20000, line:100000000 and
+        // dumbbell:50000000 used to abort the daemon
+        let big = [
+            "mesh:92",
+            "line:1025",
+            "ring:1025",
+            "star:1025",
+            "dumbbell:512",
+            "mesh:20000",
+            "line:100000000",
+            "dumbbell:50000000",
+            "dumbbell:18446744073709551615",
+        ];
+        let largest = [
+            "mesh:91",
+            "line:1024",
+            "ring:1024",
+            "star:1024",
+            "dumbbell:511",
+        ];
+        let replies = open_each(&[&big[..], &largest[..]].concat());
+        assert_eq!(replies.len(), big.len() + largest.len(), "{replies:?}");
+        for r in &replies[..big.len()] {
+            assert_kind(r, "config");
+            assert!(r.contains("too large"), "{r}");
+        }
+        for r in &replies[big.len()..] {
+            assert_ok(r);
+        }
     }
 
     #[test]
@@ -945,8 +1082,8 @@ mod tests {
         assert!(first[2].contains("\"ckpt_seq\":1"), "{}", first[2]);
         assert_eq!(list_checkpoints(&dir).len(), 1);
 
-        // the close reply was written only after the host thread was
-        // joined, so the directory is free: remove and reopen it
+        // the close reply was written only after the session's host was
+        // dropped, so the directory is free: remove and reopen it
         fs::remove_dir_all(&dir).expect("ckpt dir removable right after close");
         let second = run(&open);
         assert_ok(second.last().unwrap());

@@ -1,6 +1,7 @@
 //! The session daemon: a worker pool, pool-wide counters, and the
 //! accept/serve loop that multiplexes many clients over any
-//! [`Transport`].
+//! [`Transport`]. Each client gets one thread, and its sessions run on
+//! that thread as coroutines.
 
 use std::io::{self, BufRead, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64};
@@ -11,9 +12,10 @@ use inrpp_runner::SlotPool;
 use crate::conn::drive_conn;
 use crate::transport::Transport;
 
-/// Pool-wide counters, updated by every session host and reported by
-/// the `stats` op. Monotonic and advisory (relaxed ordering): they
-/// never feed back into simulation, so they cannot perturb results.
+/// Pool-wide counters, updated by the connections and their session
+/// hosts and reported by the `stats` op. Monotonic and advisory
+/// (relaxed ordering): they never feed back into simulation, so they
+/// cannot perturb results.
 #[derive(Debug, Default)]
 pub struct PoolStats {
     /// Sessions successfully opened or resumed.
@@ -62,8 +64,8 @@ impl Default for DaemonConfig {
 
 /// A session-multiplexing service daemon.
 ///
-/// Connections each get a driver thread; sessions each get a host
-/// thread; simulation compute is rationed by the shared
+/// Connections each get a driver thread, and their sessions run as
+/// coroutines on it; simulation compute is rationed by the shared
 /// [`SlotPool`] in bounded slices. See the crate docs for the
 /// determinism contract.
 pub struct Daemon {
@@ -90,7 +92,7 @@ impl Daemon {
     /// Accept and serve clients until the transport drains (stdio EOF
     /// handed out, or a `shutdown` request raised the flag). Every
     /// connection runs on its own thread; all of them are joined — and
-    /// with them every session host — before this returns.
+    /// every session dropped — before this returns.
     pub fn serve(&self, transport: &mut dyn Transport) -> io::Result<()> {
         let mut clients = Vec::new();
         while let Some(mut conn) = transport.accept(&self.shared.shutdown)? {

@@ -1,30 +1,37 @@
-//! Per-session hosts: one OS thread owning one live simulation.
+//! Per-session hosts: each live simulation is a coroutine on its
+//! connection's thread.
 //!
-//! A [`ServiceSession`] is a borrow
-//! chain — topology → session spec → engine backing → service — so the
-//! object itself can never migrate between pool workers. The daemon
-//! multiplexes sessions the other way round: each session gets a cheap
-//! *host thread* that owns the whole chain on its stack and blocks on a
-//! command channel, and the scarce resource — simulation compute — is
-//! rationed by the shared [`SlotPool`](inrpp_runner::SlotPool). Every
-//! `advance` is cut into bounded slices and each slice runs under one
-//! acquired worker slot, so at most `workers` sessions simulate at any
-//! instant while the rest wait (FIFO-fair) at the pool. Slice
-//! boundaries depend only on the request (`now`, `to_secs`), never on
-//! pool occupancy, which is what keeps the determinism contract: any
-//! interleaving of N sessions produces per-session replies byte-equal
-//! to running that session alone.
+//! A [`ServiceSession`] is a borrow chain — topology → session spec →
+//! engine backing → service — so it can never migrate between threads.
+//! A session host is an `async fn` whose pinned future builds and owns
+//! that chain. The connection polls it once per request, on its own
+//! thread and with no runtime, passing the command in and the rendered
+//! reply out through a one-slot mailbox; in between, the host is parked.
+//! A host may block its thread (on a slot, or in a long advance): a
+//! connection serves one request at a time, so nothing else waits on it.
 //!
-//! Hosts speak rendered reply strings back to the connection layer —
-//! the host renders everything except the `sid`/`seq` correlation tail,
+//! Simulation compute is rationed by the shared
+//! [`SlotPool`](inrpp_runner::SlotPool): every `advance` is cut into
+//! bounded slices, each run under one acquired worker slot, so at most
+//! `workers` sessions simulate at any instant while the rest wait
+//! (FIFO-fair) at the pool. Slice boundaries depend only on the request
+//! (`now`, `to_secs`), never on pool occupancy, which keeps the
+//! determinism contract: any interleaving of N sessions produces
+//! per-session replies byte-equal to running that session alone.
+//!
+//! Hosts render every reply except the `sid`/`seq` correlation tail,
 //! which only the connection knows.
 
+use std::cell::Cell;
 use std::fs;
+use std::future::{poll_fn, Future};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
+use std::pin::Pin;
+use std::rc::Rc;
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::{Receiver, Sender, SyncSender};
 use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::task::{Context, Poll, Wake, Waker};
 use std::time::{Duration, Instant};
 
 use inrpp::service::{Checkpoint, FluidBacking, FluidService, ServiceSession};
@@ -54,7 +61,7 @@ const SLICES: u64 = 64;
 // ===================================================================
 
 /// A request forwarded from the connection to a session host.
-pub enum HostCmd {
+pub(crate) enum HostCmd {
     /// `feed`: inject one transfer.
     Feed(FeedReq),
     /// `advance`: run to `to_secs`, optionally under a wall-clock
@@ -76,94 +83,111 @@ pub enum HostCmd {
     Stats,
     /// `close`: finish the run, report, and end the host.
     Close,
-    /// Drop the session unfinished and end the host (EOF / `exit` /
-    /// connection teardown). No reply is sent.
-    Abort,
 }
 
 // ===================================================================
 // Handle
 // ===================================================================
 
-/// The connection side of one session host: command sender, reply
-/// receiver, and the join handle that makes teardown deterministic.
-pub struct SessionHandle {
-    tx: Sender<HostCmd>,
-    rx: Receiver<String>,
-    join: Option<JoinHandle<()>>,
+/// The one-slot mailbox a connection and a session host share: the
+/// connection leaves a command, the host leaves its reply.
+#[derive(Default)]
+struct Mailbox {
+    cmd: Cell<Option<HostCmd>>,
+    reply: Cell<Option<String>>,
 }
 
-impl SessionHandle {
-    /// Spawn a host for `spec`. `Ok` carries the handle plus the
-    /// rendered `open`/`resume` reply; `Err` carries the rendered error
-    /// reply (the host thread has already been joined).
-    pub fn open(spec: OpenSpec, shared: Arc<Shared>) -> Result<(SessionHandle, String), String> {
-        let (cmd_tx, cmd_rx) = std::sync::mpsc::channel::<HostCmd>();
-        let (rep_tx, rep_rx) = std::sync::mpsc::channel::<String>();
-        // first reply arrives via a dedicated channel so a failed open
-        // can be distinguished without string-sniffing rep_rx
-        let (born_tx, born_rx) = std::sync::mpsc::sync_channel::<Result<String, String>>(1);
-        let join = std::thread::spawn(move || host_main(spec, shared, cmd_rx, rep_tx, born_tx));
-        match born_rx.recv() {
-            Ok(Ok(reply)) => Ok((
-                SessionHandle {
-                    tx: cmd_tx,
-                    rx: rep_rx,
-                    join: Some(join),
-                },
-                reply,
-            )),
-            Ok(Err(reply)) => {
-                let _ = join.join();
-                Err(reply)
-            }
-            Err(_) => {
-                let _ = join.join();
-                Err(err_reply("io", "session host died before replying"))
-            }
-        }
+impl Mailbox {
+    /// The next command: pending until the connection leaves one.
+    fn next_cmd(&self) -> impl Future<Output = HostCmd> + '_ {
+        poll_fn(|_| self.cmd.take().map_or(Poll::Pending, Poll::Ready))
     }
 
-    /// Forward one command and wait for its rendered reply.
-    pub fn request(&self, cmd: HostCmd) -> String {
-        if self.tx.send(cmd).is_err() {
+    fn put(&self, reply: String) {
+        self.reply.set(Some(reply));
+    }
+
+    /// The host's reply, or an `io` error saying it `died` leaving none.
+    fn take_reply(&self, died: &str) -> String {
+        self.reply.take().unwrap_or_else(|| err_reply("io", died))
+    }
+}
+
+/// A session host, parked between requests.
+type Host<'a> = Pin<Box<dyn Future<Output = ()> + 'a>>;
+
+/// The waker hosts are polled with: a host only ever waits for its
+/// mailbox, and the connection polls it whenever it fills the mailbox.
+struct NoWake;
+
+impl Wake for NoWake {
+    fn wake(self: Arc<Self>) {}
+}
+
+/// Poll `host` once on this thread; `None` if it panicked.
+fn poll_once(host: &mut Host<'_>) -> Option<Poll<()>> {
+    let waker = Waker::from(Arc::new(NoWake));
+    let mut cx = Context::from_waker(&waker);
+    catch_unwind(AssertUnwindSafe(|| host.as_mut().poll(&mut cx))).ok()
+}
+
+/// The connection side of one session host: the host's future and
+/// their mailbox. Dropping the handle drops the session.
+pub(crate) struct SessionHandle<'a> {
+    /// `None` once the host has returned or panicked.
+    host: Option<Host<'a>>,
+    mailbox: Rc<Mailbox>,
+    shared: &'a Shared,
+}
+
+impl<'a> SessionHandle<'a> {
+    /// Start a host for `spec` and poll it through its open. `Ok`
+    /// carries the handle plus the rendered `open`/`resume` reply;
+    /// `Err` carries the rendered error reply.
+    pub(crate) fn open(spec: OpenSpec, shared: &'a Shared) -> Result<(Self, String), String> {
+        let mailbox = Rc::new(Mailbox::default());
+        let mut host: Host<'a> = Box::pin(host_main(spec, shared, Rc::clone(&mailbox)));
+        // an opened host parks on its first command; a failed one returns
+        let opened = poll_once(&mut host) == Some(Poll::Pending);
+        let reply = mailbox.take_reply("session host died before replying");
+        if !opened {
+            return Err(reply);
+        }
+        shared.stats.sessions_opened.fetch_add(1, Ordering::Relaxed);
+        let handle = SessionHandle {
+            host: Some(host),
+            mailbox,
+            shared,
+        };
+        Ok((handle, reply))
+    }
+
+    /// Leave `cmd` in the mailbox and poll the host once for its
+    /// rendered reply. A host that returns or panics is dropped.
+    pub(crate) fn request(&mut self, cmd: HostCmd) -> String {
+        let Some(host) = self.host.as_mut() else {
             return err_reply("io", "session host is gone");
+        };
+        self.mailbox.cmd.set(Some(cmd));
+        if poll_once(host) != Some(Poll::Pending) {
+            self.host = None;
         }
-        self.rx
-            .recv()
-            .unwrap_or_else(|_| err_reply("io", "session host died mid-request"))
+        self.mailbox.take_reply("session host died mid-request")
     }
 
-    /// `close`: finish the run, then **join the host thread before
-    /// returning the reply** — by the time the client reads the close
-    /// reply, the session's trace handles, checkpoint-directory state,
-    /// and worker-slot claims are provably released.
-    pub fn close(mut self) -> String {
-        let reply = self.request(HostCmd::Close);
-        if let Some(join) = self.join.take() {
-            let _ = join.join();
-        }
-        reply
-    }
-
-    /// Drop the session unfinished; joins the host thread.
-    pub fn abort(mut self) {
-        self.teardown();
-    }
-
-    fn teardown(&mut self) {
-        if let Some(join) = self.join.take() {
-            let _ = self.tx.send(HostCmd::Abort);
-            let _ = join.join();
-        }
+    /// `close`: finish the run, then **drop the host before returning
+    /// the reply** — by the time the client reads the close reply, the
+    /// session's trace handles, checkpoint-directory state, and
+    /// worker-slot claims are provably released.
+    pub(crate) fn close(mut self) -> String {
+        self.request(HostCmd::Close)
     }
 }
 
-impl Drop for SessionHandle {
-    // any exit path (io error, panic in the conn loop) still tears the
-    // host down deterministically
+impl Drop for SessionHandle<'_> {
     fn drop(&mut self) {
-        self.teardown();
+        let closed = &self.shared.stats.sessions_closed;
+        closed.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -427,32 +451,23 @@ fn advance_pooled(
 }
 
 // ===================================================================
-// The host thread
+// The session host
 // ===================================================================
 
-/// Build the session named by `spec`, announce the result on `born`,
-/// then serve commands until `Close`/`Abort`/disconnect. Owns the full
-/// borrow chain on its stack; every resource (trace file handle,
-/// checkpoint state, slot claims) dies with the thread, which the
-/// handle joins — that is the deterministic-teardown guarantee.
-fn host_main(
-    spec: OpenSpec,
-    shared: Arc<Shared>,
-    rx: Receiver<HostCmd>,
-    tx: Sender<String>,
-    born: SyncSender<Result<String, String>>,
-) {
-    let fail = |born: SyncSender<Result<String, String>>, reply: String| {
-        let _ = born.send(Err(reply));
-    };
-
+/// Build the session named by `spec` and leave its `open`/`resume`
+/// reply in the mailbox — or leave the error reply and return — then
+/// serve commands until `Close`. The future owns the full borrow chain;
+/// every resource (trace file handle, checkpoint state, slot claims)
+/// dies with it when the handle drops it — that is the
+/// deterministic-teardown guarantee.
+async fn host_main(spec: OpenSpec, shared: &Shared, mailbox: Rc<Mailbox>) {
     let topo = match crate::protocol::topology_by_name(&spec.topology) {
         Ok(t) => t,
-        Err(e) => return fail(born, err_reply("config", &e)),
+        Err(e) => return mailbox.put(err_reply("config", &e)),
     };
     let strategy = match spec.strategy() {
         Ok(s) => s,
-        Err(e) => return fail(born, err_reply("config", &e)),
+        Err(e) => return mailbox.put(err_reply("config", &e)),
     };
     // serve sessions are streaming-only: traffic arrives via feed/trace,
     // so the spec (and its fingerprint) carries an empty transfer list
@@ -470,12 +485,12 @@ fn host_main(
     if let Some(text) = &spec.faults {
         match FaultPlan::parse(text) {
             Ok(plan) => builder = builder.faults(plan),
-            Err(e) => return fail(born, err_reply("config", &format!("bad fault plan: {e}"))),
+            Err(e) => return mailbox.put(err_reply("config", &format!("bad fault plan: {e}"))),
         }
     }
     let session = match builder.build() {
         Ok(s) => s,
-        Err(e) => return fail(born, err_reply(session_err_kind(&e), &e.to_string())),
+        Err(e) => return mailbox.put(err_reply(session_err_kind(&e), &e.to_string())),
     };
 
     // resume source: an explicit file, or crash recovery from the newest
@@ -487,16 +502,13 @@ fn host_main(
         Some(ResumeFrom::Path(path)) => match fs::read(path) {
             Ok(bytes) => match Checkpoint::from_bytes(&bytes) {
                 Ok(c) => Some(c),
-                Err(e) => return fail(born, err_reply(session_err_kind(&e), &e.to_string())),
+                Err(e) => return mailbox.put(err_reply(session_err_kind(&e), &e.to_string())),
             },
             Err(e) => {
-                return fail(
-                    born,
-                    err_reply(
-                        "checkpoint",
-                        &format!("cannot read checkpoint {path:?}: {e}"),
-                    ),
-                )
+                return mailbox.put(err_reply(
+                    "checkpoint",
+                    &format!("cannot read checkpoint {path:?}: {e}"),
+                ))
             }
         },
         Some(ResumeFrom::Newest) => {
@@ -507,7 +519,7 @@ fn host_main(
                     recovery_skipped = skipped;
                     Some(c)
                 }
-                Err(e) => return fail(born, err_reply("checkpoint", &e)),
+                Err(e) => return mailbox.put(err_reply("checkpoint", &e)),
             }
         }
     };
@@ -522,13 +534,13 @@ fn host_main(
             };
             match opened {
                 Ok(s) => Box::new(s),
-                Err(e) => return fail(born, err_reply(session_err_kind(&e), &e.to_string())),
+                Err(e) => return mailbox.put(err_reply(session_err_kind(&e), &e.to_string())),
             }
         }
         EngineKind::Packet => {
             let engine = match spec.packet_engine() {
                 Ok(e) => e,
-                Err(e) => return fail(born, err_reply("config", &e)),
+                Err(e) => return mailbox.put(err_reply("config", &e)),
             };
             let opened = match &checkpoint {
                 Some(c) => PacketService::resume(&engine, &session, c),
@@ -536,7 +548,7 @@ fn host_main(
             };
             match opened {
                 Ok(s) => Box::new(s),
-                Err(e) => return fail(born, err_reply(session_err_kind(&e), &e.to_string())),
+                Err(e) => return mailbox.put(err_reply(session_err_kind(&e), &e.to_string())),
             }
         }
     };
@@ -548,15 +560,12 @@ fn host_main(
                 // entries the interrupted run already fed by the
                 // checkpoint boundary must not be fed twice
                 if let Err(e) = skip_until(&mut ts, svc.now()) {
-                    return fail(born, err_reply(session_err_kind(&e), &e.to_string()));
+                    return mailbox.put(err_reply(session_err_kind(&e), &e.to_string()));
                 }
                 Some(ts)
             }
             Err(e) => {
-                return fail(
-                    born,
-                    err_reply("io", &format!("cannot read trace {path:?}: {e}")),
-                )
+                return mailbox.put(err_reply("io", &format!("cannot read trace {path:?}: {e}")))
             }
         },
         None => None,
@@ -597,18 +606,14 @@ fn host_main(
     } else {
         "open"
     };
-    if born.send(Ok(ok_reply(event, &open_extra))).is_err() {
-        return; // connection died during open
-    }
-    shared.stats.sessions_opened.fetch_add(1, Ordering::Relaxed);
+    mailbox.put(ok_reply(event, &open_extra));
 
     let mut feeds = 0u64;
     let mut bytes_fed = 0u64;
     let mut advances = 0u64;
     let mut ckpt_writes = 0u64;
-    // recv error = connection gone: drop the session unfinished
-    while let Ok(cmd) = rx.recv() {
-        let reply = match cmd {
+    loop {
+        let reply = match mailbox.next_cmd().await {
             HostCmd::Feed(req) => match resolve_feed(&req, &topo, spec.chunk_bytes, bytes_fed) {
                 Ok((t, bytes)) => match svc.feed(&t) {
                     Ok(()) => {
@@ -632,7 +637,7 @@ fn host_main(
             } => {
                 let before = monitor.events;
                 let reply = advance_cmd(
-                    &shared,
+                    shared,
                     &mut *svc,
                     trace.as_mut(),
                     auto.as_mut(),
@@ -702,16 +707,11 @@ fn host_main(
                     }
                     Err(e) => err_reply(session_err_kind(&e), &e.to_string()),
                 };
-                let _ = tx.send(reply);
-                break; // close always ends the session, even on error
+                return mailbox.put(reply); // close ends the session, even on error
             }
-            HostCmd::Abort => break,
         };
-        if tx.send(reply).is_err() {
-            break;
-        }
+        mailbox.put(reply);
     }
-    shared.stats.sessions_closed.fetch_add(1, Ordering::Relaxed);
 }
 
 /// Resolve a [`FeedReq`] against the session topology into a
@@ -812,5 +812,36 @@ fn advance_cmd(
             ),
         ),
         Err(AdvanceError::Session(e)) => err_reply(session_err_kind(&e), &e.to_string()),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::daemon::{Daemon, DaemonConfig};
+
+    #[test]
+    fn a_host_that_panics_is_dropped_and_answered_with_an_io_error() {
+        let daemon = Daemon::new(DaemonConfig { workers: 1 });
+        let mailbox = Rc::new(Mailbox::default());
+        let inbox = Rc::clone(&mailbox);
+        let host: Host<'_> = Box::pin(async move {
+            let _ = inbox.next_cmd().await;
+            panic!("a session host fault");
+        });
+        let mut handle = SessionHandle {
+            host: Some(host),
+            mailbox,
+            shared: daemon.shared(),
+        };
+        let died = handle.request(HostCmd::Stats);
+        assert!(died.starts_with("{\"ok\":false,\"kind\":\"io\""), "{died}");
+        assert!(died.contains("died mid-request"), "{died}");
+        assert!(handle.host.is_none(), "the panicked host is dropped");
+        let gone = handle.request(HostCmd::Stats);
+        assert!(gone.contains("session host is gone"), "{gone}");
+        drop(handle);
+        let closed = &daemon.shared().stats.sessions_closed;
+        assert_eq!(closed.load(Ordering::Relaxed), 1);
     }
 }

@@ -22,14 +22,18 @@
 //!
 //! A live session is a borrow chain (topology → spec → backing →
 //! service), so the session object never migrates between threads.
-//! Instead each session gets a *host thread* ([`host`]) that owns the
-//! chain, and compute is rationed by a FIFO-fair
-//! [`SlotPool`](inrpp_runner::SlotPool) of `workers` slots: every
-//! `advance` runs as bounded slices, one slot acquired per slice — the
-//! preemption primitive that keeps a long advance from monopolising a
-//! worker. Slice boundaries are a pure function of the request, and
-//! intermediate advance boundaries never change simulated results (the
-//! PR 8 service contract), so the daemon keeps a strong guarantee:
+//! Instead each session runs as a coroutine ([`host`]): an `async fn`
+//! that owns the chain in its pinned future and is polled once per
+//! request, with no runtime, on the thread of the connection that
+//! opened it. The only thread per client is that connection thread; an
+//! idle session costs no thread at all. Compute is rationed by a
+//! FIFO-fair [`SlotPool`](inrpp_runner::SlotPool) of `workers` slots:
+//! every `advance` runs as bounded slices, one slot acquired per slice
+//! — the preemption primitive that keeps a long advance from
+//! monopolising a worker. Slice boundaries are a pure function of the
+//! request, and intermediate advance boundaries never change simulated
+//! results (the service contract), so the daemon keeps a strong
+//! guarantee:
 //!
 //! > **Any interleaving of N concurrent sessions, at any pool size,
 //! > produces per-session reports and probe streams byte-identical to
@@ -40,11 +44,12 @@
 //! the opt-in `"probe_fp":true` open flag, which streams an FNV-1a
 //! fingerprint of every typed probe event in `advance`/`close` replies.
 //!
-//! Teardown is deterministic too: `close` (and client EOF) join the
-//! session's host thread before the daemon moves on, releasing trace
+//! Teardown is deterministic too: `close` (and client EOF) drop the
+//! session's future before the daemon moves on, releasing trace
 //! handles, checkpoint-directory state, and worker slots — a client
 //! that saw the close reply can immediately reuse the session's
-//! `ckpt_dir`.
+//! `ckpt_dir`. A session whose host panics is dropped the same way; its
+//! request gets an `io` error reply and the connection keeps serving.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -57,6 +62,5 @@ pub mod transport;
 
 pub use conn::drive_conn;
 pub use daemon::{serve_lines, serve_lines_with, Daemon, DaemonConfig, PoolStats, Shared};
-pub use host::{HostCmd, SessionHandle};
 pub use protocol::PROTOCOL_VERSION;
 pub use transport::{Conn, SocketTransport, StdioTransport, Transport};

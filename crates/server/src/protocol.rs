@@ -476,9 +476,19 @@ pub fn parse_feed_req(obj: &Obj) -> Result<FeedReq, String> {
     })
 }
 
+/// Most nodes a catalog topology may have.
+const MAX_TOPOLOGY_NODES: usize = 1024;
+/// Most links a catalog topology may have.
+const MAX_TOPOLOGY_LINKS: usize = 4096;
+
 /// The topology catalog: `fig3`, or `line:N` / `ring:N` / `star:N` /
 /// `mesh:N` / `dumbbell:N` with the serve defaults (10 Mbit/s links,
 /// 10 ms delay; dumbbell bottleneck 10 Mbit/s, access 40 Mbit/s).
+///
+/// N is checked before anything is built: each family has its minimum
+/// (2 for line, star and mesh, 3 for ring, 1 for dumbbell), and no
+/// topology may have more than 1,024 nodes or 4,096 links, so `mesh:91`
+/// is the largest mesh and `dumbbell:511` the largest dumbbell.
 pub fn topology_by_name(name: &str) -> Result<Topology, String> {
     if name == "fig3" {
         return Ok(Topology::fig3());
@@ -491,6 +501,32 @@ pub fn topology_by_name(name: &str) -> Result<Topology, String> {
         ),
         None => return Err(format!("unknown topology {name:?}")),
     };
+    // (minimum N, nodes, links), saturating so any N can be checked
+    let (min, nodes, links) = match kind {
+        "line" | "star" => (2, n, n.saturating_sub(1)),
+        "ring" => (3, n, n),
+        "mesh" => (2, n, n.saturating_mul(n.saturating_sub(1)) / 2),
+        "dumbbell" => {
+            let senders_and_receivers = n.saturating_mul(2);
+            (
+                1,
+                senders_and_receivers.saturating_add(2),
+                senders_and_receivers.saturating_add(1),
+            )
+        }
+        _ => return Err(format!("unknown topology {name:?}")),
+    };
+    if n < min {
+        return Err(format!(
+            "topology {name:?} is too small: {kind} needs N >= {min}"
+        ));
+    }
+    if nodes > MAX_TOPOLOGY_NODES || links > MAX_TOPOLOGY_LINKS {
+        return Err(format!(
+            "topology {name:?} is too large: at most {MAX_TOPOLOGY_NODES} nodes and \
+             {MAX_TOPOLOGY_LINKS} links"
+        ));
+    }
     let cap = Rate::mbps(10.0);
     let delay = SimDuration::from_millis(10);
     match kind {

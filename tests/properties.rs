@@ -1065,3 +1065,371 @@ proptest! {
         }
     }
 }
+
+// ===================================================================
+// Wire-protocol fuzz gate
+// ===================================================================
+
+/// The seq of the `hello` sent after generated line `i` is this plus
+/// `i`, a value the grammar never draws: its reply marks where the
+/// replies to line `i` end.
+const SENTINEL_SEQ: u64 = 1_000_000_000_000;
+
+/// Values that break a field: the wrong type, or a number that is
+/// negative, fractional or huge.
+const BAD_VALUES: [&str; 12] = [
+    "\"x\"",
+    "\"warp\"",
+    "true",
+    "null",
+    "[1]",
+    "{}",
+    "\"\\u00e9\\n\"",
+    "-1",
+    "0.5",
+    "2.5",
+    "1e30",
+    "-0.25",
+];
+
+/// A script of `len` request lines from a small grammar: every
+/// command, unknown ones included, with the fields it takes, one of
+/// them sometimes broken or missing; truncated requests; blank lines;
+/// and byte noise that is not always UTF-8. Requests address two sids
+/// drawn per script, so sessions open and then get driven. Every file
+/// a line names lies in `dir`, given JSON-escaped.
+fn wire_script(seed: u64, len: usize, dir: &str) -> Vec<Vec<u8>> {
+    let mut r = SimRng::from_seed_u64(seed);
+    let sid_pool = [
+        "",
+        "\"a\"",
+        "\"b\"",
+        "\"\"",
+        "\"caf\\u00e9\"",
+        "\"q\\\"\\\\\"",
+    ];
+    let first = *r.pick(&sid_pool);
+    let sids = [
+        first,
+        if r.chance(0.7) {
+            first
+        } else {
+            *r.pick(&sid_pool)
+        },
+    ];
+    (0..len)
+        .map(|i| match r.index(20) {
+            // most scripts start with a session that opens, so later
+            // lines reach a live one
+            _ if i == 0 && r.chance(0.7) => {
+                let engine = r.pick(&["fluid", "packet"]);
+                let sid = match sids[0] {
+                    "" => String::new(),
+                    sid => format!(",\"sid\":{sid}"),
+                };
+                format!(
+                    "{{\"cmd\":\"open\",\"engine\":\"{engine}\",\"topology\":\"fig3\",\
+                     \"strategy\":\"urp\",\"horizon_secs\":2{sid}}}"
+                )
+                .into_bytes()
+            }
+            0 => {
+                let mut line = any_request(&mut r, &sids, dir).into_bytes();
+                line.truncate(r.index(line.len()));
+                line
+            }
+            1 => r.pick(&["", " ", "\t \r"]).as_bytes().to_vec(),
+            2 => {
+                let bytes = b"{}[]\":,\\ aeu019.-\t\r\x00\x7f\x80\xc3\xff";
+                (0..1 + r.index(40)).map(|_| *r.pick(bytes)).collect()
+            }
+            _ => any_request(&mut r, &sids, dir).into_bytes(),
+        })
+        .collect()
+}
+
+/// A request for any command, the unknown `teleport` and the empty
+/// one included.
+fn any_request(r: &mut SimRng, sids: &[&str; 2], dir: &str) -> String {
+    let cmds = [
+        "open",
+        "open",
+        "open",
+        "resume",
+        "feed",
+        "feed",
+        "feed",
+        "feed",
+        "advance",
+        "advance",
+        "advance",
+        "advance",
+        "snapshot",
+        "checkpoint",
+        "stats",
+        "close",
+        "close",
+        "hello",
+        "exit",
+        "shutdown",
+        "teleport",
+        "",
+    ];
+    let cmd = *r.pick(&cmds);
+    request(r, cmd, sids, dir)
+}
+
+/// One `cmd` request object: the fields it takes, maybe `sid` and
+/// `seq`, and sometimes one field broken.
+fn request(r: &mut SimRng, cmd: &str, sids: &[&str; 2], dir: &str) -> String {
+    let file = |r: &mut SimRng| {
+        let name = r.pick(&[
+            "a.ckpt",
+            "b.ckpt",
+            "caf\\u00e9.ckpt",
+            "t.trace",
+            "no/such.ckpt",
+        ]);
+        format!("\"{dir}/{name}\"")
+    };
+    let mut fields: Vec<(&str, String)> = vec![("cmd", format!("\"{cmd}\""))];
+    let mut push =
+        |key, valid: &[&str], r: &mut SimRng| fields.push((key, r.pick(valid).to_string()));
+    match cmd {
+        "open" | "resume" => {
+            let family = r.pick(&["line", "ring", "star", "mesh", "dumbbell"]);
+            let topology = match r.index(20) {
+                0..=9 => "fig3".to_string(),
+                10..=16 => format!("{family}:{}", r.index(5)),
+                17 | 18 => format!(
+                    "{family}:{}",
+                    r.pick(&[
+                        "1025",
+                        "100000000",
+                        "18446744073709551615",
+                        "18446744073709551616"
+                    ])
+                ),
+                _ => r.pick(&["mars", "line:", ":3", "line:-1"]).to_string(),
+            };
+            push("engine", &["\"fluid\"", "\"packet\""], r);
+            push("topology", &[&format!("\"{topology}\"")], r);
+            push("strategy", &["\"urp\"", "\"sp\"", "\"inrpp\""], r);
+            push("horizon_secs", &["0.5", "1", "2"], r);
+            let optional: [(&str, &[&str]); 7] = [
+                ("seed", &["0", "7", "13"]),
+                ("workers", &["1", "2"]),
+                ("chunk_bytes", &["1250", "500"]),
+                ("ckpt_every", &["1", "2"]),
+                ("ckpt_retain", &["1", "3"]),
+                ("probe_fp", &["true", "false"]),
+                (
+                    "faults",
+                    &[
+                        "\"linkdown@0.5:0; linkup@1:0\"",
+                        "\"crash@0.2:1; recover@0.7:1\"",
+                        "\"linkdown@x:3\"",
+                        "\"linkdown@1:99\"",
+                    ],
+                ),
+            ];
+            for (key, valid) in optional {
+                if r.chance(0.15) {
+                    push(key, valid, r);
+                }
+            }
+            if r.chance(0.2) {
+                let trace = file(r);
+                push("trace", &[&trace], r);
+            }
+            if r.chance(0.3) {
+                push("ckpt_dir", &[&format!("\"{dir}/ck\"")], r);
+            }
+            if cmd == "resume" && r.chance(0.7) {
+                let path = file(r);
+                push("path", &[&path], r);
+            }
+        }
+        "feed" => {
+            let nodes = [
+                "\"1\"",
+                "\"2\"",
+                "\"3\"",
+                "\"4\"",
+                "\"n0\"",
+                "\"nowhere\"",
+                "\"\\u0033\"",
+            ];
+            push("flow", &["1", "2", "3"], r);
+            push("src", &nodes, r);
+            push("dst", &nodes, r);
+            push("chunks", &["1", "40", "400", "0"], r);
+            push("start_secs", &["0", "0.1", "1"], r);
+        }
+        "advance" => {
+            push("to_secs", &["0.25", "0.5", "1", "2", "0", "1e-9"], r);
+            if r.chance(0.2) {
+                push("timeout_ms", &["1", "0.001", "60000"], r);
+            }
+        }
+        "checkpoint" => {
+            let path = file(r);
+            push("path", &[&path], r);
+        }
+        _ => {}
+    }
+    let sid = *r.pick(sids);
+    if !sid.is_empty() {
+        fields.push(("sid", sid.to_string()));
+    }
+    if r.chance(0.3) {
+        fields.push(("seq", r.pick(&["0", "1", "2"]).to_string()));
+    }
+    // break one field: a bad value, a lone surrogate, or no value at
+    // all; a file field never gets a string, which could name a file
+    // outside `dir`
+    if r.chance(0.2) {
+        let i = r.index(fields.len());
+        let bad = match r.index(8) {
+            0 => String::new(),
+            1 => "\"\\ud800\"".to_string(),
+            _ => r.pick(&BAD_VALUES).to_string(),
+        };
+        if !(matches!(fields[i].0, "path" | "trace" | "ckpt_dir") && bad.starts_with('"')) {
+            fields[i].1 = bad;
+        }
+    }
+    let body: Vec<String> = fields
+        .iter()
+        .filter(|(_, v)| !v.is_empty())
+        .map(|(k, v)| format!("\"{k}\":{v}"))
+        .collect();
+    format!("{{{}}}", body.join(","))
+}
+
+/// A reply, read with the protocol's flat reader. That reader refuses
+/// arrays (`hello`'s lists, `stats`' sessions, reports' flows), so each
+/// array element, an object or a scalar, is read on its own, and the
+/// array itself is read as `null`.
+fn read_reply(reply: &str) -> Result<Vec<(String, inrpp_server::protocol::Json)>, String> {
+    use inrpp_server::protocol::parse_object;
+
+    let element = |e: &str| match e.trim() {
+        "" => Ok(()),
+        e if e.starts_with('{') => parse_object(e).map(drop),
+        e => parse_object(&format!("{{\"v\":{e}}}")).map(drop),
+    };
+    let mut flat = String::new();
+    let (mut depth, mut start, mut in_str, mut escaped) = (0usize, 0usize, false, false);
+    for (i, c) in reply.char_indices() {
+        let structural = !in_str;
+        if in_str {
+            match (escaped, c) {
+                (true, _) => escaped = false,
+                (false, '\\') => escaped = true,
+                (false, '"') => in_str = false,
+                _ => {}
+            }
+        } else if c == '"' {
+            in_str = true;
+        }
+        match (structural, depth, c) {
+            (true, 0, '[') => {
+                depth = 1;
+                start = i + 1;
+            }
+            (true, 1, ',') => {
+                element(&reply[start..i])?;
+                start = i + 1;
+            }
+            (true, d, '[' | '{') if d > 0 => depth += 1,
+            (true, 1, ']') => {
+                element(&reply[start..i])?;
+                depth = 0;
+                flat.push_str("null");
+            }
+            (true, d, ']' | '}') if d > 0 => depth -= 1,
+            (_, 0, c) => flat.push(c),
+            _ => {}
+        }
+    }
+    parse_object(&flat)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(384))]
+
+    /// Whatever lines a client sends, each non-blank one gets exactly
+    /// one reply, until an `exit` with no session open or a `shutdown`
+    /// ends the connection; every reply is a JSON object with a boolean
+    /// `ok`; and no request takes its session host down.
+    #[test]
+    fn every_wire_line_gets_one_well_formed_reply(
+        seed in 0u64..u64::MAX,
+        len in 0usize..13,
+        workers in 1usize..3,
+    ) {
+        use inrpp_server::protocol::{parse_object, str_field, Json};
+
+        let dir = std::env::temp_dir().join(format!("inrpp-wire-fuzz-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("t.trace"), "# inrpp-trace v1\n0 1 1 4 40 1250\n0.2 2 2 3 20 1250\n")
+            .unwrap();
+        let mut escaped = String::new();
+        inrpp_runner::json_string(&mut escaped, &dir.display().to_string());
+        let dir_json = &escaped[1..escaped.len() - 1];
+
+        let lines = wire_script(seed, len, dir_json);
+        let mut script = Vec::new();
+        for (i, line) in lines.iter().enumerate() {
+            script.extend_from_slice(line);
+            script.extend_from_slice(
+                format!("\n{{\"cmd\":\"hello\",\"seq\":{}}}\n", SENTINEL_SEQ + i as u64).as_bytes(),
+            );
+        }
+        let shown = String::from_utf8_lossy(&script).into_owned();
+        let mut out = Vec::new();
+        let served = inrpp_server::serve_lines_with(&mut std::io::Cursor::new(&script), &mut out, workers);
+        prop_assert!(served.is_ok(), "serve loop failed: {:?}\nscript:\n{}", served, shown);
+        let out = String::from_utf8(out).expect("replies are UTF-8");
+        let replies: Vec<&str> = out.lines().collect();
+
+        let mut rest = &replies[..];
+        for (i, line) in lines.iter().enumerate() {
+            let text = std::str::from_utf8(line).ok();
+            let want = usize::from(text.map_or(true, |t| !t.trim().is_empty()));
+            let sentinel = format!(",\"seq\":{}}}", SENTINEL_SEQ + i as u64);
+            match rest.iter().position(|r| r.ends_with(&sentinel)) {
+                Some(n) => {
+                    prop_assert_eq!(n, want, "replies to line {}\nscript:\n{}\nreplies:\n{}", i, shown, out);
+                    rest = &rest[n + 1..];
+                }
+                None => {
+                    // the connection ended at this line
+                    let cmd = text
+                        .and_then(|t| parse_object(t.trim()).ok())
+                        .and_then(|o| str_field(&o, "cmd").ok());
+                    let ended = match (cmd.as_deref(), rest) {
+                        (Some("exit"), []) => true,
+                        (Some("shutdown"), [ack]) => ack.contains("\"event\":\"shutdown\""),
+                        _ => false,
+                    };
+                    prop_assert!(ended, "line {} ended the connection\nscript:\n{}\nreplies:\n{}", i, shown, out);
+                    rest = &[];
+                    break;
+                }
+            }
+        }
+        prop_assert!(rest.is_empty(), "replies past the script\nscript:\n{}\nreplies:\n{}", shown, out);
+
+        for reply in &replies {
+            let obj = read_reply(reply);
+            prop_assert!(obj.is_ok(), "reply does not parse: {:?}\n{}", obj, reply);
+            let ok = obj.unwrap().into_iter().find(|(k, _)| k == "ok").map(|(_, v)| v);
+            prop_assert!(matches!(ok, Some(Json::Bool(_))), "reply without a boolean ok: {}", reply);
+            prop_assert!(!reply.contains("session host"), "a session host died: {}\nscript:\n{}", reply, shown);
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
