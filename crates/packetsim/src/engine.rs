@@ -9,9 +9,9 @@
 //! This module holds the **optimised** engine; the original seed
 //! implementation lives on verbatim in [`crate::reference`] as the
 //! behavioural oracle, and every run here must be **bit-identical** to
-//! it (reports, traces, probe streams — enforced by the in-crate
-//! equivalence tests and the `packet_engine_matches_reference_runner`
-//! property test). The hot-path layout, in brief (full rationale in
+//! it (reports and probe streams — enforced by the in-crate equivalence
+//! tests and the `packet_engine_matches_reference_runner` property
+//! test). The hot-path layout, in brief (full rationale in
 //! ARCHITECTURE.md §"Packet engine internals"):
 //!
 //! * **Flow arenas.** Flows live in slot-indexed parallel arrays
@@ -107,8 +107,9 @@ impl<'a> PacketSim<'a> {
     /// A simulation over `topo` with `config` and no transfers yet.
     ///
     /// # Panics
-    /// Panics on an invalid INRPP configuration or a zero-capacity link;
-    /// use [`PacketSim::try_new`] for a typed error instead.
+    /// Panics on any configuration [`PacketSim::try_new`] rejects (an
+    /// invalid INRPP configuration, a zero-capacity link, a chunk too
+    /// large for the clock); use `try_new` for a typed error instead.
     pub fn new(topo: &'a Topology, config: PacketSimConfig) -> Self {
         PacketSim::try_new(topo, config).unwrap_or_else(|e| panic!("{e}"))
     }
@@ -120,13 +121,16 @@ impl<'a> PacketSim<'a> {
     /// Zero-capacity links are rejected here, at construction: the seed
     /// engine let them through and only blew up inside `run()` when the
     /// channel model asserted, which turned a configuration mistake into
-    /// a runtime panic even on the typed path.
+    /// a runtime panic even on the typed path. So is a chunk or request
+    /// so large that one sent at the horizon, after the longest queue
+    /// wait, would arrive past the end of the u64-nanosecond clock.
     pub fn try_new(topo: &'a Topology, config: PacketSimConfig) -> Result<Self, SessionError> {
         if let TransportKind::Inrpp(ic) | TransportKind::Mixed { inrpp: ic, .. } = &config.transport
         {
             ic.validate()
                 .map_err(|e| SessionError::InvalidConfig(e.to_string()))?;
         }
+        let horizon = SimTime::ZERO + config.horizon;
         for l in topo.link_ids() {
             let link = topo.link(l);
             if link.capacity.is_zero() {
@@ -134,6 +138,26 @@ impl<'a> PacketSim<'a> {
                     "link {}-{} has zero capacity: every channel needs a positive rate",
                     link.a, link.b
                 )));
+            }
+            for (what, size) in [
+                ("chunk", config.chunk_bytes),
+                ("request", config.request_bytes),
+            ] {
+                // `as_bits` would overflow past u64::MAX / 8 bytes
+                let secs = size.as_bytes() as f64 * 8.0 / link.capacity.as_bps();
+                let arrival = SimDuration::try_from_secs_f64(secs).ok().and_then(|tx| {
+                    horizon
+                        .checked_add(config.max_queue)?
+                        .checked_add(tx)?
+                        .checked_add(link.delay)
+                });
+                if arrival.is_none() {
+                    return Err(SessionError::InvalidConfig(format!(
+                        "a {what} of {size} takes {secs:e} s to cross link {}-{}: \
+                         sent at the horizon it would arrive past the end of the clock",
+                        link.a, link.b
+                    )));
+                }
             }
         }
         Ok(PacketSim {
@@ -290,9 +314,9 @@ impl<'a> PacketSim<'a> {
     /// byte-identical to [`PacketSim::try_run`] for **any** worker count
     /// and partition seed (enforced by `tests/shard_equivalence.rs`).
     /// Returns [`SessionError::InvalidConfig`] when `workers == 0` or the
-    /// configuration violates a sharding precondition (tracing enabled,
-    /// load-aware detouring, a zero-delay cut channel, or a zero receiver
-    /// timeout); see [`crate::shard`] for the protocol.
+    /// configuration violates a sharding precondition (load-aware
+    /// detouring, a zero-delay cut channel, or a zero receiver timeout);
+    /// see [`crate::shard`] for the protocol.
     pub fn try_run_sharded(
         self,
         workers: usize,
@@ -732,7 +756,10 @@ impl Outstanding {
 /// a `BTreeSet` from zero on **every** delivery — O(n²) over a flow's
 /// life, the single hottest path in dense AIMD workloads. The bitset
 /// advances the watermark incrementally (it only ever grows), making
-/// the whole flow linear.
+/// the whole flow linear. The words grow with the highest chunk received,
+/// not with the flow's declared size, so a flow that declares more chunks
+/// than the run can ever deliver costs no memory up front.
+#[derive(Default)]
 struct ChunkSet {
     words: Vec<u64>,
     count: u64,
@@ -742,14 +769,6 @@ struct ChunkSet {
 }
 
 impl ChunkSet {
-    fn new(total: u64) -> Self {
-        ChunkSet {
-            words: vec![0u64; (total as usize).div_ceil(64)],
-            count: 0,
-            watermark: 0,
-        }
-    }
-
     fn contains(&self, chunk: u64) -> bool {
         self.words
             .get((chunk / 64) as usize)
@@ -760,6 +779,9 @@ impl ChunkSet {
     fn insert(&mut self, chunk: u64) -> bool {
         let w = (chunk / 64) as usize;
         let bit = 1u64 << (chunk % 64);
+        if w >= self.words.len() {
+            self.words.resize(w + 1, 0);
+        }
         if self.words[w] & bit != 0 {
             return false;
         }
@@ -883,7 +905,6 @@ pub(crate) struct Core<'a> {
     pub(crate) detours: Vec<u64>,
     pub(crate) rescues: Vec<u64>,
     pub(crate) outage: Vec<SimDuration>,
-    trace: inrpp_sim::trace::Trace,
     pub(crate) counters: Counters,
     pub(crate) custody_peak: ByteSize,
 
@@ -963,11 +984,6 @@ impl<'a> Core<'a> {
         // reference engine and every shard of a partitioned run agree with
         // this engine draw-for-draw.
         let fault = FaultInjector::keyed(cfg.fault, cfg.seed);
-        let trace = if cfg.trace_capacity > 0 {
-            inrpp_sim::trace::Trace::new(cfg.trace_capacity)
-        } else {
-            inrpp_sim::trace::Trace::disabled()
-        };
         let monitors = topo
             .node_ids()
             .map(|n| {
@@ -1080,7 +1096,6 @@ impl<'a> Core<'a> {
             detours: vec![0; nflows],
             rescues: vec![0; nflows],
             outage: vec![SimDuration::ZERO; nflows],
-            trace,
             counters: Counters::default(),
             custody_peak: ByteSize::ZERO,
             pkts: Vec::new(),
@@ -1782,13 +1797,6 @@ impl<'a> Core<'a> {
                     self.free_route(rref);
                     rref = RouteRef::Owned(self.alloc_route(alt_route));
                     d = alt_dir;
-                    let via = self.rroute(slot, rref)[hop as usize + 1];
-                    self.trace.record(
-                        now,
-                        format_args!(
-                            "detour: flow {flow} chunk {chunk} at {here} via {via} (phase {phase})"
-                        ),
-                    );
                     // the recovery metric counts only fault-driven detours
                     // (planned channel down), not congestion detours — a
                     // fault-free run reports 0 regardless of load
@@ -1890,13 +1898,6 @@ impl<'a> Core<'a> {
             .store(now, flow, chunk, self.cfg.chunk_bytes)
             .is_ok();
         if stored {
-            self.trace.record(
-                now,
-                format_args!(
-                    "custody: flow {flow} chunk {chunk} stored at {here} ({} used)",
-                    self.custody[here.idx()].used()
-                ),
-            );
             self.counters.chunks_custodied += 1;
             self.custody_peak = self.custody_peak.max(self.custody[here.idx()].used());
             // parked because the onward channel is down: remember when, so
@@ -1931,10 +1932,6 @@ impl<'a> Core<'a> {
                 .expect("drain time is not in the past");
             }
         } else {
-            self.trace.record(
-                now,
-                format_args!("drop: flow {flow} chunk {chunk} at {here} (custody full)"),
-            );
             self.counters.chunks_dropped += 1;
         }
         // Either way the congested region pushes back if pressure is high.
@@ -1976,13 +1973,6 @@ impl<'a> Core<'a> {
             hops_travelled: 0,
         };
         self.counters.backpressure_msgs += 1;
-        self.trace.record(
-            now,
-            format_args!(
-                "backpressure: {here} -> {upstream} about {link} (allowed {})",
-                msg.allowed
-            ),
-        );
         let arrival = now + self.channels.delay(d);
         self.schedule_deliver(eng, arrival, upstream, Pkt::Slowdown { msg, slot });
         Ok(())
@@ -2036,7 +2026,7 @@ impl<'a> Core<'a> {
                         ssthresh: ac.initial_ssthresh,
                         total: spec.chunks,
                         next_unrequested: 0,
-                        received: ChunkSet::new(spec.chunks),
+                        received: ChunkSet::default(),
                     }),
                     outstanding: Outstanding::default(),
                     stats,
@@ -2759,11 +2749,6 @@ impl<'a> Core<'a> {
                 .map(|d| self.channels.bits_sent(d))
                 .collect(),
             chunk_bytes: self.cfg.chunk_bytes,
-            trace: self
-                .trace
-                .entries()
-                .map(|(t, s)| (t, s.to_string()))
-                .collect(),
             phase_transitions: self.phases.iter().flatten().map(|c| c.transitions()).sum(),
         }
     }
@@ -3394,29 +3379,6 @@ mod tests {
     }
 
     #[test]
-    fn trace_records_notable_events_when_enabled() {
-        let t = fig3();
-        let mut cfg = inrpp_cfg();
-        cfg.trace_capacity = 4096;
-        let mut sim = PacketSim::new(&t, cfg);
-        sim.add_transfer(transfer(&t, 1, "1", "4", 400));
-        let r = sim.run();
-        assert!(!r.trace.is_empty(), "tracing enabled but nothing recorded");
-        assert!(
-            r.trace.iter().any(|(_, s)| s.starts_with("detour:")),
-            "expected detour trace entries"
-        );
-        // entries are time-ordered
-        for w in r.trace.windows(2) {
-            assert!(w[0].0 <= w[1].0);
-        }
-        // disabled tracing produces an empty trace for the same run
-        let mut sim = PacketSim::new(&t, inrpp_cfg());
-        sim.add_transfer(transfer(&t, 1, "1", "4", 400));
-        assert!(sim.run().trace.is_empty());
-    }
-
-    #[test]
     fn utilisation_is_positive_when_busy() {
         let t = fig3();
         let mut sim = PacketSim::new(&t, inrpp_cfg());
@@ -3543,7 +3505,7 @@ mod tests {
 
 /// Reference-equivalence suite: the arena/calendar engine must be
 /// **bit-identical** to the retained seed implementation in
-/// [`crate::reference`] — whole-report `assert_eq!` (floats, traces and
+/// [`crate::reference`] — whole-report `assert_eq!` (floats and
 /// per-channel byte totals included) plus probe-stream identity.
 #[cfg(test)]
 mod equivalence {
@@ -3571,7 +3533,8 @@ mod equivalence {
         }
     }
 
-    /// Run the same scenario through both engines and demand identity.
+    /// Run the same scenario through both engines and demand identical
+    /// reports and probe streams.
     fn assert_equivalent(
         topo: &Topology,
         cfg: &PacketSimConfig,
@@ -3583,9 +3546,13 @@ mod equivalence {
             a.add_transfer_as(spec, kind);
             b.add_transfer_as(spec, kind);
         }
-        let new = a.run();
-        let reference = b.run_reference();
+        let mut pa = Rec::default();
+        let mut pb = Rec::default();
+        let new = a.run_probed(&mut [&mut pa]);
+        let reference = b.run_reference_probed(&mut [&mut pb]);
         assert_eq!(new, reference);
+        assert!(!pa.0.is_empty(), "probes must observe the run");
+        assert_eq!(pa.0, pb.0, "probe streams diverged");
     }
 
     #[test]
@@ -3598,10 +3565,8 @@ mod equivalence {
     #[test]
     fn detour_heavy_run_matches_reference_with_trace() {
         let t = Topology::fig3();
-        let mut cfg = inrpp_cfg();
-        cfg.trace_capacity = 4096;
         let spec = transfer(&t, 1, "1", "4", 800);
-        assert_equivalent(&t, &cfg, &[(spec, FlowTransport::Inrpp)]);
+        assert_equivalent(&t, &inrpp_cfg(), &[(spec, FlowTransport::Inrpp)]);
     }
 
     #[test]
@@ -3643,7 +3608,6 @@ mod equivalence {
         // slow-down propagation and custody-full drops all exercised
         let t = Topology::fig3();
         let mut cfg = inrpp_cfg();
-        cfg.trace_capacity = 8192;
         cfg.horizon = SimDuration::from_secs(20);
         if let TransportKind::Inrpp(ref mut ic) = cfg.transport {
             ic.cache_budget = ByteSize::bytes(4_000);
@@ -3662,7 +3626,7 @@ mod equivalence {
 
     #[test]
     fn fault_injection_matches_reference() {
-        // both engines must consume the fault RNG stream in lock-step
+        // both engines must key the same fault draw to every send attempt
         let t = Topology::fig3();
         let mut cfg = inrpp_cfg();
         cfg.fault = inrpp_sim::fault::FaultConfig {
@@ -3747,21 +3711,14 @@ mod equivalence {
     #[test]
     fn probe_streams_match_reference() {
         let t = Topology::fig3();
-        let mut cfg = inrpp_cfg();
-        cfg.trace_capacity = 1024;
-        fn mk<'t>(t: &'t Topology, cfg: &PacketSimConfig) -> PacketSim<'t> {
-            let mut s = PacketSim::new(t, *cfg);
-            s.add_transfer(transfer(t, 1, "1", "4", 500));
-            s.add_transfer(transfer(t, 2, "2", "4", 300));
-            s
-        }
-        let mut pa = Rec::default();
-        let mut pb = Rec::default();
-        let ra = mk(&t, &cfg).run_probed(&mut [&mut pa]);
-        let rb = mk(&t, &cfg).run_reference_probed(&mut [&mut pb]);
-        assert_eq!(ra, rb);
-        assert!(!pa.0.is_empty(), "probes must observe the run");
-        assert_eq!(pa.0, pb.0, "probe streams diverged");
+        assert_equivalent(
+            &t,
+            &inrpp_cfg(),
+            &[
+                (transfer(&t, 1, "1", "4", 500), FlowTransport::Inrpp),
+                (transfer(&t, 2, "2", "4", 300), FlowTransport::Inrpp),
+            ],
+        );
     }
 
     // ---- typed-error regressions (the bugfix sweep) ---------------------

@@ -234,9 +234,6 @@ pub struct PacketSimConfig {
     pub fault: FaultConfig,
     /// RNG seed (fault injection, tie-breaking).
     pub seed: u64,
-    /// Retain up to this many trace entries of notable events (detours,
-    /// custody, back-pressure, drops). `0` disables tracing entirely.
-    pub trace_capacity: usize,
 }
 
 impl Default for PacketSimConfig {
@@ -251,7 +248,6 @@ impl Default for PacketSimConfig {
             receiver_timeout: SimDuration::from_millis(500),
             fault: FaultConfig::default(),
             seed: 1,
-            trace_capacity: 0,
         }
     }
 }

@@ -6,8 +6,8 @@
 //! tables, per-packet `Vec<NodeId>` route clones, one global binary
 //! heap of events. That makes it slow and easy to audit, which is
 //! exactly what an oracle should be: the optimised engine must produce
-//! **bit-identical** reports, traces and probe streams for every input
-//! (enforced by the in-crate equivalence tests and the
+//! **bit-identical** reports and probe streams for every input (enforced
+//! by the in-crate equivalence tests and the
 //! `packet_engine_matches_reference_runner` property test).
 //!
 //! Reach it through [`PacketSim::run_reference`] /
@@ -115,7 +115,6 @@ pub(crate) struct Runner<'a> {
     /// per `(flow, chunk, dir)`: send-attempt occurrence counter feeding
     /// the keyed fault draw (same key derivation as the optimised engine)
     fault_seq: HashMap<(FlowId, ChunkNo, u32), u32>,
-    trace: inrpp_sim::trace::Trace,
     /// per node, per local interface: §4 monitoring (EWMA + flap damping)
     monitors: Vec<Vec<inrpp::monitor::InterfaceMonitor>>,
     counters: Counters,
@@ -184,11 +183,6 @@ impl<'a> Runner<'a> {
         // keyed draws: identical derivation to the optimised engine, so
         // both agree on every attempt's fate regardless of event order
         let fault = FaultInjector::keyed(cfg.fault, cfg.seed);
-        let trace = if cfg.trace_capacity > 0 {
-            inrpp_sim::trace::Trace::new(cfg.trace_capacity)
-        } else {
-            inrpp_sim::trace::Trace::disabled()
-        };
         let monitors = topo
             .node_ids()
             .map(|n| {
@@ -243,7 +237,6 @@ impl<'a> Runner<'a> {
             kick_scheduled: BTreeSet::new(),
             fault,
             fault_seq: HashMap::new(),
-            trace,
             monitors,
             counters: Counters::default(),
             custody_peak: ByteSize::ZERO,
@@ -406,13 +399,6 @@ impl<'a> Runner<'a> {
                 {
                     route = alt_route;
                     d = alt_dir;
-                    self.trace.record(
-                        now,
-                        format_args!(
-                            "detour: flow {flow} chunk {chunk} at {here} via {} (phase {phase})",
-                            route[hop + 1]
-                        ),
-                    );
                     if !detoured {
                         detoured = true;
                         self.counters.chunks_detoured += 1;
@@ -534,13 +520,6 @@ impl<'a> Runner<'a> {
             .store(now, flow, chunk, self.cfg.chunk_bytes)
             .is_ok();
         if stored {
-            self.trace.record(
-                now,
-                format_args!(
-                    "custody: flow {flow} chunk {chunk} stored at {here} ({} used)",
-                    self.custody[here.idx()].used()
-                ),
-            );
             self.counters.chunks_custodied += 1;
             self.custody_peak = self.custody_peak.max(self.custody[here.idx()].used());
             self.resume_routes
@@ -555,10 +534,6 @@ impl<'a> Runner<'a> {
                     .expect("drain time is not in the past");
             }
         } else {
-            self.trace.record(
-                now,
-                format_args!("drop: flow {flow} chunk {chunk} at {here} (custody full)"),
-            );
             self.counters.chunks_dropped += 1;
         }
         // Either way the congested region pushes back if pressure is high.
@@ -593,13 +568,6 @@ impl<'a> Runner<'a> {
             hops_travelled: 0,
         };
         self.counters.backpressure_msgs += 1;
-        self.trace.record(
-            now,
-            format_args!(
-                "backpressure: {here} -> {upstream} about {link} (allowed {})",
-                msg.allowed
-            ),
-        );
         // control packet: link delay only (priority queueing)
         let d = self.dir_between(here, upstream);
         let arrival = now + self.channels[d].delay();
@@ -1245,11 +1213,6 @@ impl<'a> Runner<'a> {
             channel_utilisation,
             channel_bits_sent: self.channels.iter().map(|c| c.bits_sent()).collect(),
             chunk_bytes: self.cfg.chunk_bytes,
-            trace: self
-                .trace
-                .entries()
-                .map(|(t, s)| (t, s.to_string()))
-                .collect(),
             phase_transitions: self.phases.iter().flatten().map(|c| c.transitions()).sum(),
         }
     }

@@ -113,9 +113,6 @@ pub struct PacketSimReport {
     pub channel_bits_sent: Vec<f64>,
     /// Chunk payload size (for goodput maths).
     pub chunk_bytes: ByteSize,
-    /// Notable-event trace (detours, custody, back-pressure, drops);
-    /// empty unless `trace_capacity > 0` in the configuration.
-    pub trace: Vec<(SimTime, String)>,
     /// Total interface phase transitions across all routers (the paper's
     /// "link swapping" / flap metric, ablation A5).
     pub phase_transitions: u64,
@@ -276,7 +273,6 @@ mod tests {
             channel_utilisation: vec![0.5, 0.5],
             channel_bits_sent: vec![1_000.0, 0.0],
             chunk_bytes: ByteSize::bytes(1000),
-            trace: Vec::new(),
             phase_transitions: 0,
         };
         assert_eq!(r.completed(), 1);
@@ -309,7 +305,6 @@ mod tests {
             channel_utilisation: Vec::new(),
             channel_bits_sent: Vec::new(),
             chunk_bytes: ByteSize::bytes(1000),
-            trace: Vec::new(),
             phase_transitions: 0,
         };
         assert_eq!(r.completed(), 0);

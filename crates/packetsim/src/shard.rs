@@ -40,8 +40,7 @@
 //! ## Preconditions (validated, typed errors)
 //!
 //! Sharded runs reject configurations the protocol cannot replay
-//! byte-identically: tracing (`trace_capacity > 0` — a global
-//! interleaved log), load-aware detouring (reads *remote* queue state
+//! byte-identically: load-aware detouring (reads *remote* queue state
 //! mid-window), zero-delay cut channels (no lookahead), and zero
 //! receiver timeouts. One precondition is on the *scenario*, documented
 //! rather than checked: channel-derived instants (packet arrivals, drain
@@ -329,12 +328,6 @@ fn validate(
             topo.node_count()
         )));
     }
-    if cfg.trace_capacity > 0 {
-        return Err(invalid(
-            "sharded runs do not support tracing (a globally interleaved log); \
-             set trace_capacity = 0",
-        ));
-    }
     if let TransportKind::Inrpp(ic) | TransportKind::Mixed { inrpp: ic, .. } = &cfg.transport {
         if ic.load_aware_detour {
             return Err(invalid(
@@ -564,7 +557,6 @@ fn merge_reports(
         channel_utilisation,
         channel_bits_sent,
         chunk_bytes: cfg.chunk_bytes,
-        trace: Vec::new(),
         phase_transitions,
     }
 }
@@ -911,13 +903,6 @@ mod tests {
             ));
         };
         invalid(build(cfg).try_run_sharded(0, 1));
-        invalid(
-            build(PacketSimConfig {
-                trace_capacity: 64,
-                ..cfg
-            })
-            .try_run_sharded(2, 1),
-        );
         invalid(
             build(PacketSimConfig {
                 transport: TransportKind::Inrpp(InrppConfig::default()),

@@ -597,28 +597,67 @@ mod tests {
     #[test]
     fn a_flow_ending_past_the_end_of_the_clock_leaves_the_session_running() {
         // 1e15 chunks of 1250 B at 10 Mbit/s or less take over 30,000
-        // years; the clock counts u64 nanoseconds, about 584 years
-        let replies = run(concat!(
-            r#"{"cmd":"open","engine":"fluid","topology":"fig3","strategy":"urp","horizon_secs":30}"#,
+        // years; the clock counts u64 nanoseconds, about 584 years. The
+        // packet engine's AIMD receiver (`sp`) must keep state for the
+        // chunks that arrive, not the 1e15 declared: 125 TB up front
+        // would abort the whole daemon
+        for (engine, strategy) in [("fluid", "urp"), ("packet", "sp")] {
+            let replies = run(&format!(
+                concat!(
+                    r#"{{"cmd":"open","engine":"{}","topology":"fig3","strategy":"{}","horizon_secs":30}}"#,
+                    "\n",
+                    r#"{{"cmd":"feed","flow":1,"src":"1","dst":"4","chunks":1000000000000000,"start_secs":0}}"#,
+                    "\n",
+                    r#"{{"cmd":"advance","to_secs":1.5}}"#,
+                    "\n",
+                    r#"{{"cmd":"close"}}"#,
+                    "\n",
+                ),
+                engine, strategy
+            ));
+            assert_eq!(replies.len(), 4, "{engine}: {replies:?}");
+            for r in &replies {
+                assert_ok(r);
+            }
+            assert!(replies[2].contains("\"now_secs\":1.5"), "{}", replies[2]);
+            assert!(
+                replies[3].contains("\"arrived_flows\":1")
+                    && replies[3].contains("\"completed_flows\":0"),
+                "{}",
+                replies[3]
+            );
+        }
+    }
+
+    #[test]
+    fn a_packet_chunk_too_slow_for_the_clock_is_a_config_error_at_open() {
+        // one 2e16 B chunk takes 8e10 s (over 2,500 years) to cross
+        // fig3's 2 Mbit/s link, past the end of the u64-nanosecond clock:
+        // open must refuse it with a typed error, not kill the host
+        let mut script = String::new();
+        for chunk_bytes in ["1e18", "2e16", "1e15"] {
+            script.push_str(&format!(
+                "{{\"cmd\":\"open\",\"sid\":\"{chunk_bytes}\",\"engine\":\"packet\",\
+                 \"topology\":\"fig3\",\"strategy\":\"urp\",\"horizon_secs\":2,\
+                 \"chunk_bytes\":{chunk_bytes}}}\n"
+            ));
+        }
+        script.push_str(concat!(
+            r#"{"cmd":"feed","sid":"1e15","flow":1,"src":"1","dst":"4","chunks":40,"start_secs":0}"#,
             "\n",
-            r#"{"cmd":"feed","flow":1,"src":"1","dst":"4","chunks":1000000000000000,"start_secs":0}"#,
-            "\n",
-            r#"{"cmd":"advance","to_secs":1.5}"#,
-            "\n",
-            r#"{"cmd":"close"}"#,
+            r#"{"cmd":"advance","sid":"1e15","to_secs":2}"#,
             "\n",
         ));
-        assert_eq!(replies.len(), 4, "{replies:?}");
-        for r in &replies {
+        let replies = run(&script);
+        assert_eq!(replies.len(), 5, "{replies:?}");
+        for r in &replies[..2] {
+            assert_kind(r, "config");
+            assert!(r.contains("past the end of the clock"), "{r}");
+        }
+        for r in &replies[2..] {
             assert_ok(r);
         }
-        assert!(replies[2].contains("\"now_secs\":1.5"), "{}", replies[2]);
-        assert!(
-            replies[3].contains("\"arrived_flows\":1")
-                && replies[3].contains("\"completed_flows\":0"),
-            "{}",
-            replies[3]
-        );
+        assert!(replies[4].contains("\"now_secs\":2"), "{}", replies[4]);
     }
 
     #[test]

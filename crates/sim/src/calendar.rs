@@ -22,14 +22,13 @@
 //! (disjoint time ranges), ties within a bucket resolve by sequence
 //! number, and the overflow heap only ever holds events of strictly
 //! later epochs than anything in the ring — so swapping one queue for
-//! the other can never reorder a simulation. `calendar_matches_heap_*`
-//! below locks this in.
+//! the other can never reorder a simulation.
+//! `interleaved_push_pop_matches_heap_queue` below locks this in.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use crate::event::SchedulePastError;
-use crate::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use crate::time::{SimDuration, SimTime};
 
 struct Entry<E> {
@@ -256,17 +255,6 @@ impl<E> CalendarQueue<E> {
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
-
-    /// Number of events currently waiting in the overflow heap (beyond
-    /// the ring span). Exposed so checkpoint tests can prove a restored
-    /// queue still exercises the overflow-migration path.
-    pub fn overflow_len(&self) -> usize {
-        self.len - self.ring_len
-    }
-
-    fn iter_entries(&self) -> impl Iterator<Item = &Entry<E>> {
-        self.ring.iter().flatten().chain(self.overflow.iter())
-    }
 }
 
 /// Drop-in replacement for [`event::Engine`](crate::event::Engine)
@@ -376,93 +364,6 @@ impl<E> CalendarEngine<E> {
     pub fn advance_clock_to(&mut self, t: SimTime) {
         assert!(t >= self.now, "advance_clock_to would move time backwards");
         self.now = t;
-    }
-
-    /// Events currently waiting in the queue's overflow heap; see
-    /// [`CalendarQueue::overflow_len`].
-    pub fn overflow_len(&self) -> usize {
-        self.queue.overflow_len()
-    }
-}
-
-impl<E: Snap> CalendarEngine<E> {
-    /// Serialise the complete engine state. Pending events encode in
-    /// ascending `(time, seq)` order with their original sequence
-    /// numbers — the canonical form shared with
-    /// [`Engine::encode_state`](crate::event::Engine::encode_state) —
-    /// plus the queue geometry (`shift`, ring size) and cursor, so the
-    /// restored queue re-derives the exact ring/overflow placement.
-    pub fn encode_state(&self, w: &mut SnapWriter) {
-        self.now.encode(w);
-        self.horizon.encode(w);
-        w.put_u32(self.queue.shift);
-        w.put_usize(self.queue.ring.len());
-        w.put_u64(self.queue.cur);
-        w.put_u64(self.queue.seq);
-        let mut entries: Vec<&Entry<E>> = self.queue.iter_entries().collect();
-        entries.sort_by_key(|e| (e.time, e.seq));
-        w.put_usize(entries.len());
-        for e in entries {
-            e.time.encode(w);
-            w.put_u64(e.seq);
-            e.event.encode(w);
-        }
-    }
-
-    /// Rebuild an engine from [`CalendarEngine::encode_state`] bytes.
-    ///
-    /// Entries are re-inserted through the normal epoch-placement rule
-    /// with the stored cursor, so an event that was in the overflow heap
-    /// at snapshot time lands back in the overflow heap and migrates
-    /// through `drain_overflow` at the same cursor advance it would have
-    /// in the uninterrupted run. Pop order is `(time, seq)` regardless
-    /// of placement, so the restored run is bit-identical either way.
-    pub fn decode_state(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let now = SimTime::decode(r)?;
-        let horizon = Option::<SimTime>::decode(r)?;
-        let shift = r.get_u32()?;
-        let n = r.get_usize()?;
-        let cur = r.get_u64()?;
-        let seq = r.get_u64()?;
-        if shift > 63 || !n.is_power_of_two() {
-            return Err(SnapError::Corrupt("calendar geometry out of range"));
-        }
-        let mut queue: CalendarQueue<E> = CalendarQueue {
-            ring: (0..n).map(|_| BinaryHeap::new()).collect(),
-            occ: vec![0u64; n / 64 + 1],
-            shift,
-            mask: (n - 1) as u64,
-            cur,
-            overflow: BinaryHeap::new(),
-            ring_len: 0,
-            len: 0,
-            seq,
-        };
-        let count = r.get_usize()?;
-        if count > r.remaining() {
-            return Err(SnapError::Corrupt("event count exceeds stream"));
-        }
-        for _ in 0..count {
-            let time = SimTime::decode(r)?;
-            let entry_seq = r.get_u64()?;
-            let event = E::decode(r)?;
-            if entry_seq >= seq {
-                return Err(SnapError::Corrupt("event sequence beyond counter"));
-            }
-            if time < now {
-                return Err(SnapError::Corrupt("pending event before the clock"));
-            }
-            queue.insert_entry(Entry {
-                time,
-                seq: entry_seq,
-                event,
-            });
-        }
-        Ok(CalendarEngine {
-            queue,
-            now,
-            horizon,
-        })
     }
 }
 
@@ -654,104 +555,6 @@ mod tests {
         let err = eng.schedule_at(SimTime::from_secs(1), ()).unwrap_err();
         assert_eq!(err.now, SimTime::from_secs(5));
         assert_eq!(err.requested, SimTime::from_secs(1));
-    }
-
-    #[test]
-    fn checkpoint_preserves_overflow_migration() {
-        // Satellite gate: events beyond the ring span (8 buckets x 1 ms)
-        // sit in the overflow heap; a snapshot taken while they are
-        // there must restore them such that the cursor advance migrates
-        // them through drain_overflow exactly as the uninterrupted run
-        // does. Drive a straight engine and a split engine side by side.
-        let build = || {
-            let mut eng: CalendarEngine<u64> = CalendarEngine::new(SimDuration::from_millis(1), 8);
-            for i in 0..40u64 {
-                // mix of near-term (in-ring) and far-future (overflow)
-                let t = if i % 3 == 0 {
-                    SimDuration::from_micros(i * 137)
-                } else {
-                    SimDuration::from_millis(20 + i * 7) // beyond the 8 ms span
-                };
-                eng.schedule(t, i);
-            }
-            eng
-        };
-        let mut straight = build();
-        let mut expect = Vec::new();
-        while let Some((t, e)) = straight.next() {
-            expect.push((t, e));
-            // `e < 100` keeps spawned events (id base 100) from
-            // respawning — without it the cascade never drains.
-            if e % 5 == 0 && e < 100 {
-                straight.schedule(SimDuration::from_millis(30), e + 100);
-            }
-        }
-
-        let mut split = build();
-        let mut log = Vec::new();
-        let mid = SimTime::from_millis(4);
-        while let Some((t, e)) = split.next_at_or_before(mid) {
-            log.push((t, e));
-            if e % 5 == 0 && e < 100 {
-                split.schedule(SimDuration::from_millis(30), e + 100);
-            }
-        }
-        split.advance_clock_to(mid);
-        assert!(
-            split.overflow_len() > 0,
-            "precondition: snapshot must be taken while events wait in overflow"
-        );
-        let mut w = SnapWriter::new();
-        split.encode_state(&mut w);
-        let bytes = w.into_bytes();
-        let mut r = SnapReader::new(&bytes);
-        let mut resumed = CalendarEngine::<u64>::decode_state(&mut r).unwrap();
-        r.finish().unwrap();
-        assert_eq!(resumed.now(), mid);
-        assert!(
-            resumed.overflow_len() > 0,
-            "restore must land far-future events back in the overflow heap"
-        );
-        while let Some((t, e)) = resumed.next() {
-            log.push((t, e));
-            if e % 5 == 0 && e < 100 {
-                resumed.schedule(SimDuration::from_millis(30), e + 100);
-            }
-        }
-        assert_eq!(log, expect);
-    }
-
-    #[test]
-    fn checkpoint_roundtrip_matches_heap_engine_interleaved() {
-        // Fuzz the boundary: random pushes/pops, snapshot at a random
-        // point, and require the restored calendar to finish exactly
-        // like the reference heap queue.
-        let mut rng = SimRng::from_seed_u64(0x5AFE);
-        for round in 0..20 {
-            let mut cal: CalendarEngine<u64> =
-                CalendarEngine::new(SimDuration::from_micros(50), 16);
-            let mut heap = EventQueue::new();
-            let mut clock = SimTime::ZERO;
-            for step in 0..400u64 {
-                if rng.chance(0.7) {
-                    let ahead = SimDuration::from_nanos(rng.index(20_000_000) as u64);
-                    cal.schedule_at(clock + ahead, step).unwrap();
-                    heap.push(clock + ahead, step);
-                } else if let Some((t, e)) = cal.next() {
-                    clock = t;
-                    assert_eq!(heap.pop(), Some((t, e)), "round {round} step {step}");
-                }
-            }
-            let mut w = SnapWriter::new();
-            cal.encode_state(&mut w);
-            let bytes = w.into_bytes();
-            let mut restored = CalendarEngine::<u64>::decode_state(&mut SnapReader::new(&bytes))
-                .expect("round-trip");
-            while let Some(expected) = heap.pop() {
-                assert_eq!(restored.next(), Some(expected), "round {round} drain");
-            }
-            assert_eq!(restored.next(), None);
-        }
     }
 
     #[test]

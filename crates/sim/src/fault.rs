@@ -3,8 +3,9 @@
 //! The smoltcp examples expose `--drop-chance`, `--corrupt-chance` and token
 //! bucket rate limits so adverse conditions can be reproduced on demand; we
 //! provide the same knobs for the packet-level simulator and the examples.
-//! All injectors draw from their own derived [`SimRng`] stream so enabling
-//! one never perturbs unrelated randomness.
+//! [`FaultInjector`] draws are keyed: each unit's fate is a pure function
+//! of `(seed, key)`, so enabling faults never perturbs unrelated
+//! randomness and the order units are evaluated in never matters.
 
 use crate::rng::{splitmix64, SimRng};
 use crate::snap::{Snap, SnapError, SnapReader, SnapWriter};
@@ -165,69 +166,43 @@ pub enum FaultOutcome {
     Corrupt,
 }
 
-/// Stateful injector applying drop/corrupt chances in a fixed order
-/// (drop first, then corrupt — matching smoltcp's fault pipeline).
+/// Keyed injector applying drop/corrupt chances in a fixed order (drop
+/// first, then corrupt — matching smoltcp's fault pipeline). Every draw
+/// is a pure function of `(seed, key)` instead of a position in a
+/// sequential stream, so two engines (or shards of one engine) that
+/// evaluate the same units in different orders still agree on every
+/// unit's fate.
 #[derive(Debug, Clone)]
 pub struct FaultInjector {
     config: FaultConfig,
-    rng: SimRng,
     key_base: u64,
-    dropped: u64,
-    corrupted: u64,
-    passed: u64,
 }
 
 impl FaultInjector {
-    /// Build with the given config and a dedicated RNG stream.
-    pub fn new(config: FaultConfig, rng: SimRng) -> Self {
-        FaultInjector {
-            config,
-            rng,
-            key_base: 0,
-            dropped: 0,
-            corrupted: 0,
-            passed: 0,
-        }
-    }
-
-    /// Build a *keyed* injector for [`FaultInjector::apply_keyed`]: every
-    /// draw is a pure function of `(seed, key)` instead of a position in
-    /// a sequential stream, so two engines (or shards of one engine) that
-    /// evaluate the same units in different orders still agree on every
-    /// unit's fate.
+    /// Build an injector whose draws are keyed by `seed`.
     pub fn keyed(config: FaultConfig, seed: u64) -> Self {
         let mut s = seed ^ 0xFA17_0000_C0FF_EE00;
-        let key_base = splitmix64(&mut s);
         FaultInjector {
             config,
-            rng: SimRng::from_seed_u64(0),
-            key_base,
-            dropped: 0,
-            corrupted: 0,
-            passed: 0,
+            key_base: splitmix64(&mut s),
         }
     }
 
-    /// Decide the fate of the unit identified by `key` — order-independent
-    /// counterpart of [`FaultInjector::apply`] for injectors built with
-    /// [`FaultInjector::keyed`]. The same `(seed, key)` always yields the
-    /// same outcome; drop is still decided before corrupt.
-    pub fn apply_keyed(&mut self, key: u64) -> FaultOutcome {
+    /// Decide the fate of the unit identified by `key`. The same
+    /// `(seed, key)` always yields the same outcome; drop is decided
+    /// before corrupt.
+    pub fn apply_keyed(&self, key: u64) -> FaultOutcome {
         if self.config.drop_chance <= 0.0 && self.config.corrupt_chance <= 0.0 {
-            self.passed += 1;
             return FaultOutcome::Pass;
         }
         let mut s = self.key_base ^ key;
         let mut rng = SimRng::from_seed_u64(splitmix64(&mut s));
         if self.config.drop_chance > 0.0 && rng.chance(self.config.drop_chance) {
-            self.dropped += 1;
             return FaultOutcome::Drop;
         }
         if self.config.corrupt_chance > 0.0 && rng.chance(self.config.corrupt_chance) {
-            self.corrupted += 1;
             return FaultOutcome::Corrupt;
         }
-        self.passed += 1;
         FaultOutcome::Pass
     }
 
@@ -237,78 +212,17 @@ impl FaultInjector {
     /// key is mixed with a distinct salt so burst draws are decorrelated
     /// from the base [`FaultInjector::apply_keyed`] stream for the same
     /// unit. Never corrupts; order-independent like `apply_keyed`.
-    pub fn apply_keyed_chance(&mut self, key: u64, drop_chance: f64) -> FaultOutcome {
+    pub fn apply_keyed_chance(&self, key: u64, drop_chance: f64) -> FaultOutcome {
         if drop_chance <= 0.0 {
-            self.passed += 1;
             return FaultOutcome::Pass;
         }
         let mut s = self.key_base ^ key ^ 0xB425_7000_0FA5_7001;
         let mut rng = SimRng::from_seed_u64(splitmix64(&mut s));
         if rng.chance(drop_chance) {
-            self.dropped += 1;
             FaultOutcome::Drop
         } else {
-            self.passed += 1;
             FaultOutcome::Pass
         }
-    }
-
-    /// A no-op injector (passes everything); costs one branch per unit.
-    pub fn disabled() -> Self {
-        FaultInjector::new(FaultConfig::default(), SimRng::from_seed_u64(0))
-    }
-
-    /// Decide the fate of the next unit.
-    pub fn apply(&mut self) -> FaultOutcome {
-        if self.config.drop_chance > 0.0 && self.rng.chance(self.config.drop_chance) {
-            self.dropped += 1;
-            return FaultOutcome::Drop;
-        }
-        if self.config.corrupt_chance > 0.0 && self.rng.chance(self.config.corrupt_chance) {
-            self.corrupted += 1;
-            return FaultOutcome::Corrupt;
-        }
-        self.passed += 1;
-        FaultOutcome::Pass
-    }
-
-    /// `(passed, dropped, corrupted)` totals.
-    pub fn stats(&self) -> (u64, u64, u64) {
-        (self.passed, self.dropped, self.corrupted)
-    }
-}
-
-impl Snap for FaultConfig {
-    fn encode(&self, w: &mut SnapWriter) {
-        w.put_f64(self.drop_chance);
-        w.put_f64(self.corrupt_chance);
-    }
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(FaultConfig {
-            drop_chance: r.get_f64()?,
-            corrupt_chance: r.get_f64()?,
-        })
-    }
-}
-
-impl Snap for FaultInjector {
-    fn encode(&self, w: &mut SnapWriter) {
-        self.config.encode(w);
-        self.rng.encode(w);
-        w.put_u64(self.key_base);
-        w.put_u64(self.dropped);
-        w.put_u64(self.corrupted);
-        w.put_u64(self.passed);
-    }
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(FaultInjector {
-            config: FaultConfig::decode(r)?,
-            rng: SimRng::decode(r)?,
-            key_base: r.get_u64()?,
-            dropped: r.get_u64()?,
-            corrupted: r.get_u64()?,
-            passed: r.get_u64()?,
-        })
     }
 }
 
@@ -837,23 +751,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn disabled_injector_passes_everything() {
-        let mut inj = FaultInjector::disabled();
-        for _ in 0..1000 {
-            assert_eq!(inj.apply(), FaultOutcome::Pass);
-        }
-        assert_eq!(inj.stats(), (1000, 0, 0));
-    }
-
-    #[test]
     fn drop_chance_is_respected() {
         let cfg = FaultConfig {
             drop_chance: 0.15,
             corrupt_chance: 0.0,
         };
-        let mut inj = FaultInjector::new(cfg, SimRng::from_seed_u64(1));
+        let inj = FaultInjector::keyed(cfg, 1);
         let n = 100_000;
-        let drops = (0..n).filter(|_| inj.apply() == FaultOutcome::Drop).count();
+        let drops = (0..n)
+            .filter(|&k| inj.apply_keyed(k) == FaultOutcome::Drop)
+            .count();
         let freq = drops as f64 / n as f64;
         assert!((freq - 0.15).abs() < 0.01, "drop freq {freq}");
     }
@@ -864,20 +771,17 @@ mod tests {
             drop_chance: 0.5,
             corrupt_chance: 1.0,
         };
-        let mut inj = FaultInjector::new(cfg, SimRng::from_seed_u64(2));
+        let inj = FaultInjector::keyed(cfg, 2);
         let mut seen_drop = false;
         let mut seen_corrupt = false;
-        for _ in 0..1000 {
-            match inj.apply() {
+        for k in 0..1000 {
+            match inj.apply_keyed(k) {
                 FaultOutcome::Drop => seen_drop = true,
                 FaultOutcome::Corrupt => seen_corrupt = true,
                 FaultOutcome::Pass => panic!("corrupt_chance=1 must never pass"),
             }
         }
         assert!(seen_drop && seen_corrupt);
-        let (p, d, c) = inj.stats();
-        assert_eq!(p, 0);
-        assert_eq!(d + c, 1000);
     }
 
     #[test]
@@ -887,8 +791,8 @@ mod tests {
             corrupt_chance: 0.1,
         };
         let run = |seed| {
-            let mut inj = FaultInjector::new(cfg, SimRng::from_seed_u64(seed));
-            (0..64).map(|_| inj.apply()).collect::<Vec<_>>()
+            let inj = FaultInjector::keyed(cfg, seed);
+            (0..64).map(|k| inj.apply_keyed(k)).collect::<Vec<_>>()
         };
         assert_eq!(run(7), run(7));
         assert_ne!(run(7), run(8));
@@ -901,55 +805,24 @@ mod tests {
             corrupt_chance: 0.1,
         };
         let keys: Vec<u64> = (0..256u64).map(|i| i.wrapping_mul(0x9E37)).collect();
-        let mut fwd = FaultInjector::keyed(cfg, 42);
-        let mut rev = FaultInjector::keyed(cfg, 42);
+        let fwd = FaultInjector::keyed(cfg, 42);
+        let rev = FaultInjector::keyed(cfg, 42);
         let a: Vec<_> = keys.iter().map(|&k| fwd.apply_keyed(k)).collect();
         let mut b: Vec<_> = keys.iter().rev().map(|&k| rev.apply_keyed(k)).collect();
         b.reverse();
         assert_eq!(a, b);
-        assert_eq!(fwd.stats(), rev.stats());
         // different seeds decorrelate
-        let mut other = FaultInjector::keyed(cfg, 43);
+        let other = FaultInjector::keyed(cfg, 43);
         let c: Vec<_> = keys.iter().map(|&k| other.apply_keyed(k)).collect();
         assert_ne!(a, c);
     }
 
     #[test]
     fn keyed_with_zero_chances_never_draws() {
-        let mut inj = FaultInjector::keyed(FaultConfig::default(), 9);
+        let inj = FaultInjector::keyed(FaultConfig::default(), 9);
         for k in 0..100 {
             assert_eq!(inj.apply_keyed(k), FaultOutcome::Pass);
         }
-        assert_eq!(inj.stats(), (100, 0, 0));
-    }
-
-    #[test]
-    fn injector_checkpoint_roundtrip_continues_the_stream() {
-        let cfg = FaultConfig {
-            drop_chance: 0.3,
-            corrupt_chance: 0.1,
-        };
-        let mut straight = FaultInjector::new(cfg, SimRng::from_seed_u64(5));
-        let mut split = FaultInjector::new(cfg, SimRng::from_seed_u64(5));
-        let expect: Vec<_> = (0..200).map(|_| straight.apply()).collect();
-        let head: Vec<_> = (0..80).map(|_| split.apply()).collect();
-        let mut w = SnapWriter::new();
-        split.encode(&mut w);
-        let bytes = w.into_bytes();
-        let mut resumed = FaultInjector::decode(&mut SnapReader::new(&bytes)).unwrap();
-        let tail: Vec<_> = (0..120).map(|_| resumed.apply()).collect();
-        let joined: Vec<_> = head.into_iter().chain(tail).collect();
-        assert_eq!(joined, expect);
-        assert_eq!(resumed.stats(), straight.stats());
-        // keyed injectors round-trip too (counters + key base)
-        let mut k = FaultInjector::keyed(cfg, 7);
-        let _ = k.apply_keyed(1);
-        let mut w = SnapWriter::new();
-        k.encode(&mut w);
-        let bytes = w.into_bytes();
-        let mut k2 = FaultInjector::decode(&mut SnapReader::new(&bytes)).unwrap();
-        assert_eq!(k.apply_keyed(2), k2.apply_keyed(2));
-        assert_eq!(k.stats(), k2.stats());
     }
 
     #[test]
@@ -1041,8 +914,8 @@ mod tests {
             corrupt_chance: 0.0,
         };
         let keys: Vec<u64> = (0..512u64).map(|i| i.wrapping_mul(0x9E37)).collect();
-        let mut fwd = FaultInjector::keyed(cfg, 42);
-        let mut rev = FaultInjector::keyed(cfg, 42);
+        let fwd = FaultInjector::keyed(cfg, 42);
+        let rev = FaultInjector::keyed(cfg, 42);
         let a: Vec<_> = keys
             .iter()
             .map(|&k| fwd.apply_keyed_chance(k, 0.5))
@@ -1055,7 +928,7 @@ mod tests {
         b.reverse();
         assert_eq!(a, b);
         // burst draws use a different stream than base keyed draws
-        let mut base = FaultInjector::keyed(cfg, 42);
+        let base = FaultInjector::keyed(cfg, 42);
         let c: Vec<_> = keys
             .iter()
             .map(|&k| base.apply_keyed(k) == FaultOutcome::Drop)

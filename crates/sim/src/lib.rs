@@ -20,8 +20,9 @@
 //!
 //! The crate also carries the measurement toolbox ([`metrics`]) shared by the
 //! flow-level and packet-level simulators, the random-variate library
-//! ([`dist`]) used by workload generators, smoltcp-style [`fault`] injection
-//! knobs, and human-friendly [`units`] helpers.
+//! ([`dist`]) used by workload generators, deterministic [`fault`] injection
+//! (keyed drop/corrupt draws and timed fault plans), and human-friendly
+//! [`units`] helpers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,7 +36,6 @@ pub mod rng;
 pub mod shard;
 pub mod snap;
 pub mod time;
-pub mod trace;
 pub mod units;
 
 /// Convenient glob-import surface: `use inrpp_sim::prelude::*;`.

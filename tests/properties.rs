@@ -696,7 +696,7 @@ proptest! {
     /// The arena/calendar packet engine and the retained seed
     /// implementation (`run_reference`) produce **bit-identical** reports
     /// and probe streams — delivery order, retransmit counts, per-channel
-    /// byte totals, traces and float metrics — across random topologies,
+    /// byte totals and float metrics — across random topologies,
     /// transfer sets, and custody/backpressure/fault interleavings. The
     /// packet-engine analogue of
     /// `incremental_engine_matches_reference_allocator`.
@@ -738,7 +738,6 @@ proptest! {
         let mixed = knobs & 4 != 0;
         let mut cfg = PacketSimConfig {
             horizon: SimDuration::from_secs(8),
-            trace_capacity: 4096,
             ..PacketSimConfig::default()
         };
         if mixed {
@@ -1219,7 +1218,7 @@ fn request(r: &mut SimRng, cmd: &str, sids: &[&str; 2], dir: &str) -> String {
             let optional: [(&str, &[&str]); 7] = [
                 ("seed", &["0", "7", "13"]),
                 ("workers", &["1", "2"]),
-                ("chunk_bytes", &["1250", "500"]),
+                ("chunk_bytes", &["1250", "500", "1e15", "2e16", "1e18"]),
                 ("ckpt_every", &["1", "2"]),
                 ("ckpt_retain", &["1", "3"]),
                 ("probe_fp", &["true", "false"]),
@@ -1263,7 +1262,7 @@ fn request(r: &mut SimRng, cmd: &str, sids: &[&str; 2], dir: &str) -> String {
             push("flow", &["1", "2", "3"], r);
             push("src", &nodes, r);
             push("dst", &nodes, r);
-            push("chunks", &["1", "40", "400", "0"], r);
+            push("chunks", &["1", "40", "400", "0", "1000000000000000"], r);
             push("start_secs", &["0", "0.1", "1"], r);
         }
         "advance" => {

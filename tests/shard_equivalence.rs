@@ -71,7 +71,7 @@ impl Probe for Tape {
 fn fingerprint(r: &PacketSimReport) -> String {
     use std::fmt::Write;
     let mut s = format!(
-        "{}|{}|{:?}|{}|{}|{}|{}|{}|{:?}|{}|{:?}|{}|{:?}",
+        "{}|{}|{:?}|{}|{}|{}|{}|{}|{:?}|{}|{:?}|{}",
         r.transport,
         r.topology,
         r.horizon,
@@ -84,7 +84,6 @@ fn fingerprint(r: &PacketSimReport) -> String {
         r.mean_utilisation.to_bits(),
         r.chunk_bytes,
         r.phase_transitions,
-        r.trace,
     );
     for u in &r.channel_utilisation {
         write!(s, "|{}", u.to_bits()).unwrap();
