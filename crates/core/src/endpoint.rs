@@ -13,7 +13,7 @@
 //! back-pressure). Processor sharing is realised as chunk-grain round-robin
 //! over eligible flows.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 /// Flow identity.
 pub type FlowId = u64;
@@ -43,6 +43,56 @@ pub struct ReceiverOutput {
     pub duplicate: bool,
 }
 
+/// Received-chunk bitset with a cached in-order watermark, shared by the
+/// INRPP [`Receiver`] and the packet engine's AIMD receiver.
+///
+/// The watermark only ever grows, so a flow's deliveries cost linear time
+/// in all. The words grow with the highest chunk inserted, not with a
+/// flow's declared size, so declaring more chunks than a run can deliver
+/// costs no memory up front.
+#[derive(Debug, Clone, Default)]
+pub struct ChunkSet {
+    words: Vec<u64>,
+    count: u64,
+    watermark: ChunkNo,
+}
+
+impl ChunkSet {
+    fn contains(&self, chunk: ChunkNo) -> bool {
+        self.words
+            .get((chunk / 64) as usize)
+            .is_some_and(|w| w & (1u64 << (chunk % 64)) != 0)
+    }
+
+    /// Insert `chunk`; `false` if it was already present.
+    pub fn insert(&mut self, chunk: ChunkNo) -> bool {
+        let w = (chunk / 64) as usize;
+        let bit = 1u64 << (chunk % 64);
+        if w >= self.words.len() {
+            self.words.resize(w + 1, 0);
+        }
+        if self.words[w] & bit != 0 {
+            return false;
+        }
+        self.words[w] |= bit;
+        self.count += 1;
+        while self.contains(self.watermark) {
+            self.watermark += 1;
+        }
+        true
+    }
+
+    /// Number of chunks in the set.
+    pub fn count(&self) -> u64 {
+        self.count
+    }
+
+    /// First chunk not in the set: every chunk below it is present.
+    pub fn watermark(&self) -> ChunkNo {
+        self.watermark
+    }
+}
+
 /// Receiver-side state for one named-content transfer.
 ///
 /// ```
@@ -63,8 +113,7 @@ pub struct Receiver {
     total_chunks: u64,
     anticipation: u64,
     next_unrequested: ChunkNo,
-    received: BTreeSet<ChunkNo>,
-    highest_contiguous: Option<ChunkNo>,
+    received: ChunkSet,
 }
 
 impl Receiver {
@@ -79,8 +128,7 @@ impl Receiver {
             total_chunks,
             anticipation,
             next_unrequested: 0,
-            received: BTreeSet::new(),
-            highest_contiguous: None,
+            received: ChunkSet::default(),
         }
     }
 
@@ -106,14 +154,8 @@ impl Receiver {
                 duplicate: true,
             };
         }
-        // advance the in-order watermark
-        let mut hc = self.highest_contiguous.map_or(0, |h| h + 1);
-        while self.received.contains(&hc) {
-            hc += 1;
-        }
-        self.highest_contiguous = hc.checked_sub(1);
-
-        let completed = self.received.len() as u64 == self.total_chunks;
+        let hc = self.received.watermark();
+        let completed = self.received.count() == self.total_chunks;
         let request = if !completed && self.next_unrequested < self.total_chunks {
             let newly = self.next_unrequested;
             self.next_unrequested += 1;
@@ -134,17 +176,17 @@ impl Receiver {
 
     /// Fraction of chunks delivered.
     pub fn progress(&self) -> f64 {
-        self.received.len() as f64 / self.total_chunks as f64
+        self.received.count() as f64 / self.total_chunks as f64
     }
 
     /// All chunks delivered?
     pub fn is_complete(&self) -> bool {
-        self.received.len() as u64 == self.total_chunks
+        self.received.count() == self.total_chunks
     }
 
     /// Highest chunk number `h` such that `0..=h` are all delivered.
     pub fn highest_contiguous(&self) -> Option<ChunkNo> {
-        self.highest_contiguous
+        self.received.watermark().checked_sub(1)
     }
 }
 

@@ -30,15 +30,19 @@
 //!   kick/drain dedup flags and retransmit queues are per-index vectors
 //!   rather than `BTreeMap`/`HashMap`, so the per-timestep custody and
 //!   AIMD window work is a dense sweep.
+//! * **No per-chunk maps or per-decision path building.** Fault-draw keys
+//!   are kept only in runs where a keyed draw can happen, both receiver
+//!   kinds track delivered chunks in a [`ChunkSet`] bitset, and every
+//!   channel's bypass paths are resolved once at build.
 //!
 //! Simplifications relative to a real deployment (each noted in
 //! `DESIGN.md`):
 //!
 //! * data and request packets carry explicit source routes; detours are
 //!   spliced by rewriting the route tail (the paper's tunnelling);
-//! * neighbour load gossip is written straight into a shared board at
-//!   every maintenance tick instead of travelling as packets (the paper
-//!   leaves the gossip transport unspecified);
+//! * load-aware detouring (§3.3 option i) reads the queues of a detour's
+//!   channels directly instead of neighbours advertising their loads (the
+//!   paper leaves the gossip transport unspecified);
 //! * back-pressure notifications propagate hop-by-hop upstream along the
 //!   flow's route until the sender, which enters the closed loop for a
 //!   TTL.
@@ -47,8 +51,8 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 
 use inrpp::backpressure::{BackpressureState, SlowdownMsg};
 use inrpp::config::InrppConfig;
-use inrpp::detour::{DetourSelector, NeighborLoads};
-use inrpp::endpoint::{Receiver, Request, Sender, SenderMode};
+use inrpp::detour::DetourSelector;
+use inrpp::endpoint::{ChunkSet, Receiver, Request, Sender, SenderMode};
 use inrpp::flowlet::FlowletSplitter;
 use inrpp::phase::{Phase, PhaseController, PhaseInputs};
 use inrpp::rate::RateEstimator;
@@ -58,10 +62,10 @@ use inrpp_sim::calendar::CalendarEngine;
 use inrpp_sim::fault::{FaultEvent, FaultInjector, FaultKind, FaultOutcome, FaultPlan};
 use inrpp_sim::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use inrpp_sim::time::{SimDuration, SimTime};
-use inrpp_sim::units::ByteSize;
+use inrpp_sim::units::{ByteSize, Rate};
 use inrpp_topology::dense::DenseChannels;
-use inrpp_topology::graph::{NodeId, Topology};
-use inrpp_topology::spath::{cost, shortest_path};
+use inrpp_topology::graph::{Link, LinkId, NodeId, Topology};
+use inrpp_topology::spath::{cost, shortest_path, Path};
 
 use crate::channel::ChannelBank;
 use crate::packet::{
@@ -130,7 +134,6 @@ impl<'a> PacketSim<'a> {
             ic.validate()
                 .map_err(|e| SessionError::InvalidConfig(e.to_string()))?;
         }
-        let horizon = SimTime::ZERO + config.horizon;
         for l in topo.link_ids() {
             let link = topo.link(l);
             if link.capacity.is_zero() {
@@ -139,26 +142,7 @@ impl<'a> PacketSim<'a> {
                     link.a, link.b
                 )));
             }
-            for (what, size) in [
-                ("chunk", config.chunk_bytes),
-                ("request", config.request_bytes),
-            ] {
-                // `as_bits` would overflow past u64::MAX / 8 bytes
-                let secs = size.as_bytes() as f64 * 8.0 / link.capacity.as_bps();
-                let arrival = SimDuration::try_from_secs_f64(secs).ok().and_then(|tx| {
-                    horizon
-                        .checked_add(config.max_queue)?
-                        .checked_add(tx)?
-                        .checked_add(link.delay)
-                });
-                if arrival.is_none() {
-                    return Err(SessionError::InvalidConfig(format!(
-                        "a {what} of {size} takes {secs:e} s to cross link {}-{}: \
-                         sent at the horizon it would arrive past the end of the clock",
-                        link.a, link.b
-                    )));
-                }
-            }
+            check_clock_bound(&config, link, link.capacity)?;
         }
         Ok(PacketSim {
             topo,
@@ -391,6 +375,31 @@ impl<'a> PacketSim<'a> {
             ops: Vec::new(),
         })
     }
+}
+
+/// Refuse `link` at `rate` when a chunk or request sent at the horizon,
+/// after the longest queue wait, would arrive past the end of the
+/// u64-nanosecond clock.
+fn check_clock_bound(cfg: &PacketSimConfig, link: &Link, rate: Rate) -> Result<(), SessionError> {
+    let horizon = SimTime::ZERO + cfg.horizon;
+    for (what, size) in [("chunk", cfg.chunk_bytes), ("request", cfg.request_bytes)] {
+        // `as_bits` would overflow past u64::MAX / 8 bytes
+        let secs = size.as_bytes() as f64 * 8.0 / rate.as_bps();
+        let arrival = SimDuration::try_from_secs_f64(secs).ok().and_then(|tx| {
+            horizon
+                .checked_add(cfg.max_queue)?
+                .checked_add(tx)?
+                .checked_add(link.delay)
+        });
+        if arrival.is_none() {
+            return Err(SessionError::InvalidConfig(format!(
+                "a {what} of {size} takes {secs:e} s to cross link {}-{}: \
+                 sent at the horizon it would arrive past the end of the clock",
+                link.a, link.b
+            )));
+        }
+    }
+    Ok(())
 }
 
 /// One entry of a [`PacketRun`] checkpoint's replay log.
@@ -750,50 +759,6 @@ impl Outstanding {
     }
 }
 
-/// Received-chunk bitset with a cached in-order watermark.
-///
-/// The seed's AIMD receiver recomputed "first missing chunk" by walking
-/// a `BTreeSet` from zero on **every** delivery — O(n²) over a flow's
-/// life, the single hottest path in dense AIMD workloads. The bitset
-/// advances the watermark incrementally (it only ever grows), making
-/// the whole flow linear. The words grow with the highest chunk received,
-/// not with the flow's declared size, so a flow that declares more chunks
-/// than the run can ever deliver costs no memory up front.
-#[derive(Default)]
-struct ChunkSet {
-    words: Vec<u64>,
-    count: u64,
-    /// First chunk not yet received — `highest_contiguous + 1` in the
-    /// receiver's terms.
-    watermark: u64,
-}
-
-impl ChunkSet {
-    fn contains(&self, chunk: u64) -> bool {
-        self.words
-            .get((chunk / 64) as usize)
-            .is_some_and(|w| w & (1u64 << (chunk % 64)) != 0)
-    }
-
-    /// Insert; `false` if already present (duplicate delivery).
-    fn insert(&mut self, chunk: u64) -> bool {
-        let w = (chunk / 64) as usize;
-        let bit = 1u64 << (chunk % 64);
-        if w >= self.words.len() {
-            self.words.resize(w + 1, 0);
-        }
-        if self.words[w] & bit != 0 {
-            return false;
-        }
-        self.words[w] |= bit;
-        self.count += 1;
-        while self.contains(self.watermark) {
-            self.watermark += 1;
-        }
-        true
-    }
-}
-
 /// AIMD (receiver-driven window) per-flow state.
 struct AimdRx {
     cwnd: f64,
@@ -842,8 +807,10 @@ pub(crate) struct Core<'a> {
     custody: Vec<CustodyStore>,
     bp: Vec<BackpressureState>,
     splitters: Vec<FlowletSplitter>,
-    loads: NeighborLoads,
-    selector: Option<DetourSelector>,
+    /// per directed channel: the §3.3 bypass paths around it under the
+    /// depth policy, shortest first, resolved once at build (all empty
+    /// without an INRPP configuration)
+    bypass: Vec<Vec<Path>>,
     /// per node, per local interface: §4 monitoring (EWMA + flap damping)
     monitors: Vec<Vec<inrpp::monitor::InterfaceMonitor>>,
 
@@ -873,8 +840,12 @@ pub(crate) struct Core<'a> {
     kick_scheduled: Vec<bool>,
     fault: FaultInjector,
     /// per `(flow, chunk, dir)`: how many send attempts have been keyed —
-    /// the occurrence counter feeding [`fault_key`]
-    fault_seq: HashMap<(FlowId, ChunkNo, u32), u32>,
+    /// the occurrence counter feeding [`fault_key`]. `None` when no keyed
+    /// draw can happen anywhere in the run (no static drop or corrupt
+    /// chance, no loss burst with a positive one): every send then passes
+    /// unkeyed. Decided once per run, not per instant, because sends made
+    /// before a burst opens number the draws inside it.
+    fault_seq: Option<HashMap<(FlowId, ChunkNo, u32), u32>>,
 
     // ---- fault-plan state (all zero/empty without a plan) ----
     /// the timed events, validated and sorted; indexed by [`Ev::Fault`]
@@ -899,7 +870,7 @@ pub(crate) struct Core<'a> {
     burst_drop: Vec<f64>,
     /// per directed channel: the topology capacity, so `CapacityScale`
     /// fractions compose against the base rather than each other
-    base_rate: Vec<inrpp_sim::units::Rate>,
+    base_rate: Vec<Rate>,
     /// per slot: recovery metrics (merged across regions in sharded runs,
     /// then copied into [`FlowStats`] at report assembly)
     pub(crate) detours: Vec<u64>,
@@ -935,6 +906,12 @@ impl<'a> Core<'a> {
         faults
             .check_indices(nnodes, topo.link_count())
             .map_err(|e| SessionError::InvalidConfig(format!("invalid fault plan: {e}")))?;
+        for e in faults.events() {
+            if let FaultKind::CapacityScale { link, fraction } = e.kind {
+                let link = topo.link(LinkId(link));
+                check_clock_bound(&cfg, link, link.capacity * fraction)?;
+            }
+        }
         let dense = DenseChannels::build(topo);
         let channels = ChannelBank::from_topology(topo, cfg.max_queue);
         let (inrpp_cfg, aimd_cfg) = match cfg.transport {
@@ -942,13 +919,19 @@ impl<'a> Core<'a> {
             TransportKind::Aimd(ac) => (None, Some(ac)),
             TransportKind::Mixed { inrpp, aimd } => (Some(inrpp), Some(aimd)),
         };
+        let selector = inrpp_cfg
+            .map(|c| DetourSelector::new(topo, c.load_aware_detour, c.max_detour_depth, 4));
         let mut if_of_dir = vec![0u32; ndir];
+        let mut bypass = vec![Vec::new(); ndir];
         let mut nbrs: Vec<Vec<(NodeId, u32)>> = Vec::with_capacity(nnodes);
         for n in topo.node_ids() {
             let mut row = Vec::with_capacity(topo.degree(n));
             for (i, &(nb, l)) in topo.neighbors(n).iter().enumerate() {
                 let d = DirIndex::new(l, topo.link(l).a == n).0;
                 if_of_dir[d] = i as u32;
+                if let Some(s) = &selector {
+                    bypass[d] = s.candidates(topo, l, n, nb);
+                }
                 row.push((nb, d as u32));
             }
             nbrs.push(row);
@@ -977,13 +960,16 @@ impl<'a> Core<'a> {
                 )
             })
             .collect();
-        let selector = inrpp_cfg
-            .map(|c| DetourSelector::new(topo, c.load_aware_detour, c.max_detour_depth, 4));
         // Keyed (order-independent) fault draws: each attempt's fate is a
         // pure function of (seed, flow, chunk, dir, occurrence), so the
         // reference engine and every shard of a partitioned run agree with
         // this engine draw-for-draw.
         let fault = FaultInjector::keyed(cfg.fault, cfg.seed);
+        let draws_possible = cfg.fault.drop_chance > 0.0
+            || cfg.fault.corrupt_chance > 0.0
+            || faults.events().iter().any(
+                |e| matches!(e.kind, FaultKind::LossBurst { drop_chance, .. } if drop_chance > 0.0),
+            );
         let monitors = topo
             .node_ids()
             .map(|n| {
@@ -1049,7 +1035,7 @@ impl<'a> Core<'a> {
         for (slot, spec) in specs.iter().enumerate() {
             node_flows[spec.src.idx()].push(slot as u32);
         }
-        let base_rate: Vec<inrpp_sim::units::Rate> = (0..ndir).map(|d| channels.rate(d)).collect();
+        let base_rate: Vec<Rate> = (0..ndir).map(|d| channels.rate(d)).collect();
 
         Ok(Core {
             topo,
@@ -1066,8 +1052,7 @@ impl<'a> Core<'a> {
                 .node_ids()
                 .map(|_| FlowletSplitter::new(SimDuration::from_millis(5)))
                 .collect(),
-            loads: NeighborLoads::new(),
-            selector,
+            bypass,
             monitors,
             flow_ids,
             specs,
@@ -1085,7 +1070,7 @@ impl<'a> Core<'a> {
             resume_routes: HashMap::new(),
             kick_scheduled: vec![false; nnodes],
             fault,
-            fault_seq: HashMap::new(),
+            fault_seq: draws_possible.then(HashMap::new),
             fault_plan: faults.events().to_vec(),
             down_dirs: vec![0; ndir],
             node_down: vec![false; nnodes],
@@ -1778,8 +1763,8 @@ impl<'a> Core<'a> {
                         RouteRef::Owned(i) => &self.routes[i as usize],
                     };
                     pick_detour(
-                        self.selector.as_ref(),
-                        self.topo,
+                        &self.bypass[d],
+                        self.inrpp_cfg.is_some_and(|c| c.load_aware_detour),
                         &self.dense,
                         &self.channels,
                         &self.down_dirs,
@@ -1787,7 +1772,6 @@ impl<'a> Core<'a> {
                         self.cfg.detour_queue_threshold,
                         now,
                         here,
-                        next,
                         flow,
                         route,
                         hop as usize,
@@ -1826,20 +1810,22 @@ impl<'a> Core<'a> {
         let bits = self.chunk_bits();
         match self.channels.try_send(d, now, bits) {
             Ok(arrival) => {
-                let occ = {
-                    let e = self.fault_seq.entry((flow, chunk, d as u32)).or_insert(0);
-                    let v = *e;
-                    *e += 1;
-                    v
-                };
-                let key = fault_key(flow, chunk, d as u32, occ);
-                // Inside a loss-burst window the burst's drop chance
-                // *replaces* the static per-packet chance; the draw stays
-                // a pure function of the key, so every shard agrees.
-                let outcome = if now < self.burst_until[d] {
-                    self.fault.apply_keyed_chance(key, self.burst_drop[d])
-                } else {
-                    self.fault.apply_keyed(key)
+                let outcome = match self.fault_seq.as_mut() {
+                    None => FaultOutcome::Pass,
+                    Some(seq) => {
+                        let occ = seq.entry((flow, chunk, d as u32)).or_insert(0);
+                        let key = fault_key(flow, chunk, d as u32, *occ);
+                        *occ += 1;
+                        // Inside a loss-burst window the burst's drop chance
+                        // *replaces* the static per-packet chance; the draw
+                        // stays a pure function of the key, so every shard
+                        // agrees.
+                        if now < self.burst_until[d] {
+                            self.fault.apply_keyed_chance(key, self.burst_drop[d])
+                        } else {
+                            self.fault.apply_keyed(key)
+                        }
+                    }
                 };
                 match outcome {
                     FaultOutcome::Pass => {
@@ -2103,7 +2089,7 @@ impl<'a> Core<'a> {
                     }
                 }
                 RxKind::Aimd(r) => {
-                    let expected = r.received.watermark;
+                    let expected = r.received.watermark();
                     if chunk > expected {
                         rt.stats.max_reorder_distance =
                             rt.stats.max_reorder_distance.max(chunk - expected);
@@ -2118,7 +2104,7 @@ impl<'a> Core<'a> {
                             r.cwnd += 1.0 / r.cwnd;
                         }
                     }
-                    if r.received.count == r.total && rt.stats.completed_at.is_none() {
+                    if r.received.count() == r.total && rt.stats.completed_at.is_none() {
                         rt.stats.completed_at = Some(now);
                     }
                     // clock out new requests within the window
@@ -2416,8 +2402,9 @@ impl<'a> Core<'a> {
 
     fn tick(&mut self, eng: &mut CalendarEngine<Ev>, now: SimTime, node: NodeId) {
         let Some(ic) = self.inrpp_cfg else { return };
-        // a crashed node neither gossips nor rolls estimators, but its
-        // maintenance clock keeps beating so recovery resumes seamlessly
+        // a crashed node neither rolls estimators nor moves its phases,
+        // but its maintenance clock keeps beating so recovery resumes
+        // seamlessly
         if self.node_down[node.idx()] {
             eng.schedule(ic.interval, Ev::Tick(node));
             return;
@@ -2425,17 +2412,9 @@ impl<'a> Core<'a> {
         self.estimators[node.idx()].maybe_roll(now);
         self.bp[node.idx()].cleanup(now);
         for li in 0..self.nbrs[node.idx()].len() {
-            let (nb, d32) = self.nbrs[node.idx()][li];
-            let d = d32 as usize;
-            // gossip our residuals onto the shared board (simplified
-            // zero-cost advertisement, see module docs)
+            let d = self.nbrs[node.idx()][li].1 as usize;
             let residual = self.channels.residual_rate(d, now, ic.interval);
-            self.loads.advertise(now, node, nb, residual);
-            let link = DirIndex(d).link();
-            let mut detour_available = self
-                .selector
-                .as_ref()
-                .is_some_and(|s| s.has_detour(self.topo, link, node, nb));
+            let mut detour_available = !self.bypass[d].is_empty();
             // §4 monitoring: smooth the interface utilisation and, when
             // flap damping is on, hold detouring steady while the phase
             // is oscillating
@@ -2877,9 +2856,10 @@ impl<'a> Core<'a> {
     }
 }
 
-/// Pick a detour around the congested hop `here -> next`, preferring
-/// alternatives whose first channel has headroom. Returns the spliced
-/// route and the new first-hop channel.
+/// Pick a detour around the congested hop `route[hop] -> route[hop + 1]`
+/// from `cands`, that channel's bypass paths, preferring alternatives
+/// whose first channel has headroom. Returns the spliced route and the
+/// new first-hop channel.
 ///
 /// A free function (not a `Core` method) so the caller can split-borrow:
 /// the current route slice stays borrowed from its arena while the
@@ -2888,8 +2868,8 @@ impl<'a> Core<'a> {
 /// on that impossible input).
 #[allow(clippy::too_many_arguments)]
 fn pick_detour(
-    selector: Option<&DetourSelector>,
-    topo: &Topology,
+    cands: &[Path],
+    load_aware: bool,
     dense: &DenseChannels,
     channels: &ChannelBank,
     down: &[u32],
@@ -2897,21 +2877,16 @@ fn pick_detour(
     threshold: SimDuration,
     now: SimTime,
     here: NodeId,
-    next: NodeId,
     flow: FlowId,
     route: &[NodeId],
     hop: usize,
 ) -> Option<(Vec<NodeId>, usize)> {
-    let selector = selector?;
-    let link = topo.link_between(here, next)?;
-    let cands = selector.candidates(topo, link, here, next);
     // A candidate is viable when it does not revisit nodes on the
     // remaining route and its channels have headroom. Load-aware mode
     // (§3.3 option i: neighbours advertise interface loads) checks
     // every hop of the detour; blind mode (option ii) sees only the
     // local first hop.
-    let load_aware = selector.is_load_aware();
-    let viable: Vec<&inrpp_topology::spath::Path> = cands
+    let viable: Vec<&Path> = cands
         .iter()
         .filter(|p| {
             // a down channel is never viable — in blind mode only the
@@ -3252,6 +3227,48 @@ mod tests {
         );
         assert_eq!(r.completed(), 1, "{}", r.summary());
         assert!(r.flows[0].retransmits > 0);
+    }
+
+    /// Fault-draw keys held after a fig3 INRPP run reached 0.9 s, or
+    /// `None` when the run keeps no keys.
+    fn fault_keys_at_900ms(cfg: PacketSimConfig, plan: FaultPlan) -> Option<usize> {
+        let t = fig3();
+        let mut sim = PacketSim::new(&t, cfg);
+        sim.set_faults(plan);
+        sim.add_transfer(transfer(&t, 1, "1", "4", 400));
+        let mut run = sim.start().unwrap();
+        run.run_until(SimTime::from_millis(900), &mut []).unwrap();
+        run.core.fault_seq.as_ref().map(HashMap::len)
+    }
+
+    #[test]
+    fn a_fault_free_run_keeps_no_fault_keys() {
+        assert_eq!(fault_keys_at_900ms(inrpp_cfg(), FaultPlan::empty()), None);
+    }
+
+    #[test]
+    fn a_static_drop_chance_keeps_fault_keys() {
+        let mut cfg = inrpp_cfg();
+        cfg.fault.drop_chance = 0.05;
+        let keys = fault_keys_at_900ms(cfg, FaultPlan::empty());
+        assert!(keys.is_some_and(|n| n > 0), "{keys:?}");
+    }
+
+    #[test]
+    fn a_later_loss_burst_keeps_fault_keys_from_the_start() {
+        // sends before the burst opens number the draws inside it, so the
+        // keys must be kept from the first send, not from 1 s
+        let plan = FaultPlan::try_new(vec![FaultEvent {
+            at: SimTime::from_secs(1),
+            kind: FaultKind::LossBurst {
+                link: 0,
+                drop_chance: 0.3,
+                until: SimTime::from_secs(2),
+            },
+        }])
+        .unwrap();
+        let keys = fault_keys_at_900ms(inrpp_cfg(), plan);
+        assert!(keys.is_some_and(|n| n > 0), "{keys:?}");
     }
 
     #[test]

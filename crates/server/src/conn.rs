@@ -170,8 +170,12 @@ fn read_capped(input: &mut dyn BufRead, buf: &mut Vec<u8>, limit: u64) -> io::Re
     Read::take(input, limit).read_until(b'\n', buf)
 }
 
-fn reply(out: &mut dyn Write, r: String) -> io::Result<()> {
-    writeln!(out, "{r}")?;
+/// Send one reply line in a single write. On an unbuffered socket the
+/// newline as a second write would go out as its own segment, held back
+/// by Nagle's algorithm until the client acknowledges the first.
+fn reply(out: &mut dyn Write, mut r: String) -> io::Result<()> {
+    r.push('\n');
+    out.write_all(r.as_bytes())?;
     out.flush()
 }
 
@@ -630,11 +634,49 @@ mod tests {
     }
 
     #[test]
+    fn each_reply_is_one_write_of_one_line() {
+        struct Writes(Vec<Vec<u8>>);
+        impl std::io::Write for Writes {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.0.push(buf.to_vec());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let script = concat!(
+            r#"{"cmd":"hello"}"#,
+            "\n",
+            r#"{"cmd":"open","engine":"fluid","topology":"fig3","strategy":"urp","horizon_secs":5}"#,
+            "\n",
+            "not json\n",
+            r#"{"cmd":"advance","to_secs":1,"seq":4}"#,
+            "\n",
+        );
+        let mut out = Writes(Vec::new());
+        serve_lines(&mut Cursor::new(script), &mut out).expect("serve loop");
+        assert_eq!(out.0.concat(), (run(script).join("\n") + "\n").into_bytes());
+        assert_eq!(out.0.len(), 4, "one write per reply");
+        for w in &out.0 {
+            assert_eq!(w.iter().filter(|&&b| b == b'\n').count(), 1);
+            assert!(w.ends_with(b"\n"));
+        }
+    }
+
+    #[test]
     fn a_packet_chunk_too_slow_for_the_clock_is_a_config_error_at_open() {
         // one 2e16 B chunk takes 8e10 s (over 2,500 years) to cross
-        // fig3's 2 Mbit/s link, past the end of the u64-nanosecond clock:
-        // open must refuse it with a typed error, not kill the host
-        let mut script = String::new();
+        // fig3's 2 Mbit/s link, past the end of the u64-nanosecond clock,
+        // and so does a default chunk once a planned capacity scale of
+        // 1e-300 takes effect: open must refuse both with a typed error,
+        // not kill the host
+        let mut script = concat!(
+            r#"{"cmd":"open","sid":"scale","engine":"packet","topology":"fig3","strategy":"urp","#,
+            r#""horizon_secs":2,"faults":"scale@0.1:1:1e-300"}"#,
+            "\n",
+        )
+        .to_string();
         for chunk_bytes in ["1e18", "2e16", "1e15"] {
             script.push_str(&format!(
                 "{{\"cmd\":\"open\",\"sid\":\"{chunk_bytes}\",\"engine\":\"packet\",\
@@ -649,15 +691,15 @@ mod tests {
             "\n",
         ));
         let replies = run(&script);
-        assert_eq!(replies.len(), 5, "{replies:?}");
-        for r in &replies[..2] {
+        assert_eq!(replies.len(), 6, "{replies:?}");
+        for r in &replies[..3] {
             assert_kind(r, "config");
             assert!(r.contains("past the end of the clock"), "{r}");
         }
-        for r in &replies[2..] {
+        for r in &replies[3..] {
             assert_ok(r);
         }
-        assert!(replies[4].contains("\"now_secs\":2"), "{}", replies[4]);
+        assert!(replies[5].contains("\"now_secs\":2"), "{}", replies[5]);
     }
 
     #[test]

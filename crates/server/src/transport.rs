@@ -126,6 +126,9 @@ impl Transport for SocketTransport {
                 Listener::Tcp(l) => match l.accept() {
                     Ok((stream, peer)) => {
                         stream.set_nonblocking(false)?;
+                        // each reply is one complete line: send it now
+                        // rather than wait to coalesce it with the next
+                        stream.set_nodelay(true)?;
                         let reader = stream.try_clone()?;
                         Some(Conn {
                             reader: Box::new(BufReader::new(reader)),

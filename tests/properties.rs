@@ -439,6 +439,47 @@ proptest! {
         prop_assert!(requests <= total + 1);
     }
 
+    /// The receiver against a `BTreeSet` model: deliveries out of order,
+    /// duplicated, and numbered at or past the object's end get the
+    /// model's reaction, and leave the model's state, at every step. The
+    /// reference packet engine shares `Receiver`, so the engine
+    /// equivalence gates cannot catch a fault here.
+    #[test]
+    fn receiver_matches_a_set_model(
+        total in 1u64..200,
+        ac in 0u64..20,
+        steps in 1usize..400,
+        seed in 0u64..u64::MAX,
+    ) {
+        use inrpp::endpoint::{Receiver, Request};
+        use std::collections::BTreeSet;
+        let mut rx = Receiver::new(total, ac);
+        let mut next_unrequested = rx.initial_request().anticipated + 1;
+        let mut got = BTreeSet::new();
+        let mut r = SimRng::from_seed_u64(seed);
+        for _ in 0..steps {
+            let chunk = match r.index(10) {
+                0 => total + r.index(3) as u64,
+                1 => *r.pick(&[1 << 40, u64::MAX]),
+                _ => r.index(total as usize) as u64,
+            };
+            let out = rx.on_chunk(chunk);
+            let fresh = chunk < total && got.insert(chunk);
+            let missing = (0..).find(|c| !got.contains(c)).expect("a chunk is missing");
+            let complete = got.len() as u64 == total;
+            let request = (fresh && !complete && next_unrequested < total).then(|| {
+                next_unrequested += 1;
+                Request { next: missing, ack: Some(chunk), anticipated: next_unrequested - 1 }
+            });
+            prop_assert_eq!(out.duplicate, !fresh, "chunk {}", chunk);
+            prop_assert_eq!(out.completed, fresh && complete, "chunk {}", chunk);
+            prop_assert_eq!(out.request, request, "chunk {}", chunk);
+            prop_assert_eq!(rx.highest_contiguous(), missing.checked_sub(1));
+            prop_assert_eq!(rx.progress(), got.len() as f64 / total as f64);
+            prop_assert_eq!(rx.is_complete(), complete);
+        }
+    }
+
     /// Fuzz the packet engine: random tiny topologies and transfers must
     /// complete without panics, drops beyond fault injection, or custody
     /// leaks.
@@ -632,6 +673,20 @@ proptest! {
             }
         }
     }
+}
+
+/// A receiver's received set grows with the chunks it holds, not with
+/// the object size it declares: one delivery on a 1e15-chunk object
+/// stays a few words.
+#[test]
+fn a_huge_object_receiver_stays_small() {
+    use inrpp::endpoint::Receiver;
+    let mut rx = Receiver::new(1_000_000_000_000_000, 4);
+    let _ = rx.initial_request();
+    assert!(!rx.on_chunk(3).duplicate);
+    assert!(rx.on_chunk(u64::MAX).duplicate);
+    let shown = format!("{rx:?}");
+    assert!(shown.len() < 256, "{shown}");
 }
 
 proptest! {
@@ -1227,6 +1282,7 @@ fn request(r: &mut SimRng, cmd: &str, sids: &[&str; 2], dir: &str) -> String {
                     &[
                         "\"linkdown@0.5:0; linkup@1:0\"",
                         "\"crash@0.2:1; recover@0.7:1\"",
+                        "\"scale@0.1:1:1e-300\"",
                         "\"linkdown@x:3\"",
                         "\"linkdown@1:99\"",
                     ],
