@@ -202,16 +202,6 @@ pub fn fig2_regime_row(isp: Isp, cfg: &Fig4Config) -> RegimeRow {
     }
 }
 
-/// Fig. 2's three resource-utilisation regimes, made measurable:
-/// single-path (i), e2e multipath pooling à la MPTCP (ii), and in-network
-/// pooling (iii).
-pub fn fig2_regimes(cfg: &Fig4Config) -> Vec<RegimeRow> {
-    fig4_topologies()
-        .into_iter()
-        .map(|isp| fig2_regime_row(isp, cfg))
-        .collect()
-}
-
 // ---------------------------------------------------------- §3.3 custody C1
 
 /// The custody-cache feasibility result (paper §3.3).

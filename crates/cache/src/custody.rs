@@ -177,11 +177,6 @@ impl CustodyStore {
         self.entries.len()
     }
 
-    /// Number of flows with at least one chunk in custody.
-    pub fn flow_count(&self) -> usize {
-        self.flows.len()
-    }
-
     /// `(stored, evicted, rejected)` lifetime totals.
     pub fn stats(&self) -> (u64, u64, u64) {
         (self.stored_total, self.evicted_total, self.rejected_total)
@@ -327,35 +322,11 @@ impl CustodyStore {
         Some((chunk, bytes))
     }
 
-    /// Bytes held for `flow`.
-    pub fn flow_bytes(&self, flow: FlowId) -> ByteSize {
-        self.flows
-            .get(&flow)
-            .map(|set| set.iter().map(|&c| self.entries[&(flow, c)].bytes).sum())
-            .unwrap_or(ByteSize::ZERO)
-    }
-
     /// Flows currently in custody, ascending by id (deterministic).
     pub fn flows(&self) -> Vec<FlowId> {
         let mut v: Vec<FlowId> = self.flows.keys().copied().collect();
         v.sort_unstable();
         v
-    }
-
-    /// Drop every chunk of `flow`, returning the bytes freed.
-    pub fn drop_flow(&mut self, flow: FlowId) -> ByteSize {
-        let chunks: Vec<ChunkNo> = self
-            .flows
-            .get(&flow)
-            .map(|s| s.iter().copied().collect())
-            .unwrap_or_default();
-        let mut freed = ByteSize::ZERO;
-        for c in chunks {
-            if let Some(b) = self.release(flow, c) {
-                freed += b;
-            }
-        }
-        freed
     }
 }
 
@@ -379,7 +350,6 @@ mod tests {
         assert_eq!(s.used(), kb(8));
         assert_eq!(s.headroom(), kb(2));
         assert_eq!(s.chunk_count(), 2);
-        assert_eq!(s.flow_count(), 1);
         assert!((s.fill_fraction() - 0.8).abs() < 1e-12);
         assert_eq!(s.release(1, 0), Some(kb(4)));
         assert_eq!(s.release(1, 0), None);
@@ -480,7 +450,6 @@ mod tests {
         let drained: Vec<ChunkNo> = std::iter::from_fn(|| s.pop_next(7).map(|(c, _)| c)).collect();
         assert_eq!(drained, vec![1, 2, 3, 4, 5]);
         assert_eq!(s.pop_next(7), None);
-        assert_eq!(s.flow_count(), 0);
     }
 
     #[test]
@@ -489,13 +458,7 @@ mod tests {
         s.store(t0(), 1, 0, kb(2)).unwrap();
         s.store(t0(), 1, 1, kb(3)).unwrap();
         s.store(t0(), 2, 0, kb(4)).unwrap();
-        assert_eq!(s.flow_bytes(1), kb(5));
-        assert_eq!(s.flow_bytes(2), kb(4));
-        assert_eq!(s.flow_bytes(3), ByteSize::ZERO);
         assert_eq!(s.flows(), vec![1, 2]);
-        assert_eq!(s.drop_flow(1), kb(5));
-        assert_eq!(s.used(), kb(4));
-        assert_eq!(s.flows(), vec![2]);
     }
 
     #[test]

@@ -28,11 +28,6 @@ pub fn holding_time(size: ByteSize, ingress: Rate) -> SimDuration {
     size.transfer_time(ingress)
 }
 
-/// Holding time when the store drains at `drain` while filling at `arrival`.
-pub fn holding_time_with_drain(size: ByteSize, arrival: Rate, drain: Rate) -> SimDuration {
-    holding_time(size, arrival.saturating_sub(drain))
-}
-
 /// Cache size needed to absorb `ingress` for `hold`.
 pub fn required_cache(ingress: Rate, hold: SimDuration) -> ByteSize {
     let bits = ingress.bits_in(hold);
@@ -90,16 +85,6 @@ mod tests {
         // The exact sentence from §3.3.
         let t = holding_time(ByteSize::gb(10), Rate::gbps(40.0));
         assert_eq!(t, SimDuration::from_secs(2));
-    }
-
-    #[test]
-    fn holding_time_with_drain_subtracts() {
-        let t = holding_time_with_drain(ByteSize::gb(10), Rate::gbps(40.0), Rate::gbps(20.0));
-        assert_eq!(t, SimDuration::from_secs(4));
-        let t = holding_time_with_drain(ByteSize::gb(10), Rate::gbps(40.0), Rate::gbps(40.0));
-        assert_eq!(t, SimDuration::MAX);
-        let t = holding_time_with_drain(ByteSize::gb(10), Rate::gbps(40.0), Rate::gbps(50.0));
-        assert_eq!(t, SimDuration::MAX);
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! or propagate the notification one hop further — all the way to the
 //! sender, which enters a closed loop for that flow.
 //!
-//! This module provides the message type, the per-node table of active
-//! slow-downs (rate caps with expiry), and the decision helper.
+//! This module provides the message type and the per-node table of active
+//! slow-downs (rate caps with expiry).
 
 use std::collections::HashMap;
 
@@ -39,31 +39,6 @@ impl SlowdownMsg {
             hops_travelled: self.hops_travelled.saturating_add(1),
             ..self
         }
-    }
-}
-
-/// What an upstream node does with a received slow-down (§3.3: "the
-/// upstream neighbour node that has been informed of the congested link
-/// has two options").
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum UpstreamAction {
-    /// Bypass the congested region with a (longer) detour of its own.
-    Detour,
-    /// Send the notification one hop further back.
-    Propagate,
-    /// The notification reached the data sender: enter the closed loop.
-    SenderClosedLoop,
-}
-
-/// Decide the reaction per the paper's two options (plus sender terminal
-/// case).
-pub fn decide_upstream_action(is_sender: bool, can_detour: bool) -> UpstreamAction {
-    if is_sender {
-        UpstreamAction::SenderClosedLoop
-    } else if can_detour {
-        UpstreamAction::Detour
-    } else {
-        UpstreamAction::Propagate
     }
 }
 
@@ -102,11 +77,6 @@ impl BackpressureState {
         self.limits
             .get(&link)
             .and_then(|&(r, e)| (e > now).then_some(r))
-    }
-
-    /// Whether any cap is currently live.
-    pub fn any_active(&self, now: SimTime) -> bool {
-        self.limits.values().any(|&(_, e)| e > now)
     }
 
     /// Drop expired entries; call periodically.
@@ -155,7 +125,6 @@ mod tests {
             Some(Rate::mbps(2.0))
         );
         assert_eq!(bp.allowed_rate(SimTime::ZERO, LinkId(9)), None);
-        assert!(bp.any_active(SimTime::from_millis(100)));
         assert_eq!(bp.len(), 1);
     }
 
@@ -164,7 +133,6 @@ mod tests {
         let mut bp = BackpressureState::new();
         bp.apply(SimTime::ZERO, &msg(2.0), SimDuration::from_millis(200));
         assert_eq!(bp.allowed_rate(SimTime::from_millis(250), LinkId(1)), None);
-        assert!(!bp.any_active(SimTime::from_millis(250)));
         bp.cleanup(SimTime::from_millis(250));
         assert!(bp.is_empty());
         assert_eq!(bp.stats(), (1, 1));
@@ -208,24 +176,6 @@ mod tests {
         let mut far = m;
         far.hops_travelled = u8::MAX;
         assert_eq!(far.propagated().hops_travelled, u8::MAX);
-    }
-
-    #[test]
-    fn upstream_decision_logic() {
-        assert_eq!(decide_upstream_action(false, true), UpstreamAction::Detour);
-        assert_eq!(
-            decide_upstream_action(false, false),
-            UpstreamAction::Propagate
-        );
-        // the sender always terminates the chain, detour or not
-        assert_eq!(
-            decide_upstream_action(true, true),
-            UpstreamAction::SenderClosedLoop
-        );
-        assert_eq!(
-            decide_upstream_action(true, false),
-            UpstreamAction::SenderClosedLoop
-        );
     }
 
     #[test]

@@ -1,81 +1,26 @@
-//! Detour selection: where does the excess go?
+//! Detour selection: which paths bypass a congested link?
 //!
-//! When an interface enters the detour phase it must place its excess rate
-//! onto alternative sub-paths around the congested link. The paper
-//! describes two modes (§3.3):
+//! When an interface enters the detour phase it places its excess onto
+//! alternative sub-paths around the congested link. The paper describes
+//! two modes (§3.3), which the packet engine applies when it checks a
+//! candidate's headroom:
 //!
 //! * **load-aware** (option i): neighbours periodically advertise their
-//!   interface loads, so the router assigns to each detour path "exactly
-//!   as much traffic as this detour path can accommodate";
-//! * **blind** (option ii): no load information; excess is spread evenly
-//!   and downstream nodes may detour again.
+//!   interface loads, so every hop of a detour is checked;
+//! * **blind** (option ii): no load information; only the local first hop
+//!   is checked and downstream nodes may detour again.
 //!
 //! Depth policy follows the Fig. 4 setup: depth 1 uses 1-hop detours,
 //! depth 2 additionally allows the "one extra hop" paths.
 
-use std::collections::HashMap;
-
-use inrpp_sim::time::SimTime;
-use inrpp_sim::units::Rate;
 use inrpp_topology::detour::DetourTable;
 use inrpp_topology::graph::{LinkId, NodeId, Topology};
 use inrpp_topology::spath::Path;
-
-/// Advertised residual capacities of neighbour interfaces, keyed by the
-/// directed pair `(from, to)`. Entries carry the advertisement time so
-/// stale gossip can be aged out.
-#[derive(Debug, Clone, Default)]
-pub struct NeighborLoads {
-    residual: HashMap<(NodeId, NodeId), (Rate, SimTime)>,
-}
-
-impl NeighborLoads {
-    /// Empty map (blind operation).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record that channel `from -> to` advertised `residual` free capacity.
-    pub fn advertise(&mut self, now: SimTime, from: NodeId, to: NodeId, residual: Rate) {
-        self.residual.insert((from, to), (residual, now));
-    }
-
-    /// The advertised residual for `from -> to`, if any.
-    pub fn residual(&self, from: NodeId, to: NodeId) -> Option<Rate> {
-        self.residual.get(&(from, to)).map(|&(r, _)| r)
-    }
-
-    /// Drop advertisements older than `oldest`.
-    pub fn expire(&mut self, oldest: SimTime) {
-        self.residual.retain(|_, &mut (_, t)| t >= oldest);
-    }
-
-    /// Number of live advertisements.
-    pub fn len(&self) -> usize {
-        self.residual.len()
-    }
-
-    /// True when no advertisements are known.
-    pub fn is_empty(&self) -> bool {
-        self.residual.is_empty()
-    }
-}
-
-/// A detour path together with the rate assigned onto it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DetourAssignment {
-    /// The bypass path (starts at the congested link's upstream node, ends
-    /// at its downstream node).
-    pub path: Path,
-    /// Rate assigned to this path.
-    pub rate: Rate,
-}
 
 /// Policy + precomputed table for picking detours on one topology.
 #[derive(Debug, Clone)]
 pub struct DetourSelector {
     table: DetourTable,
-    load_aware: bool,
     max_depth: u8,
     max_paths: usize,
 }
@@ -86,19 +31,13 @@ impl DetourSelector {
     /// # Panics
     /// Panics if `max_depth` is 0 (that would disable detouring; use the
     /// baseline strategies instead).
-    pub fn new(topo: &Topology, load_aware: bool, max_depth: u8, max_paths: usize) -> Self {
+    pub fn new(topo: &Topology, max_depth: u8, max_paths: usize) -> Self {
         assert!(max_depth >= 1, "detour depth must be at least 1");
         DetourSelector {
             table: DetourTable::build(topo, max_paths.max(1)),
-            load_aware,
             max_depth,
             max_paths: max_paths.max(1),
         }
-    }
-
-    /// Whether this selector uses neighbour load information.
-    pub fn is_load_aware(&self) -> bool {
-        self.load_aware
     }
 
     /// Candidate bypass paths around `link` traversed `from -> to`,
@@ -110,73 +49,13 @@ impl DetourSelector {
             .filter(|p| p.hops() <= self.max_depth as usize + 1)
             .collect()
     }
-
-    /// True when at least one bypass exists (used by the phase machine's
-    /// `detour_available` input).
-    pub fn has_detour(&self, topo: &Topology, link: LinkId, from: NodeId, to: NodeId) -> bool {
-        !self.candidates(topo, link, from, to).is_empty()
-    }
-
-    /// Assign `excess` onto detour paths.
-    ///
-    /// Load-aware mode fills paths in preference order up to the minimum
-    /// advertised residual along each; rate that fits nowhere is *not*
-    /// assigned (the caller must cache it and push back). Blind mode
-    /// spreads the excess equally across all candidates with no capacity
-    /// check — the paper's option ii, where "data may find itself before
-    /// another congested link".
-    pub fn select(
-        &self,
-        topo: &Topology,
-        link: LinkId,
-        from: NodeId,
-        to: NodeId,
-        excess: Rate,
-        loads: &NeighborLoads,
-    ) -> Vec<DetourAssignment> {
-        let candidates = self.candidates(topo, link, from, to);
-        if candidates.is_empty() || excess.is_zero() {
-            return Vec::new();
-        }
-        if !self.load_aware {
-            let share = excess / candidates.len() as f64;
-            return candidates
-                .into_iter()
-                .map(|path| DetourAssignment { path, rate: share })
-                .collect();
-        }
-        let mut remaining = excess;
-        let mut out = Vec::new();
-        for path in candidates {
-            if remaining.is_zero() {
-                break;
-            }
-            // Headroom = min advertised residual along the path; a hop with
-            // no advertisement is assumed free only up to its capacity.
-            let mut headroom = Rate::bps(f64::MAX / 4.0);
-            for w in path.nodes().windows(2) {
-                let hop = loads.residual(w[0], w[1]).unwrap_or_else(|| {
-                    let l = topo
-                        .link_between(w[0], w[1])
-                        .expect("candidate paths are walkable");
-                    topo.link(l).capacity
-                });
-                headroom = headroom.min(hop);
-            }
-            let take = headroom.min(remaining);
-            if !take.is_zero() {
-                remaining = remaining.saturating_sub(take);
-                out.push(DetourAssignment { path, rate: take });
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use inrpp_sim::time::SimDuration;
+    use inrpp_sim::units::Rate;
 
     fn fig3() -> Topology {
         Topology::fig3()
@@ -195,73 +74,20 @@ mod tests {
     fn fig3_bottleneck_has_one_candidate() {
         let t = fig3();
         let (_, n2, n3, n4) = ids(&t);
-        let sel = DetourSelector::new(&t, true, 2, 4);
+        let sel = DetourSelector::new(&t, 2, 4);
         let link = t.link_between(n2, n4).unwrap();
         let cands = sel.candidates(&t, link, n2, n4);
         assert_eq!(cands.len(), 1);
         assert_eq!(cands[0].nodes(), &[n2, n3, n4]);
-        assert!(sel.has_detour(&t, link, n2, n4));
     }
 
     #[test]
     fn access_link_has_no_detour() {
         let t = fig3();
         let (n1, n2, _, _) = ids(&t);
-        let sel = DetourSelector::new(&t, true, 2, 4);
+        let sel = DetourSelector::new(&t, 2, 4);
         let link = t.link_between(n1, n2).unwrap();
-        assert!(!sel.has_detour(&t, link, n1, n2));
-        assert!(sel
-            .select(&t, link, n1, n2, Rate::mbps(1.0), &NeighborLoads::new())
-            .is_empty());
-    }
-
-    #[test]
-    fn load_aware_respects_advertised_residuals() {
-        // Fig. 3 scenario: 3 Mbps excess over link 2-4, detour via 3 whose
-        // second hop (3->4) advertises only 3 Mbps free.
-        let t = fig3();
-        let (_, n2, n3, n4) = ids(&t);
-        let sel = DetourSelector::new(&t, true, 2, 4);
-        let link = t.link_between(n2, n4).unwrap();
-        let mut loads = NeighborLoads::new();
-        loads.advertise(SimTime::ZERO, n2, n3, Rate::mbps(3.0));
-        loads.advertise(SimTime::ZERO, n3, n4, Rate::mbps(3.0));
-        let picks = sel.select(&t, link, n2, n4, Rate::mbps(5.0), &loads);
-        assert_eq!(picks.len(), 1);
-        assert!((picks[0].rate.as_mbps() - 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn load_aware_without_ads_uses_capacity() {
-        let t = fig3();
-        let (_, n2, n3, n4) = ids(&t);
-        let sel = DetourSelector::new(&t, true, 2, 4);
-        let link = t.link_between(n2, n4).unwrap();
-        let picks = sel.select(&t, link, n2, n4, Rate::mbps(50.0), &NeighborLoads::new());
-        // capacity of 3-4 is 3 Mbps -> at most 3 Mbps assigned
-        assert_eq!(picks.len(), 1);
-        assert!((picks[0].rate.as_mbps() - 3.0).abs() < 1e-9);
-        let _ = n3;
-    }
-
-    #[test]
-    fn blind_mode_splits_evenly_without_checks() {
-        let t = Topology::full_mesh(5, Rate::mbps(10.0), SimDuration::from_millis(1));
-        let sel = DetourSelector::new(&t, false, 1, 3);
-        let link = t.link_between(NodeId(0), NodeId(1)).unwrap();
-        let picks = sel.select(
-            &t,
-            link,
-            NodeId(0),
-            NodeId(1),
-            Rate::mbps(30.0),
-            &NeighborLoads::new(),
-        );
-        assert_eq!(picks.len(), 3);
-        for p in &picks {
-            assert!((p.rate.as_mbps() - 10.0).abs() < 1e-9);
-        }
-        assert!(!sel.is_load_aware());
+        assert!(sel.candidates(&t, link, n1, n2).is_empty());
     }
 
     #[test]
@@ -276,49 +102,16 @@ mod tests {
         t.add_link(n[2], n[3], c, d).unwrap();
         t.add_link(n[3], n[1], c, d).unwrap();
         let link = t.link_between(n[0], n[1]).unwrap();
-        let shallow = DetourSelector::new(&t, true, 1, 4);
-        assert!(!shallow.has_detour(&t, link, n[0], n[1]));
-        let deep = DetourSelector::new(&t, true, 2, 4);
-        assert!(deep.has_detour(&t, link, n[0], n[1]));
-    }
-
-    #[test]
-    fn zero_excess_assigns_nothing() {
-        let t = fig3();
-        let (_, n2, _, n4) = ids(&t);
-        let sel = DetourSelector::new(&t, true, 2, 4);
-        let link = t.link_between(n2, n4).unwrap();
-        assert!(sel
-            .select(&t, link, n2, n4, Rate::ZERO, &NeighborLoads::new())
-            .is_empty());
-    }
-
-    #[test]
-    fn neighbor_loads_expire() {
-        let mut loads = NeighborLoads::new();
-        loads.advertise(SimTime::from_secs(1), NodeId(0), NodeId(1), Rate::mbps(5.0));
-        loads.advertise(SimTime::from_secs(3), NodeId(1), NodeId(2), Rate::mbps(7.0));
-        assert_eq!(loads.len(), 2);
-        loads.expire(SimTime::from_secs(2));
-        assert_eq!(loads.len(), 1);
-        assert!(loads.residual(NodeId(0), NodeId(1)).is_none());
-        assert!(loads.residual(NodeId(1), NodeId(2)).is_some());
-        assert!(!loads.is_empty());
-    }
-
-    #[test]
-    fn advertisements_overwrite() {
-        let mut loads = NeighborLoads::new();
-        loads.advertise(SimTime::ZERO, NodeId(0), NodeId(1), Rate::mbps(5.0));
-        loads.advertise(SimTime::from_secs(1), NodeId(0), NodeId(1), Rate::mbps(2.0));
-        assert_eq!(loads.residual(NodeId(0), NodeId(1)), Some(Rate::mbps(2.0)));
-        assert_eq!(loads.len(), 1);
+        let shallow = DetourSelector::new(&t, 1, 4);
+        assert!(shallow.candidates(&t, link, n[0], n[1]).is_empty());
+        let deep = DetourSelector::new(&t, 2, 4);
+        assert!(!deep.candidates(&t, link, n[0], n[1]).is_empty());
     }
 
     #[test]
     #[should_panic(expected = "at least 1")]
     fn zero_depth_rejected() {
         let t = fig3();
-        let _ = DetourSelector::new(&t, true, 0, 4);
+        let _ = DetourSelector::new(&t, 0, 4);
     }
 }

@@ -334,11 +334,6 @@ impl Sender {
         self.rr.retain(|&f| f != flow);
     }
 
-    /// Flows still registered.
-    pub fn active_flows(&self) -> usize {
-        self.flows.len()
-    }
-
     /// True if `flow` has emitted every chunk of its object.
     pub fn drained(&self, flow: FlowId) -> bool {
         self.flows
@@ -555,9 +550,7 @@ mod tests {
         let mut s = Sender::new(0);
         s.register(1, 5);
         s.register(2, 5);
-        assert_eq!(s.active_flows(), 2);
         s.finish(1);
-        assert_eq!(s.active_flows(), 1);
         s.on_request(
             1,
             Request {

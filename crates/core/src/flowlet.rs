@@ -95,16 +95,6 @@ impl FlowletSplitter {
             }
         }
     }
-
-    /// Forget a finished flow's state.
-    pub fn forget(&mut self, flow: FlowId) {
-        self.flows.remove(&flow);
-    }
-
-    /// Number of flows currently tracked.
-    pub fn tracked_flows(&self) -> usize {
-        self.flows.len()
-    }
 }
 
 #[cfg(test)]
@@ -150,7 +140,6 @@ mod tests {
         let choices: Vec<usize> = (0..32).map(|f| fs.assign(ms(0), f, 8)).collect();
         let distinct: std::collections::HashSet<_> = choices.iter().collect();
         assert!(distinct.len() >= 3, "flow hash collapsed: {choices:?}");
-        assert_eq!(fs.tracked_flows(), 32);
     }
 
     #[test]
@@ -170,18 +159,6 @@ mod tests {
         let _ = fs.assign(ms(0), 1, 8);
         let c = fs.assign(ms(1), 1, 2);
         assert!(c < 2);
-    }
-
-    #[test]
-    fn forget_releases_state() {
-        let mut fs = FlowletSplitter::new(SimDuration::from_millis(10));
-        let _ = fs.assign(ms(0), 1, 4);
-        assert_eq!(fs.tracked_flows(), 1);
-        fs.forget(1);
-        assert_eq!(fs.tracked_flows(), 0);
-        // re-assignment starts a fresh flowlet
-        let _ = fs.assign(ms(1), 1, 4);
-        assert_eq!(fs.flowlets_opened(), 2);
     }
 
     #[test]

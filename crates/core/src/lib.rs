@@ -49,4 +49,4 @@ pub use session::{
     Engine, EngineKind, FluidEngine, Probe, QuantileProbe, RunReport, Session, SessionBuilder,
     SessionError, SessionStrategy, TimeSeriesProbe,
 };
-pub use source::{FeedSource, PacedSource, SyntheticSource, TraceSource, WorkloadSource};
+pub use source::{FeedSource, SyntheticSource, TraceSource, WorkloadSource};

@@ -15,9 +15,8 @@
 //! the next interval, which the phase machine compares with the actual
 //! capacity `r(j)`.
 //!
-//! The estimator exposes the ratios, the per-interface anticipated rates,
-//! and an RTT tracker so `T_i` can follow the measured chunk RTT
-//! (footnote 4 of the paper).
+//! The estimator exposes the ratios and the per-interface anticipated
+//! rates.
 
 use inrpp_sim::time::{SimDuration, SimTime};
 use inrpp_sim::units::Rate;
@@ -49,10 +48,6 @@ pub struct RateEstimator {
     open: Vec<Vec<f64>>,
     /// snapshot of the last completed window
     closed: Vec<Vec<f64>>,
-    /// length of the last completed window (for rate conversion)
-    closed_len: SimDuration,
-    /// smoothed chunk RTT (EWMA), if any samples arrived
-    srtt: Option<SimDuration>,
 }
 
 impl RateEstimator {
@@ -69,19 +64,7 @@ impl RateEstimator {
             window_start: now,
             open: vec![vec![0.0; n_ifaces]; n_ifaces],
             closed: vec![vec![0.0; n_ifaces]; n_ifaces],
-            closed_len: interval,
-            srtt: None,
         }
-    }
-
-    /// Number of interfaces being tracked.
-    pub fn iface_count(&self) -> usize {
-        self.n_ifaces
-    }
-
-    /// The active accounting interval `T_i`.
-    pub fn interval(&self) -> SimDuration {
-        self.interval
     }
 
     /// Roll the tumbling window forward if `now` passed its end. Idempotent.
@@ -91,7 +74,6 @@ impl RateEstimator {
             for row in &mut self.open {
                 row.iter_mut().for_each(|v| *v = 0.0);
             }
-            self.closed_len = self.interval;
             self.window_start += self.interval;
         }
     }
@@ -129,49 +111,11 @@ impl RateEstimator {
     pub fn anticipated_rate(&self, down: IfaceId) -> Rate {
         assert!(down < self.n_ifaces, "iface out of range");
         let bits: f64 = (0..self.n_ifaces).map(|up| self.closed[up][down]).sum();
-        let secs = self.closed_len.as_secs_f64();
+        let secs = self.interval.as_secs_f64();
         if secs <= 0.0 {
             Rate::ZERO
         } else {
             Rate::bps(bits / secs)
-        }
-    }
-
-    /// All anticipated rates at once.
-    pub fn anticipated_rates(&self) -> Vec<Rate> {
-        (0..self.n_ifaces)
-            .map(|j| self.anticipated_rate(j))
-            .collect()
-    }
-
-    /// Feed a measured chunk RTT sample (EWMA with gain 1/8, TCP-style) and
-    /// optionally retune the interval to track it.
-    pub fn record_rtt(&mut self, sample: SimDuration) {
-        let s = match self.srtt {
-            None => sample,
-            Some(prev) => {
-                let a = 0.125;
-                SimDuration::from_secs_f64(
-                    prev.as_secs_f64() * (1.0 - a) + sample.as_secs_f64() * a,
-                )
-            }
-        };
-        self.srtt = Some(s);
-    }
-
-    /// The smoothed RTT, if any samples were recorded.
-    pub fn smoothed_rtt(&self) -> Option<SimDuration> {
-        self.srtt
-    }
-
-    /// Adopt the smoothed RTT as the new `T_i` (paper footnote 4). The
-    /// change takes effect at the next roll; no-op without RTT samples or
-    /// when the smoothed RTT is zero.
-    pub fn adopt_rtt_interval(&mut self) {
-        if let Some(rtt) = self.srtt {
-            if !rtt.is_zero() {
-                self.interval = rtt;
-            }
         }
     }
 }
@@ -189,7 +133,6 @@ mod tests {
         let e = est();
         assert_eq!(e.anticipated_rate(0), Rate::ZERO);
         assert_eq!(e.ratio(0, 1), 0.0);
-        assert_eq!(e.iface_count(), 3);
     }
 
     #[test]
@@ -224,9 +167,6 @@ mod tests {
         e.record_request(SimTime::ZERO, 1, 2, 3e6);
         e.maybe_roll(SimTime::from_millis(100));
         assert!((e.anticipated_rate(2).as_mbps() - 50.0).abs() < 1e-9);
-        let all = e.anticipated_rates();
-        assert_eq!(all.len(), 3);
-        assert_eq!(all[0], Rate::ZERO);
     }
 
     #[test]
@@ -259,27 +199,6 @@ mod tests {
         e.record_request(SimTime::from_millis(250), 0, 1, 5e5);
         // the closed window is now the *second* (empty) 100ms window
         assert_eq!(e.anticipated_rate(1), Rate::ZERO);
-    }
-
-    #[test]
-    fn rtt_ewma_and_interval_adoption() {
-        let mut e = est();
-        assert_eq!(e.smoothed_rtt(), None);
-        e.record_rtt(SimDuration::from_millis(80));
-        assert_eq!(e.smoothed_rtt(), Some(SimDuration::from_millis(80)));
-        e.record_rtt(SimDuration::from_millis(160));
-        let s = e.smoothed_rtt().unwrap();
-        assert!((s.as_millis_f64() - 90.0).abs() < 1e-9, "srtt {s}");
-        e.adopt_rtt_interval();
-        assert_eq!(e.interval(), s);
-    }
-
-    #[test]
-    fn adopt_without_samples_is_noop() {
-        let mut e = est();
-        let before = e.interval();
-        e.adopt_rtt_interval();
-        assert_eq!(e.interval(), before);
     }
 
     #[test]

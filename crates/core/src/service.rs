@@ -42,8 +42,8 @@ use inrpp_sim::snap::{SnapError, SnapReader, SnapWriter};
 use inrpp_sim::time::SimTime;
 
 use crate::session::{
-    assemble_fluid_report, EngineKind, FlowRecord, FlowSpec, FluidAdapter, Probe, ProbeSet,
-    RunReport, Session, SessionError, Transfer, Workload,
+    assemble_fluid_report, check_fluid_workers, EngineKind, FlowRecord, FlowSpec, FluidAdapter,
+    Probe, ProbeSet, RunReport, Session, SessionError, Transfer, Workload,
 };
 
 /// Envelope magic: identifies the container, not the body layout (the
@@ -246,13 +246,7 @@ impl<'a> FluidService<'a> {
     /// Open a stepping session on the fluid engine. `backing` must
     /// outlive the service (it owns what the run borrows).
     pub fn open(session: &Session<'a>, backing: &'a FluidBacking) -> Result<Self, SessionError> {
-        if session.workers() > 1 {
-            return Err(SessionError::InvalidConfig(format!(
-                "the fluid engine is single-threaded; workers({}) is only \
-                 supported by the packet engine",
-                session.workers()
-            )));
-        }
+        check_fluid_workers(session)?;
         let run = FlowSim::new(
             session.topology(),
             backing.strategy.as_ref(),
@@ -280,6 +274,7 @@ impl<'a> FluidService<'a> {
         checkpoint: &Checkpoint,
     ) -> Result<Self, SessionError> {
         checkpoint.validate(EngineKind::Fluid, session)?;
+        check_fluid_workers(session)?;
         let corrupt = |e: SnapError| {
             SessionError::CheckpointMismatch(format!("corrupt fluid checkpoint: {e}"))
         };
@@ -408,12 +403,12 @@ impl ServiceSession for FluidService<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session::SessionStrategy;
+    use crate::session::{SessionBuilder, SessionStrategy};
     use inrpp_sim::time::SimDuration;
     use inrpp_sim::units::ByteSize;
     use inrpp_topology::graph::Topology;
 
-    fn session(topo: &Topology) -> Session<'_> {
+    fn spec(topo: &Topology) -> SessionBuilder<'_> {
         let n = |s: &str| topo.node_by_name(s).unwrap();
         let chunk = ByteSize::bytes(1250);
         Session::builder()
@@ -424,8 +419,10 @@ mod tests {
             ])
             .strategy(SessionStrategy::urp())
             .horizon(SimDuration::from_secs(30))
-            .build()
-            .expect("valid session")
+    }
+
+    fn session(topo: &Topology) -> Session<'_> {
+        spec(topo).build().expect("valid session")
     }
 
     fn bits_eq(a: f64, b: f64) -> bool {
@@ -512,6 +509,14 @@ mod tests {
             .err()
             .expect("engine mismatch must be rejected");
         assert!(matches!(err, SessionError::CheckpointMismatch(_)), "{err}");
+
+        // the same spec with two workers: the fluid engine refuses them on
+        // resume exactly as on open
+        let two_workers = spec(&topo).workers(2).build().unwrap();
+        let err = FluidService::resume(&two_workers, &backing, &ckpt)
+            .err()
+            .expect("workers(2) must be refused on resume");
+        assert!(matches!(err, SessionError::InvalidConfig(_)), "{err}");
 
         // corrupt envelope bytes
         let bytes = ckpt.to_bytes();

@@ -1343,6 +1343,21 @@ impl FlowObserver for FluidAdapter<'_, '_, '_> {
     }
 }
 
+/// Refuse a session that asks the single-threaded fluid engine for more
+/// than one worker — the one check of [`FluidEngine::run`],
+/// [`FluidService::open`](crate::service::FluidService::open) and
+/// [`FluidService::resume`](crate::service::FluidService::resume).
+pub(crate) fn check_fluid_workers(session: &Session<'_>) -> Result<(), SessionError> {
+    if session.workers() > 1 {
+        return Err(SessionError::InvalidConfig(format!(
+            "the fluid engine is single-threaded; workers({}) is only \
+             supported by the packet engine",
+            session.workers()
+        )));
+    }
+    Ok(())
+}
+
 impl Engine for FluidEngine {
     fn kind(&self) -> EngineKind {
         EngineKind::Fluid
@@ -1353,13 +1368,7 @@ impl Engine for FluidEngine {
         session: &Session<'_>,
         probes: &mut [&mut dyn Probe],
     ) -> Result<RunReport, SessionError> {
-        if session.workers() > 1 {
-            return Err(SessionError::InvalidConfig(format!(
-                "the fluid engine is single-threaded; workers({}) is only \
-                 supported by the packet engine",
-                session.workers()
-            )));
-        }
+        check_fluid_workers(session)?;
         let workload = session.fluid_workload();
         let strategy = session.strategy.build_fluid(session.topology);
         let mut records = Vec::with_capacity(workload.flows.len());

@@ -13,9 +13,6 @@
 //!   never materialised);
 //! * [`FeedSource`] — a programmatic queue for embedding.
 //!
-//! [`PacedSource`] wraps any of them with a token-bucket admission
-//! throttle (object bits against a rate/burst budget).
-//!
 //! # Trace format (`# inrpp-trace v1`)
 //!
 //! Plain text. The first non-blank line must be the header
@@ -39,9 +36,8 @@
 use std::collections::VecDeque;
 use std::io::BufRead;
 
-use inrpp_sim::fault::TokenBucket;
 use inrpp_sim::time::{SimDuration, SimTime};
-use inrpp_sim::units::{ByteSize, Rate};
+use inrpp_sim::units::ByteSize;
 use inrpp_topology::graph::Topology;
 
 use crate::service::ServiceSession;
@@ -212,89 +208,6 @@ impl WorkloadSource for SyntheticSource {
 
     fn pop(&mut self) {
         self.transfers.pop_front();
-    }
-}
-
-// ===================================================================
-// PacedSource
-// ===================================================================
-
-/// An admission throttle over any [`WorkloadSource`]: each transfer is
-/// released only once a token bucket ([`TokenBucket`], tokens = object
-/// bits refilling at `rate`, burst `burst_bits`) affords its whole
-/// object, so a recorded or synthetic arrival process can be replayed
-/// against an ingest-rate budget. A transfer due at `start` is admitted
-/// at `max(start, bucket availability)`; admissions stay nondecreasing
-/// (the [`WorkloadSource`] contract) and the schedule is a pure
-/// function of the inner stream and the bucket parameters, so pacing
-/// composes with checkpoint/resume like any other source.
-///
-/// The bucket parameters are user input, so construction goes through
-/// [`TokenBucket::try_new`] and a non-positive or non-finite burst is a
-/// typed [`SessionError::InvalidConfig`], not a panic.
-#[derive(Debug, Clone)]
-pub struct PacedSource<S> {
-    inner: S,
-    bucket: TokenBucket,
-    /// Last admission instant: keeps the paced stream nondecreasing
-    /// even when the bucket has refilled past a later arrival.
-    floor: SimTime,
-    /// The priced head-of-line transfer (start rewritten to its
-    /// admission instant); repeated peeks must not re-draw.
-    staged: Option<Transfer>,
-}
-
-impl<S: WorkloadSource> PacedSource<S> {
-    /// Wrap `inner`, budgeting admissions to `rate` with at most
-    /// `burst_bits` of instantaneous credit.
-    pub fn new(inner: S, rate: Rate, burst_bits: f64) -> Result<Self, SessionError> {
-        let bucket = TokenBucket::try_new(rate, burst_bits, SimTime::ZERO)
-            .map_err(|e| SessionError::InvalidConfig(format!("paced source: {e}")))?;
-        Ok(PacedSource {
-            inner,
-            bucket,
-            floor: SimTime::ZERO,
-            staged: None,
-        })
-    }
-
-    /// The wrapped source.
-    pub fn into_inner(self) -> S {
-        self.inner
-    }
-}
-
-fn object_bits(t: &Transfer) -> f64 {
-    (t.chunks * t.chunk_bytes.as_bits()) as f64
-}
-
-impl<S: WorkloadSource> WorkloadSource for PacedSource<S> {
-    fn peek(&mut self) -> Result<Option<Transfer>, SessionError> {
-        if self.staged.is_none() {
-            if let Some(mut t) = self.inner.peek()? {
-                let bits = object_bits(&t);
-                let at = self.bucket.next_available(self.floor.max(t.start), bits);
-                if at == SimTime::MAX {
-                    return Err(SessionError::InvalidConfig(format!(
-                        "paced source: flow {} carries {bits} bits, more than the \
-                         {} bit burst can ever admit",
-                        t.flow,
-                        self.bucket.burst_bits()
-                    )));
-                }
-                t.start = at;
-                self.staged = Some(t);
-            }
-        }
-        Ok(self.staged)
-    }
-
-    fn pop(&mut self) {
-        if let Some(t) = self.staged.take() {
-            self.bucket.try_consume(t.start, object_bits(&t));
-            self.floor = t.start;
-            self.inner.pop();
-        }
     }
 }
 
@@ -566,66 +479,6 @@ mod tests {
             .ceil()
             .max(1.0) as u64;
         assert_eq!(first.chunks, want);
-    }
-
-    #[test]
-    fn paced_source_delays_admissions_to_the_budget() {
-        let topo = Topology::fig3();
-        let n = |s: &str| topo.node_by_name(s).unwrap();
-        let chunk = ByteSize::bytes(1250); // 10_000 bits
-        let mut feed = FeedSource::new();
-        for flow in 1..=3u64 {
-            feed.push(Transfer {
-                flow,
-                src: n("1"),
-                dst: n("4"),
-                chunks: 100, // 1 Mbit object
-                chunk_bytes: chunk,
-                start: SimTime::ZERO,
-            })
-            .unwrap();
-        }
-        // burst admits exactly one object instantly; 1 Mbps refill
-        // spaces the rest a second apart
-        let mut paced = PacedSource::new(feed, Rate::mbps(1.0), 1e6).unwrap();
-        let mut admitted = Vec::new();
-        while let Some(t) = paced.peek().unwrap() {
-            // a second peek must not move the admission
-            assert_eq!(paced.peek().unwrap().unwrap().start, t.start);
-            admitted.push(t.start);
-            paced.pop();
-        }
-        assert_eq!(
-            admitted,
-            vec![SimTime::ZERO, SimTime::from_secs(1), SimTime::from_secs(2)]
-        );
-    }
-
-    #[test]
-    fn paced_source_rejects_bad_budgets_with_typed_errors() {
-        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
-            match PacedSource::new(FeedSource::new(), Rate::mbps(1.0), bad) {
-                Err(SessionError::InvalidConfig(msg)) => {
-                    assert!(msg.contains("paced source"), "{msg}")
-                }
-                other => panic!("burst {bad}: expected InvalidConfig, got {other:?}"),
-            }
-        }
-        // an object no burst ever covers is caught at peek, typed
-        let topo = Topology::fig3();
-        let n = |s: &str| topo.node_by_name(s).unwrap();
-        let mut feed = FeedSource::new();
-        feed.push(Transfer {
-            flow: 1,
-            src: n("1"),
-            dst: n("4"),
-            chunks: 1_000,
-            chunk_bytes: ByteSize::bytes(1250),
-            start: SimTime::ZERO,
-        })
-        .unwrap();
-        let mut paced = PacedSource::new(feed, Rate::mbps(1.0), 1e3).unwrap();
-        assert!(matches!(paced.peek(), Err(SessionError::InvalidConfig(_))));
     }
 
     #[test]

@@ -192,12 +192,6 @@ impl FlowSimReport {
         }
     }
 
-    /// FCT quantile in seconds over completed flows (`None` when nothing
-    /// completed).
-    pub fn fct_quantile(&mut self, q: f64) -> Option<f64> {
-        self.fct_cdf.quantile(q)
-    }
-
     /// The `n` busiest directed channels as `(channel index, utilisation)`,
     /// hottest first. Channel index decodes as `link = idx / 2`,
     /// `direction = idx % 2` (0 = the link's `a -> b` direction).
@@ -349,13 +343,6 @@ mod tests {
         assert!((r.throughput() - 0.75).abs() < 1e-12);
         assert!((r.goodput_bps() - 15.0).abs() < 1e-12);
         assert!(r.summary().contains("SP"));
-    }
-
-    #[test]
-    fn report_fct_quantiles() {
-        let mut r = sample_report();
-        assert_eq!(r.fct_quantile(0.5), Some(0.5));
-        assert_eq!(r.fct_quantile(1.0), Some(0.8));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The **reference** packet engine: the original (seed) implementation,
 //! kept verbatim as the behavioural oracle for the arena/calendar
-//! engine in [`crate::engine`].
+//! engine in `inrpp_packetsim::engine`.
 //!
 //! Every structure here is the straightforward one — `BTreeMap` flow
 //! tables, per-packet `Vec<NodeId>` route clones, one global binary
@@ -10,17 +10,13 @@
 //! by the in-crate equivalence tests and the
 //! `packet_engine_matches_reference_runner` property test).
 //!
-//! Reach it through [`PacketSim::run_reference`] /
-//! [`PacketSim::run_reference_probed`](crate::PacketSim::run_reference_probed);
-//! nothing else should depend on it.
-//!
-//! [`PacketSim::run_reference`]: crate::PacketSim::run_reference
+//! Reach it through [`crate::run`]; nothing else should depend on it.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
 use inrpp::backpressure::{BackpressureState, SlowdownMsg};
 use inrpp::config::InrppConfig;
-use inrpp::detour::{DetourSelector, NeighborLoads};
+use inrpp::detour::DetourSelector;
 use inrpp::endpoint::{Receiver, Request, Sender, SenderMode};
 use inrpp::flowlet::FlowletSplitter;
 use inrpp::phase::{Phase, PhaseController, PhaseInputs};
@@ -34,12 +30,15 @@ use inrpp_sim::units::ByteSize;
 use inrpp_topology::graph::{NodeId, Topology};
 use inrpp_topology::spath::{cost, shortest_path};
 
-use crate::channel::Channel;
-use crate::packet::{
-    AimdConfig, ChunkNo, DirIndex, FlowId, FlowTransport, Packet, PacketSimConfig, TransferSpec,
+use inrpp_packetsim::packet::{
+    AimdConfig, ChunkNo, DirIndex, FlowId, FlowTransport, PacketSimConfig, TransferSpec,
     TransportKind,
 };
-use crate::report::{FlowStats, PacketSimReport};
+use inrpp_packetsim::report::{FlowStats, PacketSimReport};
+
+use crate::channel::Channel;
+use crate::detour::NeighborLoads;
+use crate::packet::Packet;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Ev {
@@ -178,8 +177,7 @@ impl<'a> Runner<'a> {
                 )
             })
             .collect();
-        let selector = inrpp_cfg
-            .map(|c| DetourSelector::new(topo, c.load_aware_detour, c.max_detour_depth, 4));
+        let selector = inrpp_cfg.map(|c| DetourSelector::new(topo, c.max_detour_depth, 4));
         // keyed draws: identical derivation to the optimised engine, so
         // both agree on every attempt's fate regardless of event order
         let fault = FaultInjector::keyed(cfg.fault, cfg.seed);
@@ -418,7 +416,7 @@ impl<'a> Runner<'a> {
                 };
                 let outcome = self
                     .fault
-                    .apply_keyed(crate::engine::fault_key(flow, chunk, d as u32, occ));
+                    .apply_keyed(inrpp_sim::fault::fault_key(flow, chunk, d as u32, occ));
                 match outcome {
                     FaultOutcome::Pass => {
                         let idx = self.stash(Packet::Data {
@@ -472,7 +470,7 @@ impl<'a> Runner<'a> {
         // (§3.3 option i: neighbours advertise interface loads) checks
         // every hop of the detour; blind mode (option ii) sees only the
         // local first hop.
-        let load_aware = selector.is_load_aware();
+        let load_aware = self.inrpp_cfg.is_some_and(|c| c.load_aware_detour);
         let threshold = self.cfg.detour_queue_threshold;
         let viable: Vec<&inrpp_topology::spath::Path> = cands
             .iter()
@@ -963,7 +961,7 @@ impl<'a> Runner<'a> {
             let mut detour_available = self
                 .selector
                 .as_ref()
-                .is_some_and(|s| s.has_detour(self.topo, link, node, nb));
+                .is_some_and(|s| !s.candidates(self.topo, link, node, nb).is_empty());
             // §4 monitoring: smooth the interface utilisation and, when
             // flap damping is on, hold detouring steady while the phase
             // is oscillating

@@ -17,12 +17,15 @@
 //!   "moves traffic faster without causing packet drops" becomes a
 //!   measurable experiment (ablations A2–A4).
 //!
-//! Modules: [`channel`] (the busy-until link model), [`packet`] (wire
-//! types and configuration), [`engine`] (the network + event loop),
+//! Modules: [`channel`] (the busy-until link model), [`packet`] (transfer
+//! and configuration types), [`engine`] (the network + event loop),
 //! [`report`] (per-run metrics), [`session`] (the `inrpp::session`
 //! facade backend — run this engine through the typed `Session` API),
 //! [`shard`] (deterministic multi-threaded execution over topology
 //! regions, byte-identical to the sequential run).
+//!
+//! This crate holds one packet engine. The seed implementation it must
+//! match bit for bit lives in the `inrpp-packet-oracle` test crate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,7 +33,6 @@
 pub mod channel;
 pub mod engine;
 pub mod packet;
-pub mod reference;
 pub mod report;
 pub mod session;
 pub mod shard;

@@ -136,19 +136,6 @@ impl PacketSimReport {
             .map(|i| &self.flows[i])
     }
 
-    /// Completion time of one flow. `None` when the flow is unknown *or*
-    /// was truncated by the horizon — callers must not assume every flow
-    /// finishes (a run cut mid-flow is a normal outcome, not an error).
-    pub fn fct_of(&self, flow: FlowId) -> Option<SimDuration> {
-        self.flow(flow).and_then(|f| f.fct())
-    }
-
-    /// Slowest completion among *completed* flows, `None` when nothing
-    /// finished by the horizon.
-    pub fn max_fct(&self) -> Option<SimDuration> {
-        self.flows.iter().filter_map(|f| f.fct()).max()
-    }
-
     /// Mean FCT over completed flows, seconds.
     pub fn mean_fct_secs(&self) -> f64 {
         let fcts: Vec<f64> = self
@@ -172,26 +159,6 @@ impl PacketSimReport {
             .map(|f| f.goodput_bps(self.chunk_bytes, horizon))
             .collect();
         JainIndex::compute(&rates)
-    }
-
-    /// Aggregate goodput in bits/s.
-    pub fn total_goodput_bps(&self) -> f64 {
-        let horizon = SimTime::ZERO + self.horizon;
-        self.flows
-            .iter()
-            .map(|f| f.goodput_bps(self.chunk_bytes, horizon))
-            .sum()
-    }
-
-    /// Drop rate over all data-chunk transmissions that ended (delivered
-    /// or dropped).
-    pub fn drop_rate(&self) -> f64 {
-        let total = self.chunks_delivered + self.chunks_dropped;
-        if total == 0 {
-            0.0
-        } else {
-            self.chunks_dropped as f64 / total as f64
-        }
     }
 
     /// One-line human summary.
@@ -277,13 +244,7 @@ mod tests {
         };
         assert_eq!(r.completed(), 1);
         assert!((r.mean_fct_secs() - 2.0).abs() < 1e-12);
-        assert_eq!(r.fct_of(1), Some(SimDuration::from_secs(2)));
-        assert_eq!(r.fct_of(2), None, "truncated flow is None, not a panic");
-        assert_eq!(r.max_fct(), Some(SimDuration::from_secs(2)));
-        assert_eq!(r.fct_of(99), None, "unknown flow is None, not a panic");
-        assert!((r.drop_rate() - 10.0 / 150.0).abs() < 1e-12);
         assert!(r.jain_goodput().unwrap() > 0.0);
-        assert!(r.total_goodput_bps() > 0.0);
         assert!(r.summary().contains("INRPP"));
     }
 
@@ -309,7 +270,6 @@ mod tests {
         };
         assert_eq!(r.completed(), 0);
         assert_eq!(r.mean_fct_secs(), 0.0);
-        assert_eq!(r.drop_rate(), 0.0);
         assert_eq!(r.jain_goodput(), None);
     }
 

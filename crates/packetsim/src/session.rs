@@ -138,9 +138,29 @@ impl PacketEngine {
         }
     }
 
+    /// Build the simulation `session` describes, with every check on the
+    /// way: the strategy against the transport, the traffic's
+    /// quantisation, the configuration with the session's horizon and
+    /// seed, the fault plan and each transfer. The one build path of
+    /// [`Engine::run`], [`PacketService::open`] and
+    /// [`PacketService::resume`]; also returns the transfers it added.
+    fn build<'a>(
+        &self,
+        session: &Session<'a>,
+    ) -> Result<(PacketSim<'a>, Vec<TransferSpec>), SessionError> {
+        self.check_strategy(session.strategy())?;
+        let transfers = self.transfers(session)?;
+        let mut sim = PacketSim::try_new(session.topology(), self.effective_config(session))?;
+        sim.set_faults(session.faults().clone());
+        let kind = self.flow_transport();
+        for t in &transfers {
+            sim.try_add_transfer_as(*t, kind)?;
+        }
+        Ok((sim, transfers))
+    }
+
     /// The session's traffic as packet transfers (chunk-exact for
-    /// transfer-native sessions, quantised for flow-native ones),
-    /// together with each flow's endpoints for the per-flow records.
+    /// transfer-native sessions, quantised for flow-native ones).
     fn transfers(&self, session: &Session<'_>) -> Result<Vec<TransferSpec>, SessionError> {
         match session.traffic() {
             Traffic::Transfers(ts) => {
@@ -195,15 +215,7 @@ impl Engine for PacketEngine {
         session: &Session<'_>,
         probes: &mut [&mut dyn Probe],
     ) -> Result<RunReport, SessionError> {
-        self.check_strategy(session.strategy())?;
-        let transfers = self.transfers(session)?;
-        let config = self.effective_config(session);
-        let mut sim = PacketSim::try_new(session.topology(), config)?;
-        sim.set_faults(session.faults().clone());
-        let kind = self.flow_transport();
-        for t in &transfers {
-            sim.try_add_transfer_as(*t, kind)?;
-        }
+        let (sim, transfers) = self.build(session)?;
         // workers > 1: the sharded path, partitioned by the session seed —
         // byte-identical to the sequential run by the shard contract
         let report = if session.workers() > 1 {
@@ -310,19 +322,11 @@ impl<'a> PacketService<'a> {
     /// and the traffic quantisation exactly like [`Engine::run`], then
     /// parks a [`PacketRun`] at time zero.
     pub fn open(engine: &PacketEngine, session: &Session<'a>) -> Result<Self, SessionError> {
-        engine.check_strategy(session.strategy())?;
-        let transfers = engine.transfers(session)?;
-        let config = engine.effective_config(session);
-        let kind = engine.flow_transport();
-        let mut sim = PacketSim::try_new(session.topology(), config)?;
-        sim.set_faults(session.faults().clone());
-        for t in &transfers {
-            sim.try_add_transfer_as(*t, kind)?;
-        }
+        let (sim, _) = engine.build(session)?;
         Ok(PacketService {
             run: sim.start()?,
-            kind,
-            chunk_bytes: config.chunk_bytes,
+            kind: engine.flow_transport(),
+            chunk_bytes: engine.config.chunk_bytes,
             fingerprint: session.fingerprint(),
         })
     }
@@ -337,27 +341,16 @@ impl<'a> PacketService<'a> {
         checkpoint: &Checkpoint,
     ) -> Result<Self, SessionError> {
         checkpoint.validate(EngineKind::Packet, session)?;
-        engine.check_strategy(session.strategy())?;
-        let transfers = engine.transfers(session)?;
-        let config = engine.effective_config(session);
-        let kind = engine.flow_transport();
-        let with_kinds: Vec<(TransferSpec, FlowTransport)> =
-            transfers.into_iter().map(|t| (t, kind)).collect();
+        let (sim, _) = engine.build(session)?;
         let mut r = SnapReader::new(checkpoint.body());
-        let run = PacketRun::restore(
-            session.topology(),
-            config,
-            with_kinds,
-            session.faults().clone(),
-            &mut r,
-        )?;
+        let run = PacketRun::restore(sim, &mut r)?;
         r.finish().map_err(|e| {
             SessionError::CheckpointMismatch(format!("corrupt packet checkpoint: {e}"))
         })?;
         Ok(PacketService {
             run,
-            kind,
-            chunk_bytes: config.chunk_bytes,
+            kind: engine.flow_transport(),
+            chunk_bytes: engine.config.chunk_bytes,
             fingerprint: checkpoint.fingerprint,
         })
     }

@@ -80,12 +80,6 @@ impl SlotPool {
         self.state.lock().expect("slot pool poisoned").free
     }
 
-    /// Callers blocked in [`SlotPool::acquire`] right now.
-    pub fn waiters(&self) -> u64 {
-        let s = self.state.lock().expect("slot pool poisoned");
-        s.next_ticket - s.serving
-    }
-
     /// Total slots granted over the pool's lifetime.
     pub fn grants(&self) -> u64 {
         self.state.lock().expect("slot pool poisoned").grants
@@ -147,7 +141,6 @@ mod tests {
         }
         assert_eq!(pool.free(), 1);
         assert_eq!(pool.grants(), 1);
-        assert_eq!(pool.waiters(), 0);
     }
 
     #[test]
@@ -189,6 +182,11 @@ mod tests {
         let pool = Arc::new(SlotPool::new(1));
         let order = Arc::new(Mutex::new(Vec::new()));
         let gate = pool.acquire();
+        // callers blocked in acquire(): tickets taken but not yet served
+        let waiting = || {
+            let s = pool.state.lock().unwrap();
+            s.next_ticket - s.serving
+        };
         let mut handles = Vec::new();
         for i in 0..8u32 {
             let (p, order) = (pool.clone(), order.clone());
@@ -198,7 +196,7 @@ mod tests {
             }));
             // ensure thread i has taken its ticket before thread i+1
             // starts (tickets are taken inside acquire(), under the lock)
-            while pool.waiters() < u64::from(i) + 1 {
+            while waiting() < u64::from(i) + 1 {
                 std::thread::yield_now();
             }
         }

@@ -43,20 +43,6 @@ pub trait Distribution {
     fn mean(&self) -> Option<f64>;
 }
 
-/// Degenerate distribution: always `value`. Handy for pinning a workload
-/// dimension in ablation sweeps.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Constant(pub f64);
-
-impl Distribution for Constant {
-    fn sample(&self, _rng: &mut SimRng) -> f64 {
-        self.0
-    }
-    fn mean(&self) -> Option<f64> {
-        Some(self.0)
-    }
-}
-
 /// Continuous uniform on `[lo, hi)`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Uniform {
@@ -214,141 +200,6 @@ impl Distribution for BoundedPareto {
     }
 }
 
-/// Log-normal via Box–Muller; parameterised by the underlying normal's
-/// `mu`/`sigma`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LogNormal {
-    mu: f64,
-    sigma: f64,
-}
-
-impl LogNormal {
-    /// Requires finite `mu` and `sigma >= 0`.
-    pub fn new(mu: f64, sigma: f64) -> Result<Self, DistError> {
-        if !mu.is_finite() || !sigma.is_finite() || sigma < 0.0 {
-            return Err(DistError::new(format!(
-                "LogNormal requires finite mu and sigma >= 0, got mu={mu} sigma={sigma}"
-            )));
-        }
-        Ok(LogNormal { mu, sigma })
-    }
-}
-
-impl Distribution for LogNormal {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
-        let u1 = rng.f64_open_zero();
-        let u2 = rng.f64();
-        let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
-        (self.mu + self.sigma * z).exp()
-    }
-    fn mean(&self) -> Option<f64> {
-        Some((self.mu + 0.5 * self.sigma * self.sigma).exp())
-    }
-}
-
-/// Weibull with scale `lambda` and shape `k`; interpolates between
-/// exponential (`k = 1`) and near-deterministic (`k` large).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Weibull {
-    scale: f64,
-    shape: f64,
-}
-
-impl Weibull {
-    /// Requires both parameters positive and finite.
-    pub fn new(scale: f64, shape: f64) -> Result<Self, DistError> {
-        if !(scale.is_finite() && scale > 0.0 && shape.is_finite() && shape > 0.0) {
-            return Err(DistError::new(format!(
-                "Weibull requires positive scale and shape, got {scale}, {shape}"
-            )));
-        }
-        Ok(Weibull { scale, shape })
-    }
-}
-
-impl Distribution for Weibull {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
-        self.scale * (-rng.f64_open_zero().ln()).powf(1.0 / self.shape)
-    }
-    fn mean(&self) -> Option<f64> {
-        Some(self.scale * gamma(1.0 + 1.0 / self.shape))
-    }
-}
-
-/// Zipf over ranks `1..=n` with exponent `s` — the classic content-popularity
-/// law in ICN workloads. Sampling uses a precomputed cumulative table
-/// (O(log n) per draw), which is exact and fast for the catalogue sizes used
-/// here.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Zipf {
-    cdf: Vec<f64>,
-    s: f64,
-}
-
-impl Zipf {
-    /// Requires `n >= 1` and finite `s >= 0` (`s = 0` is uniform).
-    pub fn new(n: usize, s: f64) -> Result<Self, DistError> {
-        if n == 0 {
-            return Err(DistError::new("Zipf requires n >= 1"));
-        }
-        if !(s.is_finite() && s >= 0.0) {
-            return Err(DistError::new(format!(
-                "Zipf exponent must be >= 0, got {s}"
-            )));
-        }
-        let mut cdf = Vec::with_capacity(n);
-        let mut acc = 0.0;
-        for k in 1..=n {
-            acc += 1.0 / (k as f64).powf(s);
-            cdf.push(acc);
-        }
-        let total = acc;
-        for v in &mut cdf {
-            *v /= total;
-        }
-        Ok(Zipf { cdf, s })
-    }
-
-    /// Draw a rank in `1..=n`.
-    pub fn sample_rank(&self, rng: &mut SimRng) -> usize {
-        let u = rng.f64();
-        match self
-            .cdf
-            .binary_search_by(|p| p.partial_cmp(&u).expect("cdf has NaN"))
-        {
-            Ok(i) => i + 1,
-            Err(i) => (i + 1).min(self.cdf.len()),
-        }
-    }
-
-    /// Probability of rank `k` (1-based).
-    pub fn pmf(&self, k: usize) -> f64 {
-        assert!(k >= 1 && k <= self.cdf.len(), "rank out of range");
-        let prev = if k == 1 { 0.0 } else { self.cdf[k - 2] };
-        self.cdf[k - 1] - prev
-    }
-
-    /// The exponent `s`.
-    pub fn exponent(&self) -> f64 {
-        self.s
-    }
-}
-
-impl Distribution for Zipf {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
-        self.sample_rank(rng) as f64
-    }
-    fn mean(&self) -> Option<f64> {
-        Some(
-            self.cdf
-                .iter()
-                .enumerate()
-                .map(|(i, _)| (i + 1) as f64 * self.pmf(i + 1))
-                .sum(),
-        )
-    }
-}
-
 /// Weighted discrete distribution over `0..weights.len()`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Discrete {
@@ -418,34 +269,6 @@ impl PoissonProcess {
     }
 }
 
-/// Lanczos approximation of the gamma function (needed for the Weibull mean).
-fn gamma(x: f64) -> f64 {
-    // g = 7, n = 9 coefficients — standard Lanczos parameters, |err| < 1e-13.
-    const G: f64 = 7.0;
-    const C: [f64; 9] = [
-        0.999_999_999_999_809_9,
-        676.520_368_121_885_1,
-        -1_259.139_216_722_402_8,
-        771.323_428_777_653_1,
-        -176.615_029_162_140_6,
-        12.507_343_278_686_905,
-        -0.138_571_095_265_720_12,
-        9.984_369_578_019_572e-6,
-        1.505_632_735_149_311_6e-7,
-    ];
-    if x < 0.5 {
-        std::f64::consts::PI / ((std::f64::consts::PI * x).sin() * gamma(1.0 - x))
-    } else {
-        let x = x - 1.0;
-        let mut a = C[0];
-        let t = x + G + 0.5;
-        for (i, &c) in C.iter().enumerate().skip(1) {
-            a += c / (x + i as f64);
-        }
-        (2.0 * std::f64::consts::PI).sqrt() * t.powf(x + 0.5) * (-t).exp() * a
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -465,10 +288,6 @@ mod tests {
         assert!(Pareto::new(0.0, 1.0).is_err());
         assert!(Pareto::new(1.0, 0.0).is_err());
         assert!(BoundedPareto::new(2.0, 1.2, 1.0).is_err());
-        assert!(LogNormal::new(f64::INFINITY, 1.0).is_err());
-        assert!(Weibull::new(1.0, -1.0).is_err());
-        assert!(Zipf::new(0, 1.0).is_err());
-        assert!(Zipf::new(10, -0.5).is_err());
         assert!(Discrete::new(&[]).is_err());
         assert!(Discrete::new(&[0.0, 0.0]).is_err());
         assert!(Discrete::new(&[1.0, -2.0]).is_err());
@@ -544,76 +363,6 @@ mod tests {
             (m - want).abs() / want < 0.05,
             "empirical {m} vs formula {want}"
         );
-    }
-
-    #[test]
-    fn lognormal_mean_matches_formula() {
-        let d = LogNormal::new(0.0, 0.5).unwrap();
-        let want = (0.125f64).exp();
-        assert!((d.mean().unwrap() - want).abs() < 1e-12);
-        let m = empirical_mean(&d, 9, 400_000);
-        assert!((m - want).abs() / want < 0.02, "empirical {m} vs {want}");
-    }
-
-    #[test]
-    fn weibull_k1_is_exponential() {
-        let d = Weibull::new(3.0, 1.0).unwrap();
-        assert!((d.mean().unwrap() - 3.0).abs() < 1e-9);
-        let m = empirical_mean(&d, 10, 200_000);
-        assert!((m - 3.0).abs() < 0.05, "empirical mean {m}");
-    }
-
-    #[test]
-    fn weibull_mean_uses_gamma() {
-        let d = Weibull::new(1.0, 2.0).unwrap();
-        // mean = Γ(1.5) = sqrt(pi)/2
-        let want = std::f64::consts::PI.sqrt() / 2.0;
-        assert!((d.mean().unwrap() - want).abs() < 1e-9);
-    }
-
-    #[test]
-    fn gamma_known_values() {
-        assert!((gamma(1.0) - 1.0).abs() < 1e-10);
-        assert!((gamma(2.0) - 1.0).abs() < 1e-10);
-        assert!((gamma(5.0) - 24.0).abs() < 1e-8);
-        assert!((gamma(0.5) - std::f64::consts::PI.sqrt()).abs() < 1e-10);
-    }
-
-    #[test]
-    fn zipf_pmf_sums_to_one_and_is_monotone() {
-        let z = Zipf::new(100, 0.8).unwrap();
-        let total: f64 = (1..=100).map(|k| z.pmf(k)).sum();
-        assert!((total - 1.0).abs() < 1e-9);
-        for k in 1..100 {
-            assert!(z.pmf(k) >= z.pmf(k + 1), "pmf not monotone at {k}");
-        }
-    }
-
-    #[test]
-    fn zipf_rank_frequencies_track_pmf() {
-        let z = Zipf::new(20, 1.0).unwrap();
-        let mut rng = SimRng::from_seed_u64(11);
-        let n = 200_000;
-        let mut counts = [0usize; 21];
-        for _ in 0..n {
-            counts[z.sample_rank(&mut rng)] += 1;
-        }
-        for (k, &count) in counts.iter().enumerate().skip(1) {
-            let freq = count as f64 / n as f64;
-            assert!(
-                (freq - z.pmf(k)).abs() < 0.01,
-                "rank {k}: freq {freq} vs pmf {}",
-                z.pmf(k)
-            );
-        }
-    }
-
-    #[test]
-    fn zipf_s0_is_uniform() {
-        let z = Zipf::new(4, 0.0).unwrap();
-        for k in 1..=4 {
-            assert!((z.pmf(k) - 0.25).abs() < 1e-12);
-        }
     }
 
     #[test]

@@ -27,8 +27,6 @@ pub enum StopReason {
     Horizon,
     /// The handler requested a stop by returning [`Control::Stop`].
     Requested,
-    /// The event budget (`max_events`) was exhausted — a runaway guard.
-    EventBudget,
 }
 
 /// Handler verdict for [`Engine::run_with`].
@@ -174,7 +172,6 @@ pub struct Engine<E> {
     queue: EventQueue<E>,
     now: SimTime,
     horizon: Option<SimTime>,
-    max_events: Option<u64>,
     processed: u64,
 }
 
@@ -191,7 +188,6 @@ impl<E> Engine<E> {
             queue: EventQueue::new(),
             now: SimTime::ZERO,
             horizon: None,
-            max_events: None,
             processed: 0,
         }
     }
@@ -203,23 +199,10 @@ impl<E> Engine<E> {
         self
     }
 
-    /// Abort after `n` events — a guard against accidental infinite event
-    /// cascades in tests.
-    pub fn with_max_events(mut self, n: u64) -> Self {
-        self.max_events = Some(n);
-        self
-    }
-
     /// Current simulated time.
     #[inline]
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// Total events processed so far.
-    #[inline]
-    pub fn events_processed(&self) -> u64 {
-        self.processed
     }
 
     /// Number of pending events.
@@ -278,11 +261,6 @@ impl<E> Engine<E> {
         mut handler: impl FnMut(&mut Engine<E>, SimTime, E) -> Control,
     ) -> StopReason {
         loop {
-            if let Some(max) = self.max_events {
-                if self.processed >= max {
-                    return StopReason::EventBudget;
-                }
-            }
             match self.next() {
                 None => {
                     return if self.queue.is_empty() {
@@ -337,7 +315,7 @@ impl<E> Engine<E> {
 }
 
 impl<E: Snap> Engine<E> {
-    /// Serialise the complete engine state: clock, horizon, budgets, the
+    /// Serialise the complete engine state: clock, horizon, event count, the
     /// insertion-sequence counter, and every pending event *with its
     /// original sequence number*. Pending events encode in ascending
     /// `(time, seq)` order, so the byte stream is a canonical function
@@ -345,7 +323,9 @@ impl<E: Snap> Engine<E> {
     pub fn encode_state(&self, w: &mut SnapWriter) {
         self.now.encode(w);
         self.horizon.encode(w);
-        self.max_events.encode(w);
+        // the retired event budget: always absent, kept so the format
+        // (and every fluid checkpoint's bytes) stays unchanged
+        None::<u64>.encode(w);
         w.put_u64(self.processed);
         w.put_u64(self.queue.seq);
         let mut entries: Vec<&Entry<E>> = self.queue.heap.iter().collect();
@@ -366,7 +346,7 @@ impl<E: Snap> Engine<E> {
     pub fn decode_state(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         let now = SimTime::decode(r)?;
         let horizon = Option::<SimTime>::decode(r)?;
-        let max_events = Option::<u64>::decode(r)?;
+        let _retired_budget = Option::<u64>::decode(r)?;
         let processed = r.get_u64()?;
         let seq = r.get_u64()?;
         let n = r.get_usize()?;
@@ -395,7 +375,6 @@ impl<E: Snap> Engine<E> {
             queue,
             now,
             horizon,
-            max_events,
             processed,
         })
     }
@@ -500,18 +479,6 @@ mod tests {
     }
 
     #[test]
-    fn event_budget_guards_runaway_cascades() {
-        let mut eng: Engine<()> = Engine::new().with_max_events(100);
-        eng.schedule(SimDuration::ZERO, ());
-        let reason = eng.run_with(|eng, _, _| {
-            eng.schedule(SimDuration::from_nanos(1), ());
-            Control::Continue
-        });
-        assert_eq!(reason, StopReason::EventBudget);
-        assert_eq!(eng.events_processed(), 100);
-    }
-
-    #[test]
     fn handler_scheduled_events_interleave_correctly() {
         // A cascade that alternates two "processes" must observe global
         // time ordering, not per-process ordering.
@@ -599,7 +566,6 @@ mod tests {
         assert_eq!(resumed.now(), mid);
         follow(&mut resumed, &mut log);
         assert_eq!(log, expect);
-        assert_eq!(resumed.events_processed(), straight.events_processed());
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Fault injection, smoltcp-style.
 //!
-//! The smoltcp examples expose `--drop-chance`, `--corrupt-chance` and token
-//! bucket rate limits so adverse conditions can be reproduced on demand; we
-//! provide the same knobs for the packet-level simulator and the examples.
+//! The smoltcp examples expose `--drop-chance` and `--corrupt-chance` so
+//! adverse conditions can be reproduced on demand; we provide the same
+//! knobs for the packet-level simulator and the examples.
 //! [`FaultInjector`] draws are keyed: each unit's fate is a pure function
 //! of `(seed, key)`, so enabling faults never perturbs unrelated
 //! randomness and the order units are evaluated in never matters.
@@ -10,7 +10,6 @@
 use crate::rng::{splitmix64, SimRng};
 use crate::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use crate::time::{SimDuration, SimTime};
-use crate::units::Rate;
 
 /// Typed error for invalid fault knobs: out-of-range probabilities,
 /// malformed plans, unparseable plan strings.
@@ -23,8 +22,6 @@ pub enum FaultError {
         /// The offending value.
         value: f64,
     },
-    /// A token-bucket burst was non-positive or non-finite.
-    NonPositiveBurst(f64),
     /// Plan events must be sorted by non-decreasing time.
     UnsortedPlan {
         /// Index of the first out-of-order event.
@@ -67,9 +64,6 @@ impl std::fmt::Display for FaultError {
         match self {
             FaultError::ChanceOutOfRange { what, value } => {
                 write!(f, "{what} must be in [0, 1], got {value}")
-            }
-            FaultError::NonPositiveBurst(v) => {
-                write!(f, "token bucket burst must be positive and finite, got {v}")
             }
             FaultError::UnsortedPlan { index } => {
                 write!(
@@ -224,6 +218,21 @@ impl FaultInjector {
             FaultOutcome::Pass
         }
     }
+}
+
+/// Order-independent fault-draw key for one packet send attempt: the
+/// `occurrence`-th time chunk `chunk` of flow `flow` is pushed onto
+/// directed channel `dir`. Shared by the packet engine, every shard of a
+/// partitioned run and the reference oracle, so all of them agree on each
+/// attempt's fate regardless of global event interleaving.
+#[inline]
+pub fn fault_key(flow: u64, chunk: u64, dir: u32, occurrence: u32) -> u64 {
+    let mut s = flow ^ 0x0BAD_5EED_F417_0001;
+    let mut k = splitmix64(&mut s);
+    s = k ^ chunk;
+    k = splitmix64(&mut s);
+    s = k ^ (((dir as u64) << 32) | occurrence as u64);
+    splitmix64(&mut s)
 }
 
 /// One kind of timed fault. Links and nodes are referenced by raw index;
@@ -660,92 +669,6 @@ impl Snap for FaultPlan {
     }
 }
 
-/// Token-bucket rate limiter over simulated time.
-///
-/// Tokens are *bits*; the bucket refills continuously at `rate` and holds at
-/// most `burst_bits`. Used both as a fault-injection knob and as the
-/// pacing primitive for rate-based senders.
-#[derive(Debug, Clone)]
-pub struct TokenBucket {
-    rate: Rate,
-    burst_bits: f64,
-    tokens: f64,
-    last: SimTime,
-}
-
-impl TokenBucket {
-    /// A bucket starting full, rejecting a non-positive or non-finite burst
-    /// with a typed error instead of panicking.
-    pub fn try_new(rate: Rate, burst_bits: f64, now: SimTime) -> Result<Self, FaultError> {
-        if !(burst_bits > 0.0 && burst_bits.is_finite()) {
-            return Err(FaultError::NonPositiveBurst(burst_bits));
-        }
-        Ok(TokenBucket {
-            rate,
-            burst_bits,
-            tokens: burst_bits,
-            last: now,
-        })
-    }
-
-    /// A bucket starting full. Legacy panicking twin of
-    /// [`TokenBucket::try_new`], kept for call sites with statically valid
-    /// bursts; paths reachable from user input go through `try_new`.
-    ///
-    /// # Panics
-    /// Panics if `burst_bits` is not positive.
-    pub fn new(rate: Rate, burst_bits: f64, now: SimTime) -> Self {
-        match TokenBucket::try_new(rate, burst_bits, now) {
-            Ok(tb) => tb,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// The bucket's capacity in bits (the largest admissible withdrawal).
-    pub fn burst_bits(&self) -> f64 {
-        self.burst_bits
-    }
-
-    fn refill(&mut self, now: SimTime) {
-        let dt = now.saturating_duration_since(self.last);
-        self.tokens = (self.tokens + self.rate.bits_in(dt)).min(self.burst_bits);
-        self.last = now;
-    }
-
-    /// Try to withdraw `bits`; returns whether the withdrawal succeeded.
-    pub fn try_consume(&mut self, now: SimTime, bits: f64) -> bool {
-        assert!(bits >= 0.0, "cannot consume negative bits");
-        self.refill(now);
-        if self.tokens + 1e-9 >= bits {
-            self.tokens -= bits;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Earliest instant at which `bits` tokens will be available (assuming
-    /// no other withdrawals). [`SimTime::MAX`] if `bits` exceeds the burst
-    /// or the rate is zero.
-    pub fn next_available(&mut self, now: SimTime, bits: f64) -> SimTime {
-        self.refill(now);
-        if bits > self.burst_bits || (self.rate.is_zero() && self.tokens < bits) {
-            return SimTime::MAX;
-        }
-        if self.tokens >= bits {
-            return now;
-        }
-        let deficit = bits - self.tokens;
-        now + SimDuration::from_secs_f64(deficit / self.rate.as_bps())
-    }
-
-    /// Current token level in bits (after refilling to `now`).
-    pub fn available(&mut self, now: SimTime) -> f64 {
-        self.refill(now);
-        self.tokens
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -826,50 +749,6 @@ mod tests {
     }
 
     #[test]
-    fn token_bucket_starts_full_and_depletes() {
-        let mut tb = TokenBucket::new(Rate::mbps(1.0), 8_000.0, SimTime::ZERO);
-        assert!(tb.try_consume(SimTime::ZERO, 8_000.0));
-        assert!(!tb.try_consume(SimTime::ZERO, 1.0));
-    }
-
-    #[test]
-    fn token_bucket_refills_at_rate() {
-        let mut tb = TokenBucket::new(Rate::mbps(1.0), 8_000.0, SimTime::ZERO);
-        assert!(tb.try_consume(SimTime::ZERO, 8_000.0));
-        // 1 Mbps == 1000 bits per ms; after 4ms we can take 4000 bits.
-        let t = SimTime::from_millis(4);
-        assert!(!tb.try_consume(t, 4_001.0));
-        assert!(tb.try_consume(t, 4_000.0));
-    }
-
-    #[test]
-    fn token_bucket_caps_at_burst() {
-        let mut tb = TokenBucket::new(Rate::mbps(1.0), 1_000.0, SimTime::ZERO);
-        assert!(tb.try_consume(SimTime::ZERO, 1_000.0));
-        // A long idle period must not accumulate more than the burst.
-        let later = SimTime::from_secs(3600);
-        assert!((tb.available(later) - 1_000.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn next_available_predicts_refill() {
-        let mut tb = TokenBucket::new(Rate::mbps(1.0), 10_000.0, SimTime::ZERO);
-        assert!(tb.try_consume(SimTime::ZERO, 10_000.0));
-        let t = tb.next_available(SimTime::ZERO, 5_000.0);
-        assert_eq!(t, SimTime::from_millis(5));
-        assert!(tb.try_consume(t, 5_000.0));
-        // More than burst can never be satisfied.
-        assert_eq!(tb.next_available(t, 20_000.0), SimTime::MAX);
-    }
-
-    #[test]
-    fn zero_rate_bucket_never_refills() {
-        let mut tb = TokenBucket::new(Rate::ZERO, 100.0, SimTime::ZERO);
-        assert!(tb.try_consume(SimTime::ZERO, 100.0));
-        assert_eq!(tb.next_available(SimTime::from_secs(10), 1.0), SimTime::MAX);
-    }
-
-    #[test]
     fn fault_config_validation_rejects_bad_chances() {
         assert!(FaultConfig::try_new(0.0, 0.0).is_ok());
         assert!(FaultConfig::try_new(1.0, 1.0).is_ok());
@@ -894,17 +773,6 @@ mod tests {
             corrupt_chance: 0.0,
         };
         assert!(cfg.validate().is_err());
-    }
-
-    #[test]
-    fn token_bucket_try_new_rejects_bad_burst() {
-        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
-            assert!(matches!(
-                TokenBucket::try_new(Rate::mbps(1.0), bad, SimTime::ZERO),
-                Err(FaultError::NonPositiveBurst(_))
-            ));
-        }
-        assert!(TokenBucket::try_new(Rate::mbps(1.0), 8.0, SimTime::ZERO).is_ok());
     }
 
     #[test]

@@ -1,49 +1,13 @@
 //! Measurement toolbox shared by both simulators.
 //!
 //! Everything here is plain data — recorders are updated synchronously from
-//! the event loop and read out after the run. The two non-obvious pieces:
-//!
-//! * [`TimeWeighted`] integrates a piecewise-constant signal over simulated
-//!   time, which is the correct way to average link utilisation or cache
-//!   occupancy (a sample-mean would over-weight busy periods with many
-//!   events).
-//! * [`JainIndex`] implements Jain's fairness index
-//!   `F = (Σx)² / (n · Σx²)`, the metric the paper uses in its Fig. 3
-//!   worked example (0.73 for e2e control vs 1.0 for INRPP).
+//! the event loop and read out after the run. [`JainIndex`] implements
+//! Jain's fairness index `F = (Σx)² / (n · Σx²)`, the metric the paper uses
+//! in its Fig. 3 worked example (0.73 for e2e control vs 1.0 for INRPP).
 
 use std::fmt;
 
 use crate::snap::{Snap, SnapError, SnapReader, SnapWriter};
-use crate::time::{SimDuration, SimTime};
-
-/// Monotonically increasing event counter.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// A counter at zero.
-    pub fn new() -> Self {
-        Counter(0)
-    }
-
-    /// Add one.
-    #[inline]
-    pub fn incr(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Add `n`.
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Current count.
-    #[inline]
-    pub fn get(&self) -> u64 {
-        self.0
-    }
-}
 
 /// Streaming summary statistics (Welford's algorithm): count, mean, variance,
 /// min, max, sum — O(1) memory regardless of sample count.
@@ -158,140 +122,6 @@ impl fmt::Display for SummaryStats {
             self.min.min(f64::INFINITY),
             self.max.max(f64::NEG_INFINITY),
         )
-    }
-}
-
-/// Time-weighted average of a piecewise-constant signal (utilisation,
-/// queue depth, cache occupancy, ...).
-///
-/// Call [`TimeWeighted::set`] whenever the signal changes; the recorder
-/// integrates `value × dt` between updates.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TimeWeighted {
-    last_time: SimTime,
-    last_value: f64,
-    integral: f64,
-    start: SimTime,
-    max: f64,
-}
-
-impl TimeWeighted {
-    /// Start integrating at `start` with initial `value`.
-    pub fn new(start: SimTime, value: f64) -> Self {
-        TimeWeighted {
-            last_time: start,
-            last_value: value,
-            integral: 0.0,
-            start,
-            max: value,
-        }
-    }
-
-    /// Record that the signal changed to `value` at time `now`.
-    ///
-    /// # Panics
-    /// Panics if `now` precedes the previous update (time cannot reverse).
-    pub fn set(&mut self, now: SimTime, value: f64) {
-        let dt = now.duration_since(self.last_time).as_secs_f64();
-        self.integral += self.last_value * dt;
-        self.last_time = now;
-        self.last_value = value;
-        self.max = self.max.max(value);
-    }
-
-    /// Add `delta` to the current value at time `now`.
-    pub fn add(&mut self, now: SimTime, delta: f64) {
-        let v = self.last_value + delta;
-        self.set(now, v);
-    }
-
-    /// The signal value as of the last update.
-    pub fn current(&self) -> f64 {
-        self.last_value
-    }
-
-    /// Largest value ever set.
-    pub fn peak(&self) -> f64 {
-        self.max
-    }
-
-    /// Time-weighted mean over `[start, now]`.
-    pub fn mean_until(&self, now: SimTime) -> f64 {
-        let total = now.duration_since(self.start).as_secs_f64();
-        if total <= 0.0 {
-            return self.last_value;
-        }
-        let pending = now.saturating_duration_since(self.last_time).as_secs_f64();
-        (self.integral + self.last_value * pending) / total
-    }
-}
-
-/// Fixed-width linear histogram over `[lo, hi)` with overflow/underflow bins.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    bins: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-    count: u64,
-}
-
-impl Histogram {
-    /// `nbins` equal-width bins covering `[lo, hi)`.
-    ///
-    /// # Panics
-    /// Panics if `nbins == 0` or `lo >= hi`.
-    pub fn new(lo: f64, hi: f64, nbins: usize) -> Self {
-        assert!(nbins > 0, "Histogram needs at least one bin");
-        assert!(lo < hi, "Histogram range must be non-empty");
-        Histogram {
-            lo,
-            hi,
-            bins: vec![0; nbins],
-            underflow: 0,
-            overflow: 0,
-            count: 0,
-        }
-    }
-
-    /// Record one observation.
-    pub fn record(&mut self, x: f64) {
-        self.count += 1;
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let w = (self.hi - self.lo) / self.bins.len() as f64;
-            let i = (((x - self.lo) / w) as usize).min(self.bins.len() - 1);
-            self.bins[i] += 1;
-        }
-    }
-
-    /// Total observations, including out-of-range ones.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Counts per in-range bin.
-    pub fn bins(&self) -> &[u64] {
-        &self.bins
-    }
-
-    /// `(bin centre, count)` pairs — ready for plotting.
-    pub fn centres(&self) -> Vec<(f64, u64)> {
-        let w = (self.hi - self.lo) / self.bins.len() as f64;
-        self.bins
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| (self.lo + w * (i as f64 + 0.5), c))
-            .collect()
-    }
-
-    /// Observations below `lo` / at-or-above `hi`.
-    pub fn out_of_range(&self) -> (u64, u64) {
-        (self.underflow, self.overflow)
     }
 }
 
@@ -431,74 +261,6 @@ impl JainIndex {
     }
 }
 
-/// Append-only `(time, value)` series with optional down-sampling, used to
-/// dump trajectories (cache occupancy, rates) for the experiment reports.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct TimeSeries {
-    points: Vec<(SimTime, f64)>,
-}
-
-impl TimeSeries {
-    /// An empty series.
-    pub fn new() -> Self {
-        TimeSeries { points: Vec::new() }
-    }
-
-    /// Append an observation (times must be non-decreasing).
-    pub fn record(&mut self, t: SimTime, v: f64) {
-        if let Some(&(last, _)) = self.points.last() {
-            debug_assert!(t >= last, "TimeSeries must be recorded in time order");
-        }
-        self.points.push((t, v));
-    }
-
-    /// All recorded points.
-    pub fn points(&self) -> &[(SimTime, f64)] {
-        &self.points
-    }
-
-    /// Number of points.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// True when nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// Keep at most `max` points by uniform decimation (first and last kept).
-    pub fn decimate(&self, max: usize) -> TimeSeries {
-        if self.points.len() <= max || max < 2 {
-            return self.clone();
-        }
-        let stride = (self.points.len() - 1) as f64 / (max - 1) as f64;
-        let points = (0..max)
-            .map(|i| self.points[(i as f64 * stride).round() as usize])
-            .collect();
-        TimeSeries { points }
-    }
-
-    /// Mean of the recorded values (unweighted; use [`TimeWeighted`] for
-    /// occupancy-style signals).
-    pub fn value_mean(&self) -> f64 {
-        if self.points.is_empty() {
-            0.0
-        } else {
-            self.points.iter().map(|&(_, v)| v).sum::<f64>() / self.points.len() as f64
-        }
-    }
-}
-
-/// Helper: average duration of a set of intervals.
-pub fn mean_duration(durations: &[SimDuration]) -> SimDuration {
-    if durations.is_empty() {
-        return SimDuration::ZERO;
-    }
-    let total: u128 = durations.iter().map(|d| d.as_nanos() as u128).sum();
-    SimDuration::from_nanos((total / durations.len() as u128) as u64)
-}
-
 impl Snap for Cdf {
     fn encode(&self, w: &mut SnapWriter) {
         self.samples.encode(w);
@@ -514,14 +276,6 @@ impl Snap for Cdf {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_counts() {
-        let mut c = Counter::new();
-        c.incr();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-    }
 
     #[test]
     fn summary_stats_basic() {
@@ -583,45 +337,6 @@ mod tests {
     }
 
     #[test]
-    fn time_weighted_integrates_step_signal() {
-        let mut tw = TimeWeighted::new(SimTime::ZERO, 0.0);
-        tw.set(SimTime::from_secs(10), 1.0); // 0 for 10s
-        tw.set(SimTime::from_secs(20), 0.0); // 1 for 10s
-        let mean = tw.mean_until(SimTime::from_secs(20));
-        assert!((mean - 0.5).abs() < 1e-12, "mean {mean}");
-        // Continue with the last value held for 20 more seconds: still 0.
-        let mean = tw.mean_until(SimTime::from_secs(40));
-        assert!((mean - 0.25).abs() < 1e-12, "mean {mean}");
-        assert_eq!(tw.peak(), 1.0);
-        assert_eq!(tw.current(), 0.0);
-    }
-
-    #[test]
-    fn time_weighted_add_delta() {
-        let mut tw = TimeWeighted::new(SimTime::ZERO, 1.0);
-        tw.add(SimTime::from_secs(5), 2.0);
-        assert_eq!(tw.current(), 3.0);
-        tw.add(SimTime::from_secs(10), -3.0);
-        assert_eq!(tw.current(), 0.0);
-        let mean = tw.mean_until(SimTime::from_secs(10));
-        assert!((mean - 2.0).abs() < 1e-12, "mean {mean}");
-    }
-
-    #[test]
-    fn histogram_bins_and_overflow() {
-        let mut h = Histogram::new(0.0, 10.0, 5);
-        for x in [-1.0, 0.0, 1.9, 2.0, 5.5, 9.99, 10.0, 42.0] {
-            h.record(x);
-        }
-        assert_eq!(h.count(), 8);
-        assert_eq!(h.out_of_range(), (1, 2));
-        assert_eq!(h.bins(), &[2, 1, 1, 0, 1]);
-        let centres = h.centres();
-        assert_eq!(centres[0].0, 1.0);
-        assert_eq!(centres[4].0, 9.0);
-    }
-
-    #[test]
     fn cdf_quantiles_and_fractions() {
         let mut c = Cdf::new();
         c.extend((1..=100).map(|i| i as f64));
@@ -672,32 +387,6 @@ mod tests {
         assert!((f - 0.25).abs() < 1e-12); // 1/n lower bound
         let f = JainIndex::compute(&[3.0, 3.0, 3.0]).unwrap();
         assert!((f - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn timeseries_decimate_preserves_endpoints() {
-        let mut ts = TimeSeries::new();
-        for i in 0..1000 {
-            ts.record(SimTime::from_millis(i), i as f64);
-        }
-        let d = ts.decimate(10);
-        assert_eq!(d.len(), 10);
-        assert_eq!(d.points()[0], (SimTime::ZERO, 0.0));
-        assert_eq!(d.points()[9], (SimTime::from_millis(999), 999.0));
-        // decimating below 2 or above len is identity
-        assert_eq!(ts.decimate(1).len(), 1000);
-        assert_eq!(ts.decimate(5000).len(), 1000);
-    }
-
-    #[test]
-    fn mean_duration_helper() {
-        assert_eq!(mean_duration(&[]), SimDuration::ZERO);
-        let m = mean_duration(&[
-            SimDuration::from_secs(1),
-            SimDuration::from_secs(2),
-            SimDuration::from_secs(3),
-        ]);
-        assert_eq!(m, SimDuration::from_secs(2));
     }
 
     #[test]

@@ -213,12 +213,6 @@ impl SimDuration {
         self.0 as f64 / NANOS_PER_SEC as f64
     }
 
-    /// This duration in fractional milliseconds.
-    #[inline]
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / NANOS_PER_MILLI as f64
-    }
-
     /// True when the duration is zero.
     #[inline]
     pub const fn is_zero(self) -> bool {

@@ -33,12 +33,6 @@ impl Rate {
         Rate(bits_per_sec)
     }
 
-    /// Kilobits per second (10³).
-    #[inline]
-    pub fn kbps(v: f64) -> Self {
-        Rate::bps(v * 1e3)
-    }
-
     /// Megabits per second (10⁶).
     #[inline]
     pub fn mbps(v: f64) -> Self {
@@ -61,12 +55,6 @@ impl Rate {
     #[inline]
     pub fn as_mbps(self) -> f64 {
         self.0 / 1e6
-    }
-
-    /// In gigabits per second.
-    #[inline]
-    pub fn as_gbps(self) -> f64 {
-        self.0 / 1e9
     }
 
     /// Bits transferred in `d` at this rate.
@@ -304,8 +292,6 @@ mod tests {
     fn rate_conversions() {
         assert_eq!(Rate::mbps(10.0).as_bps(), 10e6);
         assert_eq!(Rate::gbps(40.0).as_mbps(), 40_000.0);
-        assert_eq!(Rate::kbps(1.0).as_bps(), 1_000.0);
-        assert!((Rate::gbps(1.5).as_gbps() - 1.5).abs() < 1e-12);
     }
 
     #[test]

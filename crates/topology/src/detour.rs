@@ -134,17 +134,6 @@ impl DetourStats {
     pub fn none_pct(&self) -> f64 {
         self.pct(self.none)
     }
-
-    /// Format as a Table-1 row: `1hop% 2hop% 3+% N/A%`.
-    pub fn table_row(&self) -> String {
-        format!(
-            "{:>6.2}% {:>6.2}% {:>6.2}% {:>6.2}%",
-            self.one_hop_pct(),
-            self.two_hop_pct(),
-            self.three_plus_pct(),
-            self.none_pct()
-        )
-    }
 }
 
 /// Classify every link and aggregate the distribution.
@@ -355,8 +344,6 @@ mod tests {
         let total = s.one_hop_pct() + s.two_hop_pct() + s.three_plus_pct() + s.none_pct();
         assert!((total - 100.0).abs() < 1e-9);
         assert_eq!(s.links, 4);
-        let row = s.table_row();
-        assert!(row.contains('%'));
     }
 
     #[test]

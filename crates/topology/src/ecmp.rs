@@ -87,11 +87,6 @@ fn dfs(
     }
 }
 
-/// Number of equal-cost shortest paths (up to `max`, to bound work).
-pub fn path_count(topo: &Topology, src: NodeId, dst: NodeId, max: usize) -> usize {
-    all_shortest_paths(topo, src, dst, max).len()
-}
-
 /// Deterministically select a path for `flow_key` — the per-flow hash load
 /// balancing of RFC 2992. Stable across runs and machines.
 ///
@@ -157,7 +152,6 @@ mod tests {
         t.add_link(ids[0], ids[1], Rate::mbps(1.0), SimDuration::from_millis(1))
             .unwrap();
         assert!(all_shortest_paths(&t, ids[0], ids[2], 8).is_empty());
-        assert_eq!(path_count(&t, ids[0], ids[2], 8), 0);
         let own = all_shortest_paths(&t, ids[0], ids[0], 8);
         assert_eq!(own.len(), 1);
         assert_eq!(own[0].hops(), 0);
@@ -167,7 +161,7 @@ mod tests {
     fn mesh_path_count() {
         // In K5, paths between two nodes: 1 direct (the only 1-hop one).
         let t = Topology::full_mesh(5, Rate::mbps(1.0), SimDuration::from_millis(1));
-        assert_eq!(path_count(&t, NodeId(0), NodeId(4), 64), 1);
+        assert_eq!(all_shortest_paths(&t, NodeId(0), NodeId(4), 64).len(), 1);
         // Remove direct link: now 3 two-hop equal-cost paths.
         let mut t2 = Topology::new("k5minus");
         let ids = t2.add_nodes(5);
@@ -185,7 +179,7 @@ mod tests {
                 .unwrap();
             }
         }
-        assert_eq!(path_count(&t2, ids[0], ids[4], 64), 3);
+        assert_eq!(all_shortest_paths(&t2, ids[0], ids[4], 64).len(), 3);
     }
 
     #[test]

@@ -317,31 +317,6 @@ impl Topology {
         count == self.nodes.len()
     }
 
-    /// Sum of all link capacities (one direction).
-    pub fn total_capacity(&self) -> Rate {
-        self.links.iter().map(|l| l.capacity).sum()
-    }
-
-    /// A copy of this topology with one link removed — the basic
-    /// fault-model operation for robustness experiments. Node ids are
-    /// preserved; link ids are recompacted.
-    pub fn without_link(&self, failed: LinkId) -> Topology {
-        assert!(failed.idx() < self.links.len(), "unknown link {failed}");
-        let mut t = Topology::new(format!("{}-minus-{}", self.name, failed));
-        for n in &self.nodes {
-            t.add_named_node(n.name.clone(), n.tier)
-                .expect("names were unique in the source topology");
-        }
-        for (i, l) in self.links.iter().enumerate() {
-            if i == failed.idx() {
-                continue;
-            }
-            t.add_link(l.a, l.b, l.capacity, l.delay)
-                .expect("links were unique in the source topology");
-        }
-        t
-    }
-
     /// A copy with several links removed (duplicates tolerated).
     pub fn without_links(&self, failed: &[LinkId]) -> Topology {
         let dead: std::collections::HashSet<usize> = failed.iter().map(|l| l.idx()).collect();
@@ -597,17 +572,11 @@ mod tests {
     }
 
     #[test]
-    fn total_capacity_sums_links() {
-        let t = Topology::fig3();
-        assert_eq!(t.total_capacity(), Rate::mbps(23.0));
-    }
-
-    #[test]
     fn without_link_removes_exactly_one() {
         let t = Topology::fig3();
         let n = |s: &str| t.node_by_name(s).unwrap();
         let bottleneck = t.link_between(n("2"), n("4")).unwrap();
-        let cut = t.without_link(bottleneck);
+        let cut = t.without_links(&[bottleneck]);
         assert_eq!(cut.node_count(), 4);
         assert_eq!(cut.link_count(), 3);
         let n2 = cut.node_by_name("2").unwrap();
@@ -627,13 +596,6 @@ mod tests {
         let cut = t.without_links(&[LinkId(0), LinkId(1), LinkId(0)]);
         assert_eq!(cut.link_count(), 4);
         assert_eq!(cut.node_count(), 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown link")]
-    fn without_unknown_link_panics() {
-        let t = Topology::fig3();
-        let _ = t.without_link(LinkId(99));
     }
 
     #[test]

@@ -211,15 +211,6 @@ impl GadgetBudget {
             leaves: nna,
         }
     }
-
-    /// Exact link count the budget will produce.
-    pub fn total_links(&self) -> usize {
-        self.backbone_links
-            + 3 * self.triangles
-            + 4 * self.squares
-            + 5 * self.pentagons
-            + self.leaves
-    }
 }
 
 fn backbone_link_count(k: usize) -> usize {
@@ -357,7 +348,8 @@ mod tests {
         for isp in Isp::all() {
             let p = isp.profile();
             let b = GadgetBudget::from_profile(&p);
-            let total = b.total_links();
+            let total =
+                b.backbone_links + 3 * b.triangles + 4 * b.squares + 5 * b.pentagons + b.leaves;
             let target = p.target_links;
             let dev = (total as f64 - target as f64).abs() / target as f64;
             assert!(

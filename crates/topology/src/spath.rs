@@ -84,15 +84,6 @@ impl Path {
         self.links(topo).into_iter().map(|l| cost(topo, l)).sum()
     }
 
-    /// Hop-count stretch relative to `base_hops` (1.0 = no inflation).
-    ///
-    /// # Panics
-    /// Panics if `base_hops` is zero.
-    pub fn stretch_over(&self, base_hops: usize) -> f64 {
-        assert!(base_hops > 0, "stretch base must be positive");
-        self.hops() as f64 / base_hops as f64
-    }
-
     /// Splice `detour` into this path in place of the single hop
     /// `detour.source() -> detour.target()`.
     ///
@@ -140,16 +131,6 @@ pub mod cost {
     pub fn delay(topo: &Topology, l: LinkId) -> f64 {
         topo.link(l).delay.as_secs_f64()
     }
-
-    /// Inverse capacity (prefers fat links), in seconds-per-bit scale.
-    pub fn inv_capacity(topo: &Topology, l: LinkId) -> f64 {
-        let bps = topo.link(l).capacity.as_bps();
-        if bps <= 0.0 {
-            f64::INFINITY
-        } else {
-            1e9 / bps
-        }
-    }
 }
 
 /// Single-source shortest-path tree.
@@ -164,12 +145,6 @@ impl SpTree {
     /// The source this tree was grown from.
     pub fn source(&self) -> NodeId {
         self.src
-    }
-
-    /// Cost to `dst`, `None` if unreachable.
-    pub fn dist_to(&self, dst: NodeId) -> Option<f64> {
-        let d = self.dist[dst.idx()];
-        d.is_finite().then_some(d)
     }
 
     /// Extract the path to `dst`, `None` if unreachable.
@@ -283,67 +258,6 @@ pub fn shortest_path(
     dijkstra(topo, src, link_cost).path_to(dst)
 }
 
-/// A compiled next-hop table: for every `(here, destination)` pair, the
-/// neighbour to forward to along a shortest path — what a real router's
-/// FIB would hold, and the hop-by-hop counterpart of the source routes
-/// the simulators carry.
-#[derive(Debug, Clone)]
-pub struct RoutingTable {
-    /// `next[dst][here]` — next hop from `here` toward `dst`.
-    next: Vec<Vec<Option<NodeId>>>,
-}
-
-impl RoutingTable {
-    /// Compile the table for `topo` under a link-cost function (one
-    /// Dijkstra per destination; ties broken deterministically).
-    pub fn build(topo: &Topology, link_cost: &dyn Fn(&Topology, LinkId) -> f64) -> Self {
-        let n = topo.node_count();
-        let mut next = vec![vec![None; n]; n];
-        for dst in topo.node_ids() {
-            // grow the tree from the destination; the predecessor of any
-            // node in that tree is its next hop toward dst (links are
-            // undirected so costs are symmetric)
-            let tree = dijkstra(topo, dst, link_cost);
-            for here in topo.node_ids() {
-                if here == dst {
-                    continue;
-                }
-                if let Some(path) = tree.path_to(here) {
-                    // path runs dst -> ... -> here; the hop before `here`
-                    // is where `here` should forward to
-                    let nodes = path.nodes();
-                    next[dst.idx()][here.idx()] = Some(nodes[nodes.len() - 2]);
-                }
-            }
-        }
-        RoutingTable { next }
-    }
-
-    /// Next hop from `here` toward `dst`; `None` when unreachable or when
-    /// already at the destination.
-    pub fn next_hop(&self, here: NodeId, dst: NodeId) -> Option<NodeId> {
-        self.next[dst.idx()][here.idx()]
-    }
-
-    /// Walk the table from `src` to `dst`, reconstructing the full path.
-    /// `None` when unreachable. Guards against (impossible) loops.
-    pub fn route(&self, src: NodeId, dst: NodeId) -> Option<Path> {
-        if src == dst {
-            return Some(Path::new(vec![src]));
-        }
-        let mut nodes = vec![src];
-        let mut cur = src;
-        while cur != dst {
-            cur = self.next_hop(cur, dst)?;
-            nodes.push(cur);
-            if nodes.len() > self.next.len() {
-                return None; // defensive: table inconsistency
-            }
-        }
-        Some(Path::new(nodes))
-    }
-}
-
 /// All-pairs hop distances by BFS; `None` marks unreachable pairs.
 pub fn hop_matrix(topo: &Topology) -> Vec<Vec<Option<u32>>> {
     let n = topo.node_count();
@@ -406,7 +320,6 @@ mod tests {
             &[n(&t, "1"), n(&t, "2"), n(&t, "3"), n(&t, "4")]
         );
         assert_eq!(spliced.hops(), 3);
-        assert!((spliced.stretch_over(p.hops()) - 1.5).abs() < 1e-12);
     }
 
     #[test]
@@ -456,7 +369,6 @@ mod tests {
             &vec![false; t.link_count()],
         );
         assert!(tree.path_to(n(&t, "4")).is_none());
-        assert_eq!(tree.dist_to(n(&t, "4")), None);
     }
 
     #[test]
@@ -489,30 +401,6 @@ mod tests {
         assert_eq!(by_hops.hops(), 1);
         let by_delay = shortest_path(&t, ids[0], ids[2], &cost::delay).unwrap();
         assert_eq!(by_delay.hops(), 2);
-    }
-
-    #[test]
-    fn inv_capacity_prefers_fat_links() {
-        let mut t = Topology::new("tri");
-        let ids = t.add_nodes(3);
-        t.add_link(ids[0], ids[2], Rate::mbps(1.0), SimDuration::from_millis(1))
-            .unwrap();
-        t.add_link(
-            ids[0],
-            ids[1],
-            Rate::gbps(10.0),
-            SimDuration::from_millis(1),
-        )
-        .unwrap();
-        t.add_link(
-            ids[1],
-            ids[2],
-            Rate::gbps(10.0),
-            SimDuration::from_millis(1),
-        )
-        .unwrap();
-        let p = shortest_path(&t, ids[0], ids[2], &cost::inv_capacity).unwrap();
-        assert_eq!(p.hops(), 2);
     }
 
     #[test]
@@ -552,81 +440,6 @@ mod tests {
         assert_eq!(m[0][2], None);
         assert_eq!(m[2][0], None);
         assert_eq!(m[0][1], Some(1));
-    }
-
-    #[test]
-    fn routing_table_matches_dijkstra() {
-        let t = Topology::fig3();
-        let table = RoutingTable::build(&t, &cost::hops);
-        for src in t.node_ids() {
-            for dst in t.node_ids() {
-                let via_table = table.route(src, dst);
-                let direct = if src == dst {
-                    Some(Path::new(vec![src]))
-                } else {
-                    shortest_path(&t, src, dst, &cost::hops)
-                };
-                match (via_table, direct) {
-                    (Some(a), Some(b)) => {
-                        assert_eq!(a.hops(), b.hops(), "{src}->{dst}: {a} vs {b}")
-                    }
-                    (None, None) => {}
-                    (a, b) => panic!("table/dijkstra disagree on {src}->{dst}: {a:?} vs {b:?}"),
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn routing_table_next_hops() {
-        let t = Topology::fig3();
-        let n = |s: &str| t.node_by_name(s).unwrap();
-        let table = RoutingTable::build(&t, &cost::hops);
-        assert_eq!(table.next_hop(n("1"), n("4")), Some(n("2")));
-        assert_eq!(table.next_hop(n("2"), n("4")), Some(n("4")));
-        assert_eq!(table.next_hop(n("4"), n("4")), None, "already there");
-    }
-
-    #[test]
-    fn routing_table_handles_partitions() {
-        let mut t = Topology::new("gap");
-        let ids = t.add_nodes(3);
-        t.add_link(ids[0], ids[1], Rate::mbps(1.0), SimDuration::from_millis(1))
-            .unwrap();
-        let table = RoutingTable::build(&t, &cost::hops);
-        assert_eq!(table.next_hop(ids[0], ids[2]), None);
-        assert!(table.route(ids[0], ids[2]).is_none());
-        assert!(table.route(ids[0], ids[1]).is_some());
-    }
-
-    #[test]
-    fn routing_table_weighted_costs() {
-        // delay-based table avoids the slow direct link
-        let mut t = Topology::new("tri");
-        let ids = t.add_nodes(3);
-        t.add_link(
-            ids[0],
-            ids[2],
-            Rate::mbps(10.0),
-            SimDuration::from_millis(100),
-        )
-        .unwrap();
-        t.add_link(
-            ids[0],
-            ids[1],
-            Rate::mbps(10.0),
-            SimDuration::from_millis(10),
-        )
-        .unwrap();
-        t.add_link(
-            ids[1],
-            ids[2],
-            Rate::mbps(10.0),
-            SimDuration::from_millis(10),
-        )
-        .unwrap();
-        let table = RoutingTable::build(&t, &cost::delay);
-        assert_eq!(table.next_hop(ids[0], ids[2]), Some(ids[1]));
     }
 
     #[test]

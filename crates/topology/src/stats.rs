@@ -101,13 +101,6 @@ pub fn degree_histogram(topo: &Topology) -> Vec<usize> {
     out
 }
 
-/// Nodes sorted by descending degree (hubs first); ties by id.
-pub fn hubs(topo: &Topology) -> Vec<NodeId> {
-    let mut v: Vec<NodeId> = topo.node_ids().collect();
-    v.sort_by_key(|&n| (std::cmp::Reverse(topo.degree(n)), n));
-    v
-}
-
 /// Exact betweenness centrality (Brandes' algorithm, unweighted), the
 /// standard predictor of which routers sit on most shortest paths — and
 /// therefore where INRPP's detour/custody machinery earns its keep.
@@ -220,15 +213,6 @@ mod tests {
         assert_eq!(h[1], 4);
         assert_eq!(h[4], 1);
         assert_eq!(h.iter().sum::<usize>(), 5);
-    }
-
-    #[test]
-    fn hubs_sorted_by_degree() {
-        let t = Topology::star(5, c(), d());
-        let hs = hubs(&t);
-        assert_eq!(hs[0], NodeId(0));
-        // ties broken by id
-        assert_eq!(hs[1], NodeId(1));
     }
 
     #[test]
