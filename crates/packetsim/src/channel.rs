@@ -33,11 +33,22 @@ pub struct Overflow {
 /// engine's one-struct-per-channel model (kept in the
 /// `inrpp-packet-oracle` test crate) operation for operation, so the
 /// two produce bit-identical floats when driven with the same calls.
+///
+/// A run sends only two packet sizes, its chunk and its request. The
+/// engine's bank computes their serialisation time on every channel at
+/// build, and [`ChannelBank::set_rate`] again, so a send of either size
+/// reads a table instead of dividing and rounding. The table holds the
+/// same function of the same inputs, so it cannot move a bit.
 #[derive(Debug, Clone)]
 pub struct ChannelBank {
     max_queue: SimDuration,
     rate: Vec<Rate>,
     delay: Vec<SimDuration>,
+    /// the packet sizes, in bits, that `send_time` covers; zero (which
+    /// no packet is) until `with_send_sizes`
+    sizes: [f64; 2],
+    /// per channel: `rate.time_to_send(sizes[i])`
+    send_time: Vec<[SimDuration; 2]>,
     busy_until: Vec<SimTime>,
     busy_accum: Vec<SimDuration>,
     bits_sent: Vec<f64>,
@@ -55,6 +66,8 @@ impl ChannelBank {
             max_queue,
             rate: Vec::with_capacity(ndir),
             delay: Vec::with_capacity(ndir),
+            sizes: [0.0; 2],
+            send_time: vec![[SimDuration::ZERO; 2]; ndir],
             busy_until: vec![SimTime::ZERO; ndir],
             busy_accum: vec![SimDuration::ZERO; ndir],
             bits_sent: vec![0.0; ndir],
@@ -68,6 +81,26 @@ impl ChannelBank {
             }
         }
         bank
+    }
+
+    /// Keep every channel's serialisation time for packets of `bits`
+    /// (the run's two sizes), so [`ChannelBank::try_send`] of either size
+    /// skips the division and the rounding.
+    ///
+    /// # Panics
+    /// Panics when a size takes longer than the clock can hold on some
+    /// channel — `PacketSim::try_new` refuses such configurations first.
+    pub(crate) fn with_send_sizes(mut self, bits: [f64; 2]) -> Self {
+        self.sizes = bits;
+        for d in 0..self.len() {
+            self.refresh_send_time(d);
+        }
+        self
+    }
+
+    fn refresh_send_time(&mut self, d: usize) {
+        let rate = self.rate[d];
+        self.send_time[d] = self.sizes.map(|bits| rate.time_to_send(bits));
     }
 
     /// Number of directed channels.
@@ -98,6 +131,7 @@ impl ChannelBank {
     pub fn set_rate(&mut self, d: usize, rate: Rate) {
         assert!(!rate.is_zero(), "channel rate must be positive");
         self.rate[d] = rate;
+        self.refresh_send_time(d);
     }
 
     /// Propagation delay of directed channel `d`.
@@ -141,7 +175,13 @@ impl ChannelBank {
         } else {
             now
         };
-        let tx = self.rate[d].time_to_send(bits);
+        let tx = if bits == self.sizes[0] {
+            self.send_time[d][0]
+        } else if bits == self.sizes[1] {
+            self.send_time[d][1]
+        } else {
+            self.rate[d].time_to_send(bits)
+        };
         self.busy_until[d] = start + tx;
         self.busy_accum[d] += tx;
         self.bits_sent[d] += bits;

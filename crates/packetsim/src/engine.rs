@@ -25,8 +25,15 @@
 //!   free-list slab.
 //! * **Calendar event queue.** Events sit in a bucket ring sized by the
 //!   smallest chunk serialisation time
-//!   ([`inrpp_sim::calendar::CalendarEngine`]) instead
-//!   of one global binary heap; pop order is identical by construction.
+//!   ([`inrpp_sim::calendar::CalendarEngine`]) instead of one global
+//!   binary heap. Each bucket is kept sorted, so a push is usually an
+//!   append and a pop takes the front; the next occupied bucket is
+//!   found 64 at a time in an occupancy bitmap; a windowed pop locates
+//!   its event once. Pop order is identical by construction.
+//! * **Serialisation times once per channel.** A run sends two packet
+//!   sizes, chunk and request; the [`ChannelBank`] computes both on
+//!   every channel at build and on each capacity change, so a send does
+//!   no division or rounding.
 //! * **Flat custody/backpressure bookkeeping.** Drain registries,
 //!   kick/drain dedup flags and retransmit queues are per-index vectors
 //!   rather than `BTreeMap`/`HashMap`, so the per-timestep custody and
@@ -36,8 +43,7 @@
 //!   kinds track delivered chunks in a [`ChunkSet`] bitset, and every
 //!   channel's bypass paths are resolved once at build.
 //!
-//! Simplifications relative to a real deployment (each noted in
-//! `DESIGN.md`):
+//! Simplifications relative to a real deployment:
 //!
 //! * data and request packets carry explicit source routes; detours are
 //!   spliced by rewriting the route tail (the paper's tunnelling);
@@ -323,9 +329,10 @@ impl<'a> PacketSim<'a> {
 }
 
 /// The checks every transfer passes before it joins a run, up front or
-/// fed into a live one: distinct endpoints, a non-empty object, a route
-/// between them, and a configured transport for its flow kind. Returns
-/// the hop-count shortest path, the flow's primary route.
+/// fed into a live one: distinct endpoints inside the topology, a
+/// non-empty object, a route between them, and a configured transport
+/// for its flow kind. Returns the hop-count shortest path, the flow's
+/// primary route.
 fn check_transfer(
     topo: &Topology,
     transport: &TransportKind,
@@ -342,6 +349,13 @@ fn check_transfer(
         return Err(SessionError::InvalidTransfer(format!(
             "flow {} has zero chunks",
             spec.flow
+        )));
+    }
+    if spec.src.idx().max(spec.dst.idx()) >= topo.node_count() {
+        return Err(SessionError::InvalidTransfer(format!(
+            "flow {} names a node outside the {}-node topology",
+            spec.flow,
+            topo.node_count()
         )));
     }
     let path = shortest_path(topo, spec.src, spec.dst, &cost::hops)
@@ -531,16 +545,20 @@ impl<'a> PacketRun<'a> {
     /// the replay crosses the same transitions, so the restored state is
     /// bit-identical.
     pub fn restore(sim: PacketSim<'a>, r: &mut SnapReader<'_>) -> Result<Self, SessionError> {
-        let ops = Vec::<ReplayOp>::decode(r)
-            .map_err(|e| SessionError::InvalidConfig(format!("corrupt packet checkpoint: {e}")))?;
+        let ops = Vec::<ReplayOp>::decode(r).map_err(|e| {
+            SessionError::CheckpointMismatch(format!("corrupt packet checkpoint: {e}"))
+        })?;
         let mut run = sim.start()?;
         for op in ops {
+            // The log replays drive calls the original run accepted, so
+            // a refusal here means the log was altered.
             match op {
-                ReplayOp::AdvanceTo(t) => {
-                    run.run_until(t, &mut [])?;
-                }
-                ReplayOp::Feed(spec, kind) => run.feed(spec, kind)?,
+                ReplayOp::AdvanceTo(t) => run.run_until(t, &mut []).map(drop),
+                ReplayOp::Feed(spec, kind) => run.feed(spec, kind),
             }
+            .map_err(|e| {
+                SessionError::CheckpointMismatch(format!("packet checkpoint replay failed: {e}"))
+            })?;
         }
         Ok(run)
     }
@@ -873,7 +891,10 @@ impl<'a> Core<'a> {
             }
         }
         let dense = DenseChannels::build(topo);
-        let channels = ChannelBank::from_topology(topo, cfg.max_queue);
+        let channels = ChannelBank::from_topology(topo, cfg.max_queue).with_send_sizes([
+            cfg.chunk_bytes.as_bits() as f64,
+            cfg.request_bytes.as_bits() as f64,
+        ]);
         let (inrpp_cfg, aimd_cfg) = match cfg.transport {
             TransportKind::Inrpp(ic) => (Some(ic), None),
             TransportKind::Aimd(ac) => (None, Some(ac)),

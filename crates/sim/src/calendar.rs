@@ -6,9 +6,24 @@
 //! almost everything a few serialisation times ahead of the clock, so
 //! the classic calendar-queue layout fits: a power-of-two ring of
 //! buckets, each `width` nanoseconds wide, holding only the events of
-//! its own epoch. Pushes land in `O(log bucket)` (buckets hold a
-//! handful of events), pops scan an occupancy bitmap for the next
-//! non-empty bucket.
+//! its own epoch.
+//!
+//! * **Sorted buckets.** Each bucket is a `VecDeque` kept in
+//!   `(time, insertion sequence)` order, and each entry packs that pair
+//!   into one `u128` key (`time << 64 | seq`), so an order check is one
+//!   integer compare. Sequence numbers only grow, so a push is almost
+//!   always an append; an earlier one is inserted at its
+//!   `partition_point`. A pop takes the bucket's front.
+//! * **Word-scanned occupancy.** One bit per bucket marks it non-empty.
+//!   Finding the next occupied bucket reads the bitmap 64 buckets at a
+//!   time with `trailing_zeros`, wrapping at the ring's end (a ring of
+//!   fewer than 64 buckets is one partial word, scanned twice at most).
+//! * **One lookup per pop.** Moving the cursor to the earliest bucket is
+//!   done once per pop; a windowed pop
+//!   ([`CalendarEngine::next_at_or_before`]) inspects that bucket's front
+//!   and either takes it or leaves every pending event where it is.
+//!   [`CalendarQueue::peek_time`] stays a pure scan that never moves the
+//!   cursor.
 //!
 //! Events too far in the future to fit the ring (more than
 //! `buckets × width` ahead of the cursor — maintenance ticks, receiver
@@ -19,27 +34,36 @@
 //!
 //! The pop order is **identical** to `EventQueue`: strictly ascending
 //! `(time, insertion sequence)`. Buckets partition events by epoch
-//! (disjoint time ranges), ties within a bucket resolve by sequence
-//! number, and the overflow heap only ever holds events of strictly
-//! later epochs than anything in the ring — so swapping one queue for
-//! the other can never reorder a simulation.
-//! `interleaved_push_pop_matches_heap_queue` below locks this in.
+//! (disjoint time ranges), entries within a bucket are sorted by key, and
+//! the overflow heap only ever holds events of strictly later epochs than
+//! anything in the ring — so swapping one queue for the other can never
+//! reorder a simulation. Where the cursor sits never changes that order:
+//! it only decides which bucket an event lands in.
+//! `interleaved_push_pop_matches_heap_queue` below and the
+//! `calendar_engine_matches_event_engine` property test lock this in.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 use crate::event::SchedulePastError;
 use crate::time::{SimDuration, SimTime};
 
+/// One pending event, ordered by `key = time << 64 | insertion seq`.
 struct Entry<E> {
-    time: SimTime,
-    seq: u64,
+    key: u128,
     event: E,
+}
+
+impl<E> Entry<E> {
+    #[inline]
+    fn time(&self) -> SimTime {
+        SimTime::from_nanos((self.key >> 64) as u64)
+    }
 }
 
 impl<E> PartialEq for Entry<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
+        self.key == other.key
     }
 }
 impl<E> Eq for Entry<E> {}
@@ -50,11 +74,8 @@ impl<E> PartialOrd for Entry<E> {
 }
 impl<E> Ord for Entry<E> {
     fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed (earliest on top), exactly like `event::EventQueue`.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
+        // Reversed, so the overflow's max-heap pops the earliest entry.
+        other.key.cmp(&self.key)
     }
 }
 
@@ -62,9 +83,10 @@ impl<E> Ord for Entry<E> {
 /// [`EventQueue`](crate::event::EventQueue), different complexity
 /// profile.
 pub struct CalendarQueue<E> {
-    /// Ring of per-epoch buckets (power-of-two length).
-    ring: Vec<BinaryHeap<Entry<E>>>,
-    /// One bit per bucket: non-empty?
+    /// Ring of per-epoch buckets (power-of-two length), each sorted by
+    /// key.
+    ring: Vec<VecDeque<Entry<E>>>,
+    /// One bit per bucket: non-empty? `max(buckets / 64, 1)` words.
     occ: Vec<u64>,
     /// `log2` of the bucket width in nanoseconds.
     shift: u32,
@@ -98,8 +120,8 @@ impl<E> CalendarQueue<E> {
         let shift = 63 - w.leading_zeros(); // floor(log2(w))
         let n = buckets.max(2).next_power_of_two();
         CalendarQueue {
-            ring: (0..n).map(|_| BinaryHeap::new()).collect(),
-            occ: vec![0u64; n / 64 + 1],
+            ring: (0..n).map(|_| VecDeque::new()).collect(),
+            occ: vec![0u64; (n / 64).max(1)],
             shift,
             mask: (n - 1) as u64,
             cur: 0,
@@ -115,45 +137,44 @@ impl<E> CalendarQueue<E> {
         t.as_nanos() >> self.shift
     }
 
-    #[inline]
-    fn set_occ(&mut self, b: usize) {
-        self.occ[b / 64] |= 1u64 << (b % 64);
-    }
-
-    #[inline]
-    fn clear_occ(&mut self, b: usize) {
-        self.occ[b / 64] &= !(1u64 << (b % 64));
-    }
-
     /// Insert `event` to fire at `time`.
     ///
     /// `time` must not precede the last popped event (the simulation
     /// engines already enforce this — scheduling into the past is an
     /// error one layer up).
     pub fn push(&mut self, time: SimTime, event: E) {
-        let seq = self.seq;
+        let entry = Entry {
+            key: (u128::from(time.as_nanos()) << 64) | u128::from(self.seq),
+            event,
+        };
         self.seq += 1;
-        self.insert_entry(Entry { time, seq, event });
-    }
-
-    /// Place an entry into the ring or overflow according to its epoch.
-    /// Shared by [`CalendarQueue::push`] and checkpoint restore (which
-    /// re-inserts entries with their *original* sequence numbers).
-    fn insert_entry(&mut self, entry: Entry<E>) {
-        // Events earlier than the cursor's epoch cannot exist while the
-        // engine enforces now <= time; clamping keeps a (hypothetical)
-        // same-epoch straggler correctly ordered anyway, because the
-        // current bucket is always the next one drained.
-        let epoch = self.epoch(entry.time).max(self.cur);
-        if epoch >= self.cur + self.ring.len() as u64 {
+        self.len += 1;
+        // The cursor can sit past the clock: a windowed pop, or a pop
+        // past the horizon, moves it to an event it does not hand out.
+        // An event due before the cursor's epoch then lands in the
+        // cursor's bucket, which is always the next one drained and is
+        // sorted by key, so it still pops first.
+        let epoch = self.epoch(time).max(self.cur);
+        if epoch - self.cur >= self.ring.len() as u64 {
             self.overflow.push(entry);
         } else {
-            let b = (epoch & self.mask) as usize;
-            self.ring[b].push(entry);
-            self.set_occ(b);
-            self.ring_len += 1;
+            self.ring_insert((epoch & self.mask) as usize, entry);
         }
-        self.len += 1;
+    }
+
+    /// Put `entry` into bucket `b`, keeping the bucket sorted by key.
+    #[inline]
+    fn ring_insert(&mut self, b: usize, entry: Entry<E>) {
+        let bucket = &mut self.ring[b];
+        match bucket.back() {
+            Some(last) if last.key > entry.key => {
+                let at = bucket.partition_point(|e| e.key < entry.key);
+                bucket.insert(at, entry);
+            }
+            _ => bucket.push_back(entry),
+        }
+        self.occ[b / 64] |= 1u64 << (b % 64);
+        self.ring_len += 1;
     }
 
     /// Move every overflow event that now fits the ring span into its
@@ -161,65 +182,94 @@ impl<E> CalendarQueue<E> {
     fn drain_overflow(&mut self) {
         let span_end = self.cur + self.ring.len() as u64;
         while let Some(top) = self.overflow.peek() {
-            if self.epoch(top.time) >= span_end {
+            let epoch = self.epoch(top.time());
+            if epoch >= span_end {
                 break;
             }
             let entry = self.overflow.pop().expect("peeked entry vanished");
-            let b = (self.epoch(entry.time) & self.mask) as usize;
-            self.ring[b].push(entry);
-            self.set_occ(b);
-            self.ring_len += 1;
+            self.ring_insert((epoch & self.mask) as usize, entry);
         }
     }
 
-    /// Index of the next occupied bucket strictly after the cursor's,
-    /// as a distance in `1..ring.len()`. Caller guarantees the ring is
-    /// non-empty beyond the current bucket.
-    fn next_occupied_distance(&self) -> u64 {
-        let n = self.ring.len() as u64;
-        let start = self.cur & self.mask;
-        for dist in 1..n {
-            let b = ((start + dist) & self.mask) as usize;
-            if self.occ[b / 64] & (1u64 << (b % 64)) != 0 {
-                return dist;
+    /// Ring distance, in `0..ring.len()`, from bucket `from` to the first
+    /// occupied bucket at or after it in cursor order; `None` when the
+    /// ring is empty. Scans the bitmap a word (64 buckets) per step.
+    fn occupied_distance(&self, from: usize) -> Option<u64> {
+        let words = self.occ.len();
+        let mut w = from / 64;
+        let mut bits = self.occ[w] & (u64::MAX << (from % 64));
+        // `words + 1` steps: the start word is read once from `from` up
+        // and, after the wrap, once more in full for the buckets below
+        // `from`. A ring under 64 buckets is that one word.
+        for _ in 0..=words {
+            if bits != 0 {
+                let b = w * 64 + bits.trailing_zeros() as usize;
+                return Some(b.wrapping_sub(from) as u64 & self.mask);
             }
+            w = if w + 1 == words { 0 } else { w + 1 };
+            bits = self.occ[w];
         }
-        unreachable!("ring_len > 0 but no occupied bucket found");
+        None
+    }
+
+    /// Move the cursor to the bucket holding the earliest pending entry,
+    /// migrating overflow events the move brings into the ring span, and
+    /// return that bucket; its front is the earliest entry. `None` when
+    /// nothing is pending.
+    fn locate(&mut self) -> Option<usize> {
+        if self.ring_len == 0 {
+            // Everything pending lives in the overflow: jump the cursor
+            // straight to its earliest epoch (no bucket-by-bucket walk
+            // across a long idle gap).
+            let t = self.overflow.peek()?.time();
+            self.cur = self.epoch(t);
+            self.drain_overflow();
+        }
+        let b = (self.cur & self.mask) as usize;
+        if !self.ring[b].is_empty() {
+            return Some(b);
+        }
+        // Overflow events are all in strictly later epochs than any ring
+        // event, so the jump can never skip one — but it frees ring
+        // slots, so eligible overflow events migrate in afterwards, all
+        // into buckets past the new cursor.
+        let dist = self
+            .occupied_distance(b)
+            .expect("ring_len > 0 but no occupied bucket found");
+        self.cur += dist;
+        self.drain_overflow();
+        Some((self.cur & self.mask) as usize)
+    }
+
+    /// Remove the front of bucket `b`, the earliest pending entry.
+    #[inline]
+    fn take_front(&mut self, b: usize) -> (SimTime, E) {
+        let entry = self.ring[b]
+            .pop_front()
+            .expect("a located bucket is non-empty");
+        if self.ring[b].is_empty() {
+            self.occ[b / 64] &= !(1u64 << (b % 64));
+        }
+        self.ring_len -= 1;
+        self.len -= 1;
+        (entry.time(), entry.event)
     }
 
     /// Remove and return the earliest `(time, event)` — globally, by
     /// `(time, insertion sequence)`.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        if self.len == 0 {
+        let b = self.locate()?;
+        Some(self.take_front(b))
+    }
+
+    /// [`CalendarQueue::pop`] if the earliest event is due at or before
+    /// `limit`; otherwise every pending event stays queued.
+    fn pop_at_or_before(&mut self, limit: SimTime) -> Option<(SimTime, E)> {
+        let b = self.locate()?;
+        if self.ring[b].front()?.time() > limit {
             return None;
         }
-        if self.ring_len == 0 {
-            // Everything pending lives in the overflow: jump the cursor
-            // straight to its earliest epoch (no bucket-by-bucket walk
-            // across a long idle gap).
-            let t = self.overflow.peek().expect("len > 0").time;
-            self.cur = self.epoch(t);
-            self.drain_overflow();
-        }
-        loop {
-            let b = (self.cur & self.mask) as usize;
-            if self.occ[b / 64] & (1u64 << (b % 64)) != 0 {
-                let entry = self.ring[b].pop().expect("occupancy bit set");
-                if self.ring[b].is_empty() {
-                    self.clear_occ(b);
-                }
-                self.ring_len -= 1;
-                self.len -= 1;
-                return Some((entry.time, entry.event));
-            }
-            // Advance to the next occupied bucket. Overflow events are
-            // all in strictly later epochs than any ring event, so the
-            // jump can never skip one — but it frees ring slots, so
-            // eligible overflow events migrate in afterwards.
-            let dist = self.next_occupied_distance();
-            self.cur += dist;
-            self.drain_overflow();
-        }
+        Some(self.take_front(b))
     }
 
     /// Timestamp of the earliest pending event without removing it —
@@ -228,22 +278,19 @@ impl<E> CalendarQueue<E> {
     /// Pure scan: the cursor does not move, so interleaving peeks with
     /// pushes and pops cannot perturb pop order.
     pub fn peek_time(&self) -> Option<SimTime> {
-        if self.len == 0 {
-            return None;
-        }
         if self.ring_len == 0 {
-            return self.overflow.peek().map(|e| e.time);
+            return self.overflow.peek().map(Entry::time);
         }
         // The earliest occupied bucket in cursor order holds the earliest
         // epoch, and every overflow event is in a strictly later epoch,
-        // so its heap top is the global minimum.
-        for dist in 0..self.ring.len() as u64 {
-            let b = ((self.cur + dist) & self.mask) as usize;
-            if self.occ[b / 64] & (1u64 << (b % 64)) != 0 {
-                return self.ring[b].peek().map(|e| e.time);
-            }
-        }
-        unreachable!("ring_len > 0 but no occupied bucket found");
+        // so its front is the global minimum.
+        let from = self.cur & self.mask;
+        let dist = self
+            .occupied_distance(from as usize)
+            .expect("ring_len > 0 but no occupied bucket found");
+        self.ring[((from + dist) & self.mask) as usize]
+            .front()
+            .map(Entry::time)
     }
 
     /// Number of pending events.
@@ -341,22 +388,18 @@ impl<E> CalendarEngine<E> {
     }
 
     /// Pop the next event only if it is due at or before `limit` (and
-    /// within the horizon); otherwise leave the queue untouched and
-    /// return `None`. The calendar handoff primitive for windowed
+    /// within the horizon); otherwise leave every pending event queued
+    /// and return `None`. The calendar handoff primitive for windowed
     /// (sharded) execution: a region drains its window with repeated
     /// `next_at_or_before(barrier)` calls and never disturbs events
-    /// beyond the conservative lookahead.
+    /// beyond the conservative lookahead. The earliest event is located
+    /// once, then taken or left.
     pub fn next_at_or_before(&mut self, limit: SimTime) -> Option<(SimTime, E)> {
-        let t = self.queue.peek_time()?;
-        if t > limit {
-            return None;
-        }
-        if let Some(h) = self.horizon {
-            if t > h {
-                return None;
-            }
-        }
-        self.next()
+        let limit = self.horizon.map_or(limit, |h| limit.min(h));
+        let (t, e) = self.queue.pop_at_or_before(limit)?;
+        debug_assert!(t >= self.now, "calendar queue went backwards in time");
+        self.now = t;
+        Some((t, e))
     }
 
     /// Advance the clock to `t` without popping anything (checkpoint

@@ -4,7 +4,8 @@
 //! builds on. It deliberately contains **no networking semantics**: only the
 //! machinery needed to run reproducible simulations and to measure them.
 //!
-//! Design rules (see `DESIGN.md` §7):
+//! Design rules (the suite-wide version is ARCHITECTURE.md's
+//! "Determinism model"):
 //!
 //! * **Integer time.** [`time::SimTime`] and [`time::SimDuration`] are
 //!   nanosecond `u64` newtypes. Floating point appears only at the edges

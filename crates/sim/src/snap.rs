@@ -318,6 +318,18 @@ impl<T: Snap> Snap for Option<T> {
     }
 }
 
+/// Most bytes a decoder reserves up front from a length prefix. A
+/// longer sequence grows as its elements decode, and each element
+/// consumes input, so a corrupt prefix cannot reserve memory the stream
+/// does not back.
+const MAX_PREALLOC_BYTES: usize = 64 * 1024;
+
+/// Up-front capacity for `n` elements of `T`, within
+/// [`MAX_PREALLOC_BYTES`].
+fn prealloc<T>(n: usize) -> usize {
+    n.min(MAX_PREALLOC_BYTES / std::mem::size_of::<T>().max(1))
+}
+
 impl<T: Snap> Snap for Vec<T> {
     fn encode(&self, w: &mut SnapWriter) {
         w.put_usize(self.len());
@@ -332,7 +344,7 @@ impl<T: Snap> Snap for Vec<T> {
         if n > r.remaining() {
             return Err(SnapError::Corrupt("sequence length exceeds stream"));
         }
-        let mut out = Vec::with_capacity(n);
+        let mut out = Vec::with_capacity(prealloc::<T>(n));
         for _ in 0..n {
             out.push(T::decode(r)?);
         }
@@ -403,7 +415,7 @@ impl<K: Snap + Ord + Hash, V: Snap> Snap for HashMap<K, V> {
     }
     fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         let n = r.get_usize()?;
-        let mut out = HashMap::with_capacity(n.min(r.remaining()));
+        let mut out = HashMap::with_capacity(prealloc::<(K, V)>(n.min(r.remaining())));
         for _ in 0..n {
             let k = K::decode(r)?;
             let v = V::decode(r)?;
@@ -533,6 +545,18 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes);
         assert!(Vec::<u64>::decode(&mut r).is_err());
+    }
+
+    #[test]
+    fn length_prefixes_reserve_within_the_budget() {
+        // A prefix the stream seems to back (one byte per element) but
+        // whose elements are large in memory reserves only the budget.
+        type Wide = [u64; 512];
+        assert_eq!(prealloc::<u8>(10), 10);
+        assert!(prealloc::<Wide>(1 << 30) * std::mem::size_of::<Wide>() <= MAX_PREALLOC_BYTES);
+        assert_eq!(prealloc::<()>(usize::MAX), MAX_PREALLOC_BYTES);
+        // the capped reservation still decodes sequences of any length
+        roundtrip(&(0..20_000u64).collect::<Vec<_>>());
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //!   length of its best alternative path (1-hop / 2-hop / 3+ / none) and
 //!   build the per-link detour tables the INRP strategies consult.
 //! * [`rocketfuel`] — deterministic generators for the nine ISP topologies
-//!   of Table 1 (a documented substitution for the original Rocketfuel maps,
-//!   see `DESIGN.md` §3).
+//!   of Table 1, calibrated to each published row (a substitution for the
+//!   original Rocketfuel maps, which are not redistributable).
 //! * [`synth`] — synthetic scenario-catalog families: heterogeneous-access
 //!   dumbbell, parking-lot chain, k-ary fat-tree, Barabási–Albert
 //!   scale-free — all seed-deterministic and detour-capable.

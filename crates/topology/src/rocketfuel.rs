@@ -1,9 +1,9 @@
 //! Rocketfuel-substitute ISP topology generator.
 //!
 //! The paper's Table 1 measures detour availability on nine Rocketfuel ISP
-//! maps. Those map files are not redistributable here, so — per the
-//! substitution policy in `DESIGN.md` §3 — we *generate* topologies whose
-//! detour-class distribution is calibrated to each published row. The
+//! maps. Those map files are not redistributable here, so we *generate*
+//! topologies whose detour-class distribution is calibrated to each
+//! published row. The
 //! detour statistic of a link depends only on its local cycle structure,
 //! which lets the generator work constructively from four motifs:
 //!

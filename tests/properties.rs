@@ -972,6 +972,133 @@ proptest! {
         }
         prop_assert!(oracle.is_empty());
     }
+
+    /// `CalendarEngine` (the packet engine's queue) against
+    /// `event::Engine` (the oracle crate's): the same random interleaving
+    /// of `schedule`, `schedule_at`, `next`, `next_at_or_before` and
+    /// `peek_time` yields the same `(time, event)` sequence, clocks and
+    /// pending counts. `Engine` has no peek, so a sorted copy of its
+    /// pending set stands in for one. Delays mix same-instant pushes into the bucket
+    /// being drained, pushes past the ring span (the overflow fills and
+    /// migrates back) and multi-day idle gaps, over rings of 1–64
+    /// buckets and widths from 1 ns to 5 ms. The one documented
+    /// difference is allowed: past the horizon the calendar discards the
+    /// next event where `Engine` leaves it queued.
+    #[test]
+    fn calendar_engine_matches_event_engine(
+        ops in 1usize..400,
+        width_ns in 1u64..5_000_001,
+        buckets in 1usize..65,
+        horizon_kind in 0u8..3,
+        seed in 0u64..u64::MAX,
+    ) {
+        use inrpp_sim::calendar::CalendarEngine;
+        use inrpp_sim::event::Engine;
+        use std::collections::BTreeSet;
+
+        const DAY: u64 = 86_400_000_000_000;
+        let span = width_ns.saturating_mul(buckets as u64);
+        let horizon = match horizon_kind {
+            0 => None,
+            1 => Some(SimTime::from_nanos(span.saturating_mul(8))),
+            _ => Some(SimTime::from_nanos(3 * DAY)),
+        };
+        let mut cal: CalendarEngine<u64> =
+            CalendarEngine::new(SimDuration::from_nanos(width_ns), buckets);
+        let mut oracle: Engine<u64> = Engine::new();
+        if let Some(h) = horizon {
+            cal = cal.with_horizon(h);
+            oracle = oracle.with_horizon(h);
+        }
+        let mut rng = SimRng::from_seed_u64(seed);
+        let delay = |rng: &mut SimRng| {
+            SimDuration::from_nanos(match rng.index(10) {
+                0..=2 => 0,
+                3..=4 => rng.index(width_ns as usize + 1) as u64,
+                5..=6 => rng.index(span as usize + 1) as u64,
+                7..=8 => span + rng.index(3 * span as usize + 1) as u64,
+                _ => DAY * (1 + rng.index(2) as u64) + rng.index(1_000) as u64,
+            })
+        };
+        // events the calendar dropped past the horizon that `Engine`
+        // still holds
+        let mut discarded = 0usize;
+        // `Engine`'s pending set; ids grow with insertion, so
+        // `(time, id)` order is its pop order
+        let mut queued: BTreeSet<(SimTime, u64)> = BTreeSet::new();
+        let mut fired = Vec::new();
+        for id in 0..ops as u64 {
+            match rng.index(20) {
+                0..=6 => {
+                    let d = delay(&mut rng);
+                    cal.schedule(d, id);
+                    oracle.schedule(d, id);
+                    queued.insert((oracle.now() + d, id));
+                }
+                7..=9 => {
+                    let now = cal.now().as_nanos();
+                    let t = if rng.chance(0.1) && now > 0 {
+                        SimTime::from_nanos(rng.index(now as usize) as u64)
+                    } else {
+                        cal.now() + delay(&mut rng)
+                    };
+                    let accepted = oracle.schedule_at(t, id);
+                    prop_assert_eq!(cal.schedule_at(t, id), accepted);
+                    if accepted.is_ok() {
+                        queued.insert((t, id));
+                    }
+                }
+                10..=14 => {
+                    let before = cal.pending();
+                    let got = cal.next();
+                    let want = oracle.next();
+                    prop_assert_eq!(got, want, "next diverged at op {}", id);
+                    if got.is_none() && cal.pending() < before {
+                        discarded += 1;
+                    }
+                    if let Some((t, e)) = got {
+                        queued.remove(&(t, e));
+                        fired.push((t, e));
+                    }
+                }
+                15..=17 => {
+                    let limit = cal.now() + delay(&mut rng);
+                    let got = cal.next_at_or_before(limit);
+                    prop_assert_eq!(got, oracle.next_at_or_before(limit), "windowed pop diverged at op {}", id);
+                    if let Some((t, e)) = got {
+                        queued.remove(&(t, e));
+                        fired.push((t, e));
+                    }
+                }
+                _ => {
+                    let (got, want) = (cal.peek_time(), queued.first().map(|&(t, _)| t));
+                    match (horizon, want) {
+                        (Some(h), Some(t)) if discarded > 0 && t > h => {
+                            prop_assert!(got.map_or(true, |g| g > h), "peek {:?} inside the horizon", got);
+                        }
+                        _ => prop_assert_eq!(got, want, "peek diverged at op {}", id),
+                    }
+                }
+            }
+            prop_assert_eq!(cal.now(), oracle.now(), "clocks diverged at op {}", id);
+            prop_assert_eq!(cal.pending() + discarded, oracle.pending(), "pending diverged at op {}", id);
+            prop_assert_eq!(queued.len(), oracle.pending());
+        }
+        loop {
+            let before = cal.pending();
+            let got = cal.next();
+            prop_assert_eq!(got, oracle.next(), "drain diverged");
+            if got.is_none() {
+                discarded += before - cal.pending();
+                break;
+            }
+        }
+        prop_assert_eq!(cal.now(), oracle.now());
+        prop_assert_eq!(cal.pending() + discarded, oracle.pending());
+        for w in fired.windows(2) {
+            prop_assert!(w[0].0 <= w[1].0, "events fired out of time order");
+        }
+    }
 }
 
 proptest! {
@@ -1485,5 +1612,137 @@ proptest! {
             prop_assert!(!reply.contains("session host"), "a session host died: {}\nscript:\n{}", reply, shown);
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// The session both checkpoint-gate checkpoints are taken against: Fig. 3
+/// with one upfront transfer and a short horizon, so a replay is cheap.
+fn checkpoint_gate_session(topo: &Topology) -> inrpp::session::Session<'_> {
+    use inrpp::session::{Session, SessionStrategy, Transfer};
+    let n = |s: &str| topo.node_by_name(s).unwrap();
+    Session::builder()
+        .topology(topo)
+        .transfers(vec![Transfer {
+            flow: 1,
+            src: n("1"),
+            dst: n("4"),
+            chunks: 120,
+            chunk_bytes: ByteSize::bytes(1250),
+            start: SimTime::ZERO,
+        }])
+        .strategy(SessionStrategy::urp())
+        .horizon(SimDuration::from_secs(2))
+        .build()
+        .expect("valid session")
+}
+
+/// Drive `svc` through a feed and two advances, then checkpoint it.
+fn gate_checkpoint(topo: &Topology, svc: &mut dyn inrpp::service::ServiceSession) -> Vec<u8> {
+    let n = |s: &str| topo.node_by_name(s).unwrap();
+    svc.advance(SimTime::from_millis(150), &mut []).unwrap();
+    svc.feed(&inrpp::session::Transfer {
+        flow: 2,
+        src: n("2"),
+        dst: n("3"),
+        chunks: 60,
+        chunk_bytes: ByteSize::bytes(1250),
+        start: SimTime::from_millis(200),
+    })
+    .unwrap();
+    svc.advance(SimTime::from_millis(400), &mut []).unwrap();
+    svc.checkpoint().to_bytes()
+}
+
+/// One hostile edit of a checkpoint file: a truncation, one to three
+/// bit flips, or an 8-byte length prefix overwritten with a hostile
+/// count — at the envelope's magic or body prefix, at the body's first
+/// sequence, or anywhere. Returns what it did, for the failure message.
+fn corrupt_checkpoint(bytes: &mut Vec<u8>, body_len: usize, rng: &mut SimRng) -> String {
+    use rand::RngCore;
+    match rng.index(3) {
+        0 => {
+            let cut = rng.index(bytes.len());
+            bytes.truncate(cut);
+            format!("truncated to {cut} bytes")
+        }
+        1 => {
+            let mut flips = Vec::new();
+            for _ in 0..1 + rng.index(3) {
+                let (at, bit) = (rng.index(bytes.len()), rng.index(8));
+                bytes[at] ^= 1 << bit;
+                flips.push((at, bit));
+            }
+            format!("bits flipped at (byte, bit) {flips:?}")
+        }
+        _ => {
+            let body_at = bytes.len() - body_len;
+            let at = match rng.index(4) {
+                0 => 0,
+                1 => body_at - 8,
+                2 => body_at,
+                _ => rng.index(bytes.len() - 7),
+            };
+            let left = (bytes.len() - at - 8) as u64;
+            let count = *rng.pick(&[0, 1, left / 2, left, left + 1, u32::MAX as u64, u64::MAX]);
+            let count = if rng.chance(0.2) {
+                rng.next_u64()
+            } else {
+                count
+            };
+            bytes[at..at + 8].copy_from_slice(&count.to_le_bytes());
+            format!("length prefix at byte {at} set to {count}")
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Corrupt checkpoint files: truncations, bit flips and edited
+    /// length prefixes of a real fluid and a real packet checkpoint go
+    /// through `Checkpoint::from_bytes` and, when the envelope parses,
+    /// both `FluidService::resume` and `PacketService::resume` (the two
+    /// checkpoints share a session fingerprint, so a flipped engine tag
+    /// feeds one engine's body to the other's decoder). The envelope has
+    /// no checksum, so flips reach the body decoders. Nothing may panic,
+    /// and every failure is `CheckpointMismatch` — the wire's
+    /// `checkpoint` kind.
+    #[test]
+    fn corrupt_checkpoints_fail_typed(seed in 0u64..u64::MAX) {
+        use inrpp::service::{Checkpoint, FluidBacking, FluidService};
+        use inrpp::session::SessionError;
+        use inrpp_packetsim::{PacketEngine, PacketService};
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+
+        let topo = Topology::fig3();
+        let session = checkpoint_gate_session(&topo);
+        let backing = FluidBacking::for_session(&session);
+        let engine = PacketEngine::default();
+        let real = [
+            gate_checkpoint(&topo, &mut FluidService::open(&session, &backing).unwrap()),
+            gate_checkpoint(&topo, &mut PacketService::open(&engine, &session).unwrap()),
+        ];
+        let mut rng = SimRng::from_seed_u64(seed);
+        for bytes in real {
+            let body_len = Checkpoint::from_bytes(&bytes).unwrap().body().len();
+            let mut bad = bytes.clone();
+            let edit = corrupt_checkpoint(&mut bad, body_len, &mut rng);
+            let outcomes = catch_unwind(AssertUnwindSafe(|| match Checkpoint::from_bytes(&bad) {
+                Err(e) => vec![Err(e)],
+                Ok(c) => vec![
+                    FluidService::resume(&session, &backing, &c).map(drop),
+                    PacketService::resume(&engine, &session, &c).map(drop),
+                ],
+            }));
+            prop_assert!(outcomes.is_ok(), "a corrupt checkpoint panicked: {}", edit);
+            for outcome in outcomes.unwrap() {
+                prop_assert!(
+                    matches!(outcome, Ok(()) | Err(SessionError::CheckpointMismatch(_))),
+                    "{}: {:?}",
+                    edit,
+                    outcome.err()
+                );
+            }
+        }
     }
 }
