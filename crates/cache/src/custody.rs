@@ -7,15 +7,14 @@
 //!   (content is use-ful to the receiver in order; custody is
 //!   store-and-forward, not random-access caching).
 //! * Under back-pressure the store should never overflow — upstream is
-//!   told to slow down first. [`EvictionPolicy::Reject`] models that
-//!   contract: `store` fails and the caller must push back. The FIFO/LRU
-//!   policies exist to quantify what happens *without* effective
-//!   back-pressure (ablation A4).
+//!   told to slow down first. The store models that contract: a `store`
+//!   past the byte budget fails with [`StoreError::Full`] and the caller
+//!   must push back. Nothing is ever evicted to make room.
 //!
 //! The store tracks per-flow byte accounting so fairness over cache space
 //! (the paper's "global fairness" includes cache resources) can be measured.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
 use inrpp_sim::time::SimTime;
@@ -25,29 +24,6 @@ use inrpp_sim::units::ByteSize;
 pub type FlowId = u64;
 /// Chunk sequence number within a flow.
 pub type ChunkNo = u64;
-
-/// What to do when a `store` would exceed the byte budget.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EvictionPolicy {
-    /// Refuse the new chunk — the back-pressure contract (§3.3).
-    #[default]
-    Reject,
-    /// Evict the oldest-stored chunks until the new one fits.
-    Fifo,
-    /// Evict the least-recently-touched chunks until the new one fits.
-    Lru,
-}
-
-/// A chunk displaced by an eviction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Evicted {
-    /// Owning flow.
-    pub flow: FlowId,
-    /// Chunk number.
-    pub chunk: ChunkNo,
-    /// Size of the evicted chunk.
-    pub bytes: ByteSize,
-}
 
 /// Why a `store` call failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,7 +35,7 @@ pub enum StoreError {
         /// Total store budget.
         capacity: ByteSize,
     },
-    /// Policy is [`EvictionPolicy::Reject`] and there is no headroom.
+    /// There is no headroom: back-pressure is required.
     Full {
         /// Bytes that would be needed beyond the budget.
         overflow: ByteSize,
@@ -90,59 +66,47 @@ impl std::error::Error for StoreError {}
 #[derive(Debug, Clone)]
 struct Entry {
     bytes: ByteSize,
-    stored_seq: u64,
-    touched_seq: u64,
     stored_at: SimTime,
 }
 
 /// Byte-budgeted custody store. See module docs for semantics.
 ///
 /// ```
-/// use inrpp_cache::custody::{CustodyStore, EvictionPolicy};
+/// use inrpp_cache::custody::CustodyStore;
 /// use inrpp_sim::{time::SimTime, units::ByteSize};
 ///
-/// let mut store = CustodyStore::new(ByteSize::kb(10), EvictionPolicy::Reject);
+/// let mut store = CustodyStore::new(ByteSize::kb(10));
 /// // take custody of two chunks arriving out of order
 /// store.store(SimTime::ZERO, 7, 1, ByteSize::kb(2)).unwrap();
 /// store.store(SimTime::ZERO, 7, 0, ByteSize::kb(2)).unwrap();
 /// // the drain is in chunk order — custody is store-and-forward
 /// assert_eq!(store.pop_next(7), Some((0, ByteSize::kb(2))));
 /// assert_eq!(store.pop_next(7), Some((1, ByteSize::kb(2))));
-/// // under the Reject policy an over-budget store demands back-pressure
+/// // an over-budget store demands back-pressure
 /// assert!(store.store(SimTime::ZERO, 7, 2, ByteSize::kb(11)).is_err());
 /// ```
 #[derive(Debug, Clone)]
 pub struct CustodyStore {
     capacity: ByteSize,
-    policy: EvictionPolicy,
     used: ByteSize,
     entries: HashMap<(FlowId, ChunkNo), Entry>,
     /// per-flow ordered chunk index for in-order draining
     flows: HashMap<FlowId, BTreeSet<ChunkNo>>,
-    /// eviction order index: seq -> key (seq is stored_seq or touched_seq
-    /// depending on policy; rebuilt lazily on policy-relevant updates)
-    order: BTreeMap<u64, (FlowId, ChunkNo)>,
-    seq: u64,
     // statistics
     stored_total: u64,
-    evicted_total: u64,
     rejected_total: u64,
     peak_used: ByteSize,
 }
 
 impl CustodyStore {
-    /// A store with the given byte budget and overflow policy.
-    pub fn new(capacity: ByteSize, policy: EvictionPolicy) -> Self {
+    /// A store with the given byte budget.
+    pub fn new(capacity: ByteSize) -> Self {
         CustodyStore {
             capacity,
-            policy,
             used: ByteSize::ZERO,
             entries: HashMap::new(),
             flows: HashMap::new(),
-            order: BTreeMap::new(),
-            seq: 0,
             stored_total: 0,
-            evicted_total: 0,
             rejected_total: 0,
             peak_used: ByteSize::ZERO,
         }
@@ -177,9 +141,9 @@ impl CustodyStore {
         self.entries.len()
     }
 
-    /// `(stored, evicted, rejected)` lifetime totals.
-    pub fn stats(&self) -> (u64, u64, u64) {
-        (self.stored_total, self.evicted_total, self.rejected_total)
+    /// `(stored, rejected)` lifetime totals.
+    pub fn stats(&self) -> (u64, u64) {
+        (self.stored_total, self.rejected_total)
     }
 
     /// Highest occupancy ever reached.
@@ -187,17 +151,16 @@ impl CustodyStore {
         self.peak_used
     }
 
-    /// Take custody of `(flow, chunk)` occupying `bytes`.
-    ///
-    /// On success, returns the chunks evicted to make room (always empty
-    /// under [`EvictionPolicy::Reject`]).
+    /// Take custody of `(flow, chunk)` occupying `bytes`, or refuse it
+    /// with [`StoreError::Full`] when the budget has no room: the caller
+    /// must then push back.
     pub fn store(
         &mut self,
         now: SimTime,
         flow: FlowId,
         chunk: ChunkNo,
         bytes: ByteSize,
-    ) -> Result<Vec<Evicted>, StoreError> {
+    ) -> Result<(), StoreError> {
         if bytes > self.capacity {
             self.rejected_total += 1;
             return Err(StoreError::ChunkLargerThanCache {
@@ -209,56 +172,25 @@ impl CustodyStore {
             self.rejected_total += 1;
             return Err(StoreError::Duplicate);
         }
-        let mut evicted = Vec::new();
-        while self.used.checked_add(bytes).expect("byte math") > self.capacity {
-            match self.policy {
-                EvictionPolicy::Reject => {
-                    self.rejected_total += 1;
-                    return Err(StoreError::Full {
-                        overflow: (self.used + bytes).saturating_sub(self.capacity),
-                    });
-                }
-                EvictionPolicy::Fifo | EvictionPolicy::Lru => {
-                    let victim = self
-                        .order
-                        .iter()
-                        .next()
-                        .map(|(&s, &k)| (s, k))
-                        .expect("store is over budget but order index is empty");
-                    self.order.remove(&victim.0);
-                    let (vf, vc) = victim.1;
-                    let e = self.remove_entry(vf, vc).expect("victim exists");
-                    self.evicted_total += 1;
-                    evicted.push(Evicted {
-                        flow: vf,
-                        chunk: vc,
-                        bytes: e.bytes,
-                    });
-                }
-            }
+        let used = self.used.checked_add(bytes).expect("byte math");
+        if used > self.capacity {
+            self.rejected_total += 1;
+            return Err(StoreError::Full {
+                overflow: used.saturating_sub(self.capacity),
+            });
         }
-        let seq = self.next_seq();
         self.entries.insert(
             (flow, chunk),
             Entry {
                 bytes,
-                stored_seq: seq,
-                touched_seq: seq,
                 stored_at: now,
             },
         );
         self.flows.entry(flow).or_default().insert(chunk);
-        self.order.insert(seq, (flow, chunk));
-        self.used += bytes;
+        self.used = used;
         self.peak_used = self.peak_used.max(self.used);
         self.stored_total += 1;
-        Ok(evicted)
-    }
-
-    fn next_seq(&mut self) -> u64 {
-        let s = self.seq;
-        self.seq += 1;
-        s
+        Ok(())
     }
 
     /// Whether `(flow, chunk)` is in custody.
@@ -271,21 +203,9 @@ impl CustodyStore {
         self.entries.get(&(flow, chunk)).map(|e| e.stored_at)
     }
 
-    /// Touch a chunk (LRU relevance): moves it to the back of the eviction
-    /// order. No-op for other policies or missing chunks.
-    pub fn touch(&mut self, flow: FlowId, chunk: ChunkNo) {
-        if self.policy != EvictionPolicy::Lru {
-            return;
-        }
-        let next = self.next_seq();
-        if let Some(e) = self.entries.get_mut(&(flow, chunk)) {
-            self.order.remove(&e.touched_seq);
-            e.touched_seq = next;
-            self.order.insert(next, (flow, chunk));
-        }
-    }
-
-    fn remove_entry(&mut self, flow: FlowId, chunk: ChunkNo) -> Option<Entry> {
+    /// Release `(flow, chunk)` from custody (delivered or acknowledged).
+    /// Returns its size if it was present.
+    pub fn release(&mut self, flow: FlowId, chunk: ChunkNo) -> Option<ByteSize> {
         let e = self.entries.remove(&(flow, chunk))?;
         self.used = self.used.saturating_sub(e.bytes);
         if let Some(set) = self.flows.get_mut(&flow) {
@@ -294,16 +214,6 @@ impl CustodyStore {
                 self.flows.remove(&flow);
             }
         }
-        Some(e)
-    }
-
-    /// Release `(flow, chunk)` from custody (delivered or acknowledged).
-    /// Returns its size if it was present.
-    pub fn release(&mut self, flow: FlowId, chunk: ChunkNo) -> Option<ByteSize> {
-        let e = self.remove_entry(flow, chunk)?;
-        // remove from order index under either key it may carry
-        self.order.remove(&e.stored_seq);
-        self.order.remove(&e.touched_seq);
         Some(e.bytes)
     }
 
@@ -344,9 +254,9 @@ mod tests {
 
     #[test]
     fn store_and_release_accounting() {
-        let mut s = CustodyStore::new(kb(10), EvictionPolicy::Reject);
-        assert!(s.store(t0(), 1, 0, kb(4)).unwrap().is_empty());
-        assert!(s.store(t0(), 1, 1, kb(4)).unwrap().is_empty());
+        let mut s = CustodyStore::new(kb(10));
+        s.store(t0(), 1, 0, kb(4)).unwrap();
+        s.store(t0(), 1, 1, kb(4)).unwrap();
         assert_eq!(s.used(), kb(8));
         assert_eq!(s.headroom(), kb(2));
         assert_eq!(s.chunk_count(), 2);
@@ -359,89 +269,33 @@ mod tests {
 
     #[test]
     fn reject_policy_enforces_backpressure_contract() {
-        let mut s = CustodyStore::new(kb(10), EvictionPolicy::Reject);
+        let mut s = CustodyStore::new(kb(10));
         s.store(t0(), 1, 0, kb(8)).unwrap();
         let err = s.store(t0(), 1, 1, kb(4)).unwrap_err();
         assert_eq!(err, StoreError::Full { overflow: kb(2) });
         assert!(err.to_string().contains("back-pressure"));
         // the failed chunk is NOT stored
         assert!(!s.contains(1, 1));
-        assert_eq!(s.stats().2, 1);
+        assert_eq!(s.stats().1, 1);
     }
 
     #[test]
     fn oversized_chunk_rejected_by_all_policies() {
-        for policy in [
-            EvictionPolicy::Reject,
-            EvictionPolicy::Fifo,
-            EvictionPolicy::Lru,
-        ] {
-            let mut s = CustodyStore::new(kb(1), policy);
-            let err = s.store(t0(), 1, 0, kb(2)).unwrap_err();
-            assert!(matches!(err, StoreError::ChunkLargerThanCache { .. }));
-        }
+        let mut s = CustodyStore::new(kb(1));
+        let err = s.store(t0(), 1, 0, kb(2)).unwrap_err();
+        assert!(matches!(err, StoreError::ChunkLargerThanCache { .. }));
     }
 
     #[test]
     fn duplicate_chunk_rejected() {
-        let mut s = CustodyStore::new(kb(10), EvictionPolicy::Fifo);
+        let mut s = CustodyStore::new(kb(10));
         s.store(t0(), 1, 0, kb(1)).unwrap();
         assert_eq!(s.store(t0(), 1, 0, kb(1)), Err(StoreError::Duplicate));
     }
 
     #[test]
-    fn fifo_evicts_oldest_first() {
-        let mut s = CustodyStore::new(kb(10), EvictionPolicy::Fifo);
-        s.store(t0(), 1, 0, kb(4)).unwrap();
-        s.store(t0(), 2, 0, kb(4)).unwrap();
-        let evicted = s.store(t0(), 3, 0, kb(4)).unwrap();
-        assert_eq!(evicted.len(), 1);
-        assert_eq!(evicted[0].flow, 1);
-        assert_eq!(evicted[0].bytes, kb(4));
-        assert!(!s.contains(1, 0));
-        assert!(s.contains(2, 0));
-        assert_eq!(s.stats().1, 1);
-    }
-
-    #[test]
-    fn fifo_evicts_several_when_needed() {
-        let mut s = CustodyStore::new(kb(10), EvictionPolicy::Fifo);
-        for i in 0..5 {
-            s.store(t0(), i, 0, kb(2)).unwrap();
-        }
-        let evicted = s.store(t0(), 9, 0, kb(6)).unwrap();
-        assert_eq!(evicted.len(), 3);
-        assert_eq!(
-            evicted.iter().map(|e| e.flow).collect::<Vec<_>>(),
-            vec![0, 1, 2]
-        );
-        assert_eq!(s.used(), kb(10));
-    }
-
-    #[test]
-    fn lru_touch_protects_chunks() {
-        let mut s = CustodyStore::new(kb(8), EvictionPolicy::Lru);
-        s.store(t0(), 1, 0, kb(4)).unwrap();
-        s.store(t0(), 2, 0, kb(4)).unwrap();
-        s.touch(1, 0); // flow 1 becomes most-recently used
-        let evicted = s.store(t0(), 3, 0, kb(4)).unwrap();
-        assert_eq!(evicted[0].flow, 2);
-        assert!(s.contains(1, 0));
-    }
-
-    #[test]
-    fn touch_is_noop_for_fifo() {
-        let mut s = CustodyStore::new(kb(8), EvictionPolicy::Fifo);
-        s.store(t0(), 1, 0, kb(4)).unwrap();
-        s.store(t0(), 2, 0, kb(4)).unwrap();
-        s.touch(1, 0);
-        let evicted = s.store(t0(), 3, 0, kb(4)).unwrap();
-        assert_eq!(evicted[0].flow, 1, "FIFO ignores touches");
-    }
-
-    #[test]
     fn in_order_drain_per_flow() {
-        let mut s = CustodyStore::new(kb(100), EvictionPolicy::Reject);
+        let mut s = CustodyStore::new(kb(100));
         // store out of order
         for c in [5u64, 1, 3, 2, 4] {
             s.store(t0(), 7, c, kb(1)).unwrap();
@@ -454,7 +308,7 @@ mod tests {
 
     #[test]
     fn per_flow_accounting() {
-        let mut s = CustodyStore::new(kb(100), EvictionPolicy::Reject);
+        let mut s = CustodyStore::new(kb(100));
         s.store(t0(), 1, 0, kb(2)).unwrap();
         s.store(t0(), 1, 1, kb(3)).unwrap();
         s.store(t0(), 2, 0, kb(4)).unwrap();
@@ -463,7 +317,7 @@ mod tests {
 
     #[test]
     fn stored_at_records_time() {
-        let mut s = CustodyStore::new(kb(10), EvictionPolicy::Reject);
+        let mut s = CustodyStore::new(kb(10));
         let t = SimTime::from_secs(3);
         s.store(t, 1, 0, kb(1)).unwrap();
         assert_eq!(s.stored_at(1, 0), Some(t));
@@ -472,14 +326,14 @@ mod tests {
 
     #[test]
     fn zero_capacity_store_is_always_full() {
-        let mut s = CustodyStore::new(ByteSize::ZERO, EvictionPolicy::Fifo);
+        let mut s = CustodyStore::new(ByteSize::ZERO);
         assert!(s.store(t0(), 1, 0, kb(1)).is_err());
         assert_eq!(s.fill_fraction(), 1.0);
     }
 
     #[test]
     fn eviction_respects_capacity_invariant() {
-        let mut s = CustodyStore::new(kb(10), EvictionPolicy::Lru);
+        let mut s = CustodyStore::new(kb(10));
         for i in 0..100 {
             let _ = s.store(t0(), i % 7, i, kb(1 + (i % 3)));
             assert!(

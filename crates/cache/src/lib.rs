@@ -6,8 +6,8 @@
 //! addressed by content name rather than a FIFO of anonymous packets.
 //!
 //! * [`custody`] — the [`custody::CustodyStore`]: byte-budgeted, per-flow,
-//!   in-order chunk storage with pluggable overflow policy (reject for
-//!   back-pressure operation, FIFO/LRU eviction to model lossy overload).
+//!   in-order chunk storage that refuses a chunk past its budget, so the
+//!   caller pushes back (§3.3's back-pressure contract).
 //! * [`sizing`] — the line-rate feasibility arithmetic behind the paper's
 //!   "a 10GB cache after a 40Gbps link can hold incoming traffic for 2
 //!   seconds" claim (experiment C1).
@@ -18,5 +18,5 @@
 pub mod custody;
 pub mod sizing;
 
-pub use custody::{CustodyStore, Evicted, EvictionPolicy, StoreError};
+pub use custody::{CustodyStore, StoreError};
 pub use sizing::{holding_time, required_cache};

@@ -21,40 +21,49 @@
 //!   uninterrupted run — the contract `tests/checkpoint_resume.rs`
 //!   gates in CI.
 //!
+//! Both engines checkpoint the same way, and only this module knows the
+//! format: a session appends every call it accepts to a [`ReplayLog`] —
+//! the clock each `advance` parked at and each transfer `feed` took —
+//! and a checkpoint is that log. Resume opens the session afresh and
+//! replays the log through the same `advance`/`feed` calls with probes
+//! muted. The engines are deterministic and split-invariant (a run
+//! advanced in any number of steps is byte-identical), so the replayed
+//! state is the interrupted one; consecutive advances merge into one op
+//! for the same reason, so a log grows with feeds, not with advances.
+//!
 //! The envelope embeds the session's
 //! [`fingerprint`](crate::session::Session::fingerprint) so a resume
 //! against a different spec (other topology, traffic, strategy,
 //! horizon, or seed) fails with
 //! [`SessionError::CheckpointMismatch`] instead of silently diverging.
 //!
-//! [`FluidService`] is the fluid-engine implementation (full-state
-//! snapshot); the packet engine's lives in
-//! `inrpp_packetsim::session::PacketService` (deterministic replay log
-//! — see its docs for the trade-off). `inrpp serve` in the bench crate
-//! exposes both over line-delimited JSON on stdio.
+//! [`FluidService`] is the fluid-engine implementation; the packet
+//! engine's is `inrpp_packetsim::session::PacketService`. `inrpp serve`
+//! in the bench crate exposes both over line-delimited JSON on stdio.
 
 use std::collections::HashMap;
 
 use inrpp_flowsim::sim::{FlowRun, FlowSim, FlowSimConfig};
 use inrpp_flowsim::strategy::RoutingStrategy;
-use inrpp_sim::snap::Snap;
-use inrpp_sim::snap::{SnapError, SnapReader, SnapWriter};
+use inrpp_sim::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use inrpp_sim::time::SimTime;
+use inrpp_topology::graph::Topology;
 
 use crate::session::{
-    assemble_fluid_report, check_fluid_workers, EngineKind, FlowRecord, FlowSpec, FluidAdapter,
-    Probe, ProbeSet, RunReport, Session, SessionError, Transfer, Workload,
+    assemble_fluid_report, check_fluid_workers, check_transfer, EngineKind, FlowRecord, FlowSpec,
+    FluidAdapter, Probe, ProbeSet, RunReport, Session, SessionError, Transfer, Workload,
 };
 
-/// Envelope magic: identifies the container, not the body layout (the
-/// per-engine body carries its own structure).
-const CHECKPOINT_MAGIC: &str = "inrpp-ckpt v1";
+/// Envelope magic. Since v2 the body of either engine's checkpoint is a
+/// [`ReplayLog`]; a v1 file (a fluid state snapshot, or a packet log
+/// without chunk sizes) is refused instead of being misread.
+const CHECKPOINT_MAGIC: &str = "inrpp-ckpt v2";
 
 // ===================================================================
-// Checkpoint envelope
+// Checkpoint envelope and replay log
 // ===================================================================
 
-/// A serialised engine state, wrapped with enough identity to refuse a
+/// A session's [`ReplayLog`], wrapped with enough identity to refuse a
 /// wrong resume: which engine wrote it and the
 /// [`Session::fingerprint`] of the spec it was taken against.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -67,7 +76,7 @@ pub struct Checkpoint {
 }
 
 impl Checkpoint {
-    /// Wrap an engine-serialised body.
+    /// Wrap an encoded body.
     pub fn new(engine: EngineKind, fingerprint: u64, body: Vec<u8>) -> Self {
         Checkpoint {
             engine,
@@ -76,7 +85,7 @@ impl Checkpoint {
         }
     }
 
-    /// The engine-specific state bytes.
+    /// The encoded replay log.
     pub fn body(&self) -> &[u8] {
         &self.body
     }
@@ -103,7 +112,7 @@ impl Checkpoint {
         let magic = r.get_str().map_err(corrupt)?;
         if magic != CHECKPOINT_MAGIC {
             return Err(SessionError::CheckpointMismatch(format!(
-                "not an inrpp checkpoint (header {magic:?})"
+                "not an {CHECKPOINT_MAGIC:?} checkpoint (header {magic:?})"
             )));
         }
         let engine = match r.get_u8().map_err(corrupt)? {
@@ -125,8 +134,8 @@ impl Checkpoint {
         })
     }
 
-    /// Check this checkpoint belongs to `engine` + `session` before an
-    /// engine attempts the (expensive) state rebuild.
+    /// Check this checkpoint belongs to `engine` + `session` before a
+    /// session is opened to replay it.
     pub fn validate(&self, engine: EngineKind, session: &Session<'_>) -> Result<(), SessionError> {
         if self.engine != engine {
             return Err(SessionError::CheckpointMismatch(format!(
@@ -143,6 +152,117 @@ impl Checkpoint {
             )));
         }
         Ok(())
+    }
+
+    /// Drive `svc` — freshly opened on the session this checkpoint was
+    /// [validated](Checkpoint::validate) against — through the logged
+    /// calls with probes muted, leaving it where the checkpointed
+    /// session stood. The log holds only calls the original session
+    /// accepted, so a body that does not decode, trailing bytes, or a
+    /// refused op all mean the file was altered:
+    /// [`SessionError::CheckpointMismatch`].
+    pub fn replay(&self, svc: &mut dyn ServiceSession) -> Result<(), SessionError> {
+        let mut r = SnapReader::new(&self.body);
+        let ops = Vec::<ReplayOp>::decode(&mut r)
+            .and_then(|ops| r.finish().map(|()| ops))
+            .map_err(|e| {
+                SessionError::CheckpointMismatch(format!("corrupt {} checkpoint: {e}", self.engine))
+            })?;
+        for op in ops {
+            match op {
+                ReplayOp::AdvanceTo(t) => svc.advance(t, &mut []).map(drop),
+                ReplayOp::Feed(t) => svc.feed(&t),
+            }
+            .map_err(|e| {
+                SessionError::CheckpointMismatch(format!(
+                    "{} checkpoint replay failed: {e}",
+                    self.engine
+                ))
+            })?;
+        }
+        Ok(())
+    }
+}
+
+/// One accepted call of a [`ServiceSession`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum ReplayOp {
+    /// An `advance` to this instant, clamped to the horizon: where the
+    /// clock parked, unless the target was already behind it.
+    AdvanceTo(SimTime),
+    /// Exactly the transfer `feed` took.
+    Feed(Transfer),
+}
+
+impl Snap for ReplayOp {
+    fn encode(&self, w: &mut SnapWriter) {
+        match self {
+            ReplayOp::AdvanceTo(t) => {
+                w.put_u8(0);
+                t.encode(w);
+            }
+            ReplayOp::Feed(t) => {
+                w.put_u8(1);
+                t.encode(w);
+            }
+        }
+    }
+
+    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        match r.get_u8()? {
+            0 => Ok(ReplayOp::AdvanceTo(SimTime::decode(r)?)),
+            1 => Ok(ReplayOp::Feed(Transfer::decode(r)?)),
+            _ => Err(SnapError::Corrupt("replay op tag out of range")),
+        }
+    }
+}
+
+/// The calls a service session has accepted, in order: the body of its
+/// [`Checkpoint`]s, which [`Checkpoint::replay`] drives back through a
+/// freshly opened session. Each [`ServiceSession`] keeps one and
+/// appends to it from `advance` and `feed`.
+#[derive(Debug, Clone)]
+pub struct ReplayLog {
+    engine: EngineKind,
+    fingerprint: u64,
+    horizon: SimTime,
+    ops: Vec<ReplayOp>,
+}
+
+impl ReplayLog {
+    /// An empty log for an `engine` session on `session`.
+    pub fn new(engine: EngineKind, session: &Session<'_>) -> Self {
+        ReplayLog {
+            engine,
+            fingerprint: session.fingerprint(),
+            horizon: SimTime::ZERO + session.horizon(),
+            ops: Vec::new(),
+        }
+    }
+
+    /// Record an accepted `advance` to `to`, clamped to the horizon as
+    /// the engines clamp it. Consecutive advances merge into one op at
+    /// the latest target: advancing to `a` and then to `b ≥ a` processes
+    /// the same events as advancing to `b` (boundary invariance), and a
+    /// target behind the clock processes none.
+    pub fn advance(&mut self, to: SimTime) {
+        let to = to.min(self.horizon);
+        match self.ops.last_mut() {
+            Some(ReplayOp::AdvanceTo(last)) => *last = (*last).max(to),
+            _ => self.ops.push(ReplayOp::AdvanceTo(to)),
+        }
+    }
+
+    /// Record a transfer `feed` accepted.
+    pub fn feed(&mut self, transfer: &Transfer) {
+        self.ops.push(ReplayOp::Feed(*transfer));
+    }
+
+    /// The log so far, as a resumable checkpoint.
+    pub fn checkpoint(&self) -> Checkpoint {
+        let mut w = SnapWriter::new();
+        self.ops.encode(&mut w);
+        Checkpoint::new(self.engine, self.fingerprint, w.into_bytes())
     }
 }
 
@@ -186,7 +306,7 @@ pub trait ServiceSession {
     /// A [`RunReport`] of the run *so far*, without perturbing it.
     fn snapshot(&self) -> RunReport;
 
-    /// Serialise the current state into a resumable [`Checkpoint`].
+    /// The session's [`ReplayLog`] as a resumable [`Checkpoint`].
     fn checkpoint(&self) -> Checkpoint;
 
     /// Drain the remaining events and produce the final report.
@@ -231,15 +351,15 @@ impl FluidBacking {
     }
 }
 
-/// The fluid engine as a [`ServiceSession`]. Checkpoints carry the
-/// complete run state (engine queue, active flows, accumulators, fed
-/// extras, per-flow records), so resume cost is independent of how much
-/// simulated time has elapsed.
+/// The fluid engine as a [`ServiceSession`]. It checkpoints like every
+/// service session: the [`ReplayLog`] of its accepted calls, replayed
+/// on resume.
 pub struct FluidService<'a> {
+    topology: &'a Topology,
     run: FlowRun<'a>,
     records: Vec<FlowRecord>,
     index: HashMap<u64, usize>,
-    fingerprint: u64,
+    log: ReplayLog,
 }
 
 impl<'a> FluidService<'a> {
@@ -258,48 +378,28 @@ impl<'a> FluidService<'a> {
         .with_faults(session.faults().clone())
         .start();
         Ok(FluidService {
+            topology: session.topology(),
             run,
             records: Vec::new(),
             index: HashMap::new(),
-            fingerprint: session.fingerprint(),
+            log: ReplayLog::new(EngineKind::Fluid, session),
         })
     }
 
     /// Rebuild a session from a [`Checkpoint`] taken by
-    /// [`ServiceSession::checkpoint`] on an identical session spec.
-    /// Continues bit-identically from the checkpoint instant.
+    /// [`ServiceSession::checkpoint`] on an identical session spec:
+    /// [`open`](FluidService::open), then
+    /// [`replay`](Checkpoint::replay). Continues bit-identically from
+    /// the checkpoint instant.
     pub fn resume(
         session: &Session<'a>,
         backing: &'a FluidBacking,
         checkpoint: &Checkpoint,
     ) -> Result<Self, SessionError> {
         checkpoint.validate(EngineKind::Fluid, session)?;
-        check_fluid_workers(session)?;
-        let corrupt = |e: SnapError| {
-            SessionError::CheckpointMismatch(format!("corrupt fluid checkpoint: {e}"))
-        };
-        let mut r = SnapReader::new(checkpoint.body());
-        let records = Vec::<FlowRecord>::decode(&mut r).map_err(corrupt)?;
-        let run = FlowRun::restore(
-            session.topology(),
-            backing.strategy.as_ref(),
-            &backing.workload,
-            session.faults().clone(),
-            &mut r,
-        )
-        .map_err(corrupt)?;
-        r.finish().map_err(corrupt)?;
-        let index = records
-            .iter()
-            .enumerate()
-            .map(|(i, rec)| (rec.flow, i))
-            .collect();
-        Ok(FluidService {
-            run,
-            records,
-            index,
-            fingerprint: checkpoint.fingerprint,
-        })
+        let mut svc = FluidService::open(session, backing)?;
+        checkpoint.replay(&mut svc)?;
+        Ok(svc)
     }
 
     fn consume(mut self, probes: &mut [&mut dyn Probe]) -> Result<RunReport, SessionError> {
@@ -345,24 +445,16 @@ impl ServiceSession for FluidService<'_> {
             };
             self.run.run_until(to, &mut adapter)
         };
-        let snap = self.snapshot();
-        ProbeSet::new(probes).report(&snap);
+        self.log.advance(to);
+        if !probes.is_empty() {
+            let snap = self.snapshot();
+            ProbeSet::new(probes).report(&snap);
+        }
         Ok(now)
     }
 
     fn feed(&mut self, transfer: &Transfer) -> Result<(), SessionError> {
-        if transfer.chunks == 0 {
-            return Err(SessionError::InvalidTransfer(format!(
-                "flow {} has zero chunks",
-                transfer.flow
-            )));
-        }
-        if transfer.src == transfer.dst {
-            return Err(SessionError::InvalidTransfer(format!(
-                "flow {} endpoints coincide ({})",
-                transfer.flow, transfer.src
-            )));
-        }
+        check_transfer(self.topology, transfer)?;
         if self.index.contains_key(&transfer.flow) || self.run.knows_flow(transfer.flow) {
             return Err(SessionError::DuplicateFlow(transfer.flow));
         }
@@ -381,7 +473,9 @@ impl ServiceSession for FluidService<'_> {
                     transfer.start,
                     self.run.now()
                 ))
-            })
+            })?;
+        self.log.feed(transfer);
+        Ok(())
     }
 
     fn snapshot(&self) -> RunReport {
@@ -389,10 +483,7 @@ impl ServiceSession for FluidService<'_> {
     }
 
     fn checkpoint(&self) -> Checkpoint {
-        let mut w = SnapWriter::new();
-        self.records.encode(&mut w);
-        self.run.encode_checkpoint(&mut w);
-        Checkpoint::new(EngineKind::Fluid, self.fingerprint, w.into_bytes())
+        self.log.checkpoint()
     }
 
     fn finish(self: Box<Self>, probes: &mut [&mut dyn Probe]) -> Result<RunReport, SessionError> {
@@ -406,7 +497,7 @@ mod tests {
     use crate::session::{SessionBuilder, SessionStrategy};
     use inrpp_sim::time::SimDuration;
     use inrpp_sim::units::ByteSize;
-    use inrpp_topology::graph::Topology;
+    use inrpp_topology::graph::{NodeId, Topology};
 
     fn spec(topo: &Topology) -> SessionBuilder<'_> {
         let n = |s: &str| topo.node_by_name(s).unwrap();
@@ -523,6 +614,13 @@ mod tests {
         for cut in [0, 1, bytes.len() / 2, bytes.len() - 1] {
             assert!(Checkpoint::from_bytes(&bytes[..cut]).is_err());
         }
+
+        // a v1 envelope (its magic follows the 8-byte length) is refused,
+        // not misread
+        let mut v1 = bytes.clone();
+        v1[8..21].copy_from_slice(b"inrpp-ckpt v1");
+        let err = Checkpoint::from_bytes(&v1).expect_err("v1 must be refused");
+        assert!(matches!(err, SessionError::CheckpointMismatch(_)), "{err}");
     }
 
     #[test]
@@ -563,11 +661,57 @@ mod tests {
             svc.feed(&past).unwrap_err(),
             SessionError::InvalidTransfer(_)
         ));
+        // an endpoint outside the topology is refused here, not by a
+        // panic at the next advance
+        let outside = Transfer {
+            flow: 11,
+            dst: NodeId(4_194_306),
+            ..fed
+        };
+        assert!(matches!(
+            svc.feed(&outside).unwrap_err(),
+            SessionError::InvalidTransfer(m) if m.contains("outside")
+        ));
         svc.advance(SimTime::from_secs(3), &mut [&mut reports])
             .unwrap();
         let report = svc.finish_run(&mut []).unwrap();
         assert_eq!(report.aggregates.arrived_flows, 3);
         assert_eq!(reports.0.len(), 2, "one on_report per advance boundary");
         assert!(reports.0[1].1 >= 3, "fed flow visible in the snapshot");
+    }
+
+    #[test]
+    fn an_advance_behind_the_clock_replays_as_a_no_op() {
+        let topo = Topology::fig3();
+        let s = session(&topo);
+        let backing = FluidBacking::for_session(&s);
+        let mut head = FluidService::open(&s, &backing).unwrap();
+        head.advance(SimTime::from_secs(1), &mut []).unwrap();
+        head.advance(SimTime::from_millis(500), &mut []).unwrap();
+        // due at the clock itself: the next advance that reaches 1 s
+        // starts it, and one to 0.5 s does not
+        let n = |x: &str| topo.node_by_name(x).unwrap();
+        let at_clock = Transfer::for_object_bits(
+            9,
+            n("2"),
+            n("4"),
+            1e6,
+            ByteSize::bytes(1250),
+            SimTime::from_secs(1),
+        );
+        head.feed(&at_clock).unwrap();
+        head.advance(SimTime::from_millis(500), &mut []).unwrap();
+        let ckpt = head.checkpoint();
+
+        let tail = FluidService::resume(&s, &backing, &ckpt).unwrap();
+        assert_eq!(tail.now(), SimTime::from_secs(1));
+        assert_eq!(tail.snapshot().flows, head.snapshot().flows);
+        assert_eq!(tail.checkpoint(), ckpt);
+        let (a, b) = (
+            head.finish_run(&mut []).unwrap(),
+            tail.finish_run(&mut []).unwrap(),
+        );
+        assert_eq!(a.flows, b.flows);
+        assert_eq!(a.aggregates, b.aggregates);
     }
 }

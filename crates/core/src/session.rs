@@ -101,8 +101,9 @@ pub enum SessionError {
     },
     /// Workload generation from a [`WorkloadConfig`] failed.
     Workload(WorkloadError),
-    /// A chunk transfer was malformed (zero chunks, identical endpoints,
-    /// zero-sized chunks).
+    /// A transfer or flow was malformed: zero chunks, identical
+    /// endpoints, an endpoint outside the topology, or a zero-sized
+    /// chunk.
     InvalidTransfer(String),
     /// Two flows/transfers in the session share an id. Flow ids key
     /// per-flow state in both engines (the packet engine would silently
@@ -713,52 +714,6 @@ impl FlowRecord {
     }
 }
 
-impl Snap for FlowRecord {
-    fn encode(&self, w: &mut SnapWriter) {
-        w.put_u64(self.flow);
-        w.put_u32(self.src.0);
-        w.put_u32(self.dst.0);
-        w.put_f64(self.offered_bits);
-        w.put_f64(self.delivered_bits);
-        self.arrival.encode(w);
-        match self.fct_secs {
-            None => w.put_bool(false),
-            Some(v) => {
-                w.put_bool(true);
-                w.put_f64(v);
-            }
-        }
-        w.put_usize(self.subpaths);
-        w.put_bool(self.routed);
-        w.put_u64(self.retransmits);
-        w.put_u64(self.detours);
-        w.put_u64(self.custody_rescues);
-        w.put_f64(self.outage_delay_secs);
-    }
-
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(FlowRecord {
-            flow: r.get_u64()?,
-            src: NodeId(r.get_u32()?),
-            dst: NodeId(r.get_u32()?),
-            offered_bits: r.get_f64()?,
-            delivered_bits: r.get_f64()?,
-            arrival: SimTime::decode(r)?,
-            fct_secs: if r.get_bool()? {
-                Some(r.get_f64()?)
-            } else {
-                None
-            },
-            subpaths: r.get_usize()?,
-            routed: r.get_bool()?,
-            retransmits: r.get_u64()?,
-            detours: r.get_u64()?,
-            custody_rescues: r.get_u64()?,
-            outage_delay_secs: r.get_f64()?,
-        })
-    }
-}
-
 /// Whole-run aggregate metrics, engine-neutral. [`RunReport`] derefs to
 /// this, so `report.delivered_bits` etc. read naturally.
 #[derive(Debug, Clone, PartialEq)]
@@ -1069,30 +1024,16 @@ impl<'a> SessionBuilder<'a> {
             Ok(())
         }
         let traffic = if let Some(w) = self.workload {
+            for f in &w.flows {
+                check_endpoints(topology, f.id, f.src, f.dst)?;
+            }
             check_unique_ids(w.flows.iter().map(|f| f.id))?;
             Traffic::Flows(w)
         } else if let Some(cfg) = self.workload_config {
             Traffic::Flows(Workload::try_generate(topology, &cfg, horizon, self.seed)?)
         } else if let Some(transfers) = self.transfers {
             for t in &transfers {
-                if t.chunks == 0 {
-                    return Err(SessionError::InvalidTransfer(format!(
-                        "flow {} has zero chunks",
-                        t.flow
-                    )));
-                }
-                if t.src == t.dst {
-                    return Err(SessionError::InvalidTransfer(format!(
-                        "flow {} endpoints coincide ({})",
-                        t.flow, t.src
-                    )));
-                }
-                if t.chunk_bytes.as_bits() == 0 {
-                    return Err(SessionError::InvalidTransfer(format!(
-                        "flow {} has zero-sized chunks",
-                        t.flow
-                    )));
-                }
+                check_transfer(topology, t)?;
             }
             check_unique_ids(transfers.iter().map(|t| t.flow))?;
             Traffic::Transfers(transfers)
@@ -1112,6 +1053,54 @@ impl<'a> SessionBuilder<'a> {
             faults: self.faults,
         })
     }
+}
+
+/// The check both engines need of every transfer, up front or fed
+/// into a live session: distinct endpoints inside the topology, at
+/// least one chunk, and a chunk size whose bit count is nonzero and fits
+/// a `u64`.
+pub(crate) fn check_transfer(topo: &Topology, t: &Transfer) -> Result<(), SessionError> {
+    if t.chunks == 0 {
+        return Err(SessionError::InvalidTransfer(format!(
+            "flow {} has zero chunks",
+            t.flow
+        )));
+    }
+    check_endpoints(topo, t.flow, t.src, t.dst)?;
+    match t.chunk_bytes.as_bytes().checked_mul(8) {
+        Some(0) => Err(SessionError::InvalidTransfer(format!(
+            "flow {} has zero-sized chunks",
+            t.flow
+        ))),
+        Some(_) => Ok(()),
+        None => Err(SessionError::InvalidTransfer(format!(
+            "flow {}: a chunk of {} B overflows a u64 bit count",
+            t.flow,
+            t.chunk_bytes.as_bytes()
+        ))),
+    }
+}
+
+/// Distinct endpoints inside the topology: the part of
+/// [`check_transfer`] a fluid flow spec needs too.
+fn check_endpoints(
+    topo: &Topology,
+    flow: u64,
+    src: NodeId,
+    dst: NodeId,
+) -> Result<(), SessionError> {
+    if src == dst {
+        return Err(SessionError::InvalidTransfer(format!(
+            "flow {flow} endpoints coincide ({src})"
+        )));
+    }
+    if src.idx().max(dst.idx()) >= topo.node_count() {
+        return Err(SessionError::InvalidTransfer(format!(
+            "flow {flow} names a node outside the {}-node topology",
+            topo.node_count()
+        )));
+    }
+    Ok(())
 }
 
 impl<'a> Session<'a> {
@@ -1524,6 +1513,24 @@ mod tests {
             build(vec![zero]),
             SessionError::InvalidTransfer(m) if m.contains("zero-sized")
         ));
+        // an endpoint past the topology's last node, and a chunk whose
+        // size in bits overflows a u64
+        let outside = Transfer {
+            dst: NodeId(99),
+            ..t(1, "1", "4", 5)
+        };
+        assert!(matches!(
+            build(vec![outside]),
+            SessionError::InvalidTransfer(m) if m.contains("outside")
+        ));
+        let huge = Transfer {
+            chunk_bytes: ByteSize::bytes(u64::MAX),
+            ..t(1, "1", "4", 5)
+        };
+        assert!(matches!(
+            build(vec![huge]),
+            SessionError::InvalidTransfer(m) if m.contains("overflows")
+        ));
     }
 
     #[test]
@@ -1539,6 +1546,25 @@ mod tests {
             size_bits: 1e6,
             arrival: SimTime::ZERO,
         };
+        // a flow naming a node the topology does not have is refused
+        // here, not by a panic inside the fluid run
+        let outside = FlowSpec {
+            id: 5,
+            src: NodeId(4_194_306),
+            ..dup.clone()
+        };
+        let err = Session::builder()
+            .topology(&topo)
+            .workload(Workload {
+                offered_bits: 2e6,
+                flows: vec![dup.clone(), outside],
+            })
+            .build()
+            .unwrap_err();
+        assert!(
+            matches!(&err, SessionError::InvalidTransfer(m) if m.contains("outside")),
+            "{err}"
+        );
         let err = Session::builder()
             .topology(&topo)
             .workload(Workload {

@@ -1,7 +1,6 @@
 //! Flow-level metrics: weighted CDFs and the per-run report.
 
 use inrpp_sim::metrics::{sort_weighted_samples, Cdf};
-use inrpp_sim::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use inrpp_sim::time::SimDuration;
 
 /// Empirical CDF over weighted samples.
@@ -120,21 +119,6 @@ impl WeightedCdf {
         self.samples.extend_from_slice(&other.samples);
         self.total_weight += other.total_weight;
         self.sorted = false;
-    }
-}
-
-impl Snap for WeightedCdf {
-    fn encode(&self, w: &mut SnapWriter) {
-        self.samples.encode(w);
-        w.put_f64(self.total_weight);
-        w.put_bool(self.sorted);
-    }
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(WeightedCdf {
-            samples: Vec::<(f64, f64)>::decode(r)?,
-            total_weight: r.get_f64()?,
-            sorted: r.get_bool()?,
-        })
     }
 }
 
@@ -278,19 +262,6 @@ mod tests {
         assert_eq!(c.quantile(0.75), Some(2.0));
         assert!(c.quantile(1.0).unwrap().is_nan());
         assert!((c.fraction_le(2.0) - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn weighted_cdf_snap_roundtrip() {
-        use inrpp_sim::snap::{Snap, SnapReader, SnapWriter};
-        let mut c = WeightedCdf::new();
-        c.record(2.0, 1.0);
-        c.record(1.0, 3.0);
-        let mut w = SnapWriter::new();
-        c.encode(&mut w);
-        let bytes = w.into_bytes();
-        let back = WeightedCdf::decode(&mut SnapReader::new(&bytes)).unwrap();
-        assert_eq!(back, c);
     }
 
     #[test]

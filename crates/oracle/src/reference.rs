@@ -22,7 +22,7 @@ use inrpp::flowlet::FlowletSplitter;
 use inrpp::phase::{Phase, PhaseController, PhaseInputs};
 use inrpp::rate::RateEstimator;
 use inrpp::session::{FlowEnd, FlowStart, ProbeSet, Sample};
-use inrpp_cache::custody::{CustodyStore, EvictionPolicy};
+use inrpp_cache::custody::CustodyStore;
 use inrpp_sim::event::Engine;
 use inrpp_sim::fault::{FaultInjector, FaultOutcome};
 use inrpp_sim::time::{SimDuration, SimTime};
@@ -170,12 +170,7 @@ impl<'a> Runner<'a> {
             .collect();
         let custody = topo
             .node_ids()
-            .map(|_| {
-                CustodyStore::new(
-                    inrpp_cfg.map(|c| c.cache_budget).unwrap_or(ByteSize::ZERO),
-                    EvictionPolicy::Reject,
-                )
-            })
+            .map(|_| CustodyStore::new(inrpp_cfg.map(|c| c.cache_budget).unwrap_or(ByteSize::ZERO)))
             .collect();
         let selector = inrpp_cfg.map(|c| DetourSelector::new(topo, c.max_detour_depth, 4));
         // keyed draws: identical derivation to the optimised engine, so

@@ -64,10 +64,9 @@ use inrpp::flowlet::FlowletSplitter;
 use inrpp::phase::{Phase, PhaseController, PhaseInputs};
 use inrpp::rate::RateEstimator;
 use inrpp::session::{FlowEnd, FlowStart, Probe, ProbeSet, Sample, SessionError};
-use inrpp_cache::custody::{CustodyStore, EvictionPolicy};
+use inrpp_cache::custody::CustodyStore;
 use inrpp_sim::calendar::CalendarEngine;
 use inrpp_sim::fault::{fault_key, FaultEvent, FaultInjector, FaultKind, FaultOutcome, FaultPlan};
-use inrpp_sim::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use inrpp_sim::time::{SimDuration, SimTime};
 use inrpp_sim::units::{ByteSize, Rate};
 use inrpp_topology::dense::DenseChannels;
@@ -311,20 +310,15 @@ impl<'a> PacketSim<'a> {
     /// Begin a *stepping* run: nothing executes until the caller drives
     /// the returned [`PacketRun`] with [`run_until`](PacketRun::run_until)
     /// / [`finish`](PacketRun::finish). The service-mode entry point —
-    /// adds streaming transfer ingestion ([`feed`](PacketRun::feed)) and
-    /// checkpoint/resume on top of the sequential engine, bit-identically.
+    /// adds streaming transfer ingestion ([`feed`](PacketRun::feed)) on
+    /// top of the sequential engine, bit-identically.
     pub fn start(self) -> Result<PacketRun<'a>, SessionError> {
         let mut core = Core::build(self.topo, self.config, self.transfers, self.faults)?;
         let horizon = SimTime::ZERO + core.cfg.horizon;
         let mut eng: CalendarEngine<Ev> =
             CalendarEngine::new(core.calendar_width(), 4096).with_horizon(horizon);
         core.bootstrap(&mut eng);
-        Ok(PacketRun {
-            core,
-            eng,
-            horizon,
-            ops: Vec::new(),
-        })
+        Ok(PacketRun { core, eng, horizon })
     }
 }
 
@@ -399,69 +393,21 @@ fn check_clock_bound(cfg: &PacketSimConfig, link: &Link, rate: Rate) -> Result<(
     Ok(())
 }
 
-/// One entry of a [`PacketRun`] checkpoint's replay log.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum ReplayOp {
-    /// `run_until` was driven to this (clamped) boundary.
-    AdvanceTo(SimTime),
-    /// A transfer was fed into the live run at that point.
-    Feed(TransferSpec, FlowTransport),
-}
-
-impl Snap for ReplayOp {
-    fn encode(&self, w: &mut SnapWriter) {
-        match self {
-            ReplayOp::AdvanceTo(t) => {
-                w.put_u8(0);
-                t.encode(w);
-            }
-            ReplayOp::Feed(spec, kind) => {
-                w.put_u8(1);
-                spec.encode(w);
-                kind.encode(w);
-            }
-        }
-    }
-
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        match r.get_u8()? {
-            0 => Ok(ReplayOp::AdvanceTo(SimTime::decode(r)?)),
-            1 => Ok(ReplayOp::Feed(
-                TransferSpec::decode(r)?,
-                FlowTransport::decode(r)?,
-            )),
-            _ => Err(SnapError::Corrupt("replay op tag out of range")),
-        }
-    }
-}
-
-/// An in-flight packet-level simulation that can be driven in steps,
-/// checkpointed, and fed additional transfers while running.
+/// An in-flight packet-level simulation that can be driven in steps and
+/// fed additional transfers while running.
 ///
 /// # Determinism contract
 /// [`run_until`](PacketRun::run_until) pops exactly the `(time, seq)`
 /// prefix the uninterrupted engine would pop, via
 /// [`CalendarEngine::next_at_or_before`]; [`finish`](PacketRun::finish)
 /// drains the rest with the plain `next()` loop. Splitting a run at any
-/// boundary therefore cannot change the report or the probe stream.
-///
-/// # Checkpoint = deterministic replay
-/// Unlike the fluid engine (whose `FlowRun` snapshot
-/// serialises its full state), a packet checkpoint records the *driver
-/// schedule*: the sequence of advance boundaries and fed transfers.
-/// [`PacketRun::restore`] rebuilds the engine from the same inputs and
-/// silently replays that schedule with probes muted — the engine is
-/// deterministic, so the rebuilt state is bit-identical and the live
-/// probe stream continues exactly where the checkpoint was taken. The
-/// checkpoint is a few bytes per driver operation; resume cost is
-/// proportional to simulated time replayed, which for service-mode runs
-/// (bounded horizons) is the robust trade against serialising the
-/// engine's packet/route slabs, custody stores, and estimator state.
+/// boundary therefore cannot change the report or the probe stream, and
+/// a run driven through the same `run_until`/`feed` calls is the same
+/// run — what the session layer's replay-log checkpoints rely on.
 pub struct PacketRun<'a> {
     core: Core<'a>,
     eng: CalendarEngine<Ev>,
     horizon: SimTime,
-    ops: Vec<ReplayOp>,
 }
 
 impl<'a> PacketRun<'a> {
@@ -491,7 +437,6 @@ impl<'a> PacketRun<'a> {
         if limit > self.eng.now() {
             self.eng.advance_clock_to(limit);
         }
-        self.ops.push(ReplayOp::AdvanceTo(limit));
         Ok(self.eng.now())
     }
 
@@ -499,9 +444,7 @@ impl<'a> PacketRun<'a> {
     /// every id already in the run (flow slots are ranks of ascending
     /// ids) and its start must not precede the clock.
     pub fn feed(&mut self, spec: TransferSpec, kind: FlowTransport) -> Result<(), SessionError> {
-        self.core.feed(&mut self.eng, spec, kind)?;
-        self.ops.push(ReplayOp::Feed(spec, kind));
-        Ok(())
+        self.core.feed(&mut self.eng, spec, kind)
     }
 
     /// Drain the remaining events and assemble the final report.
@@ -527,40 +470,6 @@ impl<'a> PacketRun<'a> {
     /// needs for per-flow records.
     pub fn transfers(&self) -> &[TransferSpec] {
         &self.core.specs
-    }
-
-    /// Serialise the run's replay log (see the type-level docs). Restore
-    /// with [`PacketRun::restore`] against a simulation built from the
-    /// same topology, config, initial transfers and fault plan.
-    pub fn encode_checkpoint(&self, w: &mut SnapWriter) {
-        self.ops.encode(w);
-    }
-
-    /// Rebuild a run from [`PacketRun::encode_checkpoint`] bytes by
-    /// starting `sim` and replaying the recorded driver schedule with
-    /// probes muted. `sim` must be built like the one the checkpoint was
-    /// taken from: same topology, config, initial transfers and fault
-    /// plan (the session layer fingerprints this). Fault state needs no
-    /// serialisation: the rebuilt engine re-schedules the same plan and
-    /// the replay crosses the same transitions, so the restored state is
-    /// bit-identical.
-    pub fn restore(sim: PacketSim<'a>, r: &mut SnapReader<'_>) -> Result<Self, SessionError> {
-        let ops = Vec::<ReplayOp>::decode(r).map_err(|e| {
-            SessionError::CheckpointMismatch(format!("corrupt packet checkpoint: {e}"))
-        })?;
-        let mut run = sim.start()?;
-        for op in ops {
-            // The log replays drive calls the original run accepted, so
-            // a refusal here means the log was altered.
-            match op {
-                ReplayOp::AdvanceTo(t) => run.run_until(t, &mut []).map(drop),
-                ReplayOp::Feed(spec, kind) => run.feed(spec, kind),
-            }
-            .map_err(|e| {
-                SessionError::CheckpointMismatch(format!("packet checkpoint replay failed: {e}"))
-            })?;
-        }
-        Ok(run)
     }
 }
 
@@ -933,12 +842,7 @@ impl<'a> Core<'a> {
             .collect();
         let custody = topo
             .node_ids()
-            .map(|_| {
-                CustodyStore::new(
-                    inrpp_cfg.map(|c| c.cache_budget).unwrap_or(ByteSize::ZERO),
-                    EvictionPolicy::Reject,
-                )
-            })
+            .map(|_| CustodyStore::new(inrpp_cfg.map(|c| c.cache_budget).unwrap_or(ByteSize::ZERO)))
             .collect();
         // Keyed (order-independent) fault draws: each attempt's fate is a
         // pure function of (seed, flow, chunk, dir, occurrence), so the
@@ -3465,8 +3369,8 @@ mod tests {
     }
 }
 
-/// Typed-error regressions and the stepping gates: a stepped, fed or
-/// checkpoint-resumed run must be bit-identical to the straight run.
+/// Typed-error regressions and the stepping gates: a stepped or fed run
+/// must be bit-identical to the straight run.
 /// The comparisons against the seed engine live in the
 /// `inrpp-packet-oracle` test crate.
 #[cfg(test)]
@@ -3581,7 +3485,7 @@ mod equivalence {
         assert!(r.summary().contains("done=0/1"));
     }
 
-    // ---- stepping / checkpoint / feed ----------------------------------
+    // ---- stepping / feed ------------------------------------------------
 
     fn fig3() -> Topology {
         Topology::fig3()
@@ -3658,45 +3562,6 @@ mod equivalence {
     }
 
     #[test]
-    fn checkpoint_replay_resumes_bit_identically() {
-        let t = fig3();
-        let build = || {
-            let mut s = PacketSim::new(&t, inrpp_cfg());
-            s.add_transfer(transfer(&t, 1, "1", "4", 800));
-            s.add_transfer(transfer(&t, 2, "1", "3", 400));
-            s
-        };
-        let mut fp_a = ProbeFp::default();
-        let straight = build().try_run_probed(&mut [&mut fp_a]).unwrap();
-
-        // head: step to 900 ms live, checkpoint, drop
-        let mut fp_b = ProbeFp::default();
-        let mut head = build().start().unwrap();
-        head.run_until(SimTime::from_millis(400), &mut [&mut fp_b])
-            .unwrap();
-        head.run_until(SimTime::from_millis(900), &mut [&mut fp_b])
-            .unwrap();
-        let mut w = SnapWriter::new();
-        head.encode_checkpoint(&mut w);
-        let bytes = w.into_bytes();
-        drop(head);
-
-        // tail: rebuild from the same inputs, replay silently, continue
-        let tail = PacketRun::restore(build(), &mut SnapReader::new(&bytes)).unwrap();
-        assert_eq!(tail.now(), SimTime::from_millis(900));
-        let resumed = tail.finish(&mut [&mut fp_b]).unwrap();
-
-        assert_eq!(straight, resumed);
-        assert_eq!(fp_a.0, fp_b.0, "resume changed the probe stream");
-
-        // a restored run re-checkpoints byte-identically
-        let again = PacketRun::restore(build(), &mut SnapReader::new(&bytes)).unwrap();
-        let mut w2 = SnapWriter::new();
-        again.encode_checkpoint(&mut w2);
-        assert_eq!(bytes, w2.into_bytes());
-    }
-
-    #[test]
     fn feed_streams_transfers_into_a_live_run() {
         let t = fig3();
         let fed = TransferSpec {
@@ -3704,7 +3569,7 @@ mod equivalence {
             ..transfer(&t, 7, "1", "3", 200)
         };
 
-        // reference: both transfers fed the same way, no checkpoint
+        // reference: both transfers fed the same way, no later boundary
         let drive = |probes: &mut [&mut dyn Probe]| {
             let mut sim = PacketSim::new(&t, inrpp_cfg());
             sim.add_transfer(transfer(&t, 1, "1", "4", 400));
@@ -3717,21 +3582,19 @@ mod equivalence {
         let a = drive(&mut [&mut fp_a]).finish(&mut [&mut fp_a]).unwrap();
         assert_eq!(a.completed(), 2, "{}", a.summary());
 
-        // same feed schedule, split across a checkpoint taken between the
-        // feed call and the fed flow's start
+        // same feed schedule, split at a boundary between the feed call
+        // and the fed flow's start
         let mut fp_b = ProbeFp::default();
-        let mut head = drive(&mut [&mut fp_b]);
-        head.run_until(SimTime::from_millis(1_500), &mut [&mut fp_b])
+        let mut split = drive(&mut [&mut fp_b]);
+        split
+            .run_until(SimTime::from_millis(1_500), &mut [&mut fp_b])
             .unwrap();
-        let mut w = SnapWriter::new();
-        head.encode_checkpoint(&mut w);
-        let bytes = w.into_bytes();
-        let mut sim = PacketSim::new(&t, inrpp_cfg());
-        sim.add_transfer(transfer(&t, 1, "1", "4", 400));
-        let tail = PacketRun::restore(sim, &mut SnapReader::new(&bytes)).unwrap();
-        let b = tail.finish(&mut [&mut fp_b]).unwrap();
+        let b = split.finish(&mut [&mut fp_b]).unwrap();
         assert_eq!(a, b);
-        assert_eq!(fp_a.0, fp_b.0, "fed-flow checkpoint changed the stream");
+        assert_eq!(
+            fp_a.0, fp_b.0,
+            "a boundary after the feed changed the stream"
+        );
     }
 
     #[test]
@@ -3767,35 +3630,6 @@ mod equivalence {
         run.feed(ok, FlowTransport::Inrpp).unwrap();
         let r = run.finish(&mut []).unwrap();
         assert_eq!(r.completed(), 2, "{}", r.summary());
-    }
-
-    #[test]
-    fn restore_rejects_corrupt_checkpoints() {
-        let t = fig3();
-        let build = || {
-            let mut s = PacketSim::new(&t, inrpp_cfg());
-            s.add_transfer(transfer(&t, 1, "1", "4", 100));
-            s
-        };
-        let mut run = build().start().unwrap();
-        run.run_until(SimTime::from_secs(1), &mut []).unwrap();
-        run.feed(
-            TransferSpec {
-                start: SimTime::from_secs(2),
-                ..transfer(&t, 2, "1", "3", 10)
-            },
-            FlowTransport::Inrpp,
-        )
-        .unwrap();
-        let mut w = SnapWriter::new();
-        run.encode_checkpoint(&mut w);
-        let bytes = w.into_bytes();
-        for cut in [0, 1, bytes.len() / 2, bytes.len() - 1] {
-            assert!(
-                PacketRun::restore(build(), &mut SnapReader::new(&bytes[..cut])).is_err(),
-                "truncation at {cut} was accepted"
-            );
-        }
     }
 
     #[test]

@@ -2,7 +2,6 @@
 
 use inrpp::config::InrppConfig;
 use inrpp_sim::fault::FaultConfig;
-use inrpp_sim::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use inrpp_sim::time::{SimDuration, SimTime};
 use inrpp_sim::units::ByteSize;
 use inrpp_topology::graph::{LinkId, NodeId};
@@ -67,26 +66,6 @@ impl TransferSpec {
     }
 }
 
-impl Snap for TransferSpec {
-    fn encode(&self, w: &mut SnapWriter) {
-        w.put_u64(self.flow);
-        w.put_u32(self.src.0);
-        w.put_u32(self.dst.0);
-        w.put_u64(self.chunks);
-        self.start.encode(w);
-    }
-
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(TransferSpec {
-            flow: r.get_u64()?,
-            src: NodeId(r.get_u32()?),
-            dst: NodeId(r.get_u32()?),
-            chunks: r.get_u64()?,
-            start: SimTime::decode(r)?,
-        })
-    }
-}
-
 /// AIMD baseline parameters (receiver-driven window, ICP/TCP-style).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AimdConfig {
@@ -135,23 +114,6 @@ pub enum FlowTransport {
     Inrpp,
     /// The flow runs the AIMD baseline.
     Aimd,
-}
-
-impl Snap for FlowTransport {
-    fn encode(&self, w: &mut SnapWriter) {
-        w.put_u8(match self {
-            FlowTransport::Inrpp => 0,
-            FlowTransport::Aimd => 1,
-        });
-    }
-
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        match r.get_u8()? {
-            0 => Ok(FlowTransport::Inrpp),
-            1 => Ok(FlowTransport::Aimd),
-            _ => Err(SnapError::Corrupt("flow transport tag out of range")),
-        }
-    }
 }
 
 /// Full configuration of a packet-level run.

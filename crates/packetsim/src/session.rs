@@ -23,12 +23,11 @@
 use std::collections::BTreeMap;
 
 use inrpp::config::InrppConfig;
-use inrpp::service::{Checkpoint, ServiceSession};
+use inrpp::service::{Checkpoint, ReplayLog, ServiceSession};
 use inrpp::session::{
     Aggregates, Engine, EngineDetail, EngineKind, FlowRecord, PacketSummary, Probe, ProbeSet,
     RunReport, Session, SessionError, SessionStrategy, Traffic, Transfer,
 };
-use inrpp_sim::snap::{SnapReader, SnapWriter};
 use inrpp_sim::time::SimTime;
 use inrpp_sim::units::ByteSize;
 use inrpp_topology::graph::NodeId;
@@ -297,13 +296,8 @@ fn assemble_packet_report(
 
 /// The packet engine as a [`ServiceSession`] — a steppable, feedable,
 /// checkpointable chunk-level run behind the same trait that fronts
-/// [`inrpp::service::FluidService`].
-///
-/// Checkpoints are **deterministic-replay logs** (the driver schedule:
-/// advance boundaries and fed transfers), not state snapshots — see
-/// [`PacketRun`] for the trade-off. Resume rebuilds the engine from the
-/// session spec and silently replays the log, so the resumed run is
-/// bit-identical to the uninterrupted one.
+/// [`inrpp::service::FluidService`], with the same checkpoints: the
+/// [`ReplayLog`] of its accepted calls, replayed on resume.
 ///
 /// Service runs always execute on the sequential engine. A session with
 /// `workers > 1` is accepted: by the shard-equivalence contract
@@ -314,7 +308,7 @@ pub struct PacketService<'a> {
     run: PacketRun<'a>,
     kind: FlowTransport,
     chunk_bytes: ByteSize,
-    fingerprint: u64,
+    log: ReplayLog,
 }
 
 impl<'a> PacketService<'a> {
@@ -327,32 +321,24 @@ impl<'a> PacketService<'a> {
             run: sim.start()?,
             kind: engine.flow_transport(),
             chunk_bytes: engine.config.chunk_bytes,
-            fingerprint: session.fingerprint(),
+            log: ReplayLog::new(EngineKind::Packet, session),
         })
     }
 
     /// Rebuild a session from a [`Checkpoint`] taken by
     /// [`ServiceSession::checkpoint`] on an identical session spec and
-    /// engine configuration. Continues bit-identically from the
-    /// checkpoint instant.
+    /// engine configuration: [`open`](PacketService::open), then
+    /// [`replay`](Checkpoint::replay). Continues bit-identically from
+    /// the checkpoint instant.
     pub fn resume(
         engine: &PacketEngine,
         session: &Session<'a>,
         checkpoint: &Checkpoint,
     ) -> Result<Self, SessionError> {
         checkpoint.validate(EngineKind::Packet, session)?;
-        let (sim, _) = engine.build(session)?;
-        let mut r = SnapReader::new(checkpoint.body());
-        let run = PacketRun::restore(sim, &mut r)?;
-        r.finish().map_err(|e| {
-            SessionError::CheckpointMismatch(format!("corrupt packet checkpoint: {e}"))
-        })?;
-        Ok(PacketService {
-            run,
-            kind: engine.flow_transport(),
-            chunk_bytes: engine.config.chunk_bytes,
-            fingerprint: checkpoint.fingerprint,
-        })
+        let mut svc = PacketService::open(engine, session)?;
+        checkpoint.replay(&mut svc)?;
+        Ok(svc)
     }
 
     fn consume(self, probes: &mut [&mut dyn Probe]) -> Result<RunReport, SessionError> {
@@ -387,8 +373,11 @@ impl ServiceSession for PacketService<'_> {
         probes: &mut [&mut dyn Probe],
     ) -> Result<SimTime, SessionError> {
         let now = self.run.run_until(to, probes)?;
-        let snap = self.snapshot();
-        ProbeSet::new(probes).report(&snap);
+        self.log.advance(to);
+        if !probes.is_empty() {
+            let snap = self.snapshot();
+            ProbeSet::new(probes).report(&snap);
+        }
         Ok(now)
     }
 
@@ -412,7 +401,9 @@ impl ServiceSession for PacketService<'_> {
                 start: transfer.start,
             },
             self.kind,
-        )
+        )?;
+        self.log.feed(transfer);
+        Ok(())
     }
 
     fn snapshot(&self) -> RunReport {
@@ -420,9 +411,7 @@ impl ServiceSession for PacketService<'_> {
     }
 
     fn checkpoint(&self) -> Checkpoint {
-        let mut w = SnapWriter::new();
-        self.run.encode_checkpoint(&mut w);
-        Checkpoint::new(EngineKind::Packet, self.fingerprint, w.into_bytes())
+        self.log.checkpoint()
     }
 
     fn finish(self: Box<Self>, probes: &mut [&mut dyn Probe]) -> Result<RunReport, SessionError> {

@@ -402,7 +402,7 @@ impl<E> CalendarEngine<E> {
         Some((t, e))
     }
 
-    /// Advance the clock to `t` without popping anything (checkpoint
+    /// Advance the clock to `t` without popping anything (advance
     /// boundaries fall between events). `t` must not precede the clock.
     pub fn advance_clock_to(&mut self, t: SimTime) {
         assert!(t >= self.now, "advance_clock_to would move time backwards");

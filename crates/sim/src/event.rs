@@ -15,7 +15,6 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::fmt;
 
-use crate::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use crate::time::{SimDuration, SimTime};
 
 /// Why [`Engine::run_with`] returned.
@@ -172,7 +171,6 @@ pub struct Engine<E> {
     queue: EventQueue<E>,
     now: SimTime,
     horizon: Option<SimTime>,
-    processed: u64,
 }
 
 impl<E> Default for Engine<E> {
@@ -188,7 +186,6 @@ impl<E> Engine<E> {
             queue: EventQueue::new(),
             now: SimTime::ZERO,
             horizon: None,
-            processed: 0,
         }
     }
 
@@ -248,7 +245,6 @@ impl<E> Engine<E> {
         let (t, e) = self.queue.pop().expect("peeked entry vanished");
         debug_assert!(t >= self.now, "event queue went backwards in time");
         self.now = t;
-        self.processed += 1;
         Some((t, e))
     }
 
@@ -283,7 +279,7 @@ impl<E> Engine<E> {
     /// return `None`. Mirrors
     /// [`CalendarEngine::next_at_or_before`](crate::calendar::CalendarEngine::next_at_or_before):
     /// the stepping primitive service-mode runs use to drain exactly the
-    /// window up to a checkpoint boundary — a loop of
+    /// window up to an advance boundary — a loop of
     /// `next_at_or_before(t)` calls followed by `next()` calls pops the
     /// identical `(time, seq)` sequence an uninterrupted `next()` loop
     /// would, so splitting a run at `t` cannot change its results.
@@ -301,7 +297,7 @@ impl<E> Engine<E> {
     }
 
     /// Advance the clock to `t` without popping anything. Used when a
-    /// stepping run reaches a checkpoint boundary that falls between
+    /// stepping run reaches an advance boundary that falls between
     /// events; `t` must not precede the current clock.
     pub fn advance_clock_to(&mut self, t: SimTime) {
         assert!(t >= self.now, "advance_clock_to would move time backwards");
@@ -311,72 +307,6 @@ impl<E> Engine<E> {
     /// Drop every pending event (the clock keeps its value).
     pub fn clear(&mut self) {
         self.queue.clear();
-    }
-}
-
-impl<E: Snap> Engine<E> {
-    /// Serialise the complete engine state: clock, horizon, event count, the
-    /// insertion-sequence counter, and every pending event *with its
-    /// original sequence number*. Pending events encode in ascending
-    /// `(time, seq)` order, so the byte stream is a canonical function
-    /// of the observable state (the heap's internal layout is not).
-    pub fn encode_state(&self, w: &mut SnapWriter) {
-        self.now.encode(w);
-        self.horizon.encode(w);
-        // the retired event budget: always absent, kept so the format
-        // (and every fluid checkpoint's bytes) stays unchanged
-        None::<u64>.encode(w);
-        w.put_u64(self.processed);
-        w.put_u64(self.queue.seq);
-        let mut entries: Vec<&Entry<E>> = self.queue.heap.iter().collect();
-        entries.sort_by_key(|e| (e.time, e.seq));
-        w.put_usize(entries.len());
-        for e in entries {
-            e.time.encode(w);
-            w.put_u64(e.seq);
-            e.event.encode(w);
-        }
-    }
-
-    /// Rebuild an engine from [`Engine::encode_state`] bytes. Restored
-    /// events keep their original sequence numbers and the counter
-    /// resumes where it left off, so the pop order — and the ordering of
-    /// everything scheduled after the restore — is exactly that of the
-    /// uninterrupted run.
-    pub fn decode_state(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let now = SimTime::decode(r)?;
-        let horizon = Option::<SimTime>::decode(r)?;
-        let _retired_budget = Option::<u64>::decode(r)?;
-        let processed = r.get_u64()?;
-        let seq = r.get_u64()?;
-        let n = r.get_usize()?;
-        if n > r.remaining() {
-            return Err(SnapError::Corrupt("event count exceeds stream"));
-        }
-        let mut queue = EventQueue::new();
-        for _ in 0..n {
-            let time = SimTime::decode(r)?;
-            let entry_seq = r.get_u64()?;
-            let event = E::decode(r)?;
-            if entry_seq >= seq {
-                return Err(SnapError::Corrupt("event sequence beyond counter"));
-            }
-            if time < now {
-                return Err(SnapError::Corrupt("pending event before the clock"));
-            }
-            queue.heap.push(Entry {
-                time,
-                seq: entry_seq,
-                event,
-            });
-        }
-        queue.seq = seq;
-        Ok(Engine {
-            queue,
-            now,
-            horizon,
-            processed,
-        })
     }
 }
 
@@ -525,9 +455,9 @@ mod tests {
     #[test]
     fn snapshot_mid_run_resumes_bit_identically() {
         // Drive one engine straight through; drive a second to the
-        // midpoint, round-trip it through the codec, and continue. The
-        // pop streams — and everything scheduled after the restore —
-        // must be identical.
+        // midpoint, park its clock there, and continue. The pop streams —
+        // and everything scheduled after the boundary — must be
+        // identical.
         let build = || {
             let mut eng: Engine<u32> = Engine::new().with_horizon(SimTime::from_secs(60));
             for i in 0..40u32 {
@@ -557,28 +487,9 @@ mod tests {
             }
         }
         split.advance_clock_to(mid);
-        let mut w = SnapWriter::new();
-        split.encode_state(&mut w);
-        let bytes = w.into_bytes();
-        let mut r = SnapReader::new(&bytes);
-        let mut resumed = Engine::<u32>::decode_state(&mut r).unwrap();
-        r.finish().unwrap();
-        assert_eq!(resumed.now(), mid);
-        follow(&mut resumed, &mut log);
+        assert_eq!(split.now(), mid);
+        follow(&mut split, &mut log);
         assert_eq!(log, expect);
-    }
-
-    #[test]
-    fn decode_rejects_corrupt_state() {
-        let mut eng: Engine<u32> = Engine::new();
-        eng.schedule(SimDuration::from_secs(1), 7);
-        let mut w = SnapWriter::new();
-        eng.encode_state(&mut w);
-        let bytes = w.into_bytes();
-        // truncations error rather than panic
-        for cut in 0..bytes.len() {
-            assert!(Engine::<u32>::decode_state(&mut SnapReader::new(&bytes[..cut])).is_err());
-        }
     }
 
     #[test]

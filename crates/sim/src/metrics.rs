@@ -7,8 +7,6 @@
 
 use std::fmt;
 
-use crate::snap::{Snap, SnapError, SnapReader, SnapWriter};
-
 /// Streaming summary statistics (Welford's algorithm): count, mean, variance,
 /// min, max, sum — O(1) memory regardless of sample count.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -261,18 +259,6 @@ impl JainIndex {
     }
 }
 
-impl Snap for Cdf {
-    fn encode(&self, w: &mut SnapWriter) {
-        self.samples.encode(w);
-        w.put_bool(self.sorted);
-    }
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let samples = Vec::<f64>::decode(r)?;
-        let sorted = r.get_bool()?;
-        Ok(Cdf { samples, sorted })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -418,17 +404,5 @@ mod tests {
         assert_eq!(ws[0], (-3.0, 1.0));
         assert_eq!(ws[1], (0.5, 2.0));
         assert!(ws[2].0.is_nan());
-    }
-
-    #[test]
-    fn cdf_snap_roundtrip_preserves_sample_order() {
-        use crate::snap::{SnapReader, SnapWriter};
-        let mut cdf = Cdf::new();
-        cdf.extend([5.0, 1.0, 3.0]);
-        let mut w = SnapWriter::new();
-        cdf.encode(&mut w);
-        let bytes = w.into_bytes();
-        let back = Cdf::decode(&mut SnapReader::new(&bytes)).unwrap();
-        assert_eq!(back, cdf);
     }
 }

@@ -15,8 +15,6 @@
 
 use rand::{RngCore, SeedableRng};
 
-use crate::snap::{Snap, SnapError, SnapReader, SnapWriter};
-
 /// SplitMix64 step: the canonical stateless mixer used to expand seeds.
 #[inline]
 pub fn splitmix64(state: &mut u64) -> u64 {
@@ -165,26 +163,6 @@ impl SimRng {
             let j = self.index(i + 1);
             slice.swap(i, j);
         }
-    }
-}
-
-impl Snap for SimRng {
-    fn encode(&self, w: &mut SnapWriter) {
-        for &word in &self.s {
-            w.put_u64(word);
-        }
-    }
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let mut s = [0u64; 4];
-        for word in &mut s {
-            *word = r.get_u64()?;
-        }
-        if s == [0, 0, 0, 0] {
-            // The all-zero state is unreachable from any seeding path,
-            // so it can only mean a corrupt checkpoint.
-            return Err(SnapError::Corrupt("all-zero xoshiro state"));
-        }
-        Ok(SimRng { s })
     }
 }
 

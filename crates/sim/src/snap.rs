@@ -1,22 +1,19 @@
 //! Checkpoint serialization: a tiny deterministic binary codec.
 //!
-//! Service-mode checkpoints (see `inrpp::service`) must restore a run
-//! **bit-identically**, so the codec is hand-rolled rather than pulled
+//! Service-mode checkpoints (see `inrpp::service`) log the calls that
+//! drove a session and are replayed on resume; session fingerprints
+//! hash the session spec. Both need bytes that are a deterministic
+//! function of the value, so the codec is hand-rolled rather than pulled
 //! from a serialization framework: every encoder writes a fixed
-//! little-endian layout, `f64` travels as its IEEE-754 bit pattern
-//! ([`f64::to_bits`]), and unordered containers are encoded in sorted
-//! key order so the byte stream itself is a deterministic function of
-//! the value. No schema evolution is attempted — a checkpoint is only
-//! meaningful to the build that wrote it, which the engine-level
-//! fingerprints enforce.
+//! little-endian layout and `f64` travels as its IEEE-754 bit pattern
+//! ([`f64::to_bits`]). No schema evolution is attempted — the checkpoint
+//! envelope's magic names the one layout a build reads.
 //!
-//! The [`Snap`] trait is implemented here for the std building blocks
-//! and the crate's own time types; richer simulation state implements
-//! it next to its definition (private fields stay private).
+//! The [`Snap`] trait is implemented here for the sequences and time
+//! types the checkpoint log and the fingerprints encode; the values
+//! themselves implement it next to their definitions.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::fmt;
-use std::hash::Hash;
 
 use crate::time::{SimDuration, SimTime};
 
@@ -62,16 +59,6 @@ impl SnapWriter {
         self.buf
     }
 
-    /// Bytes written so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True when nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// Write one raw byte.
     pub fn put_u8(&mut self, v: u8) {
         self.buf.push(v);
@@ -97,11 +84,6 @@ impl SnapWriter {
         self.put_u64(v.to_bits());
     }
 
-    /// Write a bool as one byte.
-    pub fn put_bool(&mut self, v: bool) {
-        self.put_u8(v as u8);
-    }
-
     /// Write a length-prefixed byte slice.
     pub fn put_bytes(&mut self, v: &[u8]) {
         self.put_usize(v.len());
@@ -125,11 +107,6 @@ impl<'a> SnapReader<'a> {
     /// Start decoding from the beginning of `buf`.
     pub fn new(buf: &'a [u8]) -> Self {
         SnapReader { buf, pos: 0 }
-    }
-
-    /// Current byte offset.
-    pub fn position(&self) -> usize {
-        self.pos
     }
 
     /// Bytes left to decode.
@@ -174,15 +151,6 @@ impl<'a> SnapReader<'a> {
         Ok(f64::from_bits(self.get_u64()?))
     }
 
-    /// Read a bool.
-    pub fn get_bool(&mut self) -> Result<bool, SnapError> {
-        match self.get_u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(SnapError::Corrupt("bool byte out of range")),
-        }
-    }
-
     /// Read a length-prefixed byte slice.
     pub fn get_bytes(&mut self) -> Result<&'a [u8], SnapError> {
         let n = self.get_usize()?;
@@ -207,78 +175,12 @@ impl<'a> SnapReader<'a> {
 /// A value that can round-trip through the checkpoint codec.
 ///
 /// The contract is exact: `decode(encode(v)) == v` for every reachable
-/// `v`, where equality is observational (bit-level for floats). Types
-/// whose in-memory layout is order-sensitive (heaps, hash maps) encode
-/// a canonical ordering and rebuild from it.
+/// `v`, where equality is observational (bit-level for floats).
 pub trait Snap: Sized {
     /// Append this value's encoding to `w`.
     fn encode(&self, w: &mut SnapWriter);
     /// Decode one value from the cursor.
     fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError>;
-}
-
-macro_rules! snap_int {
-    ($t:ty) => {
-        impl Snap for $t {
-            fn encode(&self, w: &mut SnapWriter) {
-                w.put_u64(*self as u64);
-            }
-            fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-                let v = r.get_u64()?;
-                <$t>::try_from(v).map_err(|_| SnapError::Corrupt("integer out of range"))
-            }
-        }
-    };
-}
-
-snap_int!(u8);
-snap_int!(u16);
-snap_int!(u32);
-snap_int!(usize);
-
-impl Snap for u64 {
-    fn encode(&self, w: &mut SnapWriter) {
-        w.put_u64(*self);
-    }
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        r.get_u64()
-    }
-}
-
-impl Snap for i64 {
-    fn encode(&self, w: &mut SnapWriter) {
-        w.put_u64(*self as u64);
-    }
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(r.get_u64()? as i64)
-    }
-}
-
-impl Snap for f64 {
-    fn encode(&self, w: &mut SnapWriter) {
-        w.put_f64(*self);
-    }
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        r.get_f64()
-    }
-}
-
-impl Snap for bool {
-    fn encode(&self, w: &mut SnapWriter) {
-        w.put_bool(*self);
-    }
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        r.get_bool()
-    }
-}
-
-impl Snap for String {
-    fn encode(&self, w: &mut SnapWriter) {
-        w.put_str(self);
-    }
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(r.get_str()?.to_owned())
-    }
 }
 
 impl Snap for SimTime {
@@ -296,25 +198,6 @@ impl Snap for SimDuration {
     }
     fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         Ok(SimDuration::from_nanos(r.get_u64()?))
-    }
-}
-
-impl<T: Snap> Snap for Option<T> {
-    fn encode(&self, w: &mut SnapWriter) {
-        match self {
-            None => w.put_u8(0),
-            Some(v) => {
-                w.put_u8(1);
-                v.encode(w);
-            }
-        }
-    }
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        match r.get_u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(T::decode(r)?)),
-            _ => Err(SnapError::Corrupt("Option tag out of range")),
-        }
     }
 }
 
@@ -352,100 +235,6 @@ impl<T: Snap> Snap for Vec<T> {
     }
 }
 
-impl<T: Snap> Snap for VecDeque<T> {
-    fn encode(&self, w: &mut SnapWriter) {
-        w.put_usize(self.len());
-        for v in self {
-            v.encode(w);
-        }
-    }
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Vec::<T>::decode(r)?.into())
-    }
-}
-
-impl<T: Snap + Ord> Snap for BTreeSet<T> {
-    fn encode(&self, w: &mut SnapWriter) {
-        w.put_usize(self.len());
-        for v in self {
-            v.encode(w);
-        }
-    }
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let n = r.get_usize()?;
-        let mut out = BTreeSet::new();
-        for _ in 0..n {
-            out.insert(T::decode(r)?);
-        }
-        Ok(out)
-    }
-}
-
-impl<K: Snap + Ord, V: Snap> Snap for BTreeMap<K, V> {
-    fn encode(&self, w: &mut SnapWriter) {
-        w.put_usize(self.len());
-        for (k, v) in self {
-            k.encode(w);
-            v.encode(w);
-        }
-    }
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let n = r.get_usize()?;
-        let mut out = BTreeMap::new();
-        for _ in 0..n {
-            let k = K::decode(r)?;
-            let v = V::decode(r)?;
-            out.insert(k, v);
-        }
-        Ok(out)
-    }
-}
-
-impl<K: Snap + Ord + Hash, V: Snap> Snap for HashMap<K, V> {
-    /// Hash maps encode in ascending key order so the byte stream is
-    /// independent of insertion history and hasher state.
-    fn encode(&self, w: &mut SnapWriter) {
-        w.put_usize(self.len());
-        let mut keys: Vec<&K> = self.keys().collect();
-        keys.sort();
-        for k in keys {
-            k.encode(w);
-            self[k].encode(w);
-        }
-    }
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let n = r.get_usize()?;
-        let mut out = HashMap::with_capacity(prealloc::<(K, V)>(n.min(r.remaining())));
-        for _ in 0..n {
-            let k = K::decode(r)?;
-            let v = V::decode(r)?;
-            out.insert(k, v);
-        }
-        Ok(out)
-    }
-}
-
-impl<A: Snap, B: Snap> Snap for (A, B) {
-    fn encode(&self, w: &mut SnapWriter) {
-        self.0.encode(w);
-        self.1.encode(w);
-    }
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok((A::decode(r)?, B::decode(r)?))
-    }
-}
-
-impl<A: Snap, B: Snap, C: Snap> Snap for (A, B, C) {
-    fn encode(&self, w: &mut SnapWriter) {
-        self.0.encode(w);
-        self.1.encode(w);
-        self.2.encode(w);
-    }
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok((A::decode(r)?, B::decode(r)?, C::decode(r)?))
-    }
-}
-
 /// FNV-1a over an encoded value: the fingerprint primitive checkpoints
 /// use to pin the run specification a state blob belongs to.
 pub fn fingerprint(bytes: &[u8]) -> u64 {
@@ -471,16 +260,26 @@ mod tests {
         assert_eq!(&back, v);
     }
 
+    fn times(n: u64) -> Vec<SimTime> {
+        (0..n).map(|i| SimTime::from_nanos(i * 1_000_003)).collect()
+    }
+
     #[test]
     fn primitives_roundtrip() {
-        roundtrip(&0u64);
-        roundtrip(&u64::MAX);
-        roundtrip(&42u32);
-        roundtrip(&usize::MAX);
-        roundtrip(&(-7i64));
-        roundtrip(&true);
-        roundtrip(&false);
-        roundtrip(&String::from("calendar"));
+        let mut w = SnapWriter::new();
+        w.put_u8(7);
+        w.put_u32(42);
+        w.put_u64(u64::MAX);
+        w.put_usize(usize::MAX);
+        w.put_str("calendar");
+        let bytes = w.into_bytes();
+        let mut r = SnapReader::new(&bytes);
+        assert_eq!(r.get_u8(), Ok(7));
+        assert_eq!(r.get_u32(), Ok(42));
+        assert_eq!(r.get_u64(), Ok(u64::MAX));
+        assert_eq!(r.get_usize(), Ok(usize::MAX));
+        assert_eq!(r.get_str(), Ok("calendar"));
+        r.finish().expect("fully consumed");
         roundtrip(&SimTime::from_nanos(123_456_789));
         roundtrip(&SimDuration::MAX);
     }
@@ -489,52 +288,27 @@ mod tests {
     fn floats_roundtrip_bit_exactly() {
         for v in [0.0, -0.0, 1.5, f64::NAN, f64::INFINITY, f64::MIN_POSITIVE] {
             let mut w = SnapWriter::new();
-            v.encode(&mut w);
+            w.put_f64(v);
             let bytes = w.into_bytes();
-            let back = f64::decode(&mut SnapReader::new(&bytes)).unwrap();
+            let back = SnapReader::new(&bytes).get_f64().unwrap();
             assert_eq!(back.to_bits(), v.to_bits());
         }
     }
 
     #[test]
     fn containers_roundtrip() {
-        roundtrip(&vec![1u64, 2, 3]);
-        roundtrip(&Vec::<u64>::new());
-        roundtrip(&Some(9u64));
-        roundtrip(&Option::<u64>::None);
-        roundtrip(&VecDeque::from(vec![5u32, 6, 7]));
-        roundtrip(&BTreeSet::from([3u64, 1, 2]));
-        roundtrip(&BTreeMap::from([(1u64, 2.5f64), (9, -0.0)]));
-        roundtrip(&(1u64, 2.0f64, String::from("x")));
-    }
-
-    #[test]
-    fn hashmap_encoding_is_canonical() {
-        // Two maps with identical contents but different insertion order
-        // must encode to identical bytes.
-        let mut a = HashMap::new();
-        let mut b = HashMap::new();
-        for i in 0..64u64 {
-            a.insert(i, i as f64);
-        }
-        for i in (0..64u64).rev() {
-            b.insert(i, i as f64);
-        }
-        let (mut wa, mut wb) = (SnapWriter::new(), SnapWriter::new());
-        a.encode(&mut wa);
-        b.encode(&mut wb);
-        assert_eq!(wa.into_bytes(), wb.into_bytes());
-        roundtrip(&a);
+        roundtrip(&times(3));
+        roundtrip(&Vec::<SimTime>::new());
     }
 
     #[test]
     fn truncated_stream_is_an_error_not_a_panic() {
         let mut w = SnapWriter::new();
-        vec![1u64, 2, 3].encode(&mut w);
+        times(3).encode(&mut w);
         let bytes = w.into_bytes();
         for cut in 0..bytes.len() {
             let mut r = SnapReader::new(&bytes[..cut]);
-            assert!(Vec::<u64>::decode(&mut r).is_err(), "cut at {cut}");
+            assert!(Vec::<SimTime>::decode(&mut r).is_err(), "cut at {cut}");
         }
     }
 
@@ -544,7 +318,7 @@ mod tests {
         w.put_u64(u64::MAX); // absurd element count
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes);
-        assert!(Vec::<u64>::decode(&mut r).is_err());
+        assert!(Vec::<SimTime>::decode(&mut r).is_err());
     }
 
     #[test]
@@ -556,7 +330,7 @@ mod tests {
         assert!(prealloc::<Wide>(1 << 30) * std::mem::size_of::<Wide>() <= MAX_PREALLOC_BYTES);
         assert_eq!(prealloc::<()>(usize::MAX), MAX_PREALLOC_BYTES);
         // the capped reservation still decodes sequences of any length
-        roundtrip(&(0..20_000u64).collect::<Vec<_>>());
+        roundtrip(&times(20_000));
     }
 
     #[test]
@@ -566,7 +340,7 @@ mod tests {
         w.put_u8(0xFF);
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes);
-        let _ = u64::decode(&mut r).unwrap();
+        let _ = r.get_u64().unwrap();
         assert!(r.finish().is_err());
     }
 

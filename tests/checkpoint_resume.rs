@@ -137,6 +137,8 @@ fn fluid_checkpoint_at_every_boundary_resumes_bit_identically() {
         // tail: resume from bytes, finish the schedule
         let mut tail = FluidService::resume(&session, &backing, &ckpt).expect("resume");
         assert_eq!(tail.now(), boundaries[cut]);
+        // a restored run re-checkpoints to the same bytes
+        assert_eq!(tail.checkpoint().to_bytes(), ckpt.to_bytes());
         for b in &boundaries[cut + 1..] {
             tail.advance(*b, &mut [&mut fp]).expect("advance");
         }
@@ -150,7 +152,7 @@ fn fluid_checkpoint_at_every_boundary_resumes_bit_identically() {
     }
 }
 
-/// Packet engine, sequential: same gate, replay-log checkpoints.
+/// Packet engine, sequential: the same gate.
 #[test]
 fn packet_checkpoint_at_every_boundary_resumes_bit_identically() {
     let topo = Topology::fig3();
@@ -316,4 +318,46 @@ fn resume_on_a_different_chunk_quantum_is_rejected_or_identical() {
         ..PacketSimConfig::default()
     });
     assert!(PacketService::resume(&other, &session, &ckpt).is_err());
+}
+
+/// Consecutive advances merge into one logged op, so a checkpoint does
+/// not depend on how an advance was sliced: 64 slices (the daemon's
+/// preemption quantum) and one advance to the same instant write the
+/// same bytes, on both engines.
+#[test]
+fn sliced_and_single_advances_checkpoint_identically() {
+    let topo = Topology::fig3();
+    let session = fig3_session(&topo, 1);
+    let backing = FluidBacking::for_session(&session);
+    let engine = PacketEngine::default();
+    let n = |s: &str| topo.node_by_name(s).unwrap();
+    let fed = Transfer {
+        flow: 9,
+        src: n("2"),
+        dst: n("4"),
+        chunks: 120,
+        chunk_bytes: CHUNK,
+        start: SimTime::from_secs(2),
+    };
+    let to = SimTime::from_millis(1_600);
+    let drive = |svc: &mut dyn ServiceSession, slices: u64| {
+        svc.advance(SimTime::from_millis(500), &mut []).unwrap();
+        svc.feed(&fed).unwrap();
+        let from = svc.now();
+        let step = to.duration_since(from).as_nanos() / slices;
+        for i in 1..slices {
+            svc.advance(from + SimDuration::from_nanos(step * i), &mut [])
+                .unwrap();
+        }
+        svc.advance(to, &mut []).unwrap();
+        svc.checkpoint().to_bytes()
+    };
+    for slices in [64, 7] {
+        let one = drive(&mut FluidService::open(&session, &backing).unwrap(), 1);
+        let sliced = drive(&mut FluidService::open(&session, &backing).unwrap(), slices);
+        assert_eq!(one, sliced, "fluid, {slices} slices");
+        let one = drive(&mut PacketService::open(&engine, &session).unwrap(), 1);
+        let sliced = drive(&mut PacketService::open(&engine, &session).unwrap(), slices);
+        assert_eq!(one, sliced, "packet, {slices} slices");
+    }
 }

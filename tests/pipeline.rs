@@ -158,12 +158,12 @@ fn lossy_isp_transfer_recovers() {
 /// `required_cache` absorbs exactly the computed burst.
 #[test]
 fn sizing_and_store_agree() {
-    use inrpp_cache::custody::{CustodyStore, EvictionPolicy};
+    use inrpp_cache::custody::CustodyStore;
     use inrpp_cache::sizing::required_cache;
     use inrpp_sim::units::Rate;
     let burst = required_cache(Rate::mbps(8.0), SimDuration::from_millis(500));
     assert_eq!(burst, ByteSize::bytes(500_000));
-    let mut store = CustodyStore::new(burst, EvictionPolicy::Reject);
+    let mut store = CustodyStore::new(burst);
     let chunk = ByteSize::bytes(1_250);
     let n = burst.as_bytes() / chunk.as_bytes();
     for i in 0..n {

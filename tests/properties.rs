@@ -7,7 +7,7 @@
 
 use proptest::prelude::*;
 
-use inrpp_cache::custody::{CustodyStore, EvictionPolicy};
+use inrpp_cache::custody::CustodyStore;
 use inrpp_flowsim::allocator::{max_min_allocate, path_dir_indices};
 use inrpp_sim::dist::{Distribution, Exponential, Pareto};
 use inrpp_sim::metrics::JainIndex;
@@ -197,25 +197,17 @@ proptest! {
     fn custody_accounting_invariants(
         ops in proptest::collection::vec((0u8..3, 0u64..8, 0u64..64, 1u64..2000), 1..200),
         cap_kb in 1u64..64,
-        policy_pick in 0u8..3,
     ) {
-        let policy = match policy_pick {
-            0 => EvictionPolicy::Reject,
-            1 => EvictionPolicy::Fifo,
-            _ => EvictionPolicy::Lru,
-        };
-        let mut store = CustodyStore::new(ByteSize::kb(cap_kb), policy);
+        let mut store = CustodyStore::new(ByteSize::kb(cap_kb));
         let mut shadow: std::collections::HashMap<(u64, u64), u64> =
             std::collections::HashMap::new();
         for (op, flow, chunk, bytes) in ops {
             match op {
                 0 => {
-                    if let Ok(evicted) =
-                        store.store(SimTime::ZERO, flow, chunk, ByteSize::bytes(bytes))
+                    if store
+                        .store(SimTime::ZERO, flow, chunk, ByteSize::bytes(bytes))
+                        .is_ok()
                     {
-                        for e in evicted {
-                            shadow.remove(&(e.flow, e.chunk));
-                        }
                         shadow.insert((flow, chunk), bytes);
                     }
                 }
