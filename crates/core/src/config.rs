@@ -53,11 +53,6 @@ pub struct InrppConfig {
     /// footnote 3 suggests staying slightly below full rate "to be able
     /// to accommodate bursts".
     pub forwarding_headroom: f64,
-
-    /// Hold detour decisions steady while an interface's phase is flapping
-    /// (`inrpp::monitor`); off by default to match the paper's plain
-    /// three-phase machine.
-    pub flap_damping: bool,
 }
 
 impl Default for InrppConfig {
@@ -73,7 +68,6 @@ impl Default for InrppConfig {
             load_aware_detour: true,
             backpressure_ttl: SimDuration::from_millis(200),
             forwarding_headroom: 1.0,
-            flap_damping: false,
         }
     }
 }

@@ -16,7 +16,7 @@
 //! | Whole-scenario convenience API over the substrates | [`scenario`] |
 //! | Experiment-cell enumeration for parallel sweeps | [`sweep`] |
 //! | Steppable sessions with checkpoint/resume (service mode) | [`service`] |
-//! | Streaming workload ingestion (traces, generators, feeds) | [`source`] |
+//! | Streaming workload ingestion from recorded traces | [`source`] |
 //!
 //! The chunk-level dynamics live in `inrpp-packetsim`, which drives these
 //! state machines from a discrete-event loop; the fluid equilibria live in
@@ -32,7 +32,6 @@ pub mod detour;
 pub mod endpoint;
 pub mod fairness;
 pub mod flowlet;
-pub mod monitor;
 pub mod phase;
 pub mod rate;
 pub mod scenario;
@@ -49,4 +48,4 @@ pub use session::{
     Engine, EngineKind, FluidEngine, Probe, QuantileProbe, RunReport, Session, SessionBuilder,
     SessionError, SessionStrategy, TimeSeriesProbe,
 };
-pub use source::{FeedSource, SyntheticSource, TraceSource, WorkloadSource};
+pub use source::TraceSource;

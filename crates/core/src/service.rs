@@ -38,10 +38,13 @@
 //! [`SessionError::CheckpointMismatch`] instead of silently diverging.
 //!
 //! [`FluidService`] is the fluid-engine implementation; the packet
-//! engine's is `inrpp_packetsim::session::PacketService`. `inrpp serve`
-//! in the bench crate exposes both over line-delimited JSON on stdio.
+//! engine's is `inrpp_packetsim::session::PacketService`. Each is the
+//! one place its engine is built from a [`Session`]: a one-shot
+//! [`Engine::run`](crate::session::Engine::run) opens a service session
+//! and finishes it at once. `inrpp serve` exposes both over
+//! line-delimited JSON.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use inrpp_flowsim::sim::{FlowRun, FlowSim, FlowSimConfig};
 use inrpp_flowsim::strategy::RoutingStrategy;
@@ -50,8 +53,8 @@ use inrpp_sim::time::SimTime;
 use inrpp_topology::graph::Topology;
 
 use crate::session::{
-    assemble_fluid_report, check_fluid_workers, check_transfer, EngineKind, FlowRecord, FlowSpec,
-    FluidAdapter, Probe, ProbeSet, RunReport, Session, SessionError, Transfer, Workload,
+    assemble_fluid_report, check_transfer, EngineKind, FlowRecord, FlowSpec, FluidAdapter, Probe,
+    ProbeSet, RunReport, Session, SessionError, Transfer, Workload,
 };
 
 /// Envelope magic. Since v2 the body of either engine's checkpoint is a
@@ -339,7 +342,7 @@ impl FluidBacking {
 
     /// A backing with no upfront traffic — service runs fed entirely
     /// through [`ServiceSession::feed`] / a
-    /// [`crate::source::WorkloadSource`].
+    /// [`crate::source::TraceSource`].
     pub fn empty_for(session: &Session<'_>) -> Self {
         FluidBacking {
             strategy: session.strategy().build_fluid(session.topology()),
@@ -356,9 +359,13 @@ impl FluidBacking {
 /// on resume.
 pub struct FluidService<'a> {
     topology: &'a Topology,
+    workload: &'a Workload,
     run: FlowRun<'a>,
     records: Vec<FlowRecord>,
     index: HashMap<u64, usize>,
+    /// Every flow id the run knows, workload and fed, built by the first
+    /// `feed`: a one-shot run is never fed and never builds it.
+    known: Option<HashSet<u64>>,
     log: ReplayLog,
 }
 
@@ -366,7 +373,7 @@ impl<'a> FluidService<'a> {
     /// Open a stepping session on the fluid engine. `backing` must
     /// outlive the service (it owns what the run borrows).
     pub fn open(session: &Session<'a>, backing: &'a FluidBacking) -> Result<Self, SessionError> {
-        check_fluid_workers(session)?;
+        let flows = backing.workload.flows.len();
         let run = FlowSim::new(
             session.topology(),
             backing.strategy.as_ref(),
@@ -379,9 +386,11 @@ impl<'a> FluidService<'a> {
         .start();
         Ok(FluidService {
             topology: session.topology(),
+            workload: &backing.workload,
             run,
-            records: Vec::new(),
-            index: HashMap::new(),
+            records: Vec::with_capacity(flows),
+            index: HashMap::with_capacity(flows),
+            known: None,
             log: ReplayLog::new(EngineKind::Fluid, session),
         })
     }
@@ -402,7 +411,9 @@ impl<'a> FluidService<'a> {
         Ok(svc)
     }
 
-    fn consume(mut self, probes: &mut [&mut dyn Probe]) -> Result<RunReport, SessionError> {
+    /// Drain the remaining events and produce the final report:
+    /// [`ServiceSession::finish`] without the box.
+    pub fn finish_run(mut self, probes: &mut [&mut dyn Probe]) -> Result<RunReport, SessionError> {
         let mut adapter = FluidAdapter {
             probes: ProbeSet::new(probes),
             records: &mut self.records,
@@ -410,12 +421,6 @@ impl<'a> FluidService<'a> {
         };
         let report = self.run.finish(&mut adapter);
         Ok(assemble_fluid_report(report, self.records))
-    }
-
-    /// Finish without boxing (convenience over the trait's
-    /// `Box<Self>`-consuming [`ServiceSession::finish`]).
-    pub fn finish_run(self, probes: &mut [&mut dyn Probe]) -> Result<RunReport, SessionError> {
-        self.consume(probes)
     }
 }
 
@@ -455,7 +460,11 @@ impl ServiceSession for FluidService<'_> {
 
     fn feed(&mut self, transfer: &Transfer) -> Result<(), SessionError> {
         check_transfer(self.topology, transfer)?;
-        if self.index.contains_key(&transfer.flow) || self.run.knows_flow(transfer.flow) {
+        let workload = self.workload;
+        let known = self
+            .known
+            .get_or_insert_with(|| workload.flows.iter().map(|f| f.id).collect());
+        if known.contains(&transfer.flow) {
             return Err(SessionError::DuplicateFlow(transfer.flow));
         }
         self.run
@@ -474,6 +483,7 @@ impl ServiceSession for FluidService<'_> {
                     self.run.now()
                 ))
             })?;
+        known.insert(transfer.flow);
         self.log.feed(transfer);
         Ok(())
     }
@@ -487,7 +497,7 @@ impl ServiceSession for FluidService<'_> {
     }
 
     fn finish(self: Box<Self>, probes: &mut [&mut dyn Probe]) -> Result<RunReport, SessionError> {
-        (*self).consume(probes)
+        (*self).finish_run(probes)
     }
 }
 
@@ -601,14 +611,6 @@ mod tests {
             .expect("engine mismatch must be rejected");
         assert!(matches!(err, SessionError::CheckpointMismatch(_)), "{err}");
 
-        // the same spec with two workers: the fluid engine refuses them on
-        // resume exactly as on open
-        let two_workers = spec(&topo).workers(2).build().unwrap();
-        let err = FluidService::resume(&two_workers, &backing, &ckpt)
-            .err()
-            .expect("workers(2) must be refused on resume");
-        assert!(matches!(err, SessionError::InvalidConfig(_)), "{err}");
-
         // corrupt envelope bytes
         let bytes = ckpt.to_bytes();
         for cut in [0, 1, bytes.len() / 2, bytes.len() - 1] {
@@ -637,9 +639,6 @@ mod tests {
         let s = session(&topo);
         let backing = FluidBacking::for_session(&s);
         let mut svc = FluidService::open(&s, &backing).unwrap();
-        let mut reports = Reports(Vec::new());
-        svc.advance(SimTime::from_secs(1), &mut [&mut reports])
-            .unwrap();
         let n = |x: &str| topo.node_by_name(x).unwrap();
         let fed = Transfer::for_object_bits(
             9,
@@ -649,9 +648,24 @@ mod tests {
             ByteSize::bytes(1250),
             SimTime::from_secs(2),
         );
+        // an id of the workload is taken before its flow starts (flow 2
+        // starts at 0.5 s)...
+        let dup = |flow| Transfer { flow, ..fed };
+        assert_eq!(
+            svc.feed(&dup(2)).unwrap_err(),
+            SessionError::DuplicateFlow(2)
+        );
+        let mut reports = Reports(Vec::new());
+        svc.advance(SimTime::from_secs(1), &mut [&mut reports])
+            .unwrap();
         svc.feed(&fed).unwrap();
-        // duplicate id and past start are typed errors
+        // ...and so is a fed id not yet started, and a started one
         assert_eq!(svc.feed(&fed).unwrap_err(), SessionError::DuplicateFlow(9));
+        assert_eq!(
+            svc.feed(&dup(1)).unwrap_err(),
+            SessionError::DuplicateFlow(1)
+        );
+        // a past start is a typed error, and a refused feed takes no id
         let past = Transfer {
             flow: 10,
             start: SimTime::from_millis(500),
@@ -674,8 +688,22 @@ mod tests {
         ));
         svc.advance(SimTime::from_secs(3), &mut [&mut reports])
             .unwrap();
+        // flow 9 has started now
+        let started = Transfer {
+            start: SimTime::from_secs(3),
+            ..fed
+        };
+        assert_eq!(
+            svc.feed(&started).unwrap_err(),
+            SessionError::DuplicateFlow(9)
+        );
+        svc.feed(&Transfer {
+            flow: 10,
+            ..started
+        })
+        .unwrap();
         let report = svc.finish_run(&mut []).unwrap();
-        assert_eq!(report.aggregates.arrived_flows, 3);
+        assert_eq!(report.aggregates.arrived_flows, 4);
         assert_eq!(reports.0.len(), 2, "one on_report per advance boundary");
         assert!(reports.0[1].1 >= 3, "fed flow visible in the snapshot");
     }

@@ -50,7 +50,7 @@ use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 
-use inrpp_flowsim::sim::{FlowObserver, FlowSim, FlowSimConfig};
+use inrpp_flowsim::sim::FlowObserver;
 use inrpp_flowsim::strategy::{
     EcmpStrategy, InrpConfig, InrpStrategy, MptcpStrategy, RoutingStrategy, SinglePathStrategy,
 };
@@ -60,6 +60,8 @@ use inrpp_sim::snap::{self, Snap, SnapError, SnapReader, SnapWriter};
 use inrpp_sim::time::{SimDuration, SimTime, TimeError};
 use inrpp_sim::units::ByteSize;
 use inrpp_topology::graph::{NodeId, Topology};
+
+use crate::service::{FluidBacking, FluidService};
 
 // Re-exported so facade consumers (including the packet backend, which
 // sees flowsim only transitively) can name the traffic types without a
@@ -883,7 +885,6 @@ pub struct Session<'a> {
     strategy: SessionStrategy,
     horizon: SimDuration,
     seed: u64,
-    workers: usize,
     faults: FaultPlan,
 }
 
@@ -898,7 +899,6 @@ pub struct SessionBuilder<'a> {
     horizon: Option<SimDuration>,
     horizon_secs: Option<f64>,
     seed: u64,
-    workers: Option<usize>,
     faults: FaultPlan,
 }
 
@@ -970,23 +970,12 @@ impl<'a> SessionBuilder<'a> {
         self
     }
 
-    /// Worker threads for engines that support sharded execution
-    /// (default: 1, i.e. the sequential path). The packet engine runs
-    /// `n > 1` as a sharded simulation — byte-identical to `n = 1` by
-    /// contract — while the fluid engine accepts only `n = 1`.
-    /// `workers(0)` is rejected at build time with
-    /// [`SessionError::InvalidConfig`].
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.workers = Some(workers);
-        self
-    }
-
     /// A deterministic fault plan applied mid-run by both engines
     /// (default: no faults). Plans are validated against the topology at
     /// build time: an event naming a node or link the topology does not
     /// have is rejected with [`SessionError::InvalidConfig`]. The
-    /// determinism contract is unchanged under any plan — sharded runs,
-    /// checkpoint/resume, and repeated runs stay byte-identical.
+    /// determinism contract is unchanged under any plan —
+    /// checkpoint/resume and repeated runs stay byte-identical.
     pub fn faults(mut self, faults: FaultPlan) -> Self {
         self.faults = faults;
         self
@@ -995,15 +984,6 @@ impl<'a> SessionBuilder<'a> {
     /// Validate and assemble the session.
     pub fn build(self) -> Result<Session<'a>, SessionError> {
         let topology = self.topology.ok_or(SessionError::MissingTopology)?;
-        let workers = match self.workers {
-            Some(0) => {
-                return Err(SessionError::InvalidConfig(
-                    "workers(0) is meaningless: a run needs at least one worker".into(),
-                ))
-            }
-            Some(n) => n,
-            None => 1,
-        };
         let horizon = match (self.horizon, self.horizon_secs) {
             (_, Some(secs)) => SimDuration::try_from_secs_f64(secs)?,
             (Some(d), None) => d,
@@ -1049,7 +1029,6 @@ impl<'a> SessionBuilder<'a> {
             strategy: self.strategy,
             horizon,
             seed: self.seed,
-            workers,
             faults: self.faults,
         })
     }
@@ -1117,9 +1096,7 @@ impl<'a> Session<'a> {
     /// A deterministic fingerprint of the session spec (topology shape,
     /// traffic, strategy, horizon, seed). Checkpoints embed it so a
     /// resume against a *different* spec is rejected instead of
-    /// silently diverging. Worker count is deliberately excluded:
-    /// sharded and sequential runs are byte-identical by contract, so a
-    /// checkpoint may be resumed under either.
+    /// silently diverging.
     pub fn fingerprint(&self) -> u64 {
         let mut w = SnapWriter::new();
         w.put_str(self.topology.name());
@@ -1168,11 +1145,6 @@ impl<'a> Session<'a> {
     /// The session's seed.
     pub fn seed(&self) -> u64 {
         self.seed
-    }
-
-    /// Worker threads requested for the run (≥ 1; default 1).
-    pub fn workers(&self) -> usize {
-        self.workers
     }
 
     /// The session's fault plan (empty when no faults were configured).
@@ -1230,8 +1202,9 @@ impl<'a> Session<'a> {
 
 /// A simulation backend the facade can drive.
 ///
-/// Implementations rebuild exactly the inputs their simulator always
-/// took, so a facade run is bit-identical to a hand-driven one.
+/// Both backends run a session as their service-mode session
+/// (`inrpp::service`) opened and finished at once, so a one-shot run and
+/// a stepped one are built the same way and are bit-identical.
 pub trait Engine {
     /// Which backend this is.
     fn kind(&self) -> EngineKind;
@@ -1251,8 +1224,8 @@ pub trait Engine {
 pub struct FluidEngine;
 
 /// Adapter: flowsim's raw observer stream -> session probes + per-flow
-/// record collection. The record storage is borrowed so service-mode
-/// runs (`inrpp::service`) can keep it alive across stepping calls.
+/// record collection. The record storage is borrowed so a service
+/// session (`inrpp::service`) can keep it alive across stepping calls.
 pub(crate) struct FluidAdapter<'r, 'a, 'b> {
     pub(crate) probes: ProbeSet<'a, 'b>,
     pub(crate) records: &'r mut Vec<FlowRecord>,
@@ -1332,21 +1305,9 @@ impl FlowObserver for FluidAdapter<'_, '_, '_> {
     }
 }
 
-/// Refuse a session that asks the single-threaded fluid engine for more
-/// than one worker — the one check of [`FluidEngine::run`],
-/// [`FluidService::open`](crate::service::FluidService::open) and
-/// [`FluidService::resume`](crate::service::FluidService::resume).
-pub(crate) fn check_fluid_workers(session: &Session<'_>) -> Result<(), SessionError> {
-    if session.workers() > 1 {
-        return Err(SessionError::InvalidConfig(format!(
-            "the fluid engine is single-threaded; workers({}) is only \
-             supported by the packet engine",
-            session.workers()
-        )));
-    }
-    Ok(())
-}
-
+/// A one-shot run is a service session opened and finished at once, so
+/// the fluid engine is built from a session in one place:
+/// [`FluidService::open`].
 impl Engine for FluidEngine {
     fn kind(&self) -> EngineKind {
         EngineKind::Fluid
@@ -1357,33 +1318,14 @@ impl Engine for FluidEngine {
         session: &Session<'_>,
         probes: &mut [&mut dyn Probe],
     ) -> Result<RunReport, SessionError> {
-        check_fluid_workers(session)?;
-        let workload = session.fluid_workload();
-        let strategy = session.strategy.build_fluid(session.topology);
-        let mut records = Vec::with_capacity(workload.flows.len());
-        let mut index = HashMap::with_capacity(workload.flows.len());
-        let mut adapter = FluidAdapter {
-            probes: ProbeSet::new(probes),
-            records: &mut records,
-            index: &mut index,
-        };
-        let report = FlowSim::new(
-            session.topology,
-            strategy.as_ref(),
-            &workload,
-            FlowSimConfig {
-                horizon: session.horizon,
-            },
-        )
-        .with_faults(session.faults().clone())
-        .run_observed(&mut adapter);
-        Ok(assemble_fluid_report(report, records))
+        let backing = FluidBacking::for_session(session);
+        FluidService::open(session, &backing)?.finish_run(probes)
     }
 }
 
 /// Assemble the unified report from a fluid-engine report plus the
-/// per-flow records an adapter collected (shared between one-shot runs
-/// and service-mode snapshots).
+/// per-flow records an adapter collected (final reports and service-mode
+/// snapshots alike).
 pub(crate) fn assemble_fluid_report(report: FlowSimReport, flows: Vec<FlowRecord>) -> RunReport {
     RunReport {
         engine: EngineKind::Fluid,
@@ -1580,6 +1522,7 @@ mod tests {
     fn facade_run_matches_direct_flowsim() {
         // the behaviour-preservation contract: a facade run must be
         // bit-identical to hand-constructing the simulator
+        use inrpp_flowsim::sim::{FlowSim, FlowSimConfig};
         use inrpp_flowsim::strategy::InrpStrategy;
         let topo = Topology::fig3();
         let session = quick_session(&topo);

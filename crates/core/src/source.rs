@@ -1,17 +1,11 @@
 //! Workload sources: where service-mode traffic comes from.
 //!
-//! A [`WorkloadSource`] yields [`Transfer`]s in nondecreasing `start`
-//! order; [`pump`] drains one into a live
-//! [`ServiceSession`], feeding every
-//! transfer due by the requested boundary and then advancing the clock.
-//! Three sources cover the operating modes:
-//!
-//! * [`SyntheticSource`] — the existing workload generators
-//!   ([`WorkloadConfig`]) as a streaming source;
-//! * [`TraceSource`] — recorded traces in the `# inrpp-trace v1` text
-//!   format, read line by line (streaming ingestion: the whole trace is
-//!   never materialised);
-//! * [`FeedSource`] — a programmatic queue for embedding.
+//! A [`TraceSource`] reads recorded traces in the `# inrpp-trace v1`
+//! text format line by line (streaming ingestion: the whole trace is
+//! never materialised) and yields their [`Transfer`]s in nondecreasing
+//! `start` order; [`pump`] drains one into a live [`ServiceSession`],
+//! feeding every transfer due by the requested boundary and then
+//! advancing the clock.
 //!
 //! # Trace format (`# inrpp-trace v1`)
 //!
@@ -30,35 +24,24 @@
 //! must be nondecreasing down the file and parse to a representable
 //! simulation time (violations surface as typed
 //! [`SessionError::InvalidConfig`] with the line number, via the same
-//! `TimeError` conversion the builder uses). [`format_trace`] writes
-//! the symmetric output.
+//! `TimeError` conversion the builder uses). A line may hold at most
+//! 1 MiB; a longer one is refused unread past that point, since it may
+//! never end. [`format_trace`] writes the symmetric output.
 
-use std::collections::VecDeque;
-use std::io::BufRead;
+use std::io::{BufRead, Read};
 
 use inrpp_sim::time::{SimDuration, SimTime};
 use inrpp_sim::units::ByteSize;
 use inrpp_topology::graph::Topology;
 
 use crate::service::ServiceSession;
-use crate::session::{Probe, SessionError, Transfer, Workload, WorkloadConfig};
+use crate::session::{Probe, SessionError, Transfer};
 
 /// The trace header every `# inrpp-trace v1` file starts with.
 pub const TRACE_HEADER: &str = "# inrpp-trace v1";
 
-/// A stream of transfers in nondecreasing `start` order.
-pub trait WorkloadSource {
-    /// The next transfer without consuming it (`None` when exhausted).
-    /// Repeated calls return the same transfer until [`pop`] is called.
-    ///
-    /// [`pop`]: WorkloadSource::pop
-    fn peek(&mut self) -> Result<Option<Transfer>, SessionError>;
-
-    /// Consume the transfer last returned by [`peek`].
-    ///
-    /// [`peek`]: WorkloadSource::peek
-    fn pop(&mut self);
-}
+/// The longest trace line, newline excluded.
+const MAX_LINE_BYTES: u64 = 1 << 20;
 
 /// Feed every transfer due at or before `to` into `session`, then
 /// advance it to `to`. Feeding happens *before* the clock moves, so a
@@ -66,8 +49,8 @@ pub trait WorkloadSource {
 /// it had been known up front — the determinism contract is over the
 /// boundary schedule, and a checkpoint taken at any boundary resumes
 /// compatibly with [`skip_until`].
-pub fn pump(
-    source: &mut dyn WorkloadSource,
+pub fn pump<R: BufRead>(
+    source: &mut TraceSource<'_, R>,
     session: &mut dyn ServiceSession,
     to: SimTime,
     probes: &mut [&mut dyn Probe],
@@ -86,7 +69,10 @@ pub fn pump(
 /// has already fed by the time the clock reached boundary `t`. Call
 /// this on a freshly opened source before resuming a checkpoint taken
 /// at `t`. Returns how many transfers were skipped.
-pub fn skip_until(source: &mut dyn WorkloadSource, t: SimTime) -> Result<usize, SessionError> {
+pub fn skip_until<R: BufRead>(
+    source: &mut TraceSource<'_, R>,
+    t: SimTime,
+) -> Result<usize, SessionError> {
     let mut skipped = 0;
     while let Some(next) = source.peek()? {
         if next.start > t {
@@ -96,119 +82,6 @@ pub fn skip_until(source: &mut dyn WorkloadSource, t: SimTime) -> Result<usize, 
         skipped += 1;
     }
     Ok(skipped)
-}
-
-// ===================================================================
-// FeedSource
-// ===================================================================
-
-/// A programmatic source: push transfers, the service pulls them.
-#[derive(Debug, Clone, Default)]
-pub struct FeedSource {
-    queue: VecDeque<Transfer>,
-}
-
-impl FeedSource {
-    /// An empty queue.
-    pub fn new() -> Self {
-        FeedSource::default()
-    }
-
-    /// Append a transfer. Starts must be pushed in nondecreasing order
-    /// (the [`WorkloadSource`] contract); out-of-order pushes are
-    /// rejected so the error surfaces at the push site, not later
-    /// inside an engine.
-    pub fn push(&mut self, t: Transfer) -> Result<(), SessionError> {
-        if let Some(last) = self.queue.back() {
-            if t.start < last.start {
-                return Err(SessionError::InvalidTransfer(format!(
-                    "flow {} starts at {:?}, before the previously queued {:?}",
-                    t.flow, t.start, last.start
-                )));
-            }
-        }
-        self.queue.push_back(t);
-        Ok(())
-    }
-
-    /// Transfers still queued.
-    pub fn len(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// True when nothing is queued.
-    pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
-    }
-}
-
-impl WorkloadSource for FeedSource {
-    fn peek(&mut self) -> Result<Option<Transfer>, SessionError> {
-        Ok(self.queue.front().copied())
-    }
-
-    fn pop(&mut self) {
-        self.queue.pop_front();
-    }
-}
-
-// ===================================================================
-// SyntheticSource
-// ===================================================================
-
-/// The synthetic workload generators as a source: generates the
-/// workload up front (deterministic in `(config, horizon, seed)`,
-/// exactly as [`crate::session::SessionBuilder::workload_config`]
-/// would) and streams it in arrival order, quantised to whole chunks.
-#[derive(Debug, Clone)]
-pub struct SyntheticSource {
-    transfers: VecDeque<Transfer>,
-}
-
-impl SyntheticSource {
-    /// Generate the arrival stream.
-    pub fn new(
-        topo: &Topology,
-        config: &WorkloadConfig,
-        horizon: SimDuration,
-        seed: u64,
-        chunk_bytes: ByteSize,
-    ) -> Result<Self, SessionError> {
-        let workload = Workload::try_generate(topo, config, horizon, seed)?;
-        let mut transfers: Vec<Transfer> = workload
-            .flows
-            .iter()
-            .map(|f| {
-                Transfer::for_object_bits(f.id, f.src, f.dst, f.size_bits, chunk_bytes, f.arrival)
-            })
-            .collect();
-        // generators emit in arrival order already; make the source
-        // contract unconditional (stable key: start, then id)
-        transfers.sort_by_key(|t| (t.start, t.flow));
-        Ok(SyntheticSource {
-            transfers: transfers.into(),
-        })
-    }
-
-    /// Arrivals remaining.
-    pub fn len(&self) -> usize {
-        self.transfers.len()
-    }
-
-    /// True when the stream is exhausted.
-    pub fn is_empty(&self) -> bool {
-        self.transfers.is_empty()
-    }
-}
-
-impl WorkloadSource for SyntheticSource {
-    fn peek(&mut self) -> Result<Option<Transfer>, SessionError> {
-        Ok(self.transfers.front().copied())
-    }
-
-    fn pop(&mut self) {
-        self.transfers.pop_front();
-    }
 }
 
 // ===================================================================
@@ -226,6 +99,9 @@ pub struct TraceSource<'t, R> {
     last_start: SimTime,
     pending: Option<Transfer>,
     done: bool,
+    /// A line past [`MAX_LINE_BYTES`] stops the source for good: its
+    /// rest is never read.
+    overlong: bool,
 }
 
 impl<'t, R: BufRead> TraceSource<'t, R> {
@@ -239,7 +115,24 @@ impl<'t, R: BufRead> TraceSource<'t, R> {
             last_start: SimTime::ZERO,
             pending: None,
             done: false,
+            overlong: false,
         }
+    }
+
+    /// The next transfer without consuming it (`None` when exhausted).
+    /// Repeated calls return the same transfer until [`pop`] is called.
+    ///
+    /// [`pop`]: TraceSource::pop
+    pub fn peek(&mut self) -> Result<Option<Transfer>, SessionError> {
+        self.fill()?;
+        Ok(self.pending)
+    }
+
+    /// Consume the transfer last returned by [`peek`].
+    ///
+    /// [`peek`]: TraceSource::peek
+    pub fn pop(&mut self) {
+        self.pending = None;
     }
 
     fn bad(&self, what: impl std::fmt::Display) -> SessionError {
@@ -253,7 +146,8 @@ impl<'t, R: BufRead> TraceSource<'t, R> {
                 .next()
                 .ok_or_else(|| self.bad(format_args!("missing field `{name}`")))
         };
-        let start_secs: f64 = next("start_secs")?
+        let start_text = next("start_secs")?;
+        let start_secs: f64 = start_text
             .parse()
             .map_err(|e| self.bad(format_args!("bad start_secs: {e}")))?;
         let flow: u64 = next("flow")?
@@ -270,11 +164,18 @@ impl<'t, R: BufRead> TraceSource<'t, R> {
         if let Some(extra) = fields.next() {
             return Err(self.bad(format_args!("unexpected trailing field `{extra}`")));
         }
-        // negative / non-finite / out-of-range times surface as the
-        // same typed error the session builder produces
-        let start = SimTime::ZERO
-            + SimDuration::try_from_secs_f64(start_secs)
-                .map_err(|e| self.bad(format_args!("bad start_secs: {e}")))?;
+        // a plain decimal (what `format_trace` writes) converts exactly;
+        // other forms go through `f64`, where negative / non-finite /
+        // out-of-range times surface as the same typed error the session
+        // builder produces
+        let start = match decimal_nanos(start_text) {
+            Some(ns) => SimTime::from_nanos(ns),
+            None => {
+                SimTime::ZERO
+                    + SimDuration::try_from_secs_f64(start_secs)
+                        .map_err(|e| self.bad(format_args!("bad start_secs: {e}")))?
+            }
+        };
         let src = self
             .topo
             .node_by_name(src_name)
@@ -294,13 +195,20 @@ impl<'t, R: BufRead> TraceSource<'t, R> {
     }
 
     fn fill(&mut self) -> Result<(), SessionError> {
+        let mut buf = Vec::new();
         while self.pending.is_none() && !self.done {
-            let mut line = String::new();
+            if self.overlong {
+                return Err(self.bad(format_args!("longer than {MAX_LINE_BYTES} bytes")));
+            }
+            buf.clear();
             self.line_no += 1;
-            let n = self
-                .reader
-                .read_line(&mut line)
+            let n = Read::take(&mut self.reader, MAX_LINE_BYTES + 1)
+                .read_until(b'\n', &mut buf)
                 .map_err(|e| self.bad(format_args!("read error: {e}")))?;
+            if n as u64 > MAX_LINE_BYTES && !buf.ends_with(b"\n") {
+                self.overlong = true;
+                continue;
+            }
             if n == 0 {
                 self.done = true;
                 if !self.header_seen {
@@ -310,6 +218,13 @@ impl<'t, R: BufRead> TraceSource<'t, R> {
                 }
                 return Ok(());
             }
+            // worded as std's invalid-UTF-8 read error: daemon replies
+            // carry this text
+            let line = std::str::from_utf8(&buf).map_err(|_| {
+                self.bad(format_args!(
+                    "read error: stream did not contain valid UTF-8"
+                ))
+            })?;
             let trimmed = line.trim();
             if !self.header_seen {
                 if trimmed.is_empty() {
@@ -340,28 +255,34 @@ impl<'t, R: BufRead> TraceSource<'t, R> {
     }
 }
 
-impl<R: BufRead> WorkloadSource for TraceSource<'_, R> {
-    fn peek(&mut self) -> Result<Option<Transfer>, SessionError> {
-        self.fill()?;
-        Ok(self.pending)
+/// Plain decimal seconds with at most nine fractional digits, as exact
+/// nanoseconds; `None` for any other form, or past the clock's range.
+fn decimal_nanos(text: &str) -> Option<u64> {
+    let (secs, frac) = text.split_once('.').unwrap_or((text, ""));
+    let digits = |s: &str| s.bytes().all(|b| b.is_ascii_digit());
+    if secs.is_empty() || frac.len() > 9 || !digits(secs) || !digits(frac) {
+        return None;
     }
-
-    fn pop(&mut self) {
-        self.pending = None;
-    }
+    let frac: u64 = format!("{frac:0<9}").parse().ok()?;
+    secs.parse::<u64>()
+        .ok()?
+        .checked_mul(1_000_000_000)?
+        .checked_add(frac)
 }
 
 /// Render transfers as `# inrpp-trace v1` text — the inverse of
-/// [`TraceSource`]. Starts are written with full float precision so a
-/// round trip is exact.
+/// [`TraceSource`]. Starts are written as exact decimal nanoseconds, so
+/// a round trip is exact at any instant the clock can hold.
 pub fn format_trace(topo: &Topology, transfers: &[Transfer]) -> String {
     let mut out = String::from(TRACE_HEADER);
     out.push('\n');
     out.push_str("# start_secs flow src dst chunks chunk_bytes\n");
     for t in transfers {
+        let ns = t.start.as_nanos();
         out.push_str(&format!(
-            "{} {} {} {} {} {}\n",
-            t.start.as_secs_f64(),
+            "{}.{:09} {} {} {} {} {}\n",
+            ns / 1_000_000_000,
+            ns % 1_000_000_000,
             t.flow,
             topo.node(t.src).name,
             topo.node(t.dst).name,
@@ -377,7 +298,6 @@ mod tests {
     use super::*;
     use crate::service::{FluidBacking, FluidService};
     use crate::session::{Session, SessionStrategy};
-    use inrpp_flowsim::workload::PairSelector;
 
     fn fig3_transfers(topo: &Topology) -> Vec<Transfer> {
         let n = |s: &str| topo.node_by_name(s).unwrap();
@@ -446,39 +366,28 @@ mod tests {
     }
 
     #[test]
-    fn feed_source_enforces_order() {
+    fn an_endless_line_is_refused_unread() {
+        // a trace whose second line never ends: the source reads 1 MiB of
+        // it, refuses it by line number, and reads no further
         let topo = Topology::fig3();
-        let ts = fig3_transfers(&topo);
-        let mut src = FeedSource::new();
-        src.push(ts[1]).unwrap();
-        assert!(matches!(
-            src.push(ts[0]).unwrap_err(),
-            SessionError::InvalidTransfer(_)
-        ));
-        assert_eq!(src.len(), 1);
-    }
-
-    #[test]
-    fn synthetic_source_matches_builder_generation() {
-        let topo = Topology::fig3();
-        let cfg = WorkloadConfig {
-            arrival_rate: 20.0,
-            mean_size_bits: 1e6,
-            pairs: PairSelector::Uniform,
-            ..WorkloadConfig::default()
-        };
-        let horizon = SimDuration::from_secs(2);
-        let chunk = ByteSize::bytes(1250);
-        let mut src = SyntheticSource::new(&topo, &cfg, horizon, 7, chunk).unwrap();
-        let direct = Workload::try_generate(&topo, &cfg, horizon, 7).unwrap();
-        assert_eq!(src.len(), direct.flows.len());
-        let first = src.peek().unwrap().unwrap();
-        assert_eq!(first.flow, direct.flows[0].id);
-        // quantisation is the shared ceil rule
-        let want = (direct.flows[0].size_bits / chunk.as_bits() as f64)
-            .ceil()
-            .max(1.0) as u64;
-        assert_eq!(first.chunks, want);
+        let endless = TRACE_HEADER
+            .as_bytes()
+            .chain(&b"\n"[..])
+            .chain(std::io::repeat(b' '));
+        let mut src = TraceSource::new(&topo, std::io::BufReader::new(endless));
+        for _ in 0..2 {
+            let err = src.peek().unwrap_err();
+            assert!(
+                matches!(&err, SessionError::InvalidConfig(m) if m.contains("line 2: longer than")),
+                "{err}"
+            );
+        }
+        // a line exactly at the cap is read whole
+        let mut text = format!("{TRACE_HEADER}\n0 1 1 4 10 1250").into_bytes();
+        text.resize(TRACE_HEADER.len() + 1 + (1 << 20), b' ');
+        text.push(b'\n');
+        let mut src = TraceSource::new(&topo, &text[..]);
+        assert_eq!(src.peek().unwrap().map(|t| t.flow), Some(1));
     }
 
     #[test]

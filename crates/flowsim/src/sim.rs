@@ -38,7 +38,7 @@ use crate::workload::{FlowSpec, Workload};
 /// happens, so time-resolved metrics can be collected without replaying
 /// the simulation. All hooks default to no-ops; observers are purely
 /// passive — the simulation's arithmetic is identical with or without
-/// one (`FlowSim::run` is `run_observed(&mut ())`).
+/// one (`FlowSim::run` is `start().finish(&mut ())`).
 ///
 /// This is the flowsim-level substrate the `inrpp::session` probe API
 /// adapts onto; use that facade unless you need raw engine access.
@@ -143,18 +143,11 @@ impl<'a> FlowSim<'a> {
         self
     }
 
-    /// Execute the run and produce the report.
+    /// Execute the run and produce the report. For a streaming
+    /// [`FlowObserver`], [`start`](FlowSim::start) the run and
+    /// [`finish`](FlowRun::finish) it with the observer.
     pub fn run(self) -> FlowSimReport {
-        self.run_observed(&mut ())
-    }
-
-    /// Execute the run with a streaming [`FlowObserver`].
-    ///
-    /// The observer sees every arrival, departure, re-allocation and
-    /// integration step as it happens; the produced report is
-    /// bit-identical to an unobserved [`FlowSim::run`].
-    pub fn run_observed(self, obs: &mut dyn FlowObserver) -> FlowSimReport {
-        self.start().finish(obs)
+        self.start().finish(&mut ())
     }
 
     /// Begin a *stepping* run: events are not processed until the caller
@@ -300,23 +293,13 @@ impl<'a> FlowRun<'a> {
     /// not precede the current clock; the flow joins the event stream
     /// exactly as if it had been scheduled up front (modulo insertion
     /// sequence, which follows feed order — the determinism contract is
-    /// over a fixed feed schedule, see the type-level docs).
+    /// over a fixed feed schedule, see the type-level docs). The id is
+    /// not checked: the session layer refuses a duplicate first.
     pub fn feed(&mut self, spec: FlowSpec) -> Result<(), SchedulePastError> {
         let idx = self.workload.len() + self.extra.len();
         self.eng.schedule_at(spec.arrival, Event::Arrival(idx))?;
         self.extra.push(spec);
         Ok(())
-    }
-
-    /// True when `id` already names a flow in this run (workload or
-    /// fed). Flow ids must stay unique — the session layer uses this to
-    /// reject duplicate feeds with a typed error.
-    pub fn knows_flow(&self, id: u64) -> bool {
-        self.workload
-            .flows
-            .iter()
-            .chain(self.extra.iter())
-            .any(|s| s.id == id)
     }
 
     fn spec_at(&self, idx: usize) -> &FlowSpec {
@@ -1070,7 +1053,9 @@ mod tests {
             horizon: SimDuration::from_secs(8),
         };
         let mut fp_a = StreamFp::default();
-        let straight = FlowSim::new(&topo, &inrp, &w, cfg).run_observed(&mut fp_a);
+        let straight = FlowSim::new(&topo, &inrp, &w, cfg)
+            .start()
+            .finish(&mut fp_a);
 
         let mut fp_b = StreamFp::default();
         let mut run = FlowSim::new(&topo, &inrp, &w, cfg).start();
@@ -1180,7 +1165,8 @@ mod tests {
         let mut fp_a = StreamFp::default();
         let straight = FlowSim::new(&topo, &sp, &w, cfg)
             .with_faults(outage.clone())
-            .run_observed(&mut fp_a);
+            .start()
+            .finish(&mut fp_a);
         let mut fp_b = StreamFp::default();
         let mut stepped = FlowSim::new(&topo, &sp, &w, cfg)
             .with_faults(outage)

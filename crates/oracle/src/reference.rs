@@ -114,8 +114,6 @@ pub(crate) struct Runner<'a> {
     /// per `(flow, chunk, dir)`: send-attempt occurrence counter feeding
     /// the keyed fault draw (same key derivation as the optimised engine)
     fault_seq: HashMap<(FlowId, ChunkNo, u32), u32>,
-    /// per node, per local interface: §4 monitoring (EWMA + flap damping)
-    monitors: Vec<Vec<inrpp::monitor::InterfaceMonitor>>,
     counters: Counters,
     custody_peak: ByteSize,
     /// arena of packets in flight (events reference by index)
@@ -176,14 +174,6 @@ impl<'a> Runner<'a> {
         // keyed draws: identical derivation to the optimised engine, so
         // both agree on every attempt's fate regardless of event order
         let fault = FaultInjector::keyed(cfg.fault, cfg.seed);
-        let monitors = topo
-            .node_ids()
-            .map(|n| {
-                (0..topo.degree(n))
-                    .map(|_| inrpp::monitor::InterfaceMonitor::with_defaults())
-                    .collect()
-            })
-            .collect();
         let mut flows = BTreeMap::new();
         let mut senders: HashMap<NodeId, Sender> = HashMap::new();
         let push_ahead = inrpp_cfg.map(|c| c.anticipation).unwrap_or(0);
@@ -230,7 +220,6 @@ impl<'a> Runner<'a> {
             kick_scheduled: BTreeSet::new(),
             fault,
             fault_seq: HashMap::new(),
-            monitors,
             counters: Counters::default(),
             custody_peak: ByteSize::ZERO,
             in_flight: Vec::new(),
@@ -953,30 +942,17 @@ impl<'a> Runner<'a> {
             let residual = self.channels[d].residual_rate(now, ic.interval);
             self.loads.advertise(now, node, nb, residual);
             let link = DirIndex(d).link();
-            let mut detour_available = self
+            let detour_available = self
                 .selector
                 .as_ref()
                 .is_some_and(|s| !s.candidates(self.topo, link, node, nb).is_empty());
-            // §4 monitoring: smooth the interface utilisation and, when
-            // flap damping is on, hold detouring steady while the phase
-            // is oscillating
-            let mon = &mut self.monitors[node.idx()][li];
-            let util = 1.0 - residual.fraction_of(self.channels[d].rate()).min(1.0);
-            mon.record_utilisation(util);
-            if ic.flap_damping && mon.is_flapping(now) {
-                detour_available = false;
-            }
             let inputs = PhaseInputs {
                 anticipated: self.estimators[node.idx()].anticipated_rate(li),
                 capacity: self.channels[d].rate() * ic.forwarding_headroom,
                 detour_available,
                 cache_fill: self.custody[node.idx()].fill_fraction(),
             };
-            let before = self.phases[node.idx()][li].transitions();
             self.phases[node.idx()][li].update(inputs);
-            if self.phases[node.idx()][li].transitions() != before {
-                self.monitors[node.idx()][li].record_phase_change(now);
-            }
         }
         eng.schedule(ic.interval, Ev::Tick(node));
     }

@@ -698,8 +698,6 @@ pub(crate) struct Core<'a> {
     /// depth policy, shortest first, resolved once at build (all empty
     /// without an INRPP configuration)
     bypass: Vec<Vec<Path>>,
-    /// per node, per local interface: §4 monitoring (EWMA + flap damping)
-    monitors: Vec<Vec<inrpp::monitor::InterfaceMonitor>>,
 
     // ---- flow arenas (slot = rank of flow id, ascending) ----
     pub(crate) flow_ids: Vec<FlowId>,
@@ -854,15 +852,6 @@ impl<'a> Core<'a> {
             || faults.events().iter().any(
                 |e| matches!(e.kind, FaultKind::LossBurst { drop_chance, .. } if drop_chance > 0.0),
             );
-        let monitors = topo
-            .node_ids()
-            .map(|n| {
-                (0..topo.degree(n))
-                    .map(|_| inrpp::monitor::InterfaceMonitor::with_defaults())
-                    .collect()
-            })
-            .collect();
-
         // Flow slots: ascending flow id; when the same id was added more
         // than once, the last spec wins — exactly the reference's
         // `BTreeMap::insert` semantics.
@@ -937,7 +926,6 @@ impl<'a> Core<'a> {
                 .map(|_| FlowletSplitter::new(SimDuration::from_millis(5)))
                 .collect(),
             bypass,
-            monitors,
             flow_ids,
             specs,
             kinds,
@@ -2297,28 +2285,13 @@ impl<'a> Core<'a> {
         self.bp[node.idx()].cleanup(now);
         for li in 0..self.nbrs[node.idx()].len() {
             let d = self.nbrs[node.idx()][li].1 as usize;
-            let residual = self.channels.residual_rate(d, now, ic.interval);
-            let mut detour_available = !self.bypass[d].is_empty();
-            // §4 monitoring: smooth the interface utilisation and, when
-            // flap damping is on, hold detouring steady while the phase
-            // is oscillating
-            let mon = &mut self.monitors[node.idx()][li];
-            let util = 1.0 - residual.fraction_of(self.channels.rate(d)).min(1.0);
-            mon.record_utilisation(util);
-            if ic.flap_damping && mon.is_flapping(now) {
-                detour_available = false;
-            }
             let inputs = PhaseInputs {
                 anticipated: self.estimators[node.idx()].anticipated_rate(li),
                 capacity: self.channels.rate(d) * ic.forwarding_headroom,
-                detour_available,
+                detour_available: !self.bypass[d].is_empty(),
                 cache_fill: self.custody[node.idx()].fill_fraction(),
             };
-            let before = self.phases[node.idx()][li].transitions();
             self.phases[node.idx()][li].update(inputs);
-            if self.phases[node.idx()][li].transitions() != before {
-                self.monitors[node.idx()][li].record_phase_change(now);
-            }
         }
         eng.schedule(ic.interval, Ev::Tick(node));
     }

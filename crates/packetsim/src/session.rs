@@ -20,8 +20,6 @@
 //! sessions are quantised with the shared `ceil(bits / chunk_bits)` rule,
 //! so offered bits line up with a fluid replay of the same session.
 
-use std::collections::BTreeMap;
-
 use inrpp::config::InrppConfig;
 use inrpp::service::{Checkpoint, ReplayLog, ServiceSession};
 use inrpp::session::{
@@ -30,7 +28,6 @@ use inrpp::session::{
 };
 use inrpp_sim::time::SimTime;
 use inrpp_sim::units::ByteSize;
-use inrpp_topology::graph::NodeId;
 
 use crate::engine::{PacketRun, PacketSim};
 use crate::packet::{AimdConfig, FlowTransport, PacketSimConfig, TransferSpec, TransportKind};
@@ -137,27 +134,6 @@ impl PacketEngine {
         }
     }
 
-    /// Build the simulation `session` describes, with every check on the
-    /// way: the strategy against the transport, the traffic's
-    /// quantisation, the configuration with the session's horizon and
-    /// seed, the fault plan and each transfer. The one build path of
-    /// [`Engine::run`], [`PacketService::open`] and
-    /// [`PacketService::resume`]; also returns the transfers it added.
-    fn build<'a>(
-        &self,
-        session: &Session<'a>,
-    ) -> Result<(PacketSim<'a>, Vec<TransferSpec>), SessionError> {
-        self.check_strategy(session.strategy())?;
-        let transfers = self.transfers(session)?;
-        let mut sim = PacketSim::try_new(session.topology(), self.effective_config(session))?;
-        sim.set_faults(session.faults().clone());
-        let kind = self.flow_transport();
-        for t in &transfers {
-            sim.try_add_transfer_as(*t, kind)?;
-        }
-        Ok((sim, transfers))
-    }
-
     /// The session's traffic as packet transfers (chunk-exact for
     /// transfer-native sessions, quantised for flow-native ones).
     fn transfers(&self, session: &Session<'_>) -> Result<Vec<TransferSpec>, SessionError> {
@@ -204,6 +180,10 @@ impl PacketEngine {
     }
 }
 
+/// A one-shot run is a service session opened and finished at once, so
+/// the packet engine is built from a session in one place:
+/// [`PacketService::open`]. Sharded runs stay with
+/// [`PacketSim::try_run_sharded`].
 impl Engine for PacketEngine {
     fn kind(&self) -> EngineKind {
         EngineKind::Packet
@@ -214,41 +194,30 @@ impl Engine for PacketEngine {
         session: &Session<'_>,
         probes: &mut [&mut dyn Probe],
     ) -> Result<RunReport, SessionError> {
-        let (sim, transfers) = self.build(session)?;
-        // workers > 1: the sharded path, partitioned by the session seed —
-        // byte-identical to the sequential run by the shard contract
-        let report = if session.workers() > 1 {
-            sim.try_run_sharded_probed(session.workers(), session.seed(), probes)?
-        } else {
-            sim.try_run_probed(probes)?
-        };
-        Ok(assemble_packet_report(&report, &endpoints_of(&transfers)))
+        PacketService::open(self, session)?.finish_run(probes)
     }
 }
 
-/// The per-flow endpoint lookup the facade's [`FlowRecord`]s need (the
-/// packet report carries flow ids only).
-fn endpoints_of(specs: &[TransferSpec]) -> BTreeMap<u64, (NodeId, NodeId)> {
-    specs.iter().map(|t| (t.flow, (t.src, t.dst))).collect()
-}
-
 /// Lift a [`PacketSimReport`] into the engine-agnostic [`RunReport`] —
-/// shared by the one-shot [`Engine::run`] path and [`PacketService`]
-/// snapshots so the two can never drift.
-fn assemble_packet_report(
-    report: &PacketSimReport,
-    endpoints: &BTreeMap<u64, (NodeId, NodeId)>,
-) -> RunReport {
+/// shared by final reports and snapshots so the two can never drift.
+/// `transfers` is the run's [`PacketRun::transfers`]: like the report's
+/// flows, one entry per slot in ascending flow id, which gives each
+/// [`FlowRecord`] its endpoints.
+fn assemble_packet_report(report: &PacketSimReport, transfers: &[TransferSpec]) -> RunReport {
     let chunk_bits = report.chunk_bytes.as_bits() as f64;
     let flows: Vec<FlowRecord> = report
         .flows
         .iter()
-        .map(|f| {
-            let (src, dst) = endpoints[&f.flow];
+        .zip(transfers)
+        .map(|(f, t)| {
+            debug_assert_eq!(
+                f.flow, t.flow,
+                "report flows and transfers share slot order"
+            );
             FlowRecord {
                 flow: f.flow,
-                src,
-                dst,
+                src: t.src,
+                dst: t.dst,
                 offered_bits: f.chunks_total as f64 * chunk_bits,
                 delivered_bits: f.chunks_delivered as f64 * chunk_bits,
                 arrival: f.started_at,
@@ -297,13 +266,8 @@ fn assemble_packet_report(
 /// The packet engine as a [`ServiceSession`] — a steppable, feedable,
 /// checkpointable chunk-level run behind the same trait that fronts
 /// [`inrpp::service::FluidService`], with the same checkpoints: the
-/// [`ReplayLog`] of its accepted calls, replayed on resume.
-///
-/// Service runs always execute on the sequential engine. A session with
-/// `workers > 1` is accepted: by the shard-equivalence contract
-/// (`tests/shard_equivalence.rs`) the sharded one-shot run is
-/// byte-identical to this sequential run, so reports, probe streams,
-/// and checkpoints agree across the two paths.
+/// [`ReplayLog`] of its accepted calls, replayed on resume. It runs the
+/// sequential engine.
 pub struct PacketService<'a> {
     run: PacketRun<'a>,
     kind: FlowTransport,
@@ -312,11 +276,20 @@ pub struct PacketService<'a> {
 }
 
 impl<'a> PacketService<'a> {
-    /// Open a stepping session: validates the strategy/transport pairing
-    /// and the traffic quantisation exactly like [`Engine::run`], then
-    /// parks a [`PacketRun`] at time zero.
+    /// Open a stepping session: build the simulation `session`
+    /// describes, with every check on the way — the strategy against the
+    /// transport, the traffic's quantisation, the configuration with the
+    /// session's horizon and seed, the fault plan and each transfer —
+    /// then park a [`PacketRun`] at time zero. The one build path of the
+    /// packet engine: [`Engine::run`] and [`PacketService::resume`] go
+    /// through it.
     pub fn open(engine: &PacketEngine, session: &Session<'a>) -> Result<Self, SessionError> {
-        let (sim, _) = engine.build(session)?;
+        engine.check_strategy(session.strategy())?;
+        let mut sim = PacketSim::try_new(session.topology(), engine.effective_config(session))?;
+        sim.set_faults(session.faults().clone());
+        for t in engine.transfers(session)? {
+            sim.try_add_transfer_as(t, engine.flow_transport())?;
+        }
         Ok(PacketService {
             run: sim.start()?,
             kind: engine.flow_transport(),
@@ -341,16 +314,12 @@ impl<'a> PacketService<'a> {
         Ok(svc)
     }
 
-    fn consume(self, probes: &mut [&mut dyn Probe]) -> Result<RunReport, SessionError> {
-        let endpoints = endpoints_of(self.run.transfers());
-        let report = self.run.finish(probes)?;
-        Ok(assemble_packet_report(&report, &endpoints))
-    }
-
-    /// Finish without boxing (convenience over the trait's
-    /// `Box<Self>`-consuming [`ServiceSession::finish`]).
+    /// Drain the remaining events and produce the final report:
+    /// [`ServiceSession::finish`] without the box.
     pub fn finish_run(self, probes: &mut [&mut dyn Probe]) -> Result<RunReport, SessionError> {
-        self.consume(probes)
+        let transfers = self.run.transfers().to_vec();
+        let report = self.run.finish(probes)?;
+        Ok(assemble_packet_report(&report, &transfers))
     }
 }
 
@@ -407,7 +376,7 @@ impl ServiceSession for PacketService<'_> {
     }
 
     fn snapshot(&self) -> RunReport {
-        assemble_packet_report(&self.run.report_now(), &endpoints_of(self.run.transfers()))
+        assemble_packet_report(&self.run.report_now(), self.run.transfers())
     }
 
     fn checkpoint(&self) -> Checkpoint {
@@ -415,7 +384,7 @@ impl ServiceSession for PacketService<'_> {
     }
 
     fn finish(self: Box<Self>, probes: &mut [&mut dyn Probe]) -> Result<RunReport, SessionError> {
-        (*self).consume(probes)
+        (*self).finish_run(probes)
     }
 }
 
@@ -792,33 +761,34 @@ mod tests {
 
     #[test]
     fn sharded_one_shot_matches_sequential_service() {
-        // the workers>1 contract: a sharded straight run equals the
-        // (sequential) service-mode run of the same session
+        // a sharded straight run of a session's transfers equals the
+        // (sequential) service-mode run of that session, report for report
         let topo = Topology::fig3();
         let n = |s: &str| topo.node_by_name(s).unwrap();
+        let chunk_bytes = PacketSimConfig::default().chunk_bytes;
+        let transfers = vec![
+            Transfer {
+                flow: 1,
+                src: n("1"),
+                dst: n("4"),
+                chunks: 300,
+                chunk_bytes,
+                start: SimTime::ZERO,
+            },
+            Transfer {
+                flow: 2,
+                src: n("2"),
+                dst: n("3"),
+                chunks: 150,
+                chunk_bytes,
+                start: SimTime::from_millis(40),
+            },
+        ];
         let session = Session::builder()
             .topology(&topo)
-            .transfers(vec![
-                Transfer {
-                    flow: 1,
-                    src: n("1"),
-                    dst: n("4"),
-                    chunks: 300,
-                    chunk_bytes: PacketSimConfig::default().chunk_bytes,
-                    start: SimTime::ZERO,
-                },
-                Transfer {
-                    flow: 2,
-                    src: n("2"),
-                    dst: n("3"),
-                    chunks: 150,
-                    chunk_bytes: PacketSimConfig::default().chunk_bytes,
-                    start: SimTime::from_millis(40),
-                },
-            ])
+            .transfers(transfers.clone())
             .strategy(SessionStrategy::urp())
             .horizon(SimDuration::from_secs(60))
-            .workers(3)
             .build()
             .expect("valid session");
         // blind detouring: the one knob sharded runs require
@@ -826,13 +796,21 @@ mod tests {
             load_aware_detour: false,
             ..InrppConfig::default()
         });
-        let sharded = session.run_on(&engine, &mut []).expect("sharded run");
+        let mut sim = PacketSim::try_new(&topo, engine.effective_config(&session)).unwrap();
+        for t in &transfers {
+            sim.add_transfer(TransferSpec {
+                flow: t.flow,
+                src: t.src,
+                dst: t.dst,
+                chunks: t.chunks,
+                start: t.start,
+            });
+        }
+        let sharded = sim.try_run_sharded(3, session.seed()).expect("sharded run");
 
         let mut svc = PacketService::open(&engine, &session).expect("open");
         svc.advance(SimTime::from_millis(250), &mut []).unwrap();
-        let stepped = svc.finish_run(&mut []).expect("service run");
-        assert_eq!(sharded.aggregates, stepped.aggregates);
-        assert_eq!(sharded.flows, stepped.flows);
-        assert_eq!(sharded.channel_utilisation, stepped.channel_utilisation);
+        let stepped = svc.run.finish(&mut []).expect("service run");
+        assert_eq!(sharded, stepped);
     }
 }

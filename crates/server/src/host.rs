@@ -39,7 +39,7 @@ use inrpp::session::{
     AllocationEvent, EngineDetail, EngineKind, FlowEnd, FlowStart, Probe, RunReport, Sample,
     Session, SessionError, Transfer,
 };
-use inrpp::source::{pump, skip_until, TraceSource, WorkloadSource};
+use inrpp::source::{pump, skip_until, TraceSource};
 use inrpp_packetsim::PacketService;
 use inrpp_sim::fault::FaultPlan;
 use inrpp_sim::time::{SimDuration, SimTime};
@@ -50,6 +50,9 @@ use crate::daemon::Shared;
 use crate::protocol::{
     err_reply, num, ok_reply, quote, report_reply, session_err_kind, FeedReq, OpenSpec, ResumeFrom,
 };
+
+/// A session's trace, read from a file.
+type Trace<'t> = TraceSource<'t, std::io::BufReader<fs::File>>;
 
 /// Fixed slice count per `advance`: the preemption quantum. A client
 /// advance of any span yields at most this many pool grants, so a long
@@ -416,7 +419,7 @@ enum AdvanceError {
 /// re-issued.
 fn advance_pooled(
     shared: &Shared,
-    mut source: Option<&mut dyn WorkloadSource>,
+    mut source: Option<&mut Trace<'_>>,
     svc: &mut dyn ServiceSession,
     probes: &mut [&mut dyn Probe],
     to: SimTime,
@@ -441,7 +444,7 @@ fn advance_pooled(
         next = (next + step).min(to);
         let _slot = shared.pool.acquire();
         let r = match source {
-            Some(ref mut s) => pump(&mut **s, svc, next, probes),
+            Some(ref mut s) => pump(s, svc, next, probes),
             None => svc.advance(next, probes),
         };
         if let Err(e) = r {
@@ -478,9 +481,6 @@ async fn host_main(spec: OpenSpec, shared: &Shared, mailbox: Rc<Mailbox>) {
         .horizon_secs(spec.horizon_secs);
     if let Some(seed) = spec.seed {
         builder = builder.seed(seed);
-    }
-    if let Some(workers) = spec.workers {
-        builder = builder.workers(workers as usize);
     }
     if let Some(text) = &spec.faults {
         match FaultPlan::parse(text) {
@@ -756,7 +756,7 @@ fn resolve_feed(
 fn advance_cmd(
     shared: &Shared,
     svc: &mut dyn ServiceSession,
-    trace: Option<&mut TraceSource<std::io::BufReader<fs::File>>>,
+    trace: Option<&mut Trace<'_>>,
     auto: Option<&mut AutoCkpt>,
     monitor: &mut MonitorProbe,
     fp: &mut Option<FingerprintProbe>,
@@ -783,8 +783,7 @@ fn advance_cmd(
     if let Some(p) = fp.as_mut() {
         probes.push(p);
     }
-    let source = trace.map(|ts| ts as &mut dyn WorkloadSource);
-    match advance_pooled(shared, source, svc, &mut probes, to, deadline) {
+    match advance_pooled(shared, trace, svc, &mut probes, to, deadline) {
         Ok(now) => {
             let mut extra = format!("\"now_secs\":{}", num(now.as_secs_f64()));
             if let Some(auto) = auto {

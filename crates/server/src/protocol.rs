@@ -352,8 +352,6 @@ pub struct OpenSpec {
     pub horizon_secs: f64,
     /// Session seed.
     pub seed: Option<u64>,
-    /// Shard worker count (packet engine only).
-    pub workers: Option<u64>,
     /// Transfer quantum for `feed`, bytes.
     pub chunk_bytes: u64,
     /// Path to a `# inrpp-trace v1` file pumped at each advance.
@@ -412,7 +410,6 @@ impl OpenSpec {
             strategy: str_field(obj, "strategy")?,
             horizon_secs: num_field(obj, "horizon_secs")?,
             seed: opt_u64_field(obj, "seed")?,
-            workers: opt_u64_field(obj, "workers")?,
             chunk_bytes,
             trace: opt_str_field(obj, "trace")?,
             faults: opt_str_field(obj, "faults")?,

@@ -2,7 +2,7 @@
 //! advance boundary resumes **bit-identically** — the resumed run's
 //! final report and probe stream match the uninterrupted run byte for
 //! byte (`f64::to_bits` equality), on both engines, and (for the packet
-//! engine) against the sharded `workers > 1` one-shot path.
+//! engine) against a sharded `PacketSim` run of the same transfers.
 //!
 //! This is the acceptance gate for the trace-driven service layer; CI
 //! runs it on every push.
@@ -12,7 +12,9 @@ use inrpp::session::{
     FlowEnd, FlowStart, Probe, RunReport, Sample, Session, SessionStrategy, Transfer,
 };
 use inrpp::InrppConfig;
-use inrpp_packetsim::{PacketEngine, PacketService, PacketSimConfig};
+use inrpp_packetsim::{
+    FlowTransport, PacketEngine, PacketService, PacketSim, PacketSimConfig, TransferSpec,
+};
 use inrpp_sim::time::{SimDuration, SimTime};
 use inrpp_sim::units::ByteSize;
 use inrpp_topology::Topology;
@@ -59,32 +61,35 @@ impl Probe for ProbeFp {
 
 const CHUNK: ByteSize = ByteSize::bytes(1250);
 
-fn fig3_session(topo: &Topology, workers: usize) -> Session<'_> {
+/// A detour-heavy long transfer plus a staggered cross flow.
+fn fig3_transfers(topo: &Topology) -> Vec<Transfer> {
     let n = |s: &str| topo.node_by_name(s).unwrap();
+    vec![
+        Transfer {
+            flow: 1,
+            src: n("1"),
+            dst: n("4"),
+            chunks: 600,
+            chunk_bytes: CHUNK,
+            start: SimTime::ZERO,
+        },
+        Transfer {
+            flow: 2,
+            src: n("2"),
+            dst: n("3"),
+            chunks: 250,
+            chunk_bytes: CHUNK,
+            start: SimTime::from_millis(120),
+        },
+    ]
+}
+
+fn fig3_session(topo: &Topology) -> Session<'_> {
     Session::builder()
         .topology(topo)
-        .transfers(vec![
-            // detour-heavy long transfer plus a staggered cross flow
-            Transfer {
-                flow: 1,
-                src: n("1"),
-                dst: n("4"),
-                chunks: 600,
-                chunk_bytes: CHUNK,
-                start: SimTime::ZERO,
-            },
-            Transfer {
-                flow: 2,
-                src: n("2"),
-                dst: n("3"),
-                chunks: 250,
-                chunk_bytes: CHUNK,
-                start: SimTime::from_millis(120),
-            },
-        ])
+        .transfers(fig3_transfers(topo))
         .strategy(SessionStrategy::urp())
         .horizon(SimDuration::from_secs(60))
-        .workers(workers)
         .build()
         .expect("valid session")
 }
@@ -113,7 +118,7 @@ fn assert_reports_bit_identical(a: &RunReport, b: &RunReport, what: &str) {
 #[test]
 fn fluid_checkpoint_at_every_boundary_resumes_bit_identically() {
     let topo = Topology::fig3();
-    let session = fig3_session(&topo, 1);
+    let session = fig3_session(&topo);
     let mut straight_fp = ProbeFp::default();
     let straight = session.run_probed(&mut [&mut straight_fp]).expect("run");
 
@@ -156,7 +161,7 @@ fn fluid_checkpoint_at_every_boundary_resumes_bit_identically() {
 #[test]
 fn packet_checkpoint_at_every_boundary_resumes_bit_identically() {
     let topo = Topology::fig3();
-    let session = fig3_session(&topo, 1);
+    let session = fig3_session(&topo);
     let engine = PacketEngine::default();
     let mut straight_fp = ProbeFp::default();
     let straight = session
@@ -194,39 +199,78 @@ fn packet_checkpoint_at_every_boundary_resumes_bit_identically() {
     }
 }
 
-/// Packet engine, `workers > 1`: the sharded one-shot run and a
-/// sequential service run that was checkpointed and resumed midway must
-/// produce the same bytes — the PR 7 shard contract composed with the
-/// service-mode contract.
+/// Packet engine: a sharded `PacketSim` run of the session's transfers
+/// and a sequential service run that was checkpointed and resumed midway
+/// must agree — the shard contract composed with the service-mode
+/// contract. The probe fingerprint covers every start, delivery and
+/// completion instant; the reports agree on each flow's delivered chunks
+/// and completion instant.
 #[test]
 fn sharded_run_matches_checkpointed_sequential_service() {
     let topo = Topology::fig3();
+    let session = fig3_session(&topo);
     // blind detouring: the sharded path's one configuration requirement
-    let engine = PacketEngine::inrpp(InrppConfig {
+    let inrpp = InrppConfig {
         load_aware_detour: false,
         ..InrppConfig::default()
-    });
+    };
+    let engine = PacketEngine::inrpp(inrpp);
+
+    let mut fp = ProbeFp::default();
+    let mut head = PacketService::open(&engine, &session).expect("open");
+    head.advance(SimTime::from_millis(400), &mut [&mut fp])
+        .expect("advance");
+    let ckpt = head.checkpoint();
+    drop(head);
+    let tail = PacketService::resume(&engine, &session, &ckpt).expect("resume");
+    let resumed = tail.finish_run(&mut [&mut fp]).expect("finish");
+    let chunk_bits = CHUNK.as_bits() as f64;
+
     for workers in [2, 4] {
-        let session = fig3_session(&topo, workers);
+        let mut sim = PacketSim::new(
+            &topo,
+            PacketSimConfig {
+                horizon: session.horizon(),
+                seed: session.seed(),
+                ..*engine.config()
+            },
+        );
+        for t in fig3_transfers(&topo) {
+            let spec = TransferSpec {
+                flow: t.flow,
+                src: t.src,
+                dst: t.dst,
+                chunks: t.chunks,
+                start: t.start,
+            };
+            sim.add_transfer_as(spec, FlowTransport::Inrpp);
+        }
         let mut sharded_fp = ProbeFp::default();
-        let sharded = session
-            .run_on(&engine, &mut [&mut sharded_fp])
+        let sharded = sim
+            .try_run_sharded_probed(workers, session.seed(), &mut [&mut sharded_fp])
             .expect("sharded run");
 
-        let mut fp = ProbeFp::default();
-        let mut head = PacketService::open(&engine, &session).expect("open");
-        head.advance(SimTime::from_millis(400), &mut [&mut fp])
-            .expect("advance");
-        let ckpt = head.checkpoint();
-        drop(head);
-        let tail = PacketService::resume(&engine, &session, &ckpt).expect("resume");
-        let resumed = tail.finish_run(&mut [&mut fp]).expect("finish");
-
-        assert_reports_bit_identical(&sharded, &resumed, &format!("workers={workers}"));
         assert_eq!(
             sharded_fp.0, fp.0,
             "workers={workers}: probe stream fingerprint diverged"
         );
+        assert_eq!(sharded.flows.len(), resumed.flows.len());
+        for (s, r) in sharded.flows.iter().zip(&resumed.flows) {
+            assert_eq!(s.flow, r.flow);
+            assert_eq!(
+                (s.chunks_delivered as f64 * chunk_bits).to_bits(),
+                r.delivered_bits.to_bits(),
+                "workers={workers}: flow {} delivered chunks differ",
+                s.flow
+            );
+            assert_eq!(
+                s.fct().map(|d| d.as_secs_f64().to_bits()),
+                r.fct_secs.map(f64::to_bits),
+                "workers={workers}: flow {} completion instant differs",
+                s.flow
+            );
+            assert_eq!(s.started_at, r.arrival);
+        }
     }
 }
 
@@ -235,7 +279,7 @@ fn sharded_run_matches_checkpointed_sequential_service() {
 #[test]
 fn fed_transfers_survive_checkpoints_on_both_engines() {
     let topo = Topology::fig3();
-    let session = fig3_session(&topo, 1);
+    let session = fig3_session(&topo);
     let n = |s: &str| topo.node_by_name(s).unwrap();
     let fed = Transfer {
         flow: 9,
@@ -305,7 +349,7 @@ fn fed_transfers_survive_checkpoints_on_both_engines() {
 #[test]
 fn resume_on_a_different_chunk_quantum_is_rejected_or_identical() {
     let topo = Topology::fig3();
-    let session = fig3_session(&topo, 1);
+    let session = fig3_session(&topo);
     let engine = PacketEngine::default();
     let mut head = PacketService::open(&engine, &session).expect("open");
     head.advance(SimTime::from_millis(500), &mut []).unwrap();
@@ -327,7 +371,7 @@ fn resume_on_a_different_chunk_quantum_is_rejected_or_identical() {
 #[test]
 fn sliced_and_single_advances_checkpoint_identically() {
     let topo = Topology::fig3();
-    let session = fig3_session(&topo, 1);
+    let session = fig3_session(&topo);
     let backing = FluidBacking::for_session(&session);
     let engine = PacketEngine::default();
     let n = |s: &str| topo.node_by_name(s).unwrap();

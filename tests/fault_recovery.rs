@@ -2,9 +2,10 @@
 //! determinism contract intact**. For fixed and property-generated
 //! plans, on both engines:
 //!
-//! * a sharded packet run (`workers` 1/2/4/8) is byte-identical to the
-//!   sequential run — reports compared field-by-field with `f64`s via
-//!   `to_bits`, probe streams via an order-sensitive fingerprint;
+//! * a sharded packet run (`PacketSim::try_run_sharded_probed` at 1/2/4/8
+//!   workers) is byte-identical to the sequential run — whole reports
+//!   compared through their `Debug` text, which spells every `f64`
+//!   exactly, probe streams via an order-sensitive fingerprint;
 //! * a checkpoint taken at **any** advance boundary (including
 //!   boundaries inside outage windows and straddling crash/recover
 //!   instants) resumes bit-identically;
@@ -22,7 +23,10 @@ use inrpp::service::{Checkpoint, FluidBacking, FluidService, ServiceSession};
 use inrpp::session::{
     FlowEnd, FlowStart, Probe, RunReport, Sample, Session, SessionError, SessionStrategy, Transfer,
 };
-use inrpp_packetsim::{PacketEngine, PacketService};
+use inrpp_packetsim::{
+    FlowTransport, PacketEngine, PacketService, PacketSim, PacketSimConfig, TransferSpec,
+    TransportKind,
+};
 use inrpp_sim::fault::{FaultEvent, FaultKind, FaultPlan, GilbertElliott};
 use inrpp_sim::rng::SimRng;
 use inrpp_sim::time::{SimDuration, SimTime};
@@ -111,36 +115,82 @@ fn no_remote_reads() -> InrppConfig {
     }
 }
 
-/// The fig3 session under test: a detour-heavy long transfer plus a
-/// staggered cross flow, with `plan` attached.
-fn faulted_session<'t>(topo: &'t Topology, workers: usize, plan: &FaultPlan) -> Session<'t> {
+const HORIZON: SimDuration = SimDuration::from_secs(40);
+
+/// The traffic under test on fig3: a detour-heavy long transfer plus a
+/// staggered cross flow.
+fn faulted_transfers(topo: &Topology) -> Vec<Transfer> {
     let n = |s: &str| topo.node_by_name(s).unwrap();
+    vec![
+        Transfer {
+            flow: 1,
+            src: n("1"),
+            dst: n("4"),
+            chunks: 500,
+            chunk_bytes: CHUNK,
+            start: SimTime::ZERO,
+        },
+        Transfer {
+            flow: 2,
+            src: n("2"),
+            dst: n("3"),
+            chunks: 200,
+            chunk_bytes: CHUNK,
+            start: SimTime::from_millis(120),
+        },
+    ]
+}
+
+/// The session under test: [`faulted_transfers`] with `plan` attached.
+fn faulted_session<'t>(topo: &'t Topology, plan: &FaultPlan) -> Session<'t> {
     Session::builder()
         .topology(topo)
-        .transfers(vec![
-            Transfer {
-                flow: 1,
-                src: n("1"),
-                dst: n("4"),
-                chunks: 500,
-                chunk_bytes: CHUNK,
-                start: SimTime::ZERO,
-            },
-            Transfer {
-                flow: 2,
-                src: n("2"),
-                dst: n("3"),
-                chunks: 200,
-                chunk_bytes: CHUNK,
-                start: SimTime::from_millis(120),
-            },
-        ])
+        .transfers(faulted_transfers(topo))
         .strategy(SessionStrategy::urp())
-        .horizon(SimDuration::from_secs(40))
-        .workers(workers)
+        .horizon(HORIZON)
         .faults(plan.clone())
         .build()
         .expect("valid session")
+}
+
+/// The simulation `PacketEngine::inrpp(no_remote_reads())` builds for
+/// [`faulted_session`], built by hand: sharded runs go through
+/// `PacketSim`.
+fn faulted_sim<'t>(topo: &'t Topology, plan: &FaultPlan) -> PacketSim<'t> {
+    let mut sim = PacketSim::new(
+        topo,
+        PacketSimConfig {
+            transport: TransportKind::Inrpp(no_remote_reads()),
+            horizon: HORIZON,
+            seed: 0,
+            ..PacketSimConfig::default()
+        },
+    );
+    sim.set_faults(plan.clone());
+    for t in faulted_transfers(topo) {
+        let spec = TransferSpec {
+            flow: t.flow,
+            src: t.src,
+            dst: t.dst,
+            chunks: t.chunks,
+            start: t.start,
+        };
+        sim.add_transfer_as(spec, FlowTransport::Inrpp);
+    }
+    sim
+}
+
+/// [`faulted_sim`] run sequentially (`workers` = `None`) or sharded:
+/// the report's `Debug` text and the probe fingerprint.
+fn packet_run(topo: &Topology, plan: &FaultPlan, workers: Option<usize>) -> (String, u64) {
+    let sim = faulted_sim(topo, plan);
+    let mut fp = ProbeFp::default();
+    let report = match workers {
+        None => sim.try_run_probed(&mut [&mut fp]),
+        Some(n) => sim.try_run_sharded_probed(n, 0, &mut [&mut fp]),
+    }
+    .expect("packet run");
+    (format!("{report:?}"), fp.0)
 }
 
 /// Fixed plans covering every `FaultKind`, with instants that straddle
@@ -223,18 +273,21 @@ fn packet_fixed_plans_are_byte_identical_at_every_worker_count() {
     let topo = Topology::fig3();
     let engine = PacketEngine::inrpp(no_remote_reads());
     for (name, plan) in fixed_plans() {
-        let mut base_fp = ProbeFp::default();
-        let baseline = faulted_session(&topo, 1, &plan)
-            .run_on(&engine, &mut [&mut base_fp])
-            .expect("sequential run");
+        let baseline = packet_run(&topo, &plan, None);
+        // the hand-built simulation is the session's
+        let mut session_fp = ProbeFp::default();
+        faulted_session(&topo, &plan)
+            .run_on(&engine, &mut [&mut session_fp])
+            .expect("session run");
+        assert_eq!(baseline.1, session_fp.0, "{name}: not the session's run");
         for workers in worker_counts() {
-            let mut fp = ProbeFp::default();
-            let sharded = faulted_session(&topo, workers, &plan)
-                .run_on(&engine, &mut [&mut fp])
-                .expect("sharded run");
-            assert_reports_bit_identical(&baseline, &sharded, &format!("{name} workers={workers}"));
+            let sharded = packet_run(&topo, &plan, Some(workers));
             assert_eq!(
-                base_fp.0, fp.0,
+                baseline.0, sharded.0,
+                "{name}: report diverged at workers={workers}"
+            );
+            assert_eq!(
+                baseline.1, sharded.1,
                 "{name}: probe stream diverged at workers={workers}"
             );
         }
@@ -259,7 +312,7 @@ fn packet_checkpoints_inside_fault_windows_resume_bit_identically() {
     let topo = Topology::fig3();
     let engine = PacketEngine::inrpp(no_remote_reads());
     for (name, plan) in fixed_plans() {
-        let session = faulted_session(&topo, 1, &plan);
+        let session = faulted_session(&topo, &plan);
         let mut straight_fp = ProbeFp::default();
         let straight = session
             .run_on(&engine, &mut [&mut straight_fp])
@@ -293,7 +346,7 @@ fn packet_checkpoints_inside_fault_windows_resume_bit_identically() {
 fn fluid_checkpoints_inside_fault_windows_resume_bit_identically() {
     let topo = Topology::fig3();
     for (name, plan) in fixed_plans() {
-        let session = faulted_session(&topo, 1, &plan);
+        let session = faulted_session(&topo, &plan);
         let mut straight_fp = ProbeFp::default();
         let straight = session.run_probed(&mut [&mut straight_fp]).expect("run");
         for cut in 0..BOUNDARIES.len() {
@@ -445,26 +498,20 @@ proptest! {
         let engine = PacketEngine::inrpp(no_remote_reads());
 
         // sharded == sequential
-        let mut base_fp = ProbeFp::default();
-        let baseline = faulted_session(&topo, 1, &plan)
-            .run_on(&engine, &mut [&mut base_fp])
-            .expect("sequential run");
+        let sequential = packet_run(&topo, &plan, None);
         for workers in worker_counts() {
-            let mut fp = ProbeFp::default();
-            let sharded = faulted_session(&topo, workers, &plan)
-                .run_on(&engine, &mut [&mut fp])
-                .expect("sharded run");
-            assert_reports_bit_identical(
-                &baseline,
-                &sharded,
-                &format!("seed {seed} workers={workers}"),
+            let sharded = packet_run(&topo, &plan, Some(workers));
+            prop_assert_eq!(
+                &sequential.0, &sharded.0,
+                "seed {}: report diverged at workers={}", seed, workers
             );
-            prop_assert_eq!(base_fp.0, fp.0, "seed {}: probes diverged", seed);
+            prop_assert_eq!(sequential.1, sharded.1, "seed {}: probes diverged", seed);
         }
 
         // checkpoint cut mid-plan, both engines
         let cut = SimTime::from_millis(800 + (seed % 7) * 331);
-        let session = faulted_session(&topo, 1, &plan);
+        let session = faulted_session(&topo, &plan);
+        let baseline = session.run_on(&engine, &mut []).expect("sequential run");
 
         let mut head = PacketService::open(&engine, &session).expect("open");
         head.advance(cut, &mut []).expect("advance");

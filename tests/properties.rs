@@ -1152,7 +1152,7 @@ proptest! {
         seed in 0u64..1_000,
     ) {
         use inrpp::session::Transfer;
-        use inrpp::source::{format_trace, TraceSource, WorkloadSource};
+        use inrpp::source::{format_trace, TraceSource};
 
         let topo = random_topology(6, 4, seed);
         let nodes: Vec<NodeId> = topo.node_ids().collect();
@@ -1604,6 +1604,263 @@ proptest! {
             prop_assert!(!reply.contains("session host"), "a session host died: {}\nscript:\n{}", reply, shown);
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+// ===================================================================
+// Trace and fault-plan fuzz gates
+// ===================================================================
+
+/// Read a whole trace over `topo`: its transfers, or its first error.
+fn read_trace<R: std::io::BufRead>(
+    topo: &Topology,
+    reader: R,
+) -> Result<Vec<inrpp::session::Transfer>, inrpp::session::SessionError> {
+    let mut source = inrpp::source::TraceSource::new(topo, reader);
+    let mut out = Vec::new();
+    while let Some(t) = source.peek()? {
+        out.push(t);
+        source.pop();
+    }
+    Ok(out)
+}
+
+/// Up to a dozen transfers over `topo` with nondecreasing starts drawn
+/// at nanosecond resolution anywhere on the clock, and ids and sizes
+/// anywhere in `u64`.
+fn trace_transfers(topo: &Topology, r: &mut SimRng) -> Vec<inrpp::session::Transfer> {
+    use rand::RngCore;
+    let nodes: Vec<NodeId> = topo.node_ids().collect();
+    let mut starts: Vec<u64> = (0..r.index(13))
+        .map(|_| match r.index(3) {
+            0 => r.next_u64(),
+            1 => r.next_u64() >> 24,
+            _ => r.index(3_000_000_000) as u64,
+        })
+        .collect();
+    starts.sort_unstable();
+    starts
+        .into_iter()
+        .map(|ns| inrpp::session::Transfer {
+            flow: if r.chance(0.5) {
+                r.next_u64()
+            } else {
+                r.index(100) as u64
+            },
+            src: *r.pick(&nodes),
+            dst: *r.pick(&nodes),
+            chunks: r.next_u64() >> r.index(64),
+            chunk_bytes: ByteSize::bytes(r.next_u64() >> r.index(64)),
+            start: SimTime::from_nanos(ns),
+        })
+        .collect()
+}
+
+/// Replace field `field` of data line `line` (counted from the first
+/// line after the two header lines) of `text` with `with`.
+fn edit_trace_field(text: &str, line: usize, field: usize, with: &str) -> String {
+    let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+    let target = &mut lines[2 + line];
+    let mut fields: Vec<&str> = target.split_whitespace().collect();
+    fields[field] = with;
+    *target = fields.join(" ");
+    lines.join("\n") + "\n"
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// `# inrpp-trace v1` texts: valid `format_trace` output round-trips
+    /// exactly, starts at nanosecond resolution included. Truncations,
+    /// byte noise, bad numbers, unknown nodes, decreasing starts and an
+    /// endless line never panic, and each gives transfers or a typed
+    /// `InvalidConfig`; decreasing starts and the endless line always
+    /// give the error. The endless line is refused after 1 MiB, so no
+    /// case holds more than that.
+    #[test]
+    fn hostile_traces_parse_or_fail_typed(seed in 0u64..u64::MAX) {
+        use inrpp::session::SessionError;
+        use inrpp::source::format_trace;
+        use std::io::Read;
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+
+        let mut r = SimRng::from_seed_u64(seed);
+        let topo = random_topology(2 + r.index(6), r.index(4), seed);
+        let transfers = trace_transfers(&topo, &mut r);
+        let text = format_trace(&topo, &transfers);
+        prop_assert_eq!(read_trace(&topo, text.as_bytes()), Ok(transfers.clone()));
+
+        let data = transfers.len();
+        let (what, outcome) = match r.index(6) {
+            0 => {
+                let cut = r.index(text.len() + 1);
+                let bytes = &text.as_bytes()[..cut];
+                (format!("truncated at byte {cut}"), catch_unwind(|| read_trace(&topo, bytes)))
+            }
+            1 => {
+                let mut bytes = text.clone().into_bytes();
+                let noise = b"\n \t#.-+e0123456789naifmx\x00\x7f\x80\xc3\xff";
+                for _ in 0..1 + r.index(4) {
+                    let at = r.index(bytes.len());
+                    bytes[at] = *r.pick(noise);
+                }
+                let shown = String::from_utf8_lossy(&bytes).into_owned();
+                (shown, catch_unwind(|| read_trace(&topo, &bytes[..])))
+            }
+            2 | 3 if data > 0 => {
+                let line = r.index(data);
+                let (field, with) = if r.index(2) == 0 {
+                    let bad = ["nan", "inf", "-1", "-0.5", "1e400", "1e-12", "0x10", "1.5", "",
+                        "18446744073709551616", "18446744073.709551616", "99999999999.5", "1e19"];
+                    (*r.pick(&[0, 1, 4, 5]), *r.pick(&bad))
+                } else {
+                    (2 + r.index(2), *r.pick(&["mars", "n99", "N0", "#"]))
+                };
+                let edited = edit_trace_field(&text, line, field, with);
+                let shown = edited.clone();
+                (shown, catch_unwind(|| read_trace(&topo, edited.as_bytes())))
+            }
+            4 if transfers.first().map(|t| t.start) != transfers.last().map(|t| t.start) => {
+                // the last start moved before the first
+                let earlier = inrpp::session::Transfer {
+                    start: SimTime::from_nanos(transfers[0].start.as_nanos() - 1),
+                    ..transfers[data - 1]
+                };
+                let mut decreasing = transfers.clone();
+                decreasing[data - 1] = earlier;
+                let edited = format_trace(&topo, &decreasing);
+                let outcome = catch_unwind(|| read_trace(&topo, edited.as_bytes()));
+                prop_assert!(
+                    matches!(&outcome, Ok(Err(SessionError::InvalidConfig(m))) if m.contains("nondecreasing")),
+                    "decreasing starts: {:?}\n{}", outcome, edited
+                );
+                (edited, outcome)
+            }
+            _ => {
+                let byte = *r.pick(b" 0#\x00\xff");
+                let keep = r.index(text.len() + 1);
+                let prefix = text.as_bytes()[..keep].to_vec();
+                let endless = std::io::BufReader::new(prefix.chain(std::io::repeat(byte)));
+                let outcome = catch_unwind(AssertUnwindSafe(|| read_trace(&topo, endless)));
+                prop_assert!(
+                    matches!(&outcome, Ok(Err(SessionError::InvalidConfig(m))) if m.contains("longer than")),
+                    "an endless line of {:?} after {} bytes: {:?}", byte, keep, outcome
+                );
+                (format!("endless line of {byte:?} after {keep} bytes"), outcome)
+            }
+        };
+        prop_assert!(outcome.is_ok(), "a trace panicked: {}", what);
+        let outcome = outcome.unwrap();
+        prop_assert!(
+            matches!(outcome, Ok(_) | Err(SessionError::InvalidConfig(_))),
+            "{}: {:?}", what, outcome
+        );
+    }
+}
+
+/// One fault-plan event in `FaultPlan::parse` syntax, and whether it is
+/// valid. Breaks it sometimes: a bad instant, index or value, the
+/// wrong argument count, an unknown kind, or a missing separator.
+fn fault_event_text(r: &mut SimRng) -> (String, bool) {
+    let secs = |r: &mut SimRng| format!("{}.{:03}", r.index(100), r.index(1000));
+    let at = secs(r);
+    let index = r.index(16).to_string();
+    let (kind, args) = match r.index(6) {
+        0 => ("linkdown", vec![index]),
+        1 => ("linkup", vec![index]),
+        2 => ("crash", vec![index]),
+        3 => ("recover", vec![index]),
+        4 => ("scale", vec![index, format!("0.{:03}", 1 + r.index(999))]),
+        _ => {
+            let until = format!("{}{}", at, 1 + r.index(9));
+            (
+                "burst",
+                vec![index, format!("0.{:02}", r.index(100)), until],
+            )
+        }
+    };
+    if r.chance(0.7) {
+        return (format!("{kind}@{at}:{}", args.join(":")), true);
+    }
+    let bad_number = *r.pick(&[
+        "-1",
+        "nan",
+        "inf",
+        "1e400",
+        "1e30",
+        "",
+        "x",
+        "0",
+        "1.5",
+        "-0",
+        "4294967296",
+        "1e-9",
+    ]);
+    let text = match r.index(6) {
+        0 => format!("{kind}@{bad_number}:{}", args.join(":")),
+        1 => {
+            let mut args = args;
+            let i = r.index(args.len());
+            args[i] = bad_number.to_string();
+            format!("{kind}@{at}:{}", args.join(":"))
+        }
+        2 => format!("{kind}@{at}:{}:{}", args.join(":"), r.index(9)),
+        3 => format!(
+            "{}@{at}:{}",
+            r.pick(&["down", "LINKDOWN", "", "burst2"]),
+            args.join(":")
+        ),
+        4 => format!("{kind}{at}:{}", args.join(":")),
+        _ => format!("{kind}@{at}"),
+    };
+    (text, false)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// `FaultPlan::parse` strings from the DSL grammar, some events
+    /// broken, some bytes replaced by noise: nothing panics, every plan
+    /// that parses is sorted by time, and a string of valid events
+    /// parses to all of them.
+    #[test]
+    fn fault_plan_strings_parse_sorted_or_fail_typed(seed in 0u64..u64::MAX) {
+        use inrpp_sim::fault::FaultPlan;
+        use std::panic::catch_unwind;
+
+        let mut r = SimRng::from_seed_u64(seed);
+        let events: Vec<(String, bool)> = (0..r.index(8)).map(|_| fault_event_text(&mut r)).collect();
+        let seps = [";", "; ", " ;", ";;", " ; "];
+        let mut text = String::new();
+        for (i, (event, _)) in events.iter().enumerate() {
+            if i > 0 {
+                let sep = *r.pick(&seps);
+                text.push_str(sep);
+            }
+            text.push_str(event);
+        }
+        let mut valid = events.iter().all(|(_, ok)| *ok);
+        if r.chance(0.2) && !text.is_empty() {
+            let mut chars: Vec<char> = text.chars().collect();
+            let at = r.index(chars.len());
+            chars[at] = *r.pick(&[';', ':', '@', ' ', '.', '-', 'e', '9', 'é', '\u{1F600}']);
+            text = chars.into_iter().collect();
+            valid = false;
+        }
+        let parsed = catch_unwind(|| FaultPlan::parse(&text));
+        prop_assert!(parsed.is_ok(), "a plan string panicked: {:?}", text);
+        match parsed.unwrap() {
+            Ok(plan) => {
+                prop_assert!(
+                    plan.events().windows(2).all(|w| w[0].at <= w[1].at),
+                    "unsorted plan from {:?}", text
+                );
+                if valid {
+                    prop_assert_eq!(plan.len(), events.len(), "{:?}", text);
+                }
+            }
+            Err(e) => prop_assert!(!valid, "a valid plan string was refused: {:?}: {}", text, e),
+        }
     }
 }
 

@@ -12,8 +12,10 @@
 //! * a proptest drawing random connected topologies, transfer sets,
 //!   fault schedules, and partitions (BFS-grown and arbitrary dense
 //!   assignments);
-//! * the session facade: `.workers(n)` must reproduce `.workers(1)`
-//!   bit-for-bit on the packet engine and be rejected by the fluid one.
+//! * the session facade, which runs the sequential engine: its packet
+//!   run must equal the same simulation sharded through
+//!   `PacketSim::try_run_sharded_probed` at every worker count, and a
+//!   zero worker count must be a typed error.
 //!
 //! Scenario parameters follow the sharding collision precondition
 //! (ARCHITECTURE.md §"Sharded execution"): odd-nanosecond link delays and
@@ -457,65 +459,83 @@ fn facade_workers_knob_is_byte_stable_and_typed() {
 
     let topo = Topology::line(5, Rate::mbps(9.7), SimDuration::from_nanos(1_100_003));
     let ids: Vec<_> = topo.node_ids().collect();
-    let engine = PacketEngine::inrpp(inrpp_no_detour_probe());
-    let base = Session::builder()
+    let spec = TransferSpec {
+        flow: 1,
+        src: ids[0],
+        dst: ids[4],
+        chunks: 90,
+        start: SimTime::ZERO,
+    };
+    let horizon = SimDuration::from_secs(10);
+    let seed = 3;
+    let session = Session::builder()
         .topology(&topo)
         .transfers(vec![Transfer {
-            flow: 1,
-            src: ids[0],
-            dst: ids[4],
-            chunks: 90,
+            flow: spec.flow,
+            src: spec.src,
+            dst: spec.dst,
+            chunks: spec.chunks,
             chunk_bytes: PacketSimConfig::default().chunk_bytes,
-            start: SimTime::ZERO,
+            start: spec.start,
         }])
         .strategy(SessionStrategy::urp())
-        .horizon(SimDuration::from_secs(10))
-        .seed(3);
-
-    // workers(0) is rejected at build time
-    assert!(matches!(
-        base.clone().workers(0).build(),
-        Err(SessionError::InvalidConfig(_))
-    ));
-
-    let sequential = base
-        .clone()
-        .workers(1)
+        .horizon(horizon)
+        .seed(seed)
         .build()
-        .expect("builds")
-        .run_on(&engine, &mut [])
-        .expect("sequential facade run");
-    for workers in [2usize, 4] {
-        let sharded = base
-            .clone()
-            .workers(workers)
-            .build()
-            .expect("builds")
-            .run_on(&engine, &mut [])
-            .expect("sharded facade run");
-        assert_eq!(
-            sequential.aggregates, sharded.aggregates,
-            "facade aggregates diverged at workers({workers})"
+        .expect("builds");
+    let mut facade_tape = Tape::default();
+    let facade = session
+        .run_on(
+            &PacketEngine::inrpp(inrpp_no_detour_probe()),
+            &mut [&mut facade_tape],
+        )
+        .expect("facade run");
+
+    // the simulation the facade builds for the session, by hand: the
+    // sharded side goes through `PacketSim`
+    let sim = || {
+        let mut sim = PacketSim::new(
+            &topo,
+            PacketSimConfig {
+                horizon,
+                seed,
+                transport: TransportKind::Inrpp(inrpp_no_detour_probe()),
+                ..PacketSimConfig::default()
+            },
         );
+        sim.add_transfer_as(spec, FlowTransport::Inrpp);
+        sim
+    };
+    for workers in worker_counts() {
+        let mut tape = Tape::default();
+        let sharded = sim()
+            .try_run_sharded_probed(workers, seed, &mut [&mut tape])
+            .expect("sharded run");
         assert_eq!(
-            sequential.flows, sharded.flows,
-            "facade flow records diverged at workers({workers})"
+            facade_tape, tape,
+            "facade probe stream diverged at {workers} workers"
         );
+        let bits = |v: &[f64]| v.iter().map(|u| u.to_bits()).collect::<Vec<_>>();
         assert_eq!(
-            sequential.channel_utilisation, sharded.channel_utilisation,
-            "facade channel utilisation diverged at workers({workers})"
+            bits(&facade.channel_utilisation),
+            bits(&sharded.channel_utilisation),
+            "facade channel utilisation diverged at {workers} workers"
         );
+        assert_eq!(facade.flows.len(), sharded.flows.len());
+        for (rec, st) in facade.flows.iter().zip(&sharded.flows) {
+            assert_eq!(
+                (rec.flow, rec.retransmits, rec.detours, rec.custody_rescues),
+                (st.flow, st.retransmits, st.detours, st.custody_rescues),
+                "facade flow record diverged at {workers} workers"
+            );
+        }
     }
 
-    // the fluid engine is single-threaded: workers > 1 is a typed error
-    let fluid = base
-        .clone()
-        .workers(2)
-        .build()
-        .expect("builds")
-        .run()
-        .unwrap_err();
-    assert!(matches!(fluid, SessionError::InvalidConfig(_)));
+    // a zero worker count is a typed error, not a panic
+    assert!(matches!(
+        sim().try_run_sharded(0, seed),
+        Err(SessionError::InvalidConfig(_))
+    ));
 }
 
 // ===================================================================
