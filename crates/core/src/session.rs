@@ -55,7 +55,7 @@ use inrpp_flowsim::strategy::{
     EcmpStrategy, InrpConfig, InrpStrategy, MptcpStrategy, RoutingStrategy, SinglePathStrategy,
 };
 use inrpp_flowsim::FlowSimReport;
-use inrpp_sim::fault::FaultPlan;
+use inrpp_sim::fault::{FaultKind, FaultPlan};
 use inrpp_sim::snap::{self, Snap, SnapError, SnapReader, SnapWriter};
 use inrpp_sim::time::{SimDuration, SimTime, TimeError};
 use inrpp_sim::units::ByteSize;
@@ -1082,6 +1082,44 @@ fn check_endpoints(
     Ok(())
 }
 
+/// One fault kind in the fingerprint's layout: a tag byte, then the
+/// kind's fields.
+fn put_fault_kind(w: &mut SnapWriter, kind: FaultKind) {
+    match kind {
+        FaultKind::LinkDown { link } => {
+            w.put_u8(0);
+            w.put_u32(link);
+        }
+        FaultKind::LinkUp { link } => {
+            w.put_u8(1);
+            w.put_u32(link);
+        }
+        FaultKind::CapacityScale { link, fraction } => {
+            w.put_u8(2);
+            w.put_u32(link);
+            w.put_f64(fraction);
+        }
+        FaultKind::NodeCrash { node } => {
+            w.put_u8(3);
+            w.put_u32(node);
+        }
+        FaultKind::NodeRecover { node } => {
+            w.put_u8(4);
+            w.put_u32(node);
+        }
+        FaultKind::LossBurst {
+            link,
+            drop_chance,
+            until,
+        } => {
+            w.put_u8(5);
+            w.put_u32(link);
+            w.put_f64(drop_chance);
+            until.encode(w);
+        }
+    }
+}
+
 impl<'a> Session<'a> {
     /// Start describing a session.
     pub fn builder() -> SessionBuilder<'a> {
@@ -1097,6 +1135,9 @@ impl<'a> Session<'a> {
     /// traffic, strategy, horizon, seed). Checkpoints embed it so a
     /// resume against a *different* spec is rejected instead of
     /// silently diverging.
+    ///
+    /// The hashed layout lives here and nowhere else; checkpoints and
+    /// every `open` reply carry the value, so its bytes must not move.
     pub fn fingerprint(&self) -> u64 {
         let mut w = SnapWriter::new();
         w.put_str(self.topology.name());
@@ -1105,12 +1146,19 @@ impl<'a> Session<'a> {
         // Debug covers every strategy knob (e.g. the URP detour config)
         // without each config type needing its own canonical encoding.
         w.put_str(&format!("{:?}", self.strategy));
-        self.horizon.encode(&mut w);
+        w.put_u64(self.horizon.as_nanos());
         w.put_u64(self.seed);
         match &self.traffic {
             Traffic::Flows(wl) => {
                 w.put_u8(0);
-                wl.flows.encode(&mut w);
+                w.put_usize(wl.flows.len());
+                for f in &wl.flows {
+                    w.put_u64(f.id);
+                    w.put_u32(f.src.0);
+                    w.put_u32(f.dst.0);
+                    w.put_f64(f.size_bits);
+                    f.arrival.encode(&mut w);
+                }
             }
             Traffic::Transfers(ts) => {
                 w.put_u8(1);
@@ -1122,7 +1170,11 @@ impl<'a> Session<'a> {
         // unchanged from earlier versions
         if !self.faults.is_empty() {
             w.put_u8(2);
-            self.faults.encode(&mut w);
+            w.put_usize(self.faults.events().len());
+            for ev in self.faults.events() {
+                ev.at.encode(&mut w);
+                put_fault_kind(&mut w, ev.kind);
+            }
         }
         snap::fingerprint(&w.into_bytes())
     }
@@ -1368,6 +1420,33 @@ mod tests {
             .seed(11)
             .build()
             .expect("valid session")
+    }
+
+    #[test]
+    fn fingerprint_bytes_are_pinned() {
+        // the value the codec-based layout computed, with one fault event
+        // of each kind: checkpoints and `open` replies carry it
+        let topo = Topology::fig3();
+        let plan = FaultPlan::parse(
+            "linkdown@0.5:0; scale@0.6:1:0.5; linkup@0.7:0; crash@0.8:2; recover@0.9:2; burst@1.0:1:0.3:1.2",
+        )
+        .expect("valid plan");
+        assert_eq!(plan.events().len(), 6);
+        let s = Session::builder()
+            .topology(&topo)
+            .workload_config(WorkloadConfig {
+                arrival_rate: 40.0,
+                mean_size_bits: 2e6,
+                ..WorkloadConfig::default()
+            })
+            .strategy(SessionStrategy::urp())
+            .horizon(SimDuration::from_secs(2))
+            .seed(11)
+            .faults(plan)
+            .build()
+            .expect("valid session");
+        assert!(matches!(s.traffic(), Traffic::Flows(wl) if wl.flows.len() == 87));
+        assert_eq!(s.fingerprint(), 0x4d59_6452_fc43_4441);
     }
 
     #[test]

@@ -26,7 +26,8 @@
 //! [`SessionError::InvalidConfig`] with the line number, via the same
 //! `TimeError` conversion the builder uses). A line may hold at most
 //! 1 MiB; a longer one is refused unread past that point, since it may
-//! never end. [`format_trace`] writes the symmetric output.
+//! never end. A refused line ends the source: every later peek returns
+//! the same error. [`format_trace`] writes the symmetric output.
 
 use std::io::{BufRead, Read};
 
@@ -99,9 +100,11 @@ pub struct TraceSource<'t, R> {
     last_start: SimTime,
     pending: Option<Transfer>,
     done: bool,
-    /// A line past [`MAX_LINE_BYTES`] stops the source for good: its
-    /// rest is never read.
-    overlong: bool,
+    /// The first error stops the source for good: every later
+    /// [`peek`](TraceSource::peek) returns it, so a bad line is never
+    /// skipped (and the rest of a line past [`MAX_LINE_BYTES`] is never
+    /// read).
+    failed: Option<SessionError>,
 }
 
 impl<'t, R: BufRead> TraceSource<'t, R> {
@@ -115,16 +118,23 @@ impl<'t, R: BufRead> TraceSource<'t, R> {
             last_start: SimTime::ZERO,
             pending: None,
             done: false,
-            overlong: false,
+            failed: None,
         }
     }
 
     /// The next transfer without consuming it (`None` when exhausted).
-    /// Repeated calls return the same transfer until [`pop`] is called.
+    /// Repeated calls return the same transfer until [`pop`] is called,
+    /// or the same error once one line failed.
     ///
     /// [`pop`]: TraceSource::pop
     pub fn peek(&mut self) -> Result<Option<Transfer>, SessionError> {
-        self.fill()?;
+        if let Some(e) = &self.failed {
+            return Err(e.clone());
+        }
+        if let Err(e) = self.fill() {
+            self.failed = Some(e.clone());
+            return Err(e);
+        }
         Ok(self.pending)
     }
 
@@ -197,17 +207,13 @@ impl<'t, R: BufRead> TraceSource<'t, R> {
     fn fill(&mut self) -> Result<(), SessionError> {
         let mut buf = Vec::new();
         while self.pending.is_none() && !self.done {
-            if self.overlong {
-                return Err(self.bad(format_args!("longer than {MAX_LINE_BYTES} bytes")));
-            }
             buf.clear();
             self.line_no += 1;
             let n = Read::take(&mut self.reader, MAX_LINE_BYTES + 1)
                 .read_until(b'\n', &mut buf)
                 .map_err(|e| self.bad(format_args!("read error: {e}")))?;
             if n as u64 > MAX_LINE_BYTES && !buf.ends_with(b"\n") {
-                self.overlong = true;
-                continue;
+                return Err(self.bad(format_args!("longer than {MAX_LINE_BYTES} bytes")));
             }
             if n == 0 {
                 self.done = true;
@@ -363,6 +369,23 @@ mod tests {
         );
         // the line number points at the offending line
         check("# inrpp-trace v1\n\n0.0 1 1 4 10 1250\nbad\n", "line 4");
+    }
+
+    #[test]
+    fn a_bad_line_stays_an_error() {
+        // a refused line is not consumed: peeking again cannot read past
+        // it and silently drop its transfer
+        let topo = Topology::fig3();
+        let text = "# inrpp-trace v1\n0.5 1 1 4 10 1250\n0.6 2 1 zz 10 1250\n0.7 3 1 3 10 1250\n";
+        let mut src = TraceSource::new(&topo, text.as_bytes());
+        assert_eq!(src.peek().unwrap().map(|t| t.flow), Some(1));
+        src.pop();
+        let first = src.peek().unwrap_err();
+        assert!(
+            matches!(&first, SessionError::InvalidConfig(m) if m.contains("line 3: unknown node `zz`")),
+            "{first}"
+        );
+        assert_eq!(src.peek().unwrap_err(), first);
     }
 
     #[test]

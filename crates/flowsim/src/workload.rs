@@ -17,7 +17,6 @@ use std::fmt;
 
 use inrpp_sim::dist::{BoundedPareto, Discrete, Distribution, Exponential, PoissonProcess};
 use inrpp_sim::rng::SimRng;
-use inrpp_sim::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use inrpp_sim::time::{SimDuration, SimTime};
 use inrpp_topology::graph::{NodeId, Tier, Topology};
 
@@ -34,26 +33,6 @@ pub struct FlowSpec {
     pub size_bits: f64,
     /// Arrival instant.
     pub arrival: SimTime,
-}
-
-impl Snap for FlowSpec {
-    fn encode(&self, w: &mut SnapWriter) {
-        w.put_u64(self.id);
-        w.put_u32(self.src.0);
-        w.put_u32(self.dst.0);
-        w.put_f64(self.size_bits);
-        self.arrival.encode(w);
-    }
-
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(FlowSpec {
-            id: r.get_u64()?,
-            src: NodeId(r.get_u32()?),
-            dst: NodeId(r.get_u32()?),
-            size_bits: r.get_f64()?,
-            arrival: SimTime::decode(r)?,
-        })
-    }
 }
 
 /// How to sample `(src, dst)` pairs.

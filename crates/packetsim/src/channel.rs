@@ -212,6 +212,17 @@ impl ChannelBank {
         self.bits_sent[d]
     }
 
+    /// Overwrite channel `d`'s entry with `other`'s: a sharded run's
+    /// report takes each channel from the region that drove it.
+    pub(crate) fn copy_channel(&mut self, d: usize, other: &ChannelBank) {
+        self.rate[d] = other.rate[d];
+        self.delay[d] = other.delay[d];
+        self.send_time[d] = other.send_time[d];
+        self.busy_until[d] = other.busy_until[d];
+        self.busy_accum[d] = other.busy_accum[d];
+        self.bits_sent[d] = other.bits_sent[d];
+    }
+
     /// Mean transmitter utilisation across channels with non-zero
     /// capacity; `0.0` when no channel qualifies (linkless topology).
     ///

@@ -133,12 +133,30 @@ impl<'a> PacketSim<'a> {
     /// channel model asserted, which turned a configuration mistake into
     /// a runtime panic even on the typed path. So is a chunk or request
     /// so large that one sent at the horizon, after the longest queue
-    /// wait, would arrive past the end of the u64-nanosecond clock.
+    /// wait, would arrive past the end of the u64-nanosecond clock, and a
+    /// receiver timeout or AIMD `rto` under 2 ns: the receiver's check
+    /// re-arms itself half a timeout ahead, which would then be the same
+    /// instant forever. Every run, sequential or sharded, is built here.
     pub fn try_new(topo: &'a Topology, config: PacketSimConfig) -> Result<Self, SessionError> {
         if let TransportKind::Inrpp(ic) | TransportKind::Mixed { inrpp: ic, .. } = &config.transport
         {
             ic.validate()
                 .map_err(|e| SessionError::InvalidConfig(e.to_string()))?;
+        }
+        let rto = match config.transport {
+            TransportKind::Aimd(ac) | TransportKind::Mixed { aimd: ac, .. } => Some(ac.rto),
+            TransportKind::Inrpp(_) => None,
+        };
+        for (what, timer) in [
+            ("receiver_timeout", Some(config.receiver_timeout)),
+            ("AIMD rto", rto),
+        ] {
+            if timer.is_some_and(|t| t < SimDuration::from_nanos(2)) {
+                return Err(SessionError::InvalidConfig(format!(
+                    "{what} must be at least 2 ns: the receiver's check re-arms \
+                     half a timeout ahead"
+                )));
+            }
         }
         for l in topo.link_ids() {
             let link = topo.link(l);
@@ -249,8 +267,8 @@ impl<'a> PacketSim<'a> {
     /// count and partition seed (enforced by `tests/shard_equivalence.rs`).
     /// Returns [`SessionError::InvalidConfig`] when `workers == 0` or the
     /// configuration violates a sharding precondition (load-aware
-    /// detouring, a zero-delay cut channel, or a zero receiver timeout);
-    /// see [`crate::shard`] for the protocol.
+    /// detouring or a zero-delay cut channel); see [`crate::shard`] for
+    /// the protocol.
     pub fn try_run_sharded(
         self,
         workers: usize,
@@ -283,15 +301,8 @@ impl<'a> PacketSim<'a> {
 
     /// Execute the simulation sharded over an explicit
     /// [`Partition`](inrpp_topology::partition::Partition) — one worker
-    /// thread per region. Same contract as [`PacketSim::try_run_sharded`].
-    pub fn try_run_partitioned(
-        self,
-        partition: &inrpp_topology::partition::Partition,
-    ) -> Result<PacketSimReport, SessionError> {
-        self.try_run_partitioned_probed(partition, &mut [])
-    }
-
-    /// [`PacketSim::try_run_partitioned`] with streaming probes.
+    /// thread per region — with streaming probes. Same contract as
+    /// [`PacketSim::try_run_sharded_probed`].
     pub fn try_run_partitioned_probed(
         self,
         partition: &inrpp_topology::partition::Partition,
@@ -313,11 +324,9 @@ impl<'a> PacketSim<'a> {
     /// adds streaming transfer ingestion ([`feed`](PacketRun::feed)) on
     /// top of the sequential engine, bit-identically.
     pub fn start(self) -> Result<PacketRun<'a>, SessionError> {
-        let mut core = Core::build(self.topo, self.config, self.transfers, self.faults)?;
+        let core = Core::build(self.topo, self.config, self.transfers, self.faults)?;
+        let eng = core.bootstrap();
         let horizon = SimTime::ZERO + core.cfg.horizon;
-        let mut eng: CalendarEngine<Ev> =
-            CalendarEngine::new(core.calendar_width(), 4096).with_horizon(horizon);
-        core.bootstrap(&mut eng);
         Ok(PacketRun { core, eng, horizon })
     }
 }
@@ -508,44 +517,17 @@ enum RouteRef {
     Owned(u32),
 }
 
-/// Serialised in-flight packet crossing a region boundary in a sharded
-/// run: [`Pkt`] with slab/arena handles materialised (owned detour and
-/// resume routes travel by value; primary-route packets stay handle-free
-/// because every region holds the full route arena).
-pub(crate) enum WirePkt {
-    Request {
-        slot: u32,
-        req: Request,
-        hop: u32,
-    },
-    Data {
-        slot: u32,
-        chunk: ChunkNo,
-        route: Option<Vec<NodeId>>,
-        hop: u32,
-        hops_travelled: u32,
-        detoured: bool,
-        sent_at: SimTime,
-    },
-    Slowdown {
-        msg: SlowdownMsg,
-        slot: u32,
-    },
-    Rescue {
-        slot: u32,
-        chunk: ChunkNo,
-        target: NodeId,
-        sent_at: SimTime,
-    },
-}
-
 /// One boundary delivery: `pkt` must be injected into `to_region`'s
 /// calendar at `arrival` (always strictly beyond the current barrier —
-/// the conservative-lookahead guarantee).
+/// the conservative-lookahead guarantee). A data packet on an owned
+/// route travels with that route, taken out of the sender's slab, so no
+/// slab handle crosses a thread; primary routes need nothing, because
+/// every region holds the full route arena.
 pub(crate) struct Wire {
     pub(crate) to_region: u32,
     pub(crate) arrival: SimTime,
-    pub(crate) pkt: WirePkt,
+    pkt: Pkt,
+    route: Option<Vec<NodeId>>,
 }
 
 /// A receiver-side retransmit decision that must take effect at the
@@ -558,8 +540,12 @@ pub(crate) struct RxCmd {
 }
 
 /// Region-mode state hung off [`Core`] when it runs as one shard of a
-/// partitioned topology. `None` (the default) leaves every code path
-/// byte-identical to the single-threaded engine.
+/// partitioned topology: the sequential engine with an ownership filter.
+/// [`Core::bootstrap`] seeds only owned receivers and nodes,
+/// [`Core::schedule_deliver`] sends packets for foreign nodes out as
+/// [`Wire`]s, and after the last window [`Core::absorb_region`] folds
+/// the owned state into one core for the report. `None` (the default)
+/// leaves every code path byte-identical to the single-threaded engine.
 pub(crate) struct RegionCtx {
     /// node index -> owning region
     pub(crate) region_of: std::sync::Arc<Vec<u32>>,
@@ -571,7 +557,8 @@ pub(crate) struct RegionCtx {
     pub(crate) rx_cmds: Vec<RxCmd>,
 }
 
-/// An in-flight packet (slab entry referenced by [`Ev::Deliver`]).
+/// An in-flight packet (slab entry referenced by [`Ev::Deliver`], or a
+/// [`Wire`] crossing a region boundary).
 ///
 /// Requests and slow-downs never carry a route: requests always travel
 /// the reversed primary path, and slow-downs are located against the
@@ -660,20 +647,20 @@ enum RxKind {
     Aimd(AimdRx),
 }
 
-pub(crate) struct RxRt {
+struct RxRt {
     kind: RxKind,
     outstanding: Outstanding,
-    pub(crate) stats: FlowStats,
+    stats: FlowStats,
 }
 
 #[derive(Default)]
-pub(crate) struct Counters {
-    pub(crate) chunks_delivered: u64,
-    pub(crate) chunks_dropped: u64,
-    pub(crate) chunks_detoured: u64,
-    pub(crate) chunks_custodied: u64,
-    pub(crate) chunks_rescued: u64,
-    pub(crate) backpressure_msgs: u64,
+struct Counters {
+    chunks_delivered: u64,
+    chunks_dropped: u64,
+    chunks_detoured: u64,
+    chunks_custodied: u64,
+    chunks_rescued: u64,
+    backpressure_msgs: u64,
 }
 
 /// The arena-backed engine state. See the module docs for the layout
@@ -681,16 +668,16 @@ pub(crate) struct Counters {
 /// slot/dir/node-indexed vector here or (for genuinely sparse state
 /// like custody resume routes) still a map off the hot path.
 pub(crate) struct Core<'a> {
-    pub(crate) topo: &'a Topology,
-    pub(crate) cfg: PacketSimConfig,
+    topo: &'a Topology,
+    cfg: PacketSimConfig,
     dense: DenseChannels,
-    pub(crate) channels: ChannelBank,
+    channels: ChannelBank,
     /// directed channel -> local interface index at its source node
     if_of_dir: Vec<u32>,
     /// per node: `(neighbor, directed channel)` in `topo.neighbors` order
     nbrs: Vec<Vec<(NodeId, u32)>>,
     estimators: Vec<RateEstimator>,
-    pub(crate) phases: Vec<Vec<PhaseController>>,
+    phases: Vec<Vec<PhaseController>>,
     custody: Vec<CustodyStore>,
     bp: Vec<BackpressureState>,
     splitters: Vec<FlowletSplitter>,
@@ -700,7 +687,7 @@ pub(crate) struct Core<'a> {
     bypass: Vec<Vec<Path>>,
 
     // ---- flow arenas (slot = rank of flow id, ascending) ----
-    pub(crate) flow_ids: Vec<FlowId>,
+    flow_ids: Vec<FlowId>,
     pub(crate) specs: Vec<TransferSpec>,
     pub(crate) kinds: Vec<FlowTransport>,
     /// prefix offsets into `route_nodes`, `flow_ids.len() + 1` entries
@@ -714,7 +701,7 @@ pub(crate) struct Core<'a> {
     node_flows: Vec<Vec<u32>>,
 
     senders: Vec<Option<Sender>>,
-    pub(crate) receivers: Vec<Option<RxRt>>,
+    receivers: Vec<Option<RxRt>>,
     retransmit: Vec<VecDeque<(u32, ChunkNo)>>,
     /// per directed channel: slots with custody waiting at its source
     /// node, ascending (lowest flow id drains first)
@@ -756,13 +743,13 @@ pub(crate) struct Core<'a> {
     /// per directed channel: the topology capacity, so `CapacityScale`
     /// fractions compose against the base rather than each other
     base_rate: Vec<Rate>,
-    /// per slot: recovery metrics (merged across regions in sharded runs,
-    /// then copied into [`FlowStats`] at report assembly)
-    pub(crate) detours: Vec<u64>,
-    pub(crate) rescues: Vec<u64>,
-    pub(crate) outage: Vec<SimDuration>,
-    pub(crate) counters: Counters,
-    pub(crate) custody_peak: ByteSize,
+    /// per slot: recovery metrics (summed across regions in sharded
+    /// runs, then copied into [`FlowStats`] at report assembly)
+    detours: Vec<u64>,
+    rescues: Vec<u64>,
+    outage: Vec<SimDuration>,
+    counters: Counters,
+    custody_peak: ByteSize,
 
     // ---- slabs ----
     pkts: Vec<Option<Pkt>>,
@@ -771,7 +758,7 @@ pub(crate) struct Core<'a> {
     routes_free: Vec<u32>,
     scratch_chunks: Vec<ChunkNo>,
 
-    pub(crate) inrpp_cfg: Option<InrppConfig>,
+    inrpp_cfg: Option<InrppConfig>,
     pub(crate) aimd_cfg: Option<AimdConfig>,
 
     /// `Some` when this core runs as one region of a sharded simulation;
@@ -1081,9 +1068,9 @@ impl<'a> Core<'a> {
 
     /// The one choke point every packet delivery goes through. Sequential
     /// mode (and region mode when `target` is local) stashes the packet
-    /// and schedules [`Ev::Deliver`]; region mode re-routes packets for
-    /// foreign nodes into the outbox as [`Wire`] entries, materialising
-    /// owned routes so the slab handle never crosses a thread.
+    /// and schedules [`Ev::Deliver`]; region mode puts packets for
+    /// foreign nodes in the outbox as [`Wire`]s, an owned route moving
+    /// out of the slab with its packet.
     fn schedule_deliver(
         &mut self,
         eng: &mut CalendarEngine<Ev>,
@@ -1091,60 +1078,25 @@ impl<'a> Core<'a> {
         target: NodeId,
         pkt: Pkt,
     ) {
-        if let Some(rc) = self.region.as_ref() {
+        if let Some(rc) = self.region.as_mut() {
             let to_region = rc.region_of[target.idx()];
             if to_region != rc.me {
-                let pkt = match pkt {
-                    Pkt::Request { slot, req, hop } => WirePkt::Request { slot, req, hop },
+                let route = match pkt {
                     Pkt::Data {
-                        slot,
-                        chunk,
-                        route,
-                        hop,
-                        hops_travelled,
-                        detoured,
-                        sent_at,
+                        route: RouteRef::Owned(i),
+                        ..
                     } => {
-                        let owned = match route {
-                            RouteRef::Primary => None,
-                            RouteRef::Owned(i) => {
-                                let v = std::mem::take(&mut self.routes[i as usize]);
-                                self.routes_free.push(i);
-                                Some(v)
-                            }
-                        };
-                        WirePkt::Data {
-                            slot,
-                            chunk,
-                            route: owned,
-                            hop,
-                            hops_travelled,
-                            detoured,
-                            sent_at,
-                        }
+                        self.routes_free.push(i);
+                        Some(std::mem::take(&mut self.routes[i as usize]))
                     }
-                    Pkt::Slowdown { msg, slot } => WirePkt::Slowdown { msg, slot },
-                    Pkt::Rescue {
-                        slot,
-                        chunk,
-                        target,
-                        sent_at,
-                    } => WirePkt::Rescue {
-                        slot,
-                        chunk,
-                        target,
-                        sent_at,
-                    },
+                    _ => None,
                 };
-                self.region
-                    .as_mut()
-                    .expect("checked above")
-                    .outbox
-                    .push(Wire {
-                        to_region,
-                        arrival,
-                        pkt,
-                    });
+                rc.outbox.push(Wire {
+                    to_region,
+                    arrival,
+                    pkt,
+                    route,
+                });
                 return;
             }
         }
@@ -1154,49 +1106,17 @@ impl<'a> Core<'a> {
     }
 
     /// Inject one boundary packet received from a peer region into the
-    /// local calendar. Inverse of the wire conversion in
-    /// [`Core::schedule_deliver`].
-    pub(crate) fn inject_wire(
-        &mut self,
-        eng: &mut CalendarEngine<Ev>,
-        arrival: SimTime,
-        pkt: WirePkt,
-    ) {
-        let pkt = match pkt {
-            WirePkt::Request { slot, req, hop } => Pkt::Request { slot, req, hop },
-            WirePkt::Data {
-                slot,
-                chunk,
-                route,
-                hop,
-                hops_travelled,
-                detoured,
-                sent_at,
-            } => Pkt::Data {
-                slot,
-                chunk,
-                route: match route {
-                    None => RouteRef::Primary,
-                    Some(v) => RouteRef::Owned(self.alloc_route(v)),
-                },
-                hop,
-                hops_travelled,
-                detoured,
-                sent_at,
-            },
-            WirePkt::Slowdown { msg, slot } => Pkt::Slowdown { msg, slot },
-            WirePkt::Rescue {
-                slot,
-                chunk,
-                target,
-                sent_at,
-            } => Pkt::Rescue {
-                slot,
-                chunk,
-                target,
-                sent_at,
-            },
-        };
+    /// local calendar, its owned route (if any) back into the slab.
+    pub(crate) fn inject_wire(&mut self, eng: &mut CalendarEngine<Ev>, wire: Wire) {
+        let Wire {
+            arrival,
+            mut pkt,
+            route,
+            ..
+        } = wire;
+        if let (Pkt::Data { route: r, .. }, Some(v)) = (&mut pkt, route) {
+            *r = RouteRef::Owned(self.alloc_route(v));
+        }
         let idx = self.stash(pkt);
         eng.schedule_at(arrival, Ev::Deliver(idx))
             .expect("wire arrivals are beyond the closed barrier");
@@ -1242,20 +1162,6 @@ impl<'a> Core<'a> {
         self.region
             .as_ref()
             .map_or(true, |rc| rc.region_of[n.idx()] == rc.me)
-    }
-
-    /// Put every plan event ≤ horizon on the calendar. Called *before*
-    /// `Start`s in both bootstrap paths, so fault events hold the
-    /// smallest sequence numbers of the run and win every same-instant
-    /// tie — identically in the sequential engine and in every region.
-    fn schedule_faults(&self, eng: &mut CalendarEngine<Ev>) {
-        let horizon = SimTime::ZERO + self.cfg.horizon;
-        for (i, ev) in self.fault_plan.iter().enumerate() {
-            if ev.at <= horizon {
-                eng.schedule_at(ev.at, Ev::Fault(i as u32))
-                    .expect("plan events are never in the past at bootstrap");
-            }
-        }
     }
 
     fn dir_down(&mut self, d: usize) {
@@ -2368,7 +2274,7 @@ impl<'a> Core<'a> {
     /// fastest channel — the densest event cadence the run can generate.
     /// Clamped so degenerate rates can't make the ring uselessly fine or
     /// coarse; the overflow heap keeps any width correct regardless.
-    pub(crate) fn calendar_width(&self) -> SimDuration {
+    fn calendar_width(&self) -> SimDuration {
         let bits = self.chunk_bits();
         (0..self.channels.len())
             .map(|d| self.channels.rate(d).time_to_send(bits))
@@ -2377,51 +2283,38 @@ impl<'a> Core<'a> {
             .clamp(SimDuration::from_micros(1), SimDuration::from_millis(16))
     }
 
-    /// Seed the calendar: every flow's `Start` in slot order, then (under
-    /// INRPP) one maintenance `Tick` per node. The slot-then-node order is
-    /// load-bearing: bootstrap sequence numbers are the smallest in the
-    /// run, so these events win every same-instant tie.
-    fn bootstrap(&mut self, eng: &mut CalendarEngine<Ev>) {
-        // fault events first: they take the smallest sequence numbers of
-        // all, so a fault always wins a same-instant tie — in every
-        // region of a sharded run and in the sequential engine alike
-        self.schedule_faults(eng);
-        for slot in 0..self.flow_ids.len() {
-            eng.schedule_at(self.specs[slot].start, Ev::Start(slot as u32))
-                .expect("start in window");
-        }
-        if self.inrpp_cfg.is_some() {
-            for n in self.topo.node_ids() {
-                eng.schedule(SimDuration::ZERO, Ev::Tick(n));
+    /// Build the run's calendar and seed it: every plan event ≤ horizon,
+    /// then every flow's `Start` in slot order, then (under INRPP) one
+    /// maintenance `Tick` per node. The order is load-bearing: bootstrap
+    /// sequence numbers are the smallest in the run, so these events win
+    /// every same-instant tie, and a fault wins over everything.
+    ///
+    /// A region core seeds only what it owns, a `Start` where it owns the
+    /// flow's receiver and a `Tick` where it owns the node, but every
+    /// fault: fault state is replicated, its side effects are gated on
+    /// ownership. Sequentially every node is owned, and in each region
+    /// the events it will pop keep their sequential relative order.
+    pub(crate) fn bootstrap(&self) -> CalendarEngine<Ev> {
+        let horizon = SimTime::ZERO + self.cfg.horizon;
+        let mut eng = CalendarEngine::new(self.calendar_width(), 4096).with_horizon(horizon);
+        for (i, ev) in self.fault_plan.iter().enumerate() {
+            if ev.at <= horizon {
+                eng.schedule_at(ev.at, Ev::Fault(i as u32))
+                    .expect("plan events are never in the past at bootstrap");
             }
         }
-    }
-
-    /// Region-mode bootstrap: the same schedule restricted to what this
-    /// region owns — `Start` where the *receiver* is local (slot order
-    /// preserved), `Tick` for local nodes (node order preserved). Relative
-    /// bootstrap order therefore matches the sequential run for every
-    /// event this region will pop.
-    pub(crate) fn bootstrap_region(&mut self, eng: &mut CalendarEngine<Ev>) {
-        // every region schedules every fault (fault state is replicated;
-        // side effects are ownership-gated), first for the tie order
-        self.schedule_faults(eng);
-        let rc = self.region.as_ref().expect("region mode");
-        let me = rc.me;
-        let region_of = std::sync::Arc::clone(&rc.region_of);
-        for slot in 0..self.flow_ids.len() {
-            if region_of[self.specs[slot].dst.idx()] == me {
-                eng.schedule_at(self.specs[slot].start, Ev::Start(slot as u32))
+        for (slot, spec) in self.specs.iter().enumerate() {
+            if self.owns_node(spec.dst) {
+                eng.schedule_at(spec.start, Ev::Start(slot as u32))
                     .expect("start in window");
             }
         }
         if self.inrpp_cfg.is_some() {
-            for n in self.topo.node_ids() {
-                if region_of[n.idx()] == me {
-                    eng.schedule(SimDuration::ZERO, Ev::Tick(n));
-                }
+            for n in self.topo.node_ids().filter(|&n| self.owns_node(n)) {
+                eng.schedule(SimDuration::ZERO, Ev::Tick(n));
             }
         }
+        eng
     }
 
     /// Append one transfer to a *live* run (service-mode streaming
@@ -2486,6 +2379,44 @@ impl<'a> Core<'a> {
             s.set_mode(spec.flow, SenderMode::ClosedLoop);
         }
         Ok(())
+    }
+
+    /// Fold the state region core `other` owns into this one, after the
+    /// last window of a sharded run, so that folding every other region
+    /// into one region's core leaves the sequential run's state behind
+    /// [`Core::assemble_report`]: each directed channel from the owner of
+    /// its source node, each receiver from the owner of its destination,
+    /// each node's phase controllers from the node's owner. The per-slot
+    /// recovery metrics and the counters accumulate wherever their
+    /// events fire, so they add up (integer and nanosecond sums), and the
+    /// custody peak, a per-store maximum, is the largest of them.
+    pub(crate) fn absorb_region(&mut self, mut other: Core<'a>) {
+        for d in 0..self.channels.len() {
+            if other.owns_node(self.dir_src(d)) {
+                self.channels.copy_channel(d, &other.channels);
+            }
+        }
+        for slot in 0..self.specs.len() {
+            if other.owns_node(self.specs[slot].dst) {
+                self.receivers[slot] = other.receivers[slot].take();
+            }
+            self.detours[slot] += other.detours[slot];
+            self.rescues[slot] += other.rescues[slot];
+            self.outage[slot] += other.outage[slot];
+        }
+        for n in self.topo.node_ids() {
+            if other.owns_node(n) {
+                self.phases[n.idx()] = std::mem::take(&mut other.phases[n.idx()]);
+            }
+        }
+        let (c, o) = (&mut self.counters, &other.counters);
+        c.chunks_delivered += o.chunks_delivered;
+        c.chunks_dropped += o.chunks_dropped;
+        c.chunks_detoured += o.chunks_detoured;
+        c.chunks_custodied += o.chunks_custodied;
+        c.chunks_rescued += o.chunks_rescued;
+        c.backpressure_msgs += o.backpressure_msgs;
+        self.custody_peak = self.custody_peak.max(other.custody_peak);
     }
 
     /// Assemble the report from the accumulators as they stand — the end
@@ -3313,6 +3244,45 @@ mod tests {
         let t = fig3();
         let mut sim = PacketSim::new(&t, inrpp_cfg());
         sim.add_transfer_as(transfer(&t, 1, "1", "4", 10), FlowTransport::Aimd);
+    }
+
+    #[test]
+    fn timers_under_two_ns_are_refused_at_build() {
+        // the receiver's check re-arms half a timeout ahead: under 2 ns
+        // that is the same instant, over and over
+        let t = fig3();
+        for ns in [0, 1, 2] {
+            let timer = SimDuration::from_nanos(ns);
+            let aimd = AimdConfig {
+                rto: timer,
+                ..AimdConfig::default()
+            };
+            for cfg in [
+                PacketSimConfig {
+                    receiver_timeout: timer,
+                    ..inrpp_cfg()
+                },
+                PacketSimConfig {
+                    transport: TransportKind::Aimd(aimd),
+                    ..aimd_cfg()
+                },
+                PacketSimConfig {
+                    transport: TransportKind::Mixed {
+                        inrpp: inrpp::config::InrppConfig::default(),
+                        aimd,
+                    },
+                    ..mixed_cfg()
+                },
+            ] {
+                match PacketSim::try_new(&t, cfg) {
+                    Err(SessionError::InvalidConfig(m)) => {
+                        assert!(ns < 2 && m.contains("at least 2 ns"), "{ns} ns: {m}")
+                    }
+                    Err(e) => panic!("{ns} ns: {e}"),
+                    Ok(_) => assert_eq!(ns, 2, "a {ns} ns timer was accepted"),
+                }
+            }
+        }
     }
 
     #[test]

@@ -33,22 +33,26 @@
 //!   (time, seq) position; kicks landing exactly on a barrier are
 //!   deferred to the barrier's second phase.
 //! * **Deterministic merges.** Boundary packets are injected in
-//!   `(arrival, sender region, per-sender order)`; reports and probe
-//!   streams are merged by slot/dir ownership with every `f64` computed
-//!   by the same expression the sequential engine uses.
+//!   `(arrival, sender region, per-sender order)`. After the last window
+//!   every region's owned state folds into one `Core` (channels by the
+//!   owner of their source node, receivers by the owner of their
+//!   destination, phase controllers by node owner, counters summed), and
+//!   that core assembles the report exactly as a sequential run does.
+//!   Probe streams merge by time, class and region.
 //!
 //! ## Preconditions (validated, typed errors)
 //!
 //! Sharded runs reject configurations the protocol cannot replay
 //! byte-identically: load-aware detouring (reads *remote* queue state
-//! mid-window), zero-delay cut channels (no lookahead), and zero
-//! receiver timeouts. One precondition is on the *scenario*, documented
-//! rather than checked: channel-derived instants (packet arrivals, drain
-//! and back-pressure expiries) must not collide with ladder instants or
-//! each other across regions — guaranteed in practice by
-//! non-commensurate link parameters (odd-nanosecond delays vs.
-//! millisecond-round timers), which every fixture and generator in the
-//! test-suite uses.
+//! mid-window) and zero-delay cut channels (no lookahead). The ladder
+//! steps by half a receiver timeout, which `PacketSim::try_new` keeps at
+//! 1 ns or more for every run by refusing timers under 2 ns. One
+//! precondition is on the *scenario*, documented rather than checked:
+//! channel-derived instants (packet arrivals, drain and back-pressure
+//! expiries) must not collide with ladder instants or each other across
+//! regions — guaranteed in practice by non-commensurate link parameters
+//! (odd-nanosecond delays vs. millisecond-round timers), which every
+//! fixture and generator in the test-suite uses.
 
 use std::cmp::Ordering;
 use std::collections::BTreeSet;
@@ -62,9 +66,9 @@ use inrpp_sim::time::{SimDuration, SimTime};
 use inrpp_topology::graph::{NodeId, Topology};
 use inrpp_topology::partition::Partition;
 
-use crate::engine::{Core, Ev, RegionCtx, RxCmd, WirePkt};
-use crate::packet::{DirIndex, FlowTransport, PacketSimConfig, TransferSpec, TransportKind};
-use crate::report::{FlowStats, PacketSimReport};
+use crate::engine::{Core, Ev, RegionCtx, RxCmd, Wire};
+use crate::packet::{FlowTransport, PacketSimConfig, TransferSpec, TransportKind};
+use crate::report::PacketSimReport;
 
 /// Per-slot timer schedule shared by every worker: flow starts plus the
 /// precomputed rx-check rungs ≤ horizon (the instants `queue_retransmit`
@@ -107,7 +111,7 @@ impl Probe for Recorder {
 /// Boundary message between regions: a packet crossing a cut channel, or
 /// a receiver-side retransmit command bound for the sender's region.
 enum ShardMsg {
-    Pkt { arrival: SimTime, pkt: WirePkt },
+    Pkt(Wire),
     Rx(RxCmd),
 }
 
@@ -145,19 +149,22 @@ impl RegionWorker<'_> {
         }
     }
 
+    /// Inject boundary packets by `(arrival, sender region, sender
+    /// order)`: the sort is stable and inboxes arrive in sender order.
+    fn inject(&mut self, mut wires: Vec<Wire>) {
+        wires.sort_by_key(|w| w.arrival);
+        for w in wires {
+            self.core.inject_wire(&mut self.eng, w);
+        }
+    }
+
     /// Drain the boundary buffers into addressed messages.
     fn drain_boundary(&mut self) -> Vec<(usize, ShardMsg)> {
         let cmd_region = Arc::clone(&self.cmd_region);
         let rc = self.core.region.as_mut().expect("region mode");
         let mut out = Vec::with_capacity(rc.outbox.len() + rc.rx_cmds.len());
         for w in rc.outbox.drain(..) {
-            out.push((
-                w.to_region as usize,
-                ShardMsg::Pkt {
-                    arrival: w.arrival,
-                    pkt: w.pkt,
-                },
-            ));
+            out.push((w.to_region as usize, ShardMsg::Pkt(w)));
         }
         for cmd in rc.rx_cmds.drain(..) {
             out.push((cmd_region[cmd.slot as usize], ShardMsg::Rx(cmd)));
@@ -217,20 +224,16 @@ impl ShardWorker for RegionWorker<'_> {
         if self.err.is_some() {
             return Vec::new();
         }
-        let mut pkts: Vec<(SimTime, WirePkt)> = Vec::new();
+        let mut wires: Vec<Wire> = Vec::new();
         let mut cmds: Vec<RxCmd> = Vec::new();
         for (_, msg) in inbox {
             match msg {
-                ShardMsg::Pkt { arrival, pkt } => pkts.push((arrival, pkt)),
+                ShardMsg::Pkt(w) => wires.push(w),
                 ShardMsg::Rx(cmd) => cmds.push(cmd),
             }
         }
-        // (a) boundary packets, by (arrival, sender region, sender order):
-        // the sort is stable and the inbox arrives in sender order
-        pkts.sort_by_key(|&(arrival, _)| arrival);
-        for (arrival, pkt) in pkts {
-            self.core.inject_wire(&mut self.eng, arrival, pkt);
-        }
+        // (a) boundary packets
+        self.inject(wires);
         // (b) start-kicks deferred at this barrier (slot order) — their
         // sequential counterparts were scheduled by `Start` pops, which
         // precede every rx-check at the same instant
@@ -263,17 +266,14 @@ impl ShardWorker for RegionWorker<'_> {
         if self.err.is_some() {
             return;
         }
-        let mut pkts: Vec<(SimTime, WirePkt)> = inbox
+        let wires = inbox
             .into_iter()
             .map(|(_, msg)| match msg {
-                ShardMsg::Pkt { arrival, pkt } => (arrival, pkt),
+                ShardMsg::Pkt(w) => w,
                 ShardMsg::Rx(_) => unreachable!("phase-2 output is packets only"),
             })
             .collect();
-        pkts.sort_by_key(|&(arrival, _)| arrival);
-        for (arrival, pkt) in pkts {
-            self.core.inject_wire(&mut self.eng, arrival, pkt);
-        }
+        self.inject(wires);
     }
 }
 
@@ -334,14 +334,6 @@ fn validate(
                 "load-aware detouring reads remote queue state mid-window; \
                  sharded runs require load_aware_detour = false",
             ));
-        }
-    }
-    if cfg.receiver_timeout.is_zero() {
-        return Err(invalid("sharded runs need a positive receiver_timeout"));
-    }
-    if let TransportKind::Aimd(ac) | TransportKind::Mixed { aimd: ac, .. } = &cfg.transport {
-        if ac.rto.is_zero() {
-            return Err(invalid("sharded runs need a positive AIMD rto"));
         }
     }
     let mut lookahead: Option<SimDuration> = None;
@@ -421,146 +413,6 @@ fn build_ladder(
     Ladder { starts, rungs }
 }
 
-/// Merge the per-region states into the sequential report. Every value
-/// is taken from the region that *owns* it (receiver region for flow
-/// stats, source-node region for directed-channel metrics) and every
-/// `f64` is computed by the same expression the sequential assembly
-/// uses, so the result is bit-identical.
-fn merge_reports(
-    workers: &[RegionWorker<'_>],
-    topo: &Topology,
-    region_of: &[u32],
-) -> PacketSimReport {
-    let first = &workers[0].core;
-    let cfg = first.cfg;
-    let horizon_d = cfg.horizon;
-    let ndir = topo.link_count() * 2;
-    let dir_owner: Vec<usize> = (0..ndir)
-        .map(|d| {
-            let link = topo.link(DirIndex(d).link());
-            let src = if DirIndex(d).is_forward() {
-                link.a
-            } else {
-                link.b
-            };
-            region_of[src.idx()] as usize
-        })
-        .collect();
-
-    let channel_utilisation: Vec<f64> = (0..ndir)
-        .map(|d| {
-            workers[dir_owner[d]]
-                .core
-                .channels
-                .utilisation(d, horizon_d)
-        })
-        .collect();
-    let channel_bits_sent: Vec<f64> = (0..ndir)
-        .map(|d| workers[dir_owner[d]].core.channels.bits_sent(d))
-        .collect();
-    // replicate ChannelBank::mean_utilisation over owner-selected dirs
-    let mean_utilisation = {
-        let mut sum = 0.0;
-        let mut n = 0u32;
-        for d in 0..ndir {
-            let bank = &workers[dir_owner[d]].core.channels;
-            if bank.rate(d).is_zero() {
-                continue;
-            }
-            sum += bank.utilisation(d, horizon_d);
-            n += 1;
-        }
-        if n == 0 {
-            0.0
-        } else {
-            sum / n as f64
-        }
-    };
-
-    // slot order == ascending flow id == the sequential post-sort order
-    let mut flows: Vec<FlowStats> = Vec::with_capacity(first.flow_ids.len());
-    for slot in 0..first.flow_ids.len() {
-        let spec = first.specs[slot];
-        let owner = &workers[region_of[spec.dst.idx()] as usize].core;
-        match owner.receivers[slot].as_ref() {
-            Some(rt) => flows.push(rt.stats.clone()),
-            None => flows.push(FlowStats {
-                flow: first.flow_ids[slot],
-                chunks_total: spec.chunks,
-                chunks_delivered: 0,
-                started_at: spec.start,
-                completed_at: None,
-                retransmits: 0,
-                max_reorder_distance: 0,
-                detours: 0,
-                custody_rescues: 0,
-                outage_delay: SimDuration::ZERO,
-            }),
-        }
-    }
-    // recovery metrics accumulate in whichever region the event fired in
-    // (a detour at a transit node, a rescue at a custody point) — sum the
-    // per-slot vectors across regions, exactly what the sequential
-    // single-core accumulation produces (integer / nanosecond sums)
-    for (slot, f) in flows.iter_mut().enumerate() {
-        f.detours = workers.iter().map(|w| w.core.detours[slot]).sum();
-        f.custody_rescues = workers.iter().map(|w| w.core.rescues[slot]).sum();
-        f.outage_delay = workers
-            .iter()
-            .map(|w| w.core.outage[slot])
-            .fold(SimDuration::ZERO, |a, b| a + b);
-    }
-
-    let mut chunks_delivered = 0;
-    let mut chunks_dropped = 0;
-    let mut chunks_detoured = 0;
-    let mut chunks_custodied = 0;
-    let mut chunks_rescued = 0;
-    let mut backpressure_msgs = 0;
-    let mut custody_peak = inrpp_sim::units::ByteSize::ZERO;
-    let mut phase_transitions = 0u64;
-    for (r, w) in workers.iter().enumerate() {
-        chunks_delivered += w.core.counters.chunks_delivered;
-        chunks_dropped += w.core.counters.chunks_dropped;
-        chunks_detoured += w.core.counters.chunks_detoured;
-        chunks_custodied += w.core.counters.chunks_custodied;
-        chunks_rescued += w.core.counters.chunks_rescued;
-        backpressure_msgs += w.core.counters.backpressure_msgs;
-        custody_peak = custody_peak.max(w.core.custody_peak);
-        for n in topo.node_ids() {
-            if region_of[n.idx()] as usize == r {
-                phase_transitions += w.core.phases[n.idx()]
-                    .iter()
-                    .map(|c| c.transitions())
-                    .sum::<u64>();
-            }
-        }
-    }
-
-    PacketSimReport {
-        transport: match (first.inrpp_cfg.is_some(), first.aimd_cfg.is_some()) {
-            (true, true) => "MIXED".into(),
-            (true, false) => "INRPP".into(),
-            _ => "AIMD".into(),
-        },
-        topology: topo.name().to_string(),
-        horizon: horizon_d,
-        flows,
-        chunks_delivered,
-        chunks_dropped,
-        chunks_detoured,
-        chunks_custodied,
-        chunks_rescued,
-        backpressure_msgs,
-        custody_peak,
-        mean_utilisation,
-        channel_utilisation,
-        channel_bits_sent,
-        chunk_bytes: cfg.chunk_bytes,
-        phase_transitions,
-    }
-}
-
 /// Replay the merged probe stream: flow starts order before same-instant
 /// deliveries and ascend by flow (their sequential `Start` events hold
 /// bootstrap sequence numbers); delivery-class events keep their
@@ -602,7 +454,8 @@ fn replay_probes(workers: &mut [RegionWorker<'_>], chunk_bits: f64, probes: &mut
 
 /// Execute one sharded run. Builds a region worker per partition region,
 /// drives them through the barrier ladder under `std::thread::scope`,
-/// and merges state back into the sequential report and probe stream.
+/// replays the merged probe stream, and folds the regions into one core
+/// whose report is the sequential one.
 pub(crate) fn run_partitioned(
     topo: &Topology,
     cfg: PacketSimConfig,
@@ -617,13 +470,11 @@ pub(crate) fn run_partitioned(
     let region_of: Arc<Vec<u32>> = Arc::new(partition.assignment().to_vec());
     let recording = !probes.is_empty();
 
-    let mut workers: Vec<RegionWorker<'_>> = Vec::with_capacity(regions);
-    let mut ladder: Option<Arc<Ladder>> = None;
-    let mut cmd_region: Option<Arc<Vec<usize>>> = None;
+    // every region carries the full plan: fault state (down channels,
+    // crashed nodes, rates) is replicated; node-local side effects
+    // materialise only in the owner region
+    let mut cores = Vec::with_capacity(regions);
     for me in 0..regions {
-        // every region carries the full plan: fault state (down channels,
-        // crashed nodes, rates) is replicated; node-local side effects
-        // materialise only in the owner region
         let mut core = Core::build(topo, cfg, transfers.clone(), faults.clone())?;
         core.region = Some(RegionCtx {
             region_of: Arc::clone(&region_of),
@@ -631,53 +482,51 @@ pub(crate) fn run_partitioned(
             outbox: Vec::new(),
             rx_cmds: Vec::new(),
         });
-        let ladder = ladder
-            .get_or_insert_with(|| {
-                Arc::new(build_ladder(
-                    &cfg,
-                    &core.specs,
-                    &core.kinds,
-                    core.aimd_cfg.map(|a| a.rto),
-                    horizon,
-                ))
-            })
-            .clone();
-        let cmd_region = cmd_region
-            .get_or_insert_with(|| {
-                Arc::new(
-                    core.specs
-                        .iter()
-                        .map(|s| region_of[s.src.idx()] as usize)
-                        .collect(),
-                )
-            })
-            .clone();
-        let mut controls: Vec<(SimTime, u32, NodeId)> = core
+        cores.push(core);
+    }
+    let first = cores.first().expect("at least one region");
+    let ladder = Arc::new(build_ladder(
+        &cfg,
+        &first.specs,
+        &first.kinds,
+        first.aimd_cfg.map(|a| a.rto),
+        horizon,
+    ));
+    let cmd_region: Arc<Vec<usize>> = Arc::new(
+        first
             .specs
             .iter()
-            .enumerate()
-            .filter(|(_, s)| region_of[s.src.idx()] as usize == me && s.start <= horizon)
-            .map(|(slot, s)| (s.start, slot as u32, s.src))
-            .collect();
-        controls.sort_by_key(|&(t, slot, _)| (t, slot));
-        let mut eng: CalendarEngine<Ev> =
-            CalendarEngine::new(core.calendar_width(), 4096).with_horizon(horizon);
-        core.bootstrap_region(&mut eng);
-        workers.push(RegionWorker {
-            core,
-            eng,
-            controls,
-            ctrl_cursor: 0,
-            deferred: Vec::new(),
-            cmd_region,
-            ladder,
-            recorder: Recorder::default(),
-            recording,
-            err: None,
-        });
-    }
+            .map(|s| region_of[s.src.idx()] as usize)
+            .collect(),
+    );
+    let workers: Vec<RegionWorker<'_>> = cores
+        .into_iter()
+        .enumerate()
+        .map(|(me, core)| {
+            let mut controls: Vec<(SimTime, u32, NodeId)> = core
+                .specs
+                .iter()
+                .enumerate()
+                .filter(|(_, s)| region_of[s.src.idx()] as usize == me && s.start <= horizon)
+                .map(|(slot, s)| (s.start, slot as u32, s.src))
+                .collect();
+            controls.sort_by_key(|&(t, slot, _)| (t, slot));
+            let eng = core.bootstrap();
+            RegionWorker {
+                core,
+                eng,
+                controls,
+                ctrl_cursor: 0,
+                deferred: Vec::new(),
+                cmd_region: Arc::clone(&cmd_region),
+                ladder: Arc::clone(&ladder),
+                recorder: Recorder::default(),
+                recording,
+                err: None,
+            }
+        })
+        .collect();
 
-    let ladder = ladder.expect("at least one region");
     let barriers = build_barriers(&ladder, horizon, lookahead);
     let mut workers = run_sharded(workers, &barriers);
     for w in &mut workers {
@@ -685,7 +534,6 @@ pub(crate) fn run_partitioned(
             return Err(e);
         }
     }
-    let report = merge_reports(&workers, topo, &region_of);
     if recording {
         replay_probes(
             &mut workers,
@@ -693,7 +541,12 @@ pub(crate) fn run_partitioned(
             &mut ProbeSet::new(probes),
         );
     }
-    Ok(report)
+    let mut cores = workers.into_iter().map(|w| w.core);
+    let mut core = cores.next().expect("at least one region");
+    for region in cores {
+        core.absorb_region(region);
+    }
+    Ok(core.assemble_report())
 }
 
 #[cfg(test)]
@@ -709,7 +562,7 @@ mod tests {
     use crate::packet::{PacketSimConfig, TransferSpec, TransportKind};
     use crate::report::PacketSimReport;
 
-    use inrpp::session::{FlowEnd, FlowStart, Probe, Sample};
+    use inrpp::session::{FlowEnd, FlowStart, Probe, Sample, SessionError};
 
     /// Bit-exact probe fingerprint (`f64` via `to_bits`).
     #[derive(Default, PartialEq, Debug)]
@@ -877,11 +730,18 @@ mod tests {
             for t in &tr {
                 sim.add_transfer(*t);
             }
-            let r = sim.try_run_partitioned(&p).expect("partitioned run");
+            let mut tape = Tape::default();
+            let r = sim
+                .try_run_partitioned_probed(&p, &mut [&mut tape])
+                .expect("partitioned run");
             assert_eq!(
                 baseline.0,
                 fingerprint(&r),
                 "report diverged at {regions} contiguous regions"
+            );
+            assert_eq!(
+                baseline.1, tape,
+                "probe stream diverged at {regions} contiguous regions"
             );
         }
     }
@@ -889,34 +749,32 @@ mod tests {
     #[test]
     fn sharding_preconditions_are_typed_errors() {
         let (topo, cfg, tr) = scenario();
-        let build = |cfg: PacketSimConfig| {
-            let mut sim = PacketSim::new(&topo, cfg);
+        let sharded = |cfg: PacketSimConfig, workers: usize| {
+            let mut sim = PacketSim::try_new(&topo, cfg)?;
             for t in &tr {
                 sim.add_transfer(*t);
             }
-            sim
+            sim.try_run_sharded(workers, 1)
         };
-        let invalid = |r: Result<PacketSimReport, inrpp::session::SessionError>| {
-            assert!(matches!(
-                r,
-                Err(inrpp::session::SessionError::InvalidConfig(_))
-            ));
+        let invalid = |r: Result<PacketSimReport, SessionError>| {
+            assert!(matches!(r, Err(SessionError::InvalidConfig(_))));
         };
-        invalid(build(cfg).try_run_sharded(0, 1));
-        invalid(
-            build(PacketSimConfig {
+        invalid(sharded(cfg, 0));
+        invalid(sharded(
+            PacketSimConfig {
                 transport: TransportKind::Inrpp(InrppConfig::default()),
                 ..cfg
-            })
-            .try_run_sharded(2, 1),
-        );
-        invalid(
-            build(PacketSimConfig {
+            },
+            2,
+        ));
+        // refused where every run is built, sharded or not
+        invalid(sharded(
+            PacketSimConfig {
                 receiver_timeout: SimDuration::ZERO,
                 ..cfg
-            })
-            .try_run_sharded(2, 1),
-        );
+            },
+            2,
+        ));
         // zero-delay cut channel
         let flat = Topology::line(4, Rate::mbps(9.7), SimDuration::ZERO);
         let ids: Vec<_> = flat.node_ids().collect();

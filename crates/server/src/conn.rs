@@ -983,6 +983,37 @@ mod tests {
         fs::remove_dir_all(&dir).ok();
     }
 
+    #[test]
+    fn a_bad_trace_line_refuses_every_later_advance() {
+        // retrying an advance must not skip the refused line and carry on
+        // without its transfer
+        let dir = std::env::temp_dir().join(format!("inrpp-badline-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let trace = dir.join("bad.trace");
+        fs::write(
+            &trace,
+            "# inrpp-trace v1\n0.5 1 1 4 10 1250\n0.6 2 1 zz 10 1250\n0.7 3 1 3 10 1250\n",
+        )
+        .unwrap();
+        let replies = run(&format!(
+            concat!(
+                r#"{{"cmd":"open","engine":"fluid","topology":"fig3","strategy":"urp","horizon_secs":2,"trace":"{}"}}"#,
+                "\n",
+                r#"{{"cmd":"advance","to_secs":1}}"#,
+                "\n",
+                r#"{{"cmd":"advance","to_secs":1}}"#,
+                "\n",
+            ),
+            trace.display()
+        ));
+        assert_ok(&replies[0]);
+        for r in &replies[1..] {
+            assert_kind(r, "config");
+            assert!(r.contains("trace line 3: unknown node"), "{r}");
+        }
+        fs::remove_dir_all(&dir).ok();
+    }
+
     // ===============================================================
     // v2: hello, seq echo, sid multiplexing, stats, teardown
     // ===============================================================

@@ -8,7 +8,6 @@
 //! randomness and the order units are evaluated in never matters.
 
 use crate::rng::{splitmix64, SimRng};
-use crate::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use crate::time::{SimDuration, SimTime};
 
 /// Typed error for invalid fault knobs: out-of-range probabilities,
@@ -583,92 +582,6 @@ impl FaultPlan {
     }
 }
 
-impl Snap for FaultKind {
-    fn encode(&self, w: &mut SnapWriter) {
-        match *self {
-            FaultKind::LinkDown { link } => {
-                w.put_u8(0);
-                w.put_u32(link);
-            }
-            FaultKind::LinkUp { link } => {
-                w.put_u8(1);
-                w.put_u32(link);
-            }
-            FaultKind::CapacityScale { link, fraction } => {
-                w.put_u8(2);
-                w.put_u32(link);
-                w.put_f64(fraction);
-            }
-            FaultKind::NodeCrash { node } => {
-                w.put_u8(3);
-                w.put_u32(node);
-            }
-            FaultKind::NodeRecover { node } => {
-                w.put_u8(4);
-                w.put_u32(node);
-            }
-            FaultKind::LossBurst {
-                link,
-                drop_chance,
-                until,
-            } => {
-                w.put_u8(5);
-                w.put_u32(link);
-                w.put_f64(drop_chance);
-                until.encode(w);
-            }
-        }
-    }
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.get_u8()? {
-            0 => FaultKind::LinkDown { link: r.get_u32()? },
-            1 => FaultKind::LinkUp { link: r.get_u32()? },
-            2 => FaultKind::CapacityScale {
-                link: r.get_u32()?,
-                fraction: r.get_f64()?,
-            },
-            3 => FaultKind::NodeCrash { node: r.get_u32()? },
-            4 => FaultKind::NodeRecover { node: r.get_u32()? },
-            5 => FaultKind::LossBurst {
-                link: r.get_u32()?,
-                drop_chance: r.get_f64()?,
-                until: SimTime::decode(r)?,
-            },
-            _ => return Err(SnapError::Corrupt("FaultKind tag out of range")),
-        })
-    }
-}
-
-impl Snap for FaultEvent {
-    fn encode(&self, w: &mut SnapWriter) {
-        self.at.encode(w);
-        self.kind.encode(w);
-    }
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(FaultEvent {
-            at: SimTime::decode(r)?,
-            kind: FaultKind::decode(r)?,
-        })
-    }
-}
-
-impl Snap for FaultPlan {
-    fn encode(&self, w: &mut SnapWriter) {
-        w.put_usize(self.events.len());
-        for ev in &self.events {
-            ev.encode(w);
-        }
-    }
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let n = r.get_usize()?;
-        let mut events = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            events.push(FaultEvent::decode(r)?);
-        }
-        FaultPlan::try_new(events).map_err(|_| SnapError::Corrupt("invalid fault plan"))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -887,50 +800,6 @@ mod tests {
             plan.check_indices(5, 8),
             Err(FaultError::NodeOutOfRange { node: 5, .. })
         ));
-    }
-
-    #[test]
-    fn fault_plan_snap_roundtrip() {
-        let plan = FaultPlan::try_new(vec![
-            FaultEvent {
-                at: SimTime::from_millis(5),
-                kind: FaultKind::CapacityScale {
-                    link: 2,
-                    fraction: 0.25,
-                },
-            },
-            FaultEvent {
-                at: SimTime::from_millis(7),
-                kind: FaultKind::NodeCrash { node: 4 },
-            },
-            FaultEvent {
-                at: SimTime::from_millis(9),
-                kind: FaultKind::LossBurst {
-                    link: 0,
-                    drop_chance: 0.4,
-                    until: SimTime::from_millis(14),
-                },
-            },
-        ])
-        .unwrap();
-        let mut w = SnapWriter::new();
-        plan.encode(&mut w);
-        let bytes = w.into_bytes();
-        let back = FaultPlan::decode(&mut SnapReader::new(&bytes)).unwrap();
-        assert_eq!(back, plan);
-        // decode re-validates
-        let mut w = SnapWriter::new();
-        w.put_usize(1);
-        FaultEvent {
-            at: SimTime::from_millis(1),
-            kind: FaultKind::CapacityScale {
-                link: 0,
-                fraction: -1.0,
-            },
-        }
-        .encode(&mut w);
-        let bytes = w.into_bytes();
-        assert!(FaultPlan::decode(&mut SnapReader::new(&bytes)).is_err());
     }
 
     #[test]

@@ -9,13 +9,14 @@
 //! ([`f64::to_bits`]). No schema evolution is attempted — the checkpoint
 //! envelope's magic names the one layout a build reads.
 //!
-//! The [`Snap`] trait is implemented here for the sequences and time
-//! types the checkpoint log and the fingerprints encode; the values
-//! themselves implement it next to their definitions.
+//! [`Snap`] is for values a checkpoint replay decodes: it is
+//! implemented here for sequences and [`SimTime`], and next to their
+//! definitions for the logged calls and transfers. A session
+//! fingerprint only encodes, so it writes its fields directly.
 
 use std::fmt;
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 
 /// Error decoding a checkpoint byte stream.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -146,11 +147,6 @@ impl<'a> SnapReader<'a> {
         usize::try_from(v).map_err(|_| SnapError::Corrupt("usize out of range"))
     }
 
-    /// Read an `f64` from its bit pattern.
-    pub fn get_f64(&mut self) -> Result<f64, SnapError> {
-        Ok(f64::from_bits(self.get_u64()?))
-    }
-
     /// Read a length-prefixed byte slice.
     pub fn get_bytes(&mut self) -> Result<&'a [u8], SnapError> {
         let n = self.get_usize()?;
@@ -189,15 +185,6 @@ impl Snap for SimTime {
     }
     fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         Ok(SimTime::from_nanos(r.get_u64()?))
-    }
-}
-
-impl Snap for SimDuration {
-    fn encode(&self, w: &mut SnapWriter) {
-        w.put_u64(self.as_nanos());
-    }
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(SimDuration::from_nanos(r.get_u64()?))
     }
 }
 
@@ -281,16 +268,16 @@ mod tests {
         assert_eq!(r.get_str(), Ok("calendar"));
         r.finish().expect("fully consumed");
         roundtrip(&SimTime::from_nanos(123_456_789));
-        roundtrip(&SimDuration::MAX);
     }
 
     #[test]
     fn floats_roundtrip_bit_exactly() {
+        // an `f64` is written as its bit pattern, which reads back exactly
         for v in [0.0, -0.0, 1.5, f64::NAN, f64::INFINITY, f64::MIN_POSITIVE] {
             let mut w = SnapWriter::new();
             w.put_f64(v);
             let bytes = w.into_bytes();
-            let back = SnapReader::new(&bytes).get_f64().unwrap();
+            let back = f64::from_bits(SnapReader::new(&bytes).get_u64().unwrap());
             assert_eq!(back.to_bits(), v.to_bits());
         }
     }
