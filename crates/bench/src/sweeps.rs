@@ -15,7 +15,6 @@
 //! what keeps reports byte-identical at any thread count.
 
 use inrpp::scenario::{run_fig4_row, Fig4Config};
-use inrpp::sweep::Grid;
 use inrpp_runner::{CellOutput, SweepReport, SweepSpec};
 use inrpp_sim::time::SimDuration;
 use inrpp_topology::rocketfuel::{generate_isp, generate_with_capacities, Isp};
@@ -576,14 +575,12 @@ fn fig4a_spec(opts: &SweepOptions) -> SweepSpec {
         spec.push_note("shape checks: URP >= ECMP >= SP per topology; gain in the paper's band");
         return spec;
     }
-    // seed-aggregated variant: one cell per (topology, seed); cells draw
-    // their workload/topology seed from the per-cell stream so the grid is
-    // embarrassingly parallel yet byte-stable at any thread count
+    // seed-aggregated variant: one cell per (topology, seed), topology
+    // major; cells draw their workload/topology seed from the per-cell
+    // stream so the sweep is embarrassingly parallel yet byte-stable at
+    // any thread count
     let topologies = inrpp::scenario::fig4_topologies();
     let nseeds = opts.seeds;
-    let grid = Grid::new()
-        .axis("topology", topologies.len())
-        .axis("seed", nseeds);
     let mut spec = SweepSpec::new(
         "fig4a",
         title.as_str(),
@@ -597,18 +594,18 @@ fn fig4a_spec(opts: &SweepOptions) -> SweepSpec {
             "paper",
         ],
     );
-    for i in 0..grid.len() {
-        let coord = grid.coord(i);
-        let isp = topologies[coord[0]];
-        spec.push_cell(format!("{} seed {}", isp.name(), coord[1]), move |ctx| {
-            let row = run_fig4_row(isp, &cfg.with_seed(ctx.seed));
-            CellOutput::new().with_data([
-                row.sp.throughput(),
-                row.ecmp.throughput(),
-                row.urp.throughput(),
-                row.urp_gain_over_sp_pct(),
-            ])
-        });
+    for isp in topologies {
+        for seed in 0..nseeds {
+            spec.push_cell(format!("{} seed {seed}", isp.name()), move |ctx| {
+                let row = run_fig4_row(isp, &cfg.with_seed(ctx.seed));
+                CellOutput::new().with_data([
+                    row.sp.throughput(),
+                    row.ecmp.throughput(),
+                    row.urp.throughput(),
+                    row.urp_gain_over_sp_pct(),
+                ])
+            });
+        }
     }
     spec.set_finish(move |outputs, report| {
         use inrpp_sim::metrics::SummaryStats;

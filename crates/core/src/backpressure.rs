@@ -16,6 +16,10 @@ use inrpp_sim::time::{SimDuration, SimTime};
 use inrpp_sim::units::Rate;
 use inrpp_topology::graph::{LinkId, NodeId};
 
+/// How long a back-pressure slow-down stays in force without being
+/// re-advertised, at every hop and at the sender's closed loop.
+pub const BACKPRESSURE_TTL: SimDuration = SimDuration::from_millis(200);
+
 /// A hop-by-hop slow-down notification.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SlowdownMsg {

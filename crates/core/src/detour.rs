@@ -10,12 +10,17 @@
 //! * **blind** (option ii): no load information; only the local first hop
 //!   is checked and downstream nodes may detour again.
 //!
-//! Depth policy follows the Fig. 4 setup: depth 1 uses 1-hop detours,
-//! depth 2 additionally allows the "one extra hop" paths.
+//! Depth 1 uses 1-hop detours; depth 2 additionally allows the "one extra
+//! hop" paths of the Fig. 4 setup, which is what the engines run
+//! ([`MAX_DETOUR_DEPTH`]).
 
 use inrpp_topology::detour::DetourTable;
 use inrpp_topology::graph::{LinkId, NodeId, Topology};
 use inrpp_topology::spath::Path;
+
+/// Detour depth of the packet engines: the Fig. 4 setup, where "nodes on
+/// the detour path can further detour, but for one extra hop only".
+pub const MAX_DETOUR_DEPTH: u8 = 2;
 
 /// Policy + precomputed table for picking detours on one topology.
 #[derive(Debug, Clone)]

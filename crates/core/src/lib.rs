@@ -14,7 +14,6 @@
 //! | Receiver ⟨Nc, ACKc, Ac⟩ pipeline and sender modes (§3.2) | [`endpoint`] |
 //! | Global fairness / local stability arithmetic (Fig. 3) | [`fairness`] |
 //! | Whole-scenario convenience API over the substrates | [`scenario`] |
-//! | Experiment-cell enumeration for parallel sweeps | [`sweep`] |
 //! | Steppable sessions with checkpoint/resume (service mode) | [`service`] |
 //! | Streaming workload ingestion from recorded traces | [`source`] |
 //!
@@ -38,7 +37,6 @@ pub mod scenario;
 pub mod service;
 pub mod session;
 pub mod source;
-pub mod sweep;
 
 pub use config::InrppConfig;
 pub use phase::{Phase, PhaseController};

@@ -11,14 +11,25 @@
 //!   filling): cache incoming data and tell the upstream neighbour to slow
 //!   down.
 //!
-//! Transitions use hysteresis (`detour_enter`/`detour_exit` in
-//! [`InrppConfig`]) because the paper lists "extensive link swapping" as a
-//! failure mode to avoid (§4). The controller also counts transitions so
-//! the `T_i`-sensitivity ablation (A5) can quantify flapping.
+//! Transitions use hysteresis ([`DETOUR_ENTER`] and [`DETOUR_EXIT`])
+//! because the paper lists "extensive link swapping" as a failure mode to
+//! avoid (§4). The controller also counts transitions so the
+//! `T_i`-sensitivity ablation (A5) can quantify flapping.
 
 use inrpp_sim::units::Rate;
 
 use crate::config::InrppConfig;
+
+/// Ratio `r_a / r` at which an interface leaves push-data for detour.
+/// The paper says "when `r_a ≈ r` or `r_a > r`" (§3.3); 0.95 with
+/// hysteresis operationalises the ≈.
+pub const DETOUR_ENTER: f64 = 0.95;
+
+/// Ratio below which the interface returns to push-data: hysteresis to
+/// "avoid extensive link swapping" (§4).
+pub const DETOUR_EXIT: f64 = 0.85;
+
+const _: () = assert!(0.0 < DETOUR_EXIT && DETOUR_EXIT <= DETOUR_ENTER);
 
 /// The paper's three interface phases.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -47,7 +58,7 @@ impl std::fmt::Display for Phase {
 pub struct PhaseInputs {
     /// Anticipated rate `r_a(i)` from the estimator.
     pub anticipated: Rate,
-    /// Interface capacity `r(i)` (after forwarding headroom).
+    /// Interface capacity `r(i)`.
     pub capacity: Rate,
     /// Whether any detour path with spare capacity exists right now.
     pub detour_available: bool,
@@ -122,9 +133,9 @@ impl PhaseController {
         let pressure = Self::pressure(&inputs);
         let congested = match self.phase {
             // entering congestion needs the higher threshold...
-            Phase::PushData => pressure >= self.config.detour_enter,
+            Phase::PushData => pressure >= DETOUR_ENTER,
             // ...leaving it needs to drop below the lower one
-            Phase::Detour | Phase::BackPressure => pressure > self.config.detour_exit,
+            Phase::Detour | Phase::BackPressure => pressure > DETOUR_EXIT,
         };
         let cache_forces_bp = inputs.cache_fill >= self.config.cache_pressure_threshold;
         let next = if !congested && !cache_forces_bp {
@@ -199,7 +210,7 @@ mod tests {
         let mut c = ctl();
         c.update(inputs(10.0, 10.0)); // -> Detour
         assert_eq!(c.phase(), Phase::Detour);
-        // pressure drops to 0.9: still above detour_exit (0.85) => stay
+        // pressure drops to 0.9: still above DETOUR_EXIT (0.85) => stay
         assert_eq!(c.update(inputs(9.0, 10.0)), Phase::Detour);
         // pressure 0.84 < exit: back to push-data
         assert_eq!(c.update(inputs(8.4, 10.0)), Phase::PushData);

@@ -242,8 +242,8 @@ impl SessionStrategy {
     pub fn build_fluid(&self, topo: &Topology) -> Box<dyn RoutingStrategy> {
         match *self {
             SessionStrategy::Sp => Box::new(SinglePathStrategy),
-            SessionStrategy::Ecmp => Box::new(EcmpStrategy::default()),
-            SessionStrategy::Mptcp => Box::new(MptcpStrategy::default()),
+            SessionStrategy::Ecmp => Box::new(EcmpStrategy),
+            SessionStrategy::Mptcp => Box::new(MptcpStrategy),
             SessionStrategy::Urp(cfg) => Box::new(InrpStrategy::new(topo, cfg)),
         }
     }

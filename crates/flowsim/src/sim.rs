@@ -829,7 +829,7 @@ mod tests {
     fn ecmp_runs_and_reports() {
         let topo = generate_isp(Isp::Vsnl, 1);
         let w = small_workload(&topo, 50.0, 2, 17);
-        let ecmp = EcmpStrategy::default();
+        let ecmp = EcmpStrategy;
         let report = FlowSim::new(
             &topo,
             &ecmp,

@@ -45,18 +45,13 @@ impl RoutingStrategy for SinglePathStrategy {
     }
 }
 
-/// Equal-cost multipath: per-flow hash over the shortest-path set.
-#[derive(Debug, Clone, Copy)]
-pub struct EcmpStrategy {
-    /// Cap on enumerated equal-cost paths (dense cores explode otherwise).
-    pub max_paths: usize,
-}
+/// Cap on the equal-cost paths [`EcmpStrategy`] enumerates (dense cores
+/// explode otherwise).
+const ECMP_MAX_PATHS: usize = 16;
 
-impl Default for EcmpStrategy {
-    fn default() -> Self {
-        EcmpStrategy { max_paths: 16 }
-    }
-}
+/// Equal-cost multipath: per-flow hash over the shortest-path set.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct EcmpStrategy;
 
 impl RoutingStrategy for EcmpStrategy {
     fn name(&self) -> &'static str {
@@ -64,7 +59,7 @@ impl RoutingStrategy for EcmpStrategy {
     }
 
     fn paths_for(&self, topo: &Topology, src: NodeId, dst: NodeId, key: u64) -> Vec<Path> {
-        let set = all_shortest_paths(topo, src, dst, self.max_paths);
+        let set = all_shortest_paths(topo, src, dst, ECMP_MAX_PATHS);
         if set.is_empty() {
             return Vec::new();
         }
@@ -72,21 +67,15 @@ impl RoutingStrategy for EcmpStrategy {
     }
 }
 
-/// MPTCP-style end-to-end multipath: each flow pools over up to
-/// `max_subflows` **edge-disjoint end-to-end paths** — the paper's
-/// "e2eRPP" regime (Fig. 2 ii). Unlike INRP, pooling happens only between
-/// the endpoints' full paths; there is no in-network, per-link detouring.
-#[derive(Debug, Clone, Copy)]
-pub struct MptcpStrategy {
-    /// Maximum concurrent subflows per connection.
-    pub max_subflows: usize,
-}
+/// Maximum concurrent subflows of an [`MptcpStrategy`] connection.
+const MPTCP_MAX_SUBFLOWS: usize = 4;
 
-impl Default for MptcpStrategy {
-    fn default() -> Self {
-        MptcpStrategy { max_subflows: 4 }
-    }
-}
+/// MPTCP-style end-to-end multipath: each flow pools over up to four
+/// **edge-disjoint end-to-end paths** — the paper's "e2eRPP" regime
+/// (Fig. 2 ii). Unlike INRP, pooling happens only between the endpoints'
+/// full paths; there is no in-network, per-link detouring.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct MptcpStrategy;
 
 impl RoutingStrategy for MptcpStrategy {
     fn name(&self) -> &'static str {
@@ -94,7 +83,7 @@ impl RoutingStrategy for MptcpStrategy {
     }
 
     fn paths_for(&self, topo: &Topology, src: NodeId, dst: NodeId, _key: u64) -> Vec<Path> {
-        edge_disjoint_paths(topo, src, dst, self.max_subflows.max(1), &cost::hops)
+        edge_disjoint_paths(topo, src, dst, MPTCP_MAX_SUBFLOWS, &cost::hops)
     }
 }
 
@@ -254,7 +243,7 @@ mod tests {
         t.add_link(ids[0], ids[2], c, d).unwrap();
         t.add_link(ids[1], ids[3], c, d).unwrap();
         t.add_link(ids[2], ids[3], c, d).unwrap();
-        let s = EcmpStrategy::default();
+        let s = EcmpStrategy;
         let mut seen = std::collections::HashSet::new();
         for key in 0..64 {
             let ps = s.paths_for(&t, ids[0], ids[3], key);
@@ -351,7 +340,7 @@ mod tests {
     #[test]
     fn mptcp_pools_disjoint_paths() {
         let t = fig3();
-        let s = MptcpStrategy::default();
+        let s = MptcpStrategy;
         assert_eq!(s.name(), "MPTCP");
         // from node 2, two disjoint routes reach node 4
         let ps = s.paths_for(&t, n(&t, "2"), n(&t, "4"), 0);
@@ -373,7 +362,7 @@ mod tests {
         let t = fig3();
         let src = n(&t, "1");
         let dst = n(&t, "4");
-        let mptcp = MptcpStrategy::default().paths_for(&t, src, dst, 0);
+        let mptcp = MptcpStrategy.paths_for(&t, src, dst, 0);
         let inrp = InrpStrategy::with_defaults(&t).paths_for(&t, src, dst, 0);
         let a_mptcp = max_min_allocate(&t, &[mptcp]);
         let a_inrp = max_min_allocate(&t, &[inrp]);

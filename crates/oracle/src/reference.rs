@@ -14,9 +14,9 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
-use inrpp::backpressure::{BackpressureState, SlowdownMsg};
+use inrpp::backpressure::{BackpressureState, SlowdownMsg, BACKPRESSURE_TTL};
 use inrpp::config::InrppConfig;
-use inrpp::detour::DetourSelector;
+use inrpp::detour::{DetourSelector, MAX_DETOUR_DEPTH};
 use inrpp::endpoint::{Receiver, Request, Sender, SenderMode};
 use inrpp::flowlet::FlowletSplitter;
 use inrpp::phase::{Phase, PhaseController, PhaseInputs};
@@ -32,7 +32,8 @@ use inrpp_topology::spath::{cost, shortest_path};
 
 use inrpp_packetsim::packet::{
     AimdConfig, ChunkNo, DirIndex, FlowId, FlowTransport, PacketSimConfig, TransferSpec,
-    TransportKind,
+    TransportKind, DETOUR_QUEUE_THRESHOLD, INITIAL_SSTHRESH, INITIAL_WINDOW, MAX_QUEUE,
+    REQUEST_BYTES,
 };
 use inrpp_packetsim::report::{FlowStats, PacketSimReport};
 
@@ -133,7 +134,7 @@ impl<'a> Runner<'a> {
         for l in topo.link_ids() {
             let link = topo.link(l);
             for _ in 0..2 {
-                channels.push(Channel::new(link.capacity, link.delay, cfg.max_queue));
+                channels.push(Channel::new(link.capacity, link.delay, MAX_QUEUE));
             }
         }
         let (inrpp_cfg, aimd_cfg) = match cfg.transport {
@@ -170,7 +171,7 @@ impl<'a> Runner<'a> {
             .node_ids()
             .map(|_| CustodyStore::new(inrpp_cfg.map(|c| c.cache_budget).unwrap_or(ByteSize::ZERO)))
             .collect();
-        let selector = inrpp_cfg.map(|c| DetourSelector::new(topo, c.max_detour_depth, 4));
+        let selector = inrpp_cfg.map(|_| DetourSelector::new(topo, MAX_DETOUR_DEPTH, 4));
         // keyed draws: identical derivation to the optimised engine, so
         // both agree on every attempt's fate regardless of event order
         let fault = FaultInjector::keyed(cfg.fault, cfg.seed);
@@ -302,7 +303,7 @@ impl<'a> Runner<'a> {
             self.estimators[here.idx()].record_request(now, up, down, bits);
         }
         let d = self.dir_between(here, next);
-        let bits = self.cfg.request_bytes.as_bits() as f64;
+        let bits = REQUEST_BYTES.as_bits() as f64;
         match self.channels[d].try_send(now, bits) {
             Ok(arrival) => {
                 let idx = self.stash(Packet::Request {
@@ -370,7 +371,7 @@ impl<'a> Runner<'a> {
             // or an upstream slow-down caps this link.
             let li = self.local_idx[here.idx()][&next];
             let phase = self.phases[here.idx()][li].phase();
-            let queue_long = self.channels[d].queue_delay(now) > self.cfg.detour_queue_threshold;
+            let queue_long = self.channels[d].queue_delay(now) > DETOUR_QUEUE_THRESHOLD;
             let bp_capped = {
                 let link = DirIndex(d).link();
                 self.bp[here.idx()].allowed_rate(now, link).is_some()
@@ -455,7 +456,7 @@ impl<'a> Runner<'a> {
         // every hop of the detour; blind mode (option ii) sees only the
         // local first hop.
         let load_aware = self.inrpp_cfg.is_some_and(|c| c.load_aware_detour);
-        let threshold = self.cfg.detour_queue_threshold;
+        let threshold = DETOUR_QUEUE_THRESHOLD;
         let viable: Vec<&inrpp_topology::spath::Path> = cands
             .iter()
             .filter(|p| {
@@ -509,9 +510,7 @@ impl<'a> Runner<'a> {
                 .or_insert_with(|| route[hop..].to_vec());
             self.drain_reg.entry(d).or_default().insert(flow);
             if self.drain_scheduled.insert(d) {
-                let t = self.channels[d]
-                    .drain_time(self.cfg.detour_queue_threshold)
-                    .max(now);
+                let t = self.channels[d].drain_time(DETOUR_QUEUE_THRESHOLD).max(now);
                 eng.schedule_at(t, Ev::CustodyDrain { node: here, dir: d })
                     .expect("drain time is not in the past");
             }
@@ -595,8 +594,8 @@ impl<'a> Runner<'a> {
             (FlowTransport::Aimd, _, Some(ac)) => {
                 let mut rt = ReceiverRt {
                     kind: ReceiverKind::Aimd(AimdReceiver {
-                        cwnd: ac.initial_window,
-                        ssthresh: ac.initial_ssthresh,
+                        cwnd: INITIAL_WINDOW,
+                        ssthresh: INITIAL_SSTHRESH,
                         total: spec.chunks,
                         next_unrequested: 0,
                         received: BTreeSet::new(),
@@ -604,7 +603,7 @@ impl<'a> Runner<'a> {
                     outstanding: BTreeMap::new(),
                     stats,
                 };
-                let win = (ac.initial_window as u64).clamp(1, spec.chunks);
+                let win = (INITIAL_WINDOW as u64).clamp(1, spec.chunks);
                 let deadline = now + ac.rto;
                 let mut to_req = Vec::new();
                 if let ReceiverKind::Aimd(r) = &mut rt.kind {
@@ -874,7 +873,7 @@ impl<'a> Runner<'a> {
 
     fn custody_drain(&mut self, eng: &mut Engine<Ev>, now: SimTime, node: NodeId, d: usize) {
         self.drain_scheduled.remove(&d);
-        let threshold = self.cfg.detour_queue_threshold;
+        let threshold = DETOUR_QUEUE_THRESHOLD;
         loop {
             if self.channels[d].queue_delay(now) > threshold {
                 break;
@@ -948,7 +947,7 @@ impl<'a> Runner<'a> {
                 .is_some_and(|s| !s.candidates(self.topo, link, node, nb).is_empty());
             let inputs = PhaseInputs {
                 anticipated: self.estimators[node.idx()].anticipated_rate(li),
-                capacity: self.channels[d].rate() * ic.forwarding_headroom,
+                capacity: self.channels[d].rate(),
                 detour_available,
                 cache_fill: self.custody[node.idx()].fill_fraction(),
             };
@@ -967,10 +966,7 @@ impl<'a> Runner<'a> {
         flow: FlowId,
         at: NodeId,
     ) {
-        let ttl = self
-            .inrpp_cfg
-            .map(|c| c.backpressure_ttl)
-            .unwrap_or(SimDuration::from_millis(200));
+        let ttl = BACKPRESSURE_TTL;
         self.bp[at.idx()].apply(now, &msg, ttl);
         let spec = self.flows[&flow].spec;
         if at == spec.src {

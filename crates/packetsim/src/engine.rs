@@ -56,9 +56,9 @@
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
-use inrpp::backpressure::{BackpressureState, SlowdownMsg};
+use inrpp::backpressure::{BackpressureState, SlowdownMsg, BACKPRESSURE_TTL};
 use inrpp::config::InrppConfig;
-use inrpp::detour::DetourSelector;
+use inrpp::detour::{DetourSelector, MAX_DETOUR_DEPTH};
 use inrpp::endpoint::{ChunkSet, Receiver, Request, Sender, SenderMode};
 use inrpp::flowlet::FlowletSplitter;
 use inrpp::phase::{Phase, PhaseController, PhaseInputs};
@@ -76,7 +76,8 @@ use inrpp_topology::spath::{cost, shortest_path, Path};
 use crate::channel::ChannelBank;
 use crate::packet::{
     AimdConfig, ChunkNo, DirIndex, FlowId, FlowTransport, PacketSimConfig, TransferSpec,
-    TransportKind,
+    TransportKind, DETOUR_QUEUE_THRESHOLD, INITIAL_SSTHRESH, INITIAL_WINDOW, MAX_QUEUE,
+    REQUEST_BYTES,
 };
 use crate::report::{FlowStats, PacketSimReport};
 
@@ -382,12 +383,12 @@ fn check_transfer(
 /// u64-nanosecond clock.
 fn check_clock_bound(cfg: &PacketSimConfig, link: &Link, rate: Rate) -> Result<(), SessionError> {
     let horizon = SimTime::ZERO + cfg.horizon;
-    for (what, size) in [("chunk", cfg.chunk_bytes), ("request", cfg.request_bytes)] {
+    for (what, size) in [("chunk", cfg.chunk_bytes), ("request", REQUEST_BYTES)] {
         // `as_bits` would overflow past u64::MAX / 8 bytes
         let secs = size.as_bytes() as f64 * 8.0 / rate.as_bps();
         let arrival = SimDuration::try_from_secs_f64(secs).ok().and_then(|tx| {
             horizon
-                .checked_add(cfg.max_queue)?
+                .checked_add(MAX_QUEUE)?
                 .checked_add(tx)?
                 .checked_add(link.delay)
         });
@@ -785,16 +786,16 @@ impl<'a> Core<'a> {
             }
         }
         let dense = DenseChannels::build(topo);
-        let channels = ChannelBank::from_topology(topo, cfg.max_queue).with_send_sizes([
+        let channels = ChannelBank::from_topology(topo, MAX_QUEUE).with_send_sizes([
             cfg.chunk_bytes.as_bits() as f64,
-            cfg.request_bytes.as_bits() as f64,
+            REQUEST_BYTES.as_bits() as f64,
         ]);
         let (inrpp_cfg, aimd_cfg) = match cfg.transport {
             TransportKind::Inrpp(ic) => (Some(ic), None),
             TransportKind::Aimd(ac) => (None, Some(ac)),
             TransportKind::Mixed { inrpp, aimd } => (Some(inrpp), Some(aimd)),
         };
-        let selector = inrpp_cfg.map(|c| DetourSelector::new(topo, c.max_detour_depth, 4));
+        let selector = inrpp_cfg.map(|_| DetourSelector::new(topo, MAX_DETOUR_DEPTH, 4));
         let mut if_of_dir = vec![0u32; ndir];
         let mut bypass = vec![Vec::new(); ndir];
         let mut nbrs: Vec<Vec<(NodeId, u32)>> = Vec::with_capacity(nnodes);
@@ -1184,10 +1185,7 @@ impl<'a> Core<'a> {
         if !self.drain_reg[d].is_empty() && !self.drain_scheduled[d] && !self.node_down[node.idx()]
         {
             self.drain_scheduled[d] = true;
-            let t = self
-                .channels
-                .drain_time(d, self.cfg.detour_queue_threshold)
-                .max(now);
+            let t = self.channels.drain_time(d, DETOUR_QUEUE_THRESHOLD).max(now);
             eng.schedule_at(
                 t,
                 Ev::CustodyDrain {
@@ -1385,10 +1383,7 @@ impl<'a> Core<'a> {
         }
         if !self.drain_scheduled[d] && !self.is_down(d) {
             self.drain_scheduled[d] = true;
-            let t = self
-                .channels
-                .drain_time(d, self.cfg.detour_queue_threshold)
-                .max(now);
+            let t = self.channels.drain_time(d, DETOUR_QUEUE_THRESHOLD).max(now);
             eng.schedule_at(
                 t,
                 Ev::CustodyDrain {
@@ -1452,7 +1447,7 @@ impl<'a> Core<'a> {
             let bits = self.chunk_bits() * covers as f64;
             self.estimators[here.idx()].record_request(now, up, down, bits);
         }
-        let bits = self.cfg.request_bytes.as_bits() as f64;
+        let bits = REQUEST_BYTES.as_bits() as f64;
         match self.channels.try_send(d, now, bits) {
             Ok(arrival) => {
                 self.schedule_deliver(
@@ -1520,7 +1515,7 @@ impl<'a> Core<'a> {
             // took the channel down entirely.
             let li = self.if_of_dir[d] as usize;
             let phase = self.phases[here.idx()][li].phase();
-            let queue_long = self.channels.queue_delay(d, now) > self.cfg.detour_queue_threshold;
+            let queue_long = self.channels.queue_delay(d, now) > DETOUR_QUEUE_THRESHOLD;
             let bp_capped = {
                 let link = DirIndex(d).link();
                 self.bp[here.idx()].allowed_rate(now, link).is_some()
@@ -1547,7 +1542,6 @@ impl<'a> Core<'a> {
                         &self.channels,
                         &self.down_dirs,
                         &mut self.splitters,
-                        self.cfg.detour_queue_threshold,
                         now,
                         here,
                         flow,
@@ -1682,10 +1676,7 @@ impl<'a> Core<'a> {
             // it when the fault plan restores the path
             if !self.drain_scheduled[d] && !self.is_down(d) {
                 self.drain_scheduled[d] = true;
-                let t = self
-                    .channels
-                    .drain_time(d, self.cfg.detour_queue_threshold)
-                    .max(now);
+                let t = self.channels.drain_time(d, DETOUR_QUEUE_THRESHOLD).max(now);
                 eng.schedule_at(
                     t,
                     Ev::CustodyDrain {
@@ -1786,8 +1777,8 @@ impl<'a> Core<'a> {
             (FlowTransport::Aimd, _, Some(ac)) => {
                 let mut rt = RxRt {
                     kind: RxKind::Aimd(AimdRx {
-                        cwnd: ac.initial_window,
-                        ssthresh: ac.initial_ssthresh,
+                        cwnd: INITIAL_WINDOW,
+                        ssthresh: INITIAL_SSTHRESH,
                         total: spec.chunks,
                         next_unrequested: 0,
                         received: ChunkSet::default(),
@@ -1795,7 +1786,7 @@ impl<'a> Core<'a> {
                     outstanding: Outstanding::default(),
                     stats,
                 };
-                let win = (ac.initial_window as u64).clamp(1, spec.chunks);
+                let win = (INITIAL_WINDOW as u64).clamp(1, spec.chunks);
                 let deadline = now + ac.rto;
                 let mut to_req = Vec::new();
                 if let RxKind::Aimd(r) = &mut rt.kind {
@@ -2106,9 +2097,8 @@ impl<'a> Core<'a> {
         if self.is_down(d) || self.node_down[node.idx()] {
             return Ok(());
         }
-        let threshold = self.cfg.detour_queue_threshold;
         loop {
-            if self.channels.queue_delay(d, now) > threshold {
+            if self.channels.queue_delay(d, now) > DETOUR_QUEUE_THRESHOLD {
                 break;
             }
             // lowest slot (= lowest flow id) first: deterministic round
@@ -2162,7 +2152,7 @@ impl<'a> Core<'a> {
             self.drain_scheduled[d] = true;
             let t = self
                 .channels
-                .drain_time(d, threshold)
+                .drain_time(d, DETOUR_QUEUE_THRESHOLD)
                 .max(now + SimDuration::from_micros(100));
             eng.schedule_at(
                 t,
@@ -2193,7 +2183,7 @@ impl<'a> Core<'a> {
             let d = self.nbrs[node.idx()][li].1 as usize;
             let inputs = PhaseInputs {
                 anticipated: self.estimators[node.idx()].anticipated_rate(li),
-                capacity: self.channels.rate(d) * ic.forwarding_headroom,
+                capacity: self.channels.rate(d),
                 detour_available: !self.bypass[d].is_empty(),
                 cache_fill: self.custody[node.idx()].fill_fraction(),
             };
@@ -2212,11 +2202,7 @@ impl<'a> Core<'a> {
         slot: u32,
         at: NodeId,
     ) {
-        let ttl = self
-            .inrpp_cfg
-            .map(|c| c.backpressure_ttl)
-            .unwrap_or(SimDuration::from_millis(200));
-        self.bp[at.idx()].apply(now, &msg, ttl);
+        self.bp[at.idx()].apply(now, &msg, BACKPRESSURE_TTL);
         let spec = self.specs[slot as usize];
         if at == spec.src {
             // the sender: enter the closed loop for this flow (§3.2)
@@ -2224,7 +2210,7 @@ impl<'a> Core<'a> {
             if let Some(s) = self.senders[at.idx()].as_mut() {
                 s.set_mode(flow, SenderMode::ClosedLoop);
             }
-            eng.schedule(ttl, Ev::BpExpire { node: at, slot });
+            eng.schedule(BACKPRESSURE_TTL, Ev::BpExpire { node: at, slot });
             return;
         }
         // otherwise: propagate one hop further upstream along the flow
@@ -2627,7 +2613,6 @@ fn pick_detour(
     channels: &ChannelBank,
     down: &[u32],
     splitters: &mut [FlowletSplitter],
-    threshold: SimDuration,
     now: SimTime,
     here: NodeId,
     flow: FlowId,
@@ -2648,12 +2633,14 @@ fn pick_detour(
             let hops_ok = if load_aware {
                 p.nodes().windows(2).all(|w| {
                     dense.dir_index(w[0], w[1]).is_some_and(|d| {
-                        down[d as usize] == 0 && channels.queue_delay(d as usize, now) <= threshold
+                        down[d as usize] == 0
+                            && channels.queue_delay(d as usize, now) <= DETOUR_QUEUE_THRESHOLD
                     })
                 })
             } else {
                 dense.dir_index(here, p.nodes()[1]).is_some_and(|d| {
-                    down[d as usize] == 0 && channels.queue_delay(d as usize, now) <= threshold
+                    down[d as usize] == 0
+                        && channels.queue_delay(d as usize, now) <= DETOUR_QUEUE_THRESHOLD
                 })
             };
             hops_ok
@@ -3253,10 +3240,7 @@ mod tests {
         let t = fig3();
         for ns in [0, 1, 2] {
             let timer = SimDuration::from_nanos(ns);
-            let aimd = AimdConfig {
-                rto: timer,
-                ..AimdConfig::default()
-            };
+            let aimd = AimdConfig { rto: timer };
             for cfg in [
                 PacketSimConfig {
                     receiver_timeout: timer,

@@ -66,13 +66,19 @@ impl TransferSpec {
     }
 }
 
-/// AIMD baseline parameters (receiver-driven window, ICP/TCP-style).
+/// Initial congestion window of an AIMD receiver (chunks).
+pub const INITIAL_WINDOW: f64 = 2.0;
+
+/// Initial slow-start threshold of an AIMD receiver (chunks).
+pub const INITIAL_SSTHRESH: f64 = 64.0;
+
+const _: () = assert!(1.0 <= INITIAL_WINDOW && INITIAL_WINDOW < INITIAL_SSTHRESH);
+
+/// AIMD baseline parameters (receiver-driven window, ICP/TCP-style). The
+/// window starts at [`INITIAL_WINDOW`] in slow start up to
+/// [`INITIAL_SSTHRESH`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AimdConfig {
-    /// Initial congestion window (chunks).
-    pub initial_window: f64,
-    /// Initial slow-start threshold (chunks).
-    pub initial_ssthresh: f64,
     /// Retransmission timeout for an outstanding chunk.
     pub rto: SimDuration,
 }
@@ -80,8 +86,6 @@ pub struct AimdConfig {
 impl Default for AimdConfig {
     fn default() -> Self {
         AimdConfig {
-            initial_window: 2.0,
-            initial_ssthresh: 64.0,
             rto: SimDuration::from_millis(500),
         }
     }
@@ -116,18 +120,25 @@ pub enum FlowTransport {
     Aimd,
 }
 
-/// Full configuration of a packet-level run.
+/// Size of a request/control packet.
+pub const REQUEST_BYTES: ByteSize = ByteSize::bytes(50);
+
+/// Per-channel queue bound, expressed as queueing delay.
+pub const MAX_QUEUE: SimDuration = SimDuration::from_millis(50);
+
+/// Queue delay past which an INRPP router prefers a detour for new chunks
+/// (the operational trigger inside the detour phase).
+pub const DETOUR_QUEUE_THRESHOLD: SimDuration = SimDuration::from_millis(10);
+
+const _: () = assert!(DETOUR_QUEUE_THRESHOLD.as_nanos() < MAX_QUEUE.as_nanos());
+
+/// Full configuration of a packet-level run. Requests are
+/// [`REQUEST_BYTES`] long, and every channel queues at most
+/// [`MAX_QUEUE`] of traffic.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PacketSimConfig {
     /// Payload size of a data chunk.
     pub chunk_bytes: ByteSize,
-    /// Size of a request/control packet.
-    pub request_bytes: ByteSize,
-    /// Per-channel queue bound, expressed as queueing delay.
-    pub max_queue: SimDuration,
-    /// Queue delay past which an INRPP router prefers a detour for new
-    /// chunks (the operational trigger inside the detour phase).
-    pub detour_queue_threshold: SimDuration,
     /// Transport selection.
     pub transport: TransportKind,
     /// Hard stop.
@@ -144,9 +155,6 @@ impl Default for PacketSimConfig {
     fn default() -> Self {
         PacketSimConfig {
             chunk_bytes: ByteSize::bytes(1250),
-            request_bytes: ByteSize::bytes(50),
-            max_queue: SimDuration::from_millis(50),
-            detour_queue_threshold: SimDuration::from_millis(10),
             transport: TransportKind::Inrpp(InrppConfig::default()),
             horizon: SimDuration::from_secs(30),
             receiver_timeout: SimDuration::from_millis(500),
@@ -197,14 +205,10 @@ mod tests {
     #[test]
     fn defaults_are_consistent() {
         let c = PacketSimConfig::default();
-        assert!(c.detour_queue_threshold < c.max_queue);
-        assert!(c.chunk_bytes > c.request_bytes);
+        assert!(c.chunk_bytes > REQUEST_BYTES);
         match c.transport {
             TransportKind::Inrpp(ic) => ic.validate().unwrap(),
             _ => panic!("default transport should be INRPP"),
         }
-        let a = AimdConfig::default();
-        assert!(a.initial_window >= 1.0);
-        assert!(a.initial_ssthresh > a.initial_window);
     }
 }

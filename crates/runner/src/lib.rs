@@ -52,6 +52,6 @@ mod slots;
 mod spec;
 
 pub use pool::{run_sweep, try_run_sweep, RunnerConfig};
-pub use report::{json_string, Artifact, ReportParseError, SweepReport};
+pub use report::{json_string, Artifact, SweepReport};
 pub use slots::{SlotGuard, SlotPool};
 pub use spec::{CellCtx, CellOutput, CellSpec, SweepSpec};

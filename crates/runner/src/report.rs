@@ -35,28 +35,6 @@ pub struct SweepReport {
     pub artifacts: Vec<Artifact>,
 }
 
-/// Why a serialized report failed to parse. The offending line (1-based)
-/// and a description are carried for diagnostics.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReportParseError {
-    /// 1-based line number of the problem.
-    pub line: usize,
-    /// What went wrong.
-    pub message: String,
-}
-
-impl std::fmt::Display for ReportParseError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "report parse error at line {}: {}",
-            self.line, self.message
-        )
-    }
-}
-
-impl std::error::Error for ReportParseError {}
-
 impl SweepReport {
     /// Serialize to a single canonical JSON object.
     ///
@@ -99,7 +77,7 @@ impl SweepReport {
     /// CSV is the format for feeding plots, not for archiving runs.
     ///
     /// Cells containing commas, quotes, or newlines are quoted per RFC
-    /// 4180 so the output round-trips through [`SweepReport::from_csv`].
+    /// 4180.
     pub fn to_csv(&self) -> String {
         let mut out = String::new();
         csv_line(&mut out, &self.columns);
@@ -107,54 +85,6 @@ impl SweepReport {
             csv_line(&mut out, row);
         }
         out
-    }
-
-    /// Parse a report back from [`SweepReport::to_csv`] output.
-    ///
-    /// Only the tabular part survives a CSV round-trip; `experiment`,
-    /// `title`, notes, and artifacts come back empty.
-    ///
-    /// ```
-    /// use inrpp_runner::SweepReport;
-    ///
-    /// let report = SweepReport {
-    ///     columns: vec!["isp".into(), "gain".into()],
-    ///     rows: vec![vec!["Telstra, AUS".into(), "+12.0%".into()]],
-    ///     ..SweepReport::default()
-    /// };
-    /// let parsed = SweepReport::from_csv(&report.to_csv()).unwrap();
-    /// assert_eq!(parsed.columns, report.columns);
-    /// assert_eq!(parsed.rows, report.rows); // quoting round-trips commas
-    /// ```
-    ///
-    /// # Errors
-    /// Returns [`ReportParseError`] on an empty input, unbalanced quoting,
-    /// or a row whose arity differs from the header's.
-    pub fn from_csv(text: &str) -> Result<SweepReport, ReportParseError> {
-        let mut records = parse_csv(text)?.into_iter();
-        let (_, columns) = records.next().ok_or(ReportParseError {
-            line: 1,
-            message: "empty input: expected a CSV header line".to_string(),
-        })?;
-        let mut rows = Vec::new();
-        for (lineno, record) in records {
-            if record.len() != columns.len() {
-                return Err(ReportParseError {
-                    line: lineno,
-                    message: format!(
-                        "row arity {} != header arity {}",
-                        record.len(),
-                        columns.len()
-                    ),
-                });
-            }
-            rows.push(record);
-        }
-        Ok(SweepReport {
-            columns,
-            rows,
-            ..SweepReport::default()
-        })
     }
 }
 
@@ -210,75 +140,6 @@ fn csv_line(out: &mut String, cells: &[String]) {
     out.push('\n');
 }
 
-/// Parse a whole CSV document into `(starting line number, record)`
-/// pairs, honouring RFC 4180 quoting — including newlines inside quoted
-/// cells, so [`SweepReport::to_csv`] output round-trips. Blank lines
-/// between records are skipped.
-fn parse_csv(text: &str) -> Result<Vec<(usize, Vec<String>)>, ReportParseError> {
-    let mut records = Vec::new();
-    let mut record: Vec<String> = Vec::new();
-    let mut cur = String::new();
-    // true once the current record has any content ("" alone on a line is
-    // content; a bare newline is not)
-    let mut started = false;
-    let mut quoted = false;
-    let mut lineno = 1;
-    let mut record_start = 1;
-    let mut chars = text.chars().peekable();
-    while let Some(c) = chars.next() {
-        if quoted {
-            match c {
-                '"' => {
-                    if chars.peek() == Some(&'"') {
-                        chars.next();
-                        cur.push('"');
-                    } else {
-                        quoted = false;
-                    }
-                }
-                '\n' => {
-                    lineno += 1;
-                    cur.push('\n');
-                }
-                c => cur.push(c),
-            }
-            continue;
-        }
-        match c {
-            ',' => {
-                started = true;
-                record.push(std::mem::take(&mut cur));
-            }
-            '"' if cur.is_empty() => {
-                started = true;
-                quoted = true;
-            }
-            '\r' if chars.peek() == Some(&'\n') => {} // CRLF: handled at \n
-            '\n' => {
-                lineno += 1;
-                if started || !cur.is_empty() || !record.is_empty() {
-                    record.push(std::mem::take(&mut cur));
-                    records.push((record_start, std::mem::take(&mut record)));
-                    started = false;
-                }
-                record_start = lineno;
-            }
-            c => cur.push(c),
-        }
-    }
-    if quoted {
-        return Err(ReportParseError {
-            line: record_start,
-            message: "unterminated quoted cell".to_string(),
-        });
-    }
-    if started || !cur.is_empty() || !record.is_empty() {
-        record.push(cur);
-        records.push((record_start, record));
-    }
-    Ok(records)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -321,36 +182,18 @@ mod tests {
     }
 
     #[test]
-    fn csv_round_trips_with_quoting() {
-        let mut r = sample();
-        r.rows
-            .push(vec!["3".to_string(), "multi\nline \"cell\",x".to_string()]);
-        let parsed = SweepReport::from_csv(&r.to_csv()).unwrap();
-        assert_eq!(parsed.columns, r.columns);
-        assert_eq!(parsed.rows, r.rows);
-    }
-
-    #[test]
-    fn csv_parse_tracks_line_numbers_across_quoted_newlines() {
-        // record 2 spans two physical lines; the bad record after it must
-        // be reported at its true line (4)
-        let text = "a,b\n\"x\ny\",2\nonly-one\n";
-        let e = SweepReport::from_csv(text).unwrap_err();
-        assert_eq!(e.line, 4);
-    }
-
-    #[test]
-    fn csv_parse_rejects_bad_input() {
-        assert!(SweepReport::from_csv("").is_err());
-        let e = SweepReport::from_csv("a,b\n1").unwrap_err();
-        assert_eq!(e.line, 2);
-        assert!(e.to_string().contains("arity"));
-        assert!(SweepReport::from_csv("a\n\"unterminated").is_err());
-    }
-
-    #[test]
-    fn csv_skips_blank_lines() {
-        let r = SweepReport::from_csv("a,b\n1,2\n\n3,4\n").unwrap();
-        assert_eq!(r.rows.len(), 2);
+    fn csv_quotes_cells_per_rfc4180() {
+        let r = SweepReport {
+            columns: vec!["a".to_string(), "b".to_string()],
+            rows: vec![
+                vec!["x,y".to_string(), "he said \"hi\"".to_string()],
+                vec!["multi\nline".to_string(), "plain".to_string()],
+            ],
+            ..SweepReport::default()
+        };
+        assert_eq!(
+            r.to_csv(),
+            "a,b\n\"x,y\",\"he said \"\"hi\"\"\"\n\"multi\nline\",plain\n"
+        );
     }
 }

@@ -897,6 +897,14 @@ mod tests {
         let replies = run(script);
         assert_eq!(replies.len(), 5, "{replies:?}");
         assert_kind(&replies[2], "timeout");
+        // the budget truncates to 0 ms, yet one slice still runs
+        let reached: f64 = replies[2]
+            .split("timed out at ")
+            .nth(1)
+            .and_then(|rest| rest.split('s').next())
+            .and_then(|secs| secs.parse().ok())
+            .unwrap_or_else(|| panic!("no instant in {}", replies[2]));
+        assert!(reached > 0.0, "{}", replies[2]);
         assert_ok(&replies[3]);
         assert!(replies[3].contains("\"now_secs\":20"), "{}", replies[3]);
         assert_ok(&replies[4]);

@@ -415,7 +415,8 @@ enum AdvanceError {
 /// pure function of (`now`, `to`), so they are identical at every pool
 /// size, and intermediate boundaries never change simulated results
 /// (the service contract). An optional wall-clock deadline is consulted
-/// between slices; on expiry the advance stops at a boundary and can be
+/// after each slice, so every advance makes at least one slice of
+/// progress; on expiry the advance stops at a boundary and can be
 /// re-issued.
 fn advance_pooled(
     shared: &Shared,
@@ -436,10 +437,9 @@ fn advance_pooled(
         if reached >= goal {
             return Ok(reached);
         }
-        if let Some(d) = deadline {
-            if Instant::now() > d {
-                return Err(AdvanceError::Timeout(reached));
-            }
+        // `next > start` once a slice has run: the first always does
+        if next > start && deadline.is_some_and(|d| Instant::now() > d) {
+            return Err(AdvanceError::Timeout(reached));
         }
         next = (next + step).min(to);
         let _slot = shared.pool.acquire();

@@ -8,7 +8,7 @@
 //! randomness and the order units are evaluated in never matters.
 
 use crate::rng::{splitmix64, SimRng};
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 
 /// Typed error for invalid fault knobs: out-of-range probabilities,
 /// malformed plans, unparseable plan strings.
@@ -52,8 +52,6 @@ pub enum FaultError {
         /// The referenced node.
         node: u32,
     },
-    /// A Gilbert–Elliott parameter was invalid.
-    BadGilbertElliott(&'static str),
     /// A plan string could not be parsed.
     Parse(String),
 }
@@ -93,9 +91,6 @@ impl std::fmt::Display for FaultError {
                     f,
                     "fault event {index} references node {node} outside the topology"
                 )
-            }
-            FaultError::BadGilbertElliott(what) => {
-                write!(f, "invalid Gilbert-Elliott parameters: {what}")
             }
             FaultError::Parse(what) => write!(f, "cannot parse fault plan: {what}"),
         }
@@ -292,26 +287,6 @@ pub struct FaultEvent {
     pub kind: FaultKind,
 }
 
-/// Two-state Markov loss model expanded into deterministic timed bursts.
-///
-/// The chain is sampled every `step` starting at `SimTime::ZERO`; runs of
-/// consecutive *bad* steps coalesce into one [`FaultKind::LossBurst`]
-/// window with `bad_drop_chance`. Expansion happens once at plan build
-/// time from a dedicated seed, so the resulting plan is a plain list of
-/// timed windows — engines never re-draw the chain, which keeps sharded
-/// and checkpoint-resumed runs byte-identical.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GilbertElliott {
-    /// P(good -> bad) per step, in `[0, 1]`.
-    pub to_bad: f64,
-    /// P(bad -> good) per step, in `[0, 1]`.
-    pub to_good: f64,
-    /// Chain step; must be positive.
-    pub step: SimDuration,
-    /// Drop chance applied while the chain is in the bad state.
-    pub bad_drop_chance: f64,
-}
-
 /// A declarative, deterministic schedule of timed faults.
 ///
 /// Events are validated at construction ([`FaultPlan::try_new`]) and kept
@@ -380,66 +355,6 @@ impl FaultPlan {
                 kind: FaultKind::LinkUp { link },
             },
         ])
-    }
-
-    /// Expand a [`GilbertElliott`] chain on `link` over `[0, horizon)` into
-    /// a plan of coalesced loss-burst windows, deterministically from `seed`.
-    pub fn gilbert_elliott(
-        link: u32,
-        ge: GilbertElliott,
-        horizon: SimTime,
-        seed: u64,
-    ) -> Result<Self, FaultError> {
-        check_chance("to_bad", ge.to_bad)
-            .map_err(|_| FaultError::BadGilbertElliott("to_bad must be in [0, 1]"))?;
-        check_chance("to_good", ge.to_good)
-            .map_err(|_| FaultError::BadGilbertElliott("to_good must be in [0, 1]"))?;
-        check_chance("bad_drop_chance", ge.bad_drop_chance)
-            .map_err(|_| FaultError::BadGilbertElliott("bad_drop_chance must be in [0, 1]"))?;
-        if ge.step.is_zero() {
-            return Err(FaultError::BadGilbertElliott("step must be positive"));
-        }
-        let mut s = seed ^ 0x0006_E1BE_47E1_1107_u64.wrapping_mul(0x2545_F491_4F6C_DD1D);
-        let mut rng = SimRng::from_seed_u64(splitmix64(&mut s));
-        let mut events = Vec::new();
-        let mut bad_since: Option<SimTime> = None;
-        let mut t = SimTime::ZERO;
-        while t < horizon {
-            let bad = bad_since.is_some();
-            let flip = if bad {
-                rng.chance(ge.to_good)
-            } else {
-                rng.chance(ge.to_bad)
-            };
-            let next = t + ge.step;
-            if bad && flip {
-                let from = bad_since.take().expect("bad state has a start");
-                events.push(FaultEvent {
-                    at: from,
-                    kind: FaultKind::LossBurst {
-                        link,
-                        drop_chance: ge.bad_drop_chance,
-                        until: next.min(horizon),
-                    },
-                });
-            } else if !bad && flip {
-                bad_since = Some(next);
-            }
-            t = next;
-        }
-        if let Some(from) = bad_since {
-            if from < horizon {
-                events.push(FaultEvent {
-                    at: from,
-                    kind: FaultKind::LossBurst {
-                        link,
-                        drop_chance: ge.bad_drop_chance,
-                        until: horizon,
-                    },
-                });
-            }
-        }
-        FaultPlan::try_new(events)
     }
 
     /// Parse the compact one-line plan syntax used by `inrpp serve` and the
@@ -800,49 +715,6 @@ mod tests {
             plan.check_indices(5, 8),
             Err(FaultError::NodeOutOfRange { node: 5, .. })
         ));
-    }
-
-    #[test]
-    fn gilbert_elliott_expansion_is_deterministic_and_valid() {
-        let ge = GilbertElliott {
-            to_bad: 0.2,
-            to_good: 0.5,
-            step: SimDuration::from_millis(10),
-            bad_drop_chance: 0.8,
-        };
-        let horizon = SimTime::from_secs(2);
-        let a = FaultPlan::gilbert_elliott(7, ge, horizon, 11).unwrap();
-        let b = FaultPlan::gilbert_elliott(7, ge, horizon, 11).unwrap();
-        assert_eq!(a, b);
-        assert!(
-            !a.is_empty(),
-            "chain with to_bad=0.2 over 200 steps must burst"
-        );
-        for ev in a.events() {
-            match ev.kind {
-                FaultKind::LossBurst {
-                    link,
-                    drop_chance,
-                    until,
-                } => {
-                    assert_eq!(link, 7);
-                    assert_eq!(drop_chance, 0.8);
-                    assert!(until > ev.at);
-                    assert!(until <= horizon);
-                }
-                other => panic!("unexpected event {other:?}"),
-            }
-        }
-        // different seeds give different window layouts
-        let c = FaultPlan::gilbert_elliott(7, ge, horizon, 12).unwrap();
-        assert_ne!(a, c);
-        // bad params rejected
-        let mut bad = ge;
-        bad.step = SimDuration::ZERO;
-        assert!(FaultPlan::gilbert_elliott(7, bad, horizon, 1).is_err());
-        let mut bad = ge;
-        bad.to_bad = 1.5;
-        assert!(FaultPlan::gilbert_elliott(7, bad, horizon, 1).is_err());
     }
 
     #[test]

@@ -25,7 +25,7 @@ use std::collections::VecDeque;
 pub trait Partitioner {
     /// Split `topo` into at most `regions` regions. Implementations must
     /// be deterministic in their inputs and must clamp the request to
-    /// `[1, node_count]`.
+    /// `[1, node_count]`; a topology without nodes gets one empty region.
     fn partition(&self, topo: &Topology, regions: usize) -> Partition;
 }
 
@@ -131,7 +131,7 @@ impl Partition {
 }
 
 fn clamp_regions(topo: &Topology, regions: usize) -> usize {
-    regions.clamp(1, topo.node_count())
+    regions.clamp(1, topo.node_count().max(1))
 }
 
 /// Balanced contiguous node-index ranges: node `i` of `n` goes to region
@@ -178,7 +178,8 @@ impl Partitioner for BfsPartitioner {
             region_of[src] = r as u32;
             frontiers[r].push_back(NodeId(src as u32));
         }
-        let mut remaining = n - k;
+        // k sources were placed, or none on an empty topology
+        let mut remaining = n.saturating_sub(k);
         while remaining > 0 {
             let mut progressed = false;
             for (r, frontier) in frontiers.iter_mut().enumerate() {
@@ -236,6 +237,21 @@ mod tests {
                 assert!(!p.nodes_in(r).is_empty(), "region {r} empty");
             }
             assert_eq!(total, topo.node_count());
+        }
+    }
+
+    #[test]
+    fn empty_topology_is_one_empty_region() {
+        let topo = Topology::new("empty");
+        let bfs = BfsPartitioner { seed: 3 };
+        for p in [&ContiguousPartitioner as &dyn Partitioner, &bfs] {
+            for k in [0, 1, 2, 8] {
+                let part = p.partition(&topo, k);
+                assert_eq!(part.regions(), 1);
+                assert!(part.assignment().is_empty());
+                assert!(part.nodes_in(0).is_empty());
+                assert!(part.cut_channels(&topo).is_empty());
+            }
         }
     }
 

@@ -27,7 +27,7 @@ use inrpp_packetsim::{
     FlowTransport, PacketEngine, PacketService, PacketSim, PacketSimConfig, TransferSpec,
     TransportKind,
 };
-use inrpp_sim::fault::{FaultEvent, FaultKind, FaultPlan, GilbertElliott};
+use inrpp_sim::fault::{FaultEvent, FaultKind, FaultPlan};
 use inrpp_sim::rng::SimRng;
 use inrpp_sim::time::{SimDuration, SimTime};
 use inrpp_sim::units::ByteSize;
@@ -238,17 +238,30 @@ fn fixed_plans() -> Vec<(&'static str, FaultPlan)> {
             .unwrap(),
         ),
         (
-            "gilbert-elliott",
-            FaultPlan::gilbert_elliott(
-                0,
-                GilbertElliott {
-                    to_bad: 0.15,
-                    to_good: 0.4,
-                    step: SimDuration::from_millis(100),
-                    bad_drop_chance: 0.25,
-                },
-                SimTime::from_secs(10),
-                11,
+            "burst-train",
+            FaultPlan::try_new(
+                [
+                    (500, 600),
+                    (1_900, 2_600),
+                    (3_500, 4_100),
+                    (6_700, 6_800),
+                    (7_900, 8_100),
+                    (8_300, 8_400),
+                    (9_000, 9_100),
+                    (9_300, 9_400),
+                    (9_800, 9_900),
+                ]
+                .map(|(from, until)| {
+                    ev(
+                        SimTime::from_millis(from),
+                        FaultKind::LossBurst {
+                            link: 0,
+                            drop_chance: 0.25,
+                            until: SimTime::from_millis(until),
+                        },
+                    )
+                })
+                .to_vec(),
             )
             .unwrap(),
         ),

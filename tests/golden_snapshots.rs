@@ -114,17 +114,3 @@ fn experiment_listing_snapshot_is_stable() {
         );
     }
 }
-
-#[test]
-fn csv_snapshot_roundtrips_through_the_parser() {
-    // schema sanity on top of byte equality: the checked-in CSV must
-    // stay parseable as a SweepReport
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(format!("{}.csv", fixture_stem(GOLDEN_SCENARIOS[0])));
-    if let Ok(body) = std::fs::read_to_string(&path) {
-        let report = inrpp_runner::SweepReport::from_csv(&body).expect("fixture parses");
-        assert_eq!(report.rows.len(), 3, "SP/ECMP/URP rows");
-        assert_eq!(report.columns.first().map(String::as_str), Some("strategy"));
-    }
-}

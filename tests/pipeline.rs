@@ -62,7 +62,7 @@ fn all_strategies_on_all_isps_smoke() {
             horizon: SimDuration::from_secs(3),
         };
         let inrp = InrpStrategy::with_defaults(&topo);
-        let ecmp = EcmpStrategy::default();
+        let ecmp = EcmpStrategy;
         let sp = SinglePathStrategy;
         for report in [
             FlowSim::new(&topo, &sp, &w, cfg).run(),

@@ -364,7 +364,7 @@ proptest! {
         ),
     ) {
         use inrpp::config::InrppConfig;
-        use inrpp::phase::{Phase, PhaseController, PhaseInputs};
+        use inrpp::phase::{Phase, PhaseController, PhaseInputs, DETOUR_ENTER, DETOUR_EXIT};
         let cfg = InrppConfig::default();
         let mut ctl = PhaseController::new(cfg);
         for (ant, cap, detour, fill) in steps {
@@ -381,17 +381,17 @@ proptest! {
                 Phase::PushData => {
                     // only reachable when pressure is below the enter
                     // threshold and the cache is cool
-                    prop_assert!(pressure < cfg.detour_enter + 1e-9);
+                    prop_assert!(pressure < DETOUR_ENTER + 1e-9);
                     prop_assert!(!cache_hot);
                 }
                 Phase::Detour => {
                     prop_assert!(detour, "detour phase without detours");
                     prop_assert!(!cache_hot);
-                    prop_assert!(pressure > cfg.detour_exit - 1e-9);
+                    prop_assert!(pressure > DETOUR_EXIT - 1e-9);
                 }
                 Phase::BackPressure => {
                     prop_assert!(
-                        cache_hot || (!detour && pressure > cfg.detour_exit - 1e-9)
+                        cache_hot || (!detour && pressure > DETOUR_EXIT - 1e-9)
                     );
                 }
             }

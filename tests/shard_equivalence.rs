@@ -424,6 +424,27 @@ fn large_workloads_match_the_sequential_engine() {
 }
 
 #[test]
+fn empty_topology_shards_to_the_sequential_report() {
+    let sc = Scenario {
+        name: "empty",
+        topo: Topology::new("empty"),
+        cfg: PacketSimConfig {
+            transport: TransportKind::Inrpp(inrpp_no_detour_probe()),
+            ..PacketSimConfig::default()
+        },
+        transfers: Vec::new(),
+    };
+    let baseline = run_sequential(&sc);
+    for workers in [1, 2, 8] {
+        assert_eq!(
+            baseline,
+            run_sharded(&sc, workers, 0),
+            "empty topology diverged at workers={workers}"
+        );
+    }
+}
+
+#[test]
 fn explicit_contiguous_partitions_are_byte_identical() {
     for sc in scenarios() {
         let baseline = run_sequential(&sc);
