@@ -518,14 +518,13 @@ enum RouteRef {
     Owned(u32),
 }
 
-/// One boundary delivery: `pkt` must be injected into `to_region`'s
-/// calendar at `arrival` (always strictly beyond the current barrier —
-/// the conservative-lookahead guarantee). A data packet on an owned
-/// route travels with that route, taken out of the sender's slab, so no
-/// slab handle crosses a thread; primary routes need nothing, because
-/// every region holds the full route arena.
+/// One boundary delivery: `pkt` must be injected into its destination
+/// region's calendar at `arrival` (always strictly beyond the current
+/// barrier — the conservative-lookahead guarantee). A data packet on an
+/// owned route travels with that route, taken out of the sender's slab,
+/// so no slab handle crosses a thread; primary routes need nothing,
+/// because every region holds the full route arena.
 pub(crate) struct Wire {
-    pub(crate) to_region: u32,
     pub(crate) arrival: SimTime,
     pkt: Pkt,
     route: Option<Vec<NodeId>>,
@@ -534,10 +533,19 @@ pub(crate) struct Wire {
 /// A receiver-side retransmit decision that must take effect at the
 /// sender *at the barrier instant* (the one zero-delay cross-region
 /// coupling in the engine): push `chunks` onto the sender's retransmit
-/// queue and kick it. The destination region is derived from the slot.
+/// queue and kick it. It travels to the region owning the slot's sender.
 pub(crate) struct RxCmd {
     pub(crate) slot: u32,
     pub(crate) chunks: Vec<ChunkNo>,
+}
+
+/// Everything one region sends one region in one exchange: boundary
+/// packets in emission order, and retransmit commands for the senders
+/// the destination owns.
+#[derive(Default)]
+pub(crate) struct Batch {
+    pub(crate) wires: Vec<Wire>,
+    pub(crate) cmds: Vec<RxCmd>,
 }
 
 /// Region-mode state hung off [`Core`] when it runs as one shard of a
@@ -552,10 +560,9 @@ pub(crate) struct RegionCtx {
     pub(crate) region_of: std::sync::Arc<Vec<u32>>,
     /// this core's region id
     pub(crate) me: u32,
-    /// boundary deliveries generated since the last drain
-    pub(crate) outbox: Vec<Wire>,
-    /// retransmit commands generated since the last drain
-    pub(crate) rx_cmds: Vec<RxCmd>,
+    /// per destination region: the boundary deliveries and retransmit
+    /// commands generated since the last drain
+    pub(crate) outboxes: Vec<Batch>,
 }
 
 /// An in-flight packet (slab entry referenced by [`Ev::Deliver`], or a
@@ -1070,8 +1077,8 @@ impl<'a> Core<'a> {
     /// The one choke point every packet delivery goes through. Sequential
     /// mode (and region mode when `target` is local) stashes the packet
     /// and schedules [`Ev::Deliver`]; region mode puts packets for
-    /// foreign nodes in the outbox as [`Wire`]s, an owned route moving
-    /// out of the slab with its packet.
+    /// foreign nodes in the owner's outbox as [`Wire`]s, an owned route
+    /// moving out of the slab with its packet.
     fn schedule_deliver(
         &mut self,
         eng: &mut CalendarEngine<Ev>,
@@ -1092,8 +1099,7 @@ impl<'a> Core<'a> {
                     }
                     _ => None,
                 };
-                rc.outbox.push(Wire {
-                    to_region,
+                rc.outboxes[to_region as usize].wires.push(Wire {
                     arrival,
                     pkt,
                     route,
@@ -1113,7 +1119,6 @@ impl<'a> Core<'a> {
             arrival,
             mut pkt,
             route,
-            ..
         } = wire;
         if let (Pkt::Data { route: r, .. }, Some(v)) = (&mut pkt, route) {
             *r = RouteRef::Owned(self.alloc_route(v));
@@ -1976,7 +1981,8 @@ impl<'a> Core<'a> {
             // routed through the command path — even for a local sender —
             // so local and remote commands keep their global order.
             if !expired.is_empty() {
-                region.rx_cmds.push(RxCmd {
+                let to_region = region.region_of[self.specs[slot as usize].src.idx()];
+                region.outboxes[to_region as usize].cmds.push(RxCmd {
                     slot,
                     chunks: expired.clone(),
                 });

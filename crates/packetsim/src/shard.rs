@@ -32,13 +32,21 @@
 //!   (before popping any event at it), which reproduces the sequential
 //!   (time, seq) position; kicks landing exactly on a barrier are
 //!   deferred to the barrier's second phase.
-//! * **Deterministic merges.** Boundary packets are injected in
-//!   `(arrival, sender region, per-sender order)`. After the last window
-//!   every region's owned state folds into one `Core` (channels by the
-//!   owner of their source node, receivers by the owner of their
-//!   destination, phase controllers by node owner, counters summed), and
-//!   that core assembles the report exactly as a sequential run does.
-//!   Probe streams merge by time, class and region.
+//! * **Second phases on demand.** Deferred kicks and retransmit commands
+//!   are the only work a region can have at a barrier instant itself, so
+//!   a region raises its barrier-work bit exactly when it holds either
+//!   after phase 1. Every other window closes with one exchange: the
+//!   boundary packets it carries all arrive strictly after the barrier.
+//! * **Deterministic merges.** Each region keeps one outbox per
+//!   destination region, packets and commands together, and every outbox
+//!   crosses as one batch. A region joins the batches it receives in
+//!   sender order and sorts the packets stably by arrival, so they are
+//!   injected in `(arrival, sender region, per-sender order)`. After the
+//!   last window every region's owned state folds into one `Core`
+//!   (channels by the owner of their source node, receivers by the owner
+//!   of their destination, phase controllers by node owner, counters
+//!   summed), and that core assembles the report exactly as a sequential
+//!   run does. Probe streams merge by time, class and region.
 //!
 //! ## Preconditions (validated, typed errors)
 //!
@@ -46,7 +54,9 @@
 //! byte-identically: load-aware detouring (reads *remote* queue state
 //! mid-window) and zero-delay cut channels (no lookahead). The ladder
 //! steps by half a receiver timeout, which `PacketSim::try_new` keeps at
-//! 1 ns or more for every run by refusing timers under 2 ns. One
+//! 1 ns or more for every run by refusing timers under 2 ns; a ladder of
+//! more than a million barriers (rx-check rungs plus lookahead steps over
+//! the horizon) is refused before any of it is built. One
 //! precondition is on the *scenario*, documented rather than checked:
 //! channel-derived instants (packet arrivals, drain and back-pressure
 //! expiries) must not collide with ladder instants or each other across
@@ -66,7 +76,7 @@ use inrpp_sim::time::{SimDuration, SimTime};
 use inrpp_topology::graph::{NodeId, Topology};
 use inrpp_topology::partition::Partition;
 
-use crate::engine::{Core, Ev, RegionCtx, RxCmd, Wire};
+use crate::engine::{Batch, Core, Ev, RegionCtx, RxCmd};
 use crate::packet::{FlowTransport, PacketSimConfig, TransferSpec, TransportKind};
 use crate::report::PacketSimReport;
 
@@ -108,13 +118,6 @@ impl Probe for Recorder {
     }
 }
 
-/// Boundary message between regions: a packet crossing a cut channel, or
-/// a receiver-side retransmit command bound for the sender's region.
-enum ShardMsg {
-    Pkt(Wire),
-    Rx(RxCmd),
-}
-
 /// One region: a full [`Core`] (only locally-owned state is ever
 /// touched), its calendar, the sender-kick control schedule, and a probe
 /// recorder.
@@ -126,8 +129,6 @@ struct RegionWorker<'a> {
     ctrl_cursor: usize,
     /// start-kicks landing exactly on the current barrier, slot order
     deferred: Vec<NodeId>,
-    /// per slot: region owning the sender (routing for [`RxCmd`]s)
-    cmd_region: Arc<Vec<usize>>,
     ladder: Arc<Ladder>,
     recorder: Recorder,
     recording: bool,
@@ -149,38 +150,40 @@ impl RegionWorker<'_> {
         }
     }
 
-    /// Inject boundary packets by `(arrival, sender region, sender
-    /// order)`: the sort is stable and inboxes arrive in sender order.
-    fn inject(&mut self, mut wires: Vec<Wire>) {
+    fn outboxes(&mut self) -> &mut [Batch] {
+        &mut self.core.region.as_mut().expect("region mode").outboxes
+    }
+
+    /// Inject the received boundary packets by `(arrival, sender region,
+    /// sender order)` — the batches are joined in sender order and the
+    /// sort is stable — and return the retransmit commands, joined the
+    /// same way.
+    fn inject(&mut self, inbox: Vec<Batch>) -> Vec<RxCmd> {
+        let mut wires = Vec::with_capacity(inbox.iter().map(|b| b.wires.len()).sum());
+        let mut cmds = Vec::new();
+        for b in inbox {
+            wires.extend(b.wires);
+            cmds.extend(b.cmds);
+        }
         wires.sort_by_key(|w| w.arrival);
         for w in wires {
             self.core.inject_wire(&mut self.eng, w);
         }
+        cmds
     }
 
-    /// Drain the boundary buffers into addressed messages.
-    fn drain_boundary(&mut self) -> Vec<(usize, ShardMsg)> {
-        let cmd_region = Arc::clone(&self.cmd_region);
-        let rc = self.core.region.as_mut().expect("region mode");
-        let mut out = Vec::with_capacity(rc.outbox.len() + rc.rx_cmds.len());
-        for w in rc.outbox.drain(..) {
-            out.push((w.to_region as usize, ShardMsg::Pkt(w)));
-        }
-        for cmd in rc.rx_cmds.drain(..) {
-            out.push((cmd_region[cmd.slot as usize], ShardMsg::Rx(cmd)));
-        }
-        out
+    /// Hand over the outboxes, one batch per destination region, leaving
+    /// them empty.
+    fn drain_boundary(&mut self) -> Vec<Batch> {
+        self.outboxes().iter_mut().map(std::mem::take).collect()
     }
 }
 
 impl ShardWorker for RegionWorker<'_> {
-    type Msg = ShardMsg;
+    type Batch = Batch;
 
-    fn advance(&mut self, barrier: SimTime) -> Vec<(usize, ShardMsg)> {
-        if self.err.is_some() {
-            return Vec::new();
-        }
-        loop {
+    fn advance(&mut self, barrier: SimTime) -> (Vec<Batch>, bool) {
+        while self.err.is_none() {
             // Insert sender-kick controls the moment the clock reaches
             // their instant — before popping any event at it, which
             // reproduces the sequential `(time, seq)` position (the
@@ -204,36 +207,22 @@ impl ShardWorker for RegionWorker<'_> {
                 }
             }
             match self.eng.next_at_or_before(barrier) {
-                Some((now, ev)) => {
-                    self.step(now, ev);
-                    if self.err.is_some() {
-                        break;
-                    }
-                }
+                Some((now, ev)) => self.step(now, ev),
                 None => break,
             }
         }
-        self.drain_boundary()
+        // work at the barrier instant: deferred kicks, and retransmit
+        // commands from rx-checks on this rung
+        let work = !self.deferred.is_empty() || self.outboxes().iter().any(|b| !b.cmds.is_empty());
+        (self.drain_boundary(), work)
     }
 
-    fn finish_window(
-        &mut self,
-        barrier: SimTime,
-        inbox: Vec<(usize, ShardMsg)>,
-    ) -> Vec<(usize, ShardMsg)> {
+    fn finish_window(&mut self, barrier: SimTime, inbox: Vec<Batch>) -> Vec<Batch> {
         if self.err.is_some() {
-            return Vec::new();
-        }
-        let mut wires: Vec<Wire> = Vec::new();
-        let mut cmds: Vec<RxCmd> = Vec::new();
-        for (_, msg) in inbox {
-            match msg {
-                ShardMsg::Pkt(w) => wires.push(w),
-                ShardMsg::Rx(cmd) => cmds.push(cmd),
-            }
+            return self.drain_boundary();
         }
         // (a) boundary packets
-        self.inject(wires);
+        let mut cmds = self.inject(inbox);
         // (b) start-kicks deferred at this barrier (slot order) — their
         // sequential counterparts were scheduled by `Start` pops, which
         // precede every rx-check at the same instant
@@ -248,32 +237,29 @@ impl ShardWorker for RegionWorker<'_> {
         }
         // (d) drain everything the barrier instant spawned (kicks and
         // their same-instant descendants)
-        while let Some((now, ev)) = self.eng.next_at_or_before(barrier) {
-            self.step(now, ev);
-            if self.err.is_some() {
-                return Vec::new();
+        while self.err.is_none() {
+            match self.eng.next_at_or_before(barrier) {
+                Some((now, ev)) => self.step(now, ev),
+                None => break,
             }
         }
         let out = self.drain_boundary();
         debug_assert!(
-            out.iter().all(|(_, m)| matches!(m, ShardMsg::Pkt { .. })),
+            self.err.is_some() || out.iter().all(|b| b.cmds.is_empty()),
             "rx-checks never fire during a barrier's second phase"
         );
         out
     }
 
-    fn absorb(&mut self, inbox: Vec<(usize, ShardMsg)>) {
+    fn absorb(&mut self, inbox: Vec<Batch>) {
         if self.err.is_some() {
             return;
         }
-        let wires = inbox
-            .into_iter()
-            .map(|(_, msg)| match msg {
-                ShardMsg::Pkt(w) => w,
-                ShardMsg::Rx(_) => unreachable!("phase-2 output is packets only"),
-            })
-            .collect();
-        self.inject(wires);
+        let cmds = self.inject(inbox);
+        debug_assert!(
+            cmds.is_empty(),
+            "an inbox carrying commands always gets a second phase"
+        );
     }
 }
 
@@ -313,12 +299,18 @@ fn invalid(msg: impl Into<String>) -> SessionError {
     SessionError::InvalidConfig(msg.into())
 }
 
-/// Validate the configuration/partition pair and compute the lookahead:
-/// `None` means "no cut channels" (single effective region — unbounded
-/// windows).
+/// The most barriers a sharded run may cross. The ladder is built whole
+/// before the first window, and every barrier costs a handshake, so a
+/// timer or a lookahead far below the horizon is refused up front.
+const MAX_BARRIERS: u64 = 1_000_000;
+
+/// Validate the configuration/partition pair, size the barrier ladder,
+/// and compute the lookahead: `None` means "no cut channels" (single
+/// effective region — unbounded windows).
 fn validate(
     topo: &Topology,
     cfg: &PacketSimConfig,
+    transfers: &[(TransferSpec, FlowTransport)],
     partition: &Partition,
 ) -> Result<Option<SimDuration>, SessionError> {
     if partition.assignment().len() != topo.node_count() {
@@ -348,6 +340,22 @@ fn validate(
             )));
         }
         lookahead = Some(lookahead.map_or(delay, |l| l.min(delay)));
+    }
+    // count the ladder before building it: every rx-check rung (over the
+    // transfers as given, so a repeated flow counts twice), plus at most
+    // one Δ-walk fill per lookahead step of the horizon
+    let horizon = SimTime::ZERO + cfg.horizon;
+    let rungs = transfers
+        .iter()
+        .filter_map(|(spec, kind)| rung_chain(cfg, spec, *kind, horizon))
+        .map(|(first, step)| 1 + horizon.duration_since(first).as_nanos() / step.as_nanos())
+        .fold(0, u64::saturating_add);
+    let fills = lookahead.map_or(0, |d| cfg.horizon.as_nanos() / d.as_nanos());
+    if rungs.saturating_add(fills) > MAX_BARRIERS {
+        return Err(invalid(format!(
+            "the barrier ladder would hold {rungs} rx-check rungs and {fills} lookahead \
+             steps; a sharded run crosses at most {MAX_BARRIERS} barriers"
+        )));
     }
     Ok(lookahead)
 }
@@ -382,35 +390,55 @@ fn build_barriers(
     set.into_iter().collect()
 }
 
-/// Per-slot rx-check rung instants ≤ horizon, matching the engine's
-/// timer chain exactly: first check at `start + receiver_timeout`, then
-/// every `timeout/2` where the timeout is the AIMD `rto` for AIMD flows.
+/// A slot's rx-check rungs ≤ horizon as `(first, step)`, matching the
+/// engine's timer chain exactly: the first check at `start +
+/// receiver_timeout`, then one every `timeout/2`, where the timeout is
+/// the AIMD `rto` for AIMD flows. `None` when no rung lies within the
+/// horizon.
+fn rung_chain(
+    cfg: &PacketSimConfig,
+    spec: &TransferSpec,
+    kind: FlowTransport,
+    horizon: SimTime,
+) -> Option<(SimTime, SimDuration)> {
+    let timeout = match (kind, &cfg.transport) {
+        (FlowTransport::Aimd, TransportKind::Aimd(a) | TransportKind::Mixed { aimd: a, .. }) => {
+            a.rto
+        }
+        _ => cfg.receiver_timeout,
+    };
+    let first = spec
+        .start
+        .checked_add(cfg.receiver_timeout)
+        .filter(|&t| t <= horizon)?;
+    Some((first, timeout / 2))
+}
+
+/// Per-slot rx-check rung instants ≤ horizon (see [`rung_chain`]).
 fn build_ladder(
     cfg: &PacketSimConfig,
     specs: &[TransferSpec],
     kinds: &[FlowTransport],
-    aimd_rto: Option<SimDuration>,
     horizon: SimTime,
 ) -> Ladder {
-    let mut starts = Vec::with_capacity(specs.len());
-    let mut rungs = Vec::with_capacity(specs.len());
-    for (slot, spec) in specs.iter().enumerate() {
-        starts.push(spec.start);
-        let mut row = Vec::new();
-        if spec.start <= horizon {
-            let timeout = match kinds[slot] {
-                FlowTransport::Aimd => aimd_rto.unwrap_or(cfg.receiver_timeout),
-                _ => cfg.receiver_timeout,
-            };
-            let mut t = spec.start + cfg.receiver_timeout;
-            while t <= horizon {
-                row.push(t);
-                t += timeout / 2;
+    let rungs = specs
+        .iter()
+        .zip(kinds)
+        .map(|(spec, &kind)| {
+            let mut row = Vec::new();
+            if let Some((mut t, step)) = rung_chain(cfg, spec, kind, horizon) {
+                while t <= horizon {
+                    row.push(t);
+                    t += step;
+                }
             }
-        }
-        rungs.push(row);
+            row
+        })
+        .collect();
+    Ladder {
+        starts: specs.iter().map(|s| s.start).collect(),
+        rungs,
     }
-    Ladder { starts, rungs }
 }
 
 /// Replay the merged probe stream: flow starts order before same-instant
@@ -452,10 +480,9 @@ fn replay_probes(workers: &mut [RegionWorker<'_>], chunk_bits: f64, probes: &mut
     }
 }
 
-/// Execute one sharded run. Builds a region worker per partition region,
-/// drives them through the barrier ladder under `std::thread::scope`,
-/// replays the merged probe stream, and folds the regions into one core
-/// whose report is the sequential one.
+/// Execute one sharded run: build a worker per partition region, drive
+/// them through the barrier ladder under `std::thread::scope`, and fold
+/// them into the sequential report.
 pub(crate) fn run_partitioned(
     topo: &Topology,
     cfg: PacketSimConfig,
@@ -464,11 +491,26 @@ pub(crate) fn run_partitioned(
     partition: &Partition,
     probes: &mut [&mut dyn Probe],
 ) -> Result<PacketSimReport, SessionError> {
-    let lookahead = validate(topo, &cfg, partition)?;
+    let recording = !probes.is_empty();
+    let (workers, barriers) = build_regions(topo, cfg, transfers, faults, partition, recording)?;
+    let workers = run_sharded(workers, &barriers);
+    fold_regions(workers, cfg.chunk_bytes.as_bits() as f64, probes)
+}
+
+/// One worker per partition region, each a bootstrapped [`Core`] with
+/// the kick schedule of its own senders, and the barriers they cross.
+fn build_regions<'a>(
+    topo: &'a Topology,
+    cfg: PacketSimConfig,
+    transfers: Vec<(TransferSpec, FlowTransport)>,
+    faults: FaultPlan,
+    partition: &Partition,
+    recording: bool,
+) -> Result<(Vec<RegionWorker<'a>>, Vec<SimTime>), SessionError> {
+    let lookahead = validate(topo, &cfg, &transfers, partition)?;
     let horizon = SimTime::ZERO + cfg.horizon;
     let regions = partition.regions();
     let region_of: Arc<Vec<u32>> = Arc::new(partition.assignment().to_vec());
-    let recording = !probes.is_empty();
 
     // every region carries the full plan: fault state (down channels,
     // crashed nodes, rates) is replicated; node-local side effects
@@ -479,27 +521,13 @@ pub(crate) fn run_partitioned(
         core.region = Some(RegionCtx {
             region_of: Arc::clone(&region_of),
             me: me as u32,
-            outbox: Vec::new(),
-            rx_cmds: Vec::new(),
+            outboxes: (0..regions).map(|_| Batch::default()).collect(),
         });
         cores.push(core);
     }
     let first = cores.first().expect("at least one region");
-    let ladder = Arc::new(build_ladder(
-        &cfg,
-        &first.specs,
-        &first.kinds,
-        first.aimd_cfg.map(|a| a.rto),
-        horizon,
-    ));
-    let cmd_region: Arc<Vec<usize>> = Arc::new(
-        first
-            .specs
-            .iter()
-            .map(|s| region_of[s.src.idx()] as usize)
-            .collect(),
-    );
-    let workers: Vec<RegionWorker<'_>> = cores
+    let ladder = Arc::new(build_ladder(&cfg, &first.specs, &first.kinds, horizon));
+    let workers = cores
         .into_iter()
         .enumerate()
         .map(|(me, core)| {
@@ -518,7 +546,6 @@ pub(crate) fn run_partitioned(
                 controls,
                 ctrl_cursor: 0,
                 deferred: Vec::new(),
-                cmd_region: Arc::clone(&cmd_region),
                 ladder: Arc::clone(&ladder),
                 recorder: Recorder::default(),
                 recording,
@@ -526,20 +553,23 @@ pub(crate) fn run_partitioned(
             }
         })
         .collect();
+    Ok((workers, build_barriers(&ladder, horizon, lookahead)))
+}
 
-    let barriers = build_barriers(&ladder, horizon, lookahead);
-    let mut workers = run_sharded(workers, &barriers);
+/// Fold the regions, every window run, into one core whose report is the
+/// sequential one, after replaying their merged probe stream.
+fn fold_regions(
+    mut workers: Vec<RegionWorker<'_>>,
+    chunk_bits: f64,
+    probes: &mut [&mut dyn Probe],
+) -> Result<PacketSimReport, SessionError> {
     for w in &mut workers {
         if let Some(e) = w.err.take() {
             return Err(e);
         }
     }
-    if recording {
-        replay_probes(
-            &mut workers,
-            cfg.chunk_bytes.as_bits() as f64,
-            &mut ProbeSet::new(probes),
-        );
+    if !probes.is_empty() {
+        replay_probes(&mut workers, chunk_bits, &mut ProbeSet::new(probes));
     }
     let mut cores = workers.into_iter().map(|w| w.core);
     let mut core = cores.next().expect("at least one region");
@@ -551,15 +581,19 @@ pub(crate) fn run_partitioned(
 
 #[cfg(test)]
 mod tests {
+    use std::time::{Duration, Instant};
+
     use inrpp::config::InrppConfig;
-    use inrpp_sim::fault::FaultConfig;
+    use inrpp_sim::fault::{FaultConfig, FaultPlan};
+    use inrpp_sim::shard::{run_sharded, ShardWorker};
     use inrpp_sim::time::{SimDuration, SimTime};
     use inrpp_sim::units::Rate;
     use inrpp_topology::graph::Topology;
     use inrpp_topology::partition::{ContiguousPartitioner, Partitioner};
 
-    use crate::engine::PacketSim;
-    use crate::packet::{PacketSimConfig, TransferSpec, TransportKind};
+    use super::{build_regions, fold_regions, RegionWorker};
+    use crate::engine::{Batch, PacketSim};
+    use crate::packet::{FlowTransport, PacketSimConfig, TransferSpec, TransportKind};
     use crate::report::PacketSimReport;
 
     use inrpp::session::{FlowEnd, FlowStart, Probe, Sample, SessionError};
@@ -797,5 +831,153 @@ mod tests {
             start: SimTime::ZERO,
         });
         assert!(sim.try_run_sharded(1, 1).is_ok());
+    }
+
+    /// A region that records the barriers whose second phase it ran.
+    struct Counting<'a> {
+        region: RegionWorker<'a>,
+        second_phases: Vec<SimTime>,
+    }
+
+    impl ShardWorker for Counting<'_> {
+        type Batch = Batch;
+
+        fn advance(&mut self, barrier: SimTime) -> (Vec<Batch>, bool) {
+            self.region.advance(barrier)
+        }
+
+        fn finish_window(&mut self, barrier: SimTime, inbox: Vec<Batch>) -> Vec<Batch> {
+            self.second_phases.push(barrier);
+            self.region.finish_window(barrier, inbox)
+        }
+
+        fn absorb(&mut self, inbox: Vec<Batch>) {
+            self.region.absorb(inbox);
+        }
+    }
+
+    #[test]
+    fn second_phases_run_only_where_barrier_work_lands() {
+        // senders 0 and 1, routers 2 and 3, receivers 4 and 5: two
+        // contiguous regions cut the bottleneck, link 2
+        let topo = Topology::dumbbell(
+            2,
+            Rate::mbps(97.3),
+            Rate::mbps(39.1),
+            SimDuration::from_nanos(1_300_017),
+        );
+        let ids: Vec<_> = topo.node_ids().collect();
+        let cfg = PacketSimConfig {
+            horizon: SimDuration::from_secs(4),
+            seed: 3,
+            transport: TransportKind::Inrpp(InrppConfig {
+                load_aware_detour: false,
+                ..InrppConfig::default()
+            }),
+            ..PacketSimConfig::default()
+        };
+        let transfers: Vec<(TransferSpec, FlowTransport)> = (0..2)
+            .map(|i| {
+                let spec = TransferSpec {
+                    flow: i as u64 + 1,
+                    src: ids[i],
+                    dst: ids[4 + i],
+                    chunks: 120,
+                    start: SimTime::ZERO,
+                };
+                (spec, FlowTransport::Inrpp)
+            })
+            .collect();
+        let partition = ContiguousPartitioner.partition(&topo, 2);
+        let lossy = FaultPlan::parse("burst@0.01:2:0.3:0.5").expect("plan");
+        for (faults, lossless) in [(FaultPlan::empty(), true), (lossy, false)] {
+            let (regions, barriers) = build_regions(
+                &topo,
+                cfg,
+                transfers.clone(),
+                faults.clone(),
+                &partition,
+                false,
+            )
+            .expect("valid sharded run");
+            let counted = regions
+                .into_iter()
+                .map(|region| Counting {
+                    region,
+                    second_phases: Vec::new(),
+                })
+                .collect();
+            let done = run_sharded(counted, &barriers);
+            let phases = done[0].second_phases.clone();
+            assert!(done.iter().all(|w| w.second_phases == phases));
+            // the start kicks land on barrier 0; only lost chunks'
+            // retransmit commands need any other second phase
+            assert_eq!(phases[0], SimTime::ZERO);
+            if lossless {
+                assert_eq!(phases.len(), 1, "second phases {phases:?}");
+            } else {
+                assert!(phases.len() >= 2, "second phases {phases:?}");
+            }
+            let sharded = fold_regions(
+                done.into_iter().map(|w| w.region).collect(),
+                cfg.chunk_bytes.as_bits() as f64,
+                &mut [],
+            )
+            .expect("sharded run");
+            let mut sim = PacketSim::new(&topo, cfg);
+            sim.set_faults(faults);
+            for &(spec, kind) in &transfers {
+                sim.add_transfer_as(spec, kind);
+            }
+            let sequential = sim.run();
+            let retransmits: u64 = sequential.flows.iter().map(|f| f.retransmits).sum();
+            assert_eq!(lossless, retransmits == 0, "{retransmits} retransmits");
+            assert_eq!(fingerprint(&sequential), fingerprint(&sharded));
+        }
+    }
+
+    #[test]
+    fn oversized_barrier_ladders_are_refused_before_building() {
+        let refusal = |delay: SimDuration, receiver_timeout: SimDuration| {
+            let topo = Topology::dumbbell(2, Rate::mbps(9.7), Rate::mbps(3.9), delay);
+            let ids: Vec<_> = topo.node_ids().collect();
+            let cfg = PacketSimConfig {
+                horizon: SimDuration::from_secs(60),
+                receiver_timeout,
+                transport: TransportKind::Inrpp(InrppConfig {
+                    load_aware_detour: false,
+                    ..InrppConfig::default()
+                }),
+                ..PacketSimConfig::default()
+            };
+            let mut sim = PacketSim::try_new(&topo, cfg).expect("a valid run");
+            sim.add_transfer(TransferSpec {
+                flow: 1,
+                src: ids[0],
+                dst: ids[4],
+                chunks: 10,
+                start: SimTime::ZERO,
+            });
+            let started = Instant::now();
+            let r = sim.try_run_sharded(2, 7);
+            assert!(started.elapsed() < Duration::from_secs(1));
+            match r {
+                Err(SessionError::InvalidConfig(msg)) => msg,
+                other => panic!("expected a refusal, got {other:?}"),
+            }
+        };
+        // a 1 ns lookahead: one fill per nanosecond of the horizon
+        let msg = refusal(SimDuration::from_nanos(1), SimDuration::from_millis(500));
+        assert!(
+            msg.contains("239 rx-check rungs and 60000000000 lookahead steps"),
+            "{msg}"
+        );
+        // a 2 ns receiver timeout: one rung per nanosecond
+        let msg = refusal(
+            SimDuration::from_nanos(1_300_017),
+            SimDuration::from_nanos(2),
+        );
+        assert!(msg.contains("59999999999 rx-check rungs"), "{msg}");
+        assert!(msg.contains("at most 1000000 barriers"), "{msg}");
     }
 }

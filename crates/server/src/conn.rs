@@ -10,7 +10,8 @@
 //!
 //! Request lines are read as bytes, at most 1 MiB of each: a longer
 //! line, or one that is not UTF-8, gets a `parse` error and the
-//! connection keeps serving.
+//! connection keeps serving. A connection holds at most 64 sessions; an
+//! `open` or `resume` past that gets a `state` error.
 //!
 //! Teardown is deterministic: `close` drops the session's host
 //! *before* the close reply is written, and client EOF / `exit` /
@@ -34,6 +35,10 @@ use crate::protocol::{
 /// The longest request line, newline excluded. A longer one is read
 /// past a bounded piece at a time, never held whole.
 const MAX_LINE_BYTES: u64 = 1 << 20;
+
+/// The most sessions one connection may hold open at once. An `open` or
+/// `resume` past it gets a `state` reply and opens nothing.
+const MAX_SESSIONS_PER_CONN: usize = 64;
 
 /// Serve one client until EOF, `exit`, or `shutdown`. All open sessions
 /// are dropped before this returns.
@@ -102,6 +107,11 @@ pub fn drive_conn(
         let r = match cmd.as_str() {
             "hello" => hello_reply(shared.pool.slots()),
             "stats" => stats_reply(shared, &mut sessions),
+            "open" | "resume"
+                if sessions.len() >= MAX_SESSIONS_PER_CONN && !sessions.contains_key(&key) =>
+            {
+                err_reply("state", &too_many_sessions())
+            }
             "open" | "resume" => match sessions.entry(key) {
                 std::collections::btree_map::Entry::Occupied(_) => {
                     err_reply("state", &already_open(&sid))
@@ -209,6 +219,13 @@ fn already_open(sid: &Option<String>) -> String {
         None => "a session is already open; close it first".into(),
         Some(sid) => format!("session {sid:?} is already open; close it first"),
     }
+}
+
+fn too_many_sessions() -> String {
+    format!(
+        "this connection already holds {MAX_SESSIONS_PER_CONN} sessions, the most it may; \
+         close one first"
+    )
 }
 
 fn no_session(sid: &Option<String>, cmd: &str) -> String {
@@ -358,6 +375,37 @@ mod tests {
         assert_err(&replies[4]); // unknown node
         assert_err(&replies[5]); // negative time
         assert_ok(&replies[6]); // close still works
+    }
+
+    #[test]
+    fn a_connection_holds_at_most_the_session_cap() {
+        let cap = super::MAX_SESSIONS_PER_CONN;
+        let open = |cmd: &str, sid: usize| {
+            format!(
+                r#"{{"cmd":"{cmd}","sid":"s{sid}","engine":"fluid","topology":"fig3","strategy":"urp","horizon_secs":5,"path":"absent.ckpt"}}"#
+            ) + "\n"
+        };
+        let mut script: String = (0..=cap).map(|sid| open("open", sid)).collect();
+        // a close frees one slot, which the refused sid then takes
+        script += "{\"cmd\":\"close\",\"sid\":\"s0\"}\n";
+        script += &open("open", cap);
+        // full again: a resume is refused before its path is read
+        script += &open("resume", cap + 1);
+        let replies = run(&script);
+        assert_eq!(replies.len(), cap + 4, "{replies:?}");
+        for r in &replies[..cap] {
+            assert_ok(r);
+        }
+        for refused in [cap, cap + 3] {
+            assert_kind(&replies[refused], "state");
+            assert!(
+                replies[refused].contains(&format!("already holds {cap} sessions")),
+                "{}",
+                replies[refused]
+            );
+        }
+        assert_ok(&replies[cap + 1]); // close
+        assert_ok(&replies[cap + 2]); // open in the freed slot
     }
 
     #[test]
