@@ -2,11 +2,11 @@
 //!
 //! Every table and figure of the paper (and every ablation) is a
 //! declarative sweep in [`sweeps`], executed by the parallel runner
-//! (`inrpp-runner`) and reachable two ways:
-//!
-//! * the `inrpp` CLI — `inrpp run table1 --threads 8 --format json`;
-//! * the library functions in [`experiments`], unit-tested like any other
-//!   code — the CLI prints, these functions compute.
+//! (`inrpp-runner`). [`sweeps::build`] is the one way to run an
+//! experiment: each cell runs its simulation and formats its row in one
+//! place, and the `inrpp` CLI (`inrpp run table1 --threads 8 --format
+//! json`), the golden fixtures and the determinism gates all go through
+//! it.
 //!
 //! [`table`] holds the plain-text table renderer all output shares, and
 //! the test-only `serve` module pins the v1 wire bytes of `inrpp serve`.
@@ -28,7 +28,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod experiments;
 #[cfg(test)]
 mod serve;
 pub mod sweeps;

@@ -1,6 +1,6 @@
 //! Flow-level metrics: weighted CDFs and the per-run report.
 
-use inrpp_sim::metrics::{sort_weighted_samples, Cdf};
+use inrpp_sim::metrics::sort_weighted_samples;
 use inrpp_sim::time::SimDuration;
 
 /// Empirical CDF over weighted samples.
@@ -143,8 +143,6 @@ pub struct FlowSimReport {
     pub duration: SimDuration,
     /// Mean flow completion time over completed flows, seconds.
     pub mean_fct_secs: f64,
-    /// Full FCT distribution over completed flows, seconds.
-    pub fct_cdf: Cdf,
     /// Traffic-weighted path-stretch CDF (Fig. 4b).
     pub stretch: WeightedCdf,
     /// Time-weighted mean of Jain's fairness index across active flows.
@@ -288,8 +286,6 @@ mod tests {
     }
 
     fn sample_report() -> FlowSimReport {
-        let mut fct_cdf = Cdf::new();
-        fct_cdf.extend([0.2, 0.5, 0.8]);
         FlowSimReport {
             strategy: "SP".into(),
             topology: "t".into(),
@@ -300,7 +296,6 @@ mod tests {
             delivered_bits: 75.0,
             duration: SimDuration::from_secs(5),
             mean_fct_secs: 0.5,
-            fct_cdf,
             stretch: WeightedCdf::new(),
             mean_jain: 0.9,
             mean_utilisation: 0.4,

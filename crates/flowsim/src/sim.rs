@@ -23,7 +23,7 @@
 
 use inrpp_sim::event::{Engine, SchedulePastError};
 use inrpp_sim::fault::{FaultKind, FaultPlan};
-use inrpp_sim::metrics::{Cdf, JainIndex};
+use inrpp_sim::metrics::JainIndex;
 use inrpp_sim::time::{SimDuration, SimTime};
 use inrpp_topology::graph::{NodeId, Topology};
 
@@ -213,7 +213,6 @@ pub struct FlowRun<'a> {
     completed: usize,
     unroutable: usize,
     fct_sum: f64,
-    fct_cdf: Cdf,
     stretch: WeightedCdf,
     jain_weighted: f64,
     util_weighted: f64,
@@ -270,7 +269,6 @@ impl<'a> FlowRun<'a> {
             completed: 0,
             unroutable: 0,
             fct_sum: 0.0,
-            fct_cdf: Cdf::new(),
             stretch: WeightedCdf::new(),
             jain_weighted: 0.0,
             util_weighted: 0.0,
@@ -518,7 +516,6 @@ impl<'a> FlowRun<'a> {
                     self.completed += 1;
                     let fct = now.duration_since(fl.arrival).as_secs_f64();
                     self.fct_sum += fct;
-                    self.fct_cdf.record(fct);
                     obs.on_flow_end(now, fid, fl.size_bits - fl.remaining_bits, fct);
                     record_stretch(&mut self.stretch, &fl);
                 }
@@ -592,7 +589,6 @@ impl<'a> FlowRun<'a> {
             } else {
                 0.0
             },
-            fct_cdf: self.fct_cdf.clone(),
             stretch: self.stretch.clone(),
             mean_jain: if self.weighted_secs > 0.0 {
                 self.jain_weighted / self.weighted_secs
@@ -1040,7 +1036,6 @@ mod tests {
         for (x, y) in a.channel_utilisation.iter().zip(&b.channel_utilisation) {
             assert_eq!(x.to_bits(), y.to_bits());
         }
-        assert_eq!(a.fct_cdf, b.fct_cdf);
         assert_eq!(a.stretch, b.stretch);
     }
 
@@ -1185,14 +1180,17 @@ mod tests {
         let cfg = FlowSimConfig {
             horizon: SimDuration::from_secs(10),
         };
-        let straight = FlowSim::new(&topo, &sp, &w, cfg).run();
+        let mut fp_a = StreamFp::default();
+        let straight = FlowSim::new(&topo, &sp, &w, cfg).start().finish(&mut fp_a);
+        let mut fp_b = StreamFp::default();
         let mut run = FlowSim::new(&topo, &sp, &w, cfg).start();
-        run.run_until(SimTime::from_secs(1), &mut ());
+        run.run_until(SimTime::from_secs(1), &mut fp_b);
         let snap = run.report_now();
         assert!(snap.arrived_flows > 0);
         assert!(snap.delivered_bits <= straight.delivered_bits);
-        let end = run.finish(&mut ());
+        let end = run.finish(&mut fp_b);
         assert_reports_identical(&straight, &end);
+        assert_eq!(fp_a.0, fp_b.0, "observer streams diverged");
     }
 
     #[test]

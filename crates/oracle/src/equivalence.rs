@@ -72,7 +72,7 @@ fn detour_heavy_run_matches_reference_with_trace() {
 fn aimd_run_matches_reference() {
     let t = Topology::fig3();
     let cfg = PacketSimConfig {
-        transport: TransportKind::Aimd(AimdConfig::default()),
+        transport: TransportKind::Aimd(AimdConfig),
         horizon: SimDuration::from_secs(30),
         ..PacketSimConfig::default()
     };
@@ -86,7 +86,7 @@ fn mixed_transports_match_reference() {
     let cfg = PacketSimConfig {
         transport: TransportKind::Mixed {
             inrpp: InrppConfig::default(),
-            aimd: AimdConfig::default(),
+            aimd: AimdConfig,
         },
         horizon: SimDuration::from_secs(30),
         ..PacketSimConfig::default()

@@ -32,8 +32,8 @@ use inrpp_topology::spath::{cost, shortest_path};
 
 use inrpp_packetsim::packet::{
     AimdConfig, ChunkNo, DirIndex, FlowId, FlowTransport, PacketSimConfig, TransferSpec,
-    TransportKind, DETOUR_QUEUE_THRESHOLD, INITIAL_SSTHRESH, INITIAL_WINDOW, MAX_QUEUE,
-    REQUEST_BYTES,
+    TransportKind, AIMD_RTO, DETOUR_QUEUE_THRESHOLD, INITIAL_SSTHRESH, INITIAL_WINDOW, MAX_QUEUE,
+    RECEIVER_TIMEOUT, REQUEST_BYTES,
 };
 use inrpp_packetsim::report::{FlowStats, PacketSimReport};
 
@@ -579,7 +579,7 @@ impl<'a> Runner<'a> {
                 let mut rec = Receiver::new(spec.chunks, ic.anticipation);
                 let req = rec.initial_request();
                 let covers = req.anticipated + 1;
-                let deadline = now + self.cfg.receiver_timeout;
+                let deadline = now + RECEIVER_TIMEOUT;
                 let mut rt = ReceiverRt {
                     kind: ReceiverKind::Inrpp(rec),
                     outstanding: BTreeMap::new(),
@@ -591,7 +591,7 @@ impl<'a> Runner<'a> {
                 self.receivers.insert(flow, rt);
                 self.send_request(eng, now, flow, req, covers);
             }
-            (FlowTransport::Aimd, _, Some(ac)) => {
+            (FlowTransport::Aimd, _, Some(_)) => {
                 let mut rt = ReceiverRt {
                     kind: ReceiverKind::Aimd(AimdReceiver {
                         cwnd: INITIAL_WINDOW,
@@ -604,7 +604,7 @@ impl<'a> Runner<'a> {
                     stats,
                 };
                 let win = (INITIAL_WINDOW as u64).clamp(1, spec.chunks);
-                let deadline = now + ac.rto;
+                let deadline = now + AIMD_RTO;
                 let mut to_req = Vec::new();
                 if let ReceiverKind::Aimd(r) = &mut rt.kind {
                     for _ in 0..win {
@@ -625,7 +625,7 @@ impl<'a> Runner<'a> {
             }
             _ => unreachable!("add_transfer_as validated the flow transport"),
         }
-        eng.schedule(self.cfg.receiver_timeout, Ev::RxCheck(flow));
+        eng.schedule(RECEIVER_TIMEOUT, Ev::RxCheck(flow));
     }
 
     fn deliver_to_receiver(
@@ -645,7 +645,7 @@ impl<'a> Runner<'a> {
             return;
         };
         rt.outstanding.remove(&chunk);
-        let timeout = self.cfg.receiver_timeout;
+        let timeout = RECEIVER_TIMEOUT;
         match &mut rt.kind {
             ReceiverKind::Inrpp(rec) => {
                 // reorder distance: how far past the in-order watermark
@@ -691,13 +691,12 @@ impl<'a> Runner<'a> {
                     rt.stats.completed_at = Some(now);
                 }
                 // clock out new requests within the window
-                let rto = self.aimd_cfg.expect("aimd mode").rto;
                 let mut to_req = Vec::new();
                 while (rt.outstanding.len() as f64) < r.cwnd.floor() && r.next_unrequested < r.total
                 {
                     let c = r.next_unrequested;
                     r.next_unrequested += 1;
-                    rt.outstanding.insert(c, now + rto);
+                    rt.outstanding.insert(c, now + AIMD_RTO);
                     to_req.push(c);
                 }
                 for c in to_req {
@@ -738,11 +737,8 @@ impl<'a> Runner<'a> {
     fn rx_check(&mut self, eng: &mut Engine<Ev>, now: SimTime, flow: FlowId) {
         // AIMD flows time out on their own RTO; INRPP on the receiver timer
         let timeout = match self.flows.get(&flow).map(|f| f.kind) {
-            Some(FlowTransport::Aimd) => self
-                .aimd_cfg
-                .map(|a| a.rto)
-                .unwrap_or(self.cfg.receiver_timeout),
-            _ => self.cfg.receiver_timeout,
+            Some(FlowTransport::Aimd) => AIMD_RTO,
+            _ => RECEIVER_TIMEOUT,
         };
         let Some(rt) = self.receivers.get_mut(&flow) else {
             return;

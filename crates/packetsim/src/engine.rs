@@ -76,8 +76,8 @@ use inrpp_topology::spath::{cost, shortest_path, Path};
 use crate::channel::ChannelBank;
 use crate::packet::{
     AimdConfig, ChunkNo, DirIndex, FlowId, FlowTransport, PacketSimConfig, TransferSpec,
-    TransportKind, DETOUR_QUEUE_THRESHOLD, INITIAL_SSTHRESH, INITIAL_WINDOW, MAX_QUEUE,
-    REQUEST_BYTES,
+    TransportKind, AIMD_RTO, DETOUR_QUEUE_THRESHOLD, INITIAL_SSTHRESH, INITIAL_WINDOW, MAX_QUEUE,
+    RECEIVER_TIMEOUT, REQUEST_BYTES,
 };
 use crate::report::{FlowStats, PacketSimReport};
 
@@ -134,30 +134,13 @@ impl<'a> PacketSim<'a> {
     /// channel model asserted, which turned a configuration mistake into
     /// a runtime panic even on the typed path. So is a chunk or request
     /// so large that one sent at the horizon, after the longest queue
-    /// wait, would arrive past the end of the u64-nanosecond clock, and a
-    /// receiver timeout or AIMD `rto` under 2 ns: the receiver's check
-    /// re-arms itself half a timeout ahead, which would then be the same
-    /// instant forever. Every run, sequential or sharded, is built here.
+    /// wait, would arrive past the end of the u64-nanosecond clock. Every
+    /// run, sequential or sharded, is built here.
     pub fn try_new(topo: &'a Topology, config: PacketSimConfig) -> Result<Self, SessionError> {
         if let TransportKind::Inrpp(ic) | TransportKind::Mixed { inrpp: ic, .. } = &config.transport
         {
             ic.validate()
                 .map_err(|e| SessionError::InvalidConfig(e.to_string()))?;
-        }
-        let rto = match config.transport {
-            TransportKind::Aimd(ac) | TransportKind::Mixed { aimd: ac, .. } => Some(ac.rto),
-            TransportKind::Inrpp(_) => None,
-        };
-        for (what, timer) in [
-            ("receiver_timeout", Some(config.receiver_timeout)),
-            ("AIMD rto", rto),
-        ] {
-            if timer.is_some_and(|t| t < SimDuration::from_nanos(2)) {
-                return Err(SessionError::InvalidConfig(format!(
-                    "{what} must be at least 2 ns: the receiver's check re-arms \
-                     half a timeout ahead"
-                )));
-            }
         }
         for l in topo.link_ids() {
             let link = topo.link(l);
@@ -1289,7 +1272,7 @@ impl<'a> Core<'a> {
             }
             None => {
                 let src = route[0];
-                (!self.node_down[src.idx()]).then_some((src, self.cfg.receiver_timeout))
+                (!self.node_down[src.idx()]).then_some((src, RECEIVER_TIMEOUT))
             }
         }
     }
@@ -1765,7 +1748,7 @@ impl<'a> Core<'a> {
                 let mut rec = Receiver::new(spec.chunks, ic.anticipation);
                 let req = rec.initial_request();
                 let covers = req.anticipated + 1;
-                let deadline = now + self.cfg.receiver_timeout;
+                let deadline = now + RECEIVER_TIMEOUT;
                 let mut rt = RxRt {
                     kind: RxKind::Inrpp(rec),
                     outstanding: Outstanding::default(),
@@ -1779,7 +1762,7 @@ impl<'a> Core<'a> {
                     self.send_request(eng, now, slot, req, covers);
                 }
             }
-            (FlowTransport::Aimd, _, Some(ac)) => {
+            (FlowTransport::Aimd, _, Some(_)) => {
                 let mut rt = RxRt {
                     kind: RxKind::Aimd(AimdRx {
                         cwnd: INITIAL_WINDOW,
@@ -1792,7 +1775,7 @@ impl<'a> Core<'a> {
                     stats,
                 };
                 let win = (INITIAL_WINDOW as u64).clamp(1, spec.chunks);
-                let deadline = now + ac.rto;
+                let deadline = now + AIMD_RTO;
                 let mut to_req = Vec::new();
                 if let RxKind::Aimd(r) = &mut rt.kind {
                     for _ in 0..win {
@@ -1815,7 +1798,7 @@ impl<'a> Core<'a> {
             }
             _ => unreachable!("add_transfer_as validated the flow transport"),
         }
-        eng.schedule(self.cfg.receiver_timeout, Ev::RxCheck(slot));
+        eng.schedule(RECEIVER_TIMEOUT, Ev::RxCheck(slot));
     }
 
     fn deliver_to_receiver(
@@ -1839,7 +1822,6 @@ impl<'a> Core<'a> {
                 return;
             };
             rt.outstanding.remove(chunk);
-            let timeout = self.cfg.receiver_timeout;
             match &mut rt.kind {
                 RxKind::Inrpp(rec) => {
                     // reorder distance: how far past the in-order watermark
@@ -1858,7 +1840,8 @@ impl<'a> Core<'a> {
                         rt.stats.completed_at = Some(now);
                     }
                     if let Some(req) = out.request {
-                        rt.outstanding.insert(req.anticipated, now + timeout);
+                        rt.outstanding
+                            .insert(req.anticipated, now + RECEIVER_TIMEOUT);
                         inrpp_req = Some(req);
                     }
                 }
@@ -1882,13 +1865,12 @@ impl<'a> Core<'a> {
                         rt.stats.completed_at = Some(now);
                     }
                     // clock out new requests within the window
-                    let rto = self.aimd_cfg.expect("aimd mode").rto;
                     while (rt.outstanding.len() as f64) < r.cwnd.floor()
                         && r.next_unrequested < r.total
                     {
                         let c = r.next_unrequested;
                         r.next_unrequested += 1;
-                        rt.outstanding.insert(c, now + rto);
+                        rt.outstanding.insert(c, now + AIMD_RTO);
                         aimd_reqs.push(c);
                     }
                 }
@@ -1935,11 +1917,8 @@ impl<'a> Core<'a> {
     fn rx_check(&mut self, eng: &mut CalendarEngine<Ev>, now: SimTime, slot: u32) {
         // AIMD flows time out on their own RTO; INRPP on the receiver timer
         let timeout = match self.kinds[slot as usize] {
-            FlowTransport::Aimd => self
-                .aimd_cfg
-                .map(|a| a.rto)
-                .unwrap_or(self.cfg.receiver_timeout),
-            _ => self.cfg.receiver_timeout,
+            FlowTransport::Aimd => AIMD_RTO,
+            FlowTransport::Inrpp => RECEIVER_TIMEOUT,
         };
         // a crashed receiver cannot observe timeouts; keep the check
         // ladder beating (it is a barrier rung in sharded runs) and
@@ -2688,7 +2667,7 @@ mod tests {
 
     fn aimd_cfg() -> PacketSimConfig {
         PacketSimConfig {
-            transport: TransportKind::Aimd(AimdConfig::default()),
+            transport: TransportKind::Aimd(AimdConfig),
             horizon: SimDuration::from_secs(30),
             ..PacketSimConfig::default()
         }
@@ -3180,7 +3159,7 @@ mod tests {
         PacketSimConfig {
             transport: TransportKind::Mixed {
                 inrpp: inrpp::config::InrppConfig::default(),
-                aimd: AimdConfig::default(),
+                aimd: AimdConfig,
             },
             horizon: SimDuration::from_secs(60),
             ..PacketSimConfig::default()
@@ -3237,42 +3216,6 @@ mod tests {
         let t = fig3();
         let mut sim = PacketSim::new(&t, inrpp_cfg());
         sim.add_transfer_as(transfer(&t, 1, "1", "4", 10), FlowTransport::Aimd);
-    }
-
-    #[test]
-    fn timers_under_two_ns_are_refused_at_build() {
-        // the receiver's check re-arms half a timeout ahead: under 2 ns
-        // that is the same instant, over and over
-        let t = fig3();
-        for ns in [0, 1, 2] {
-            let timer = SimDuration::from_nanos(ns);
-            let aimd = AimdConfig { rto: timer };
-            for cfg in [
-                PacketSimConfig {
-                    receiver_timeout: timer,
-                    ..inrpp_cfg()
-                },
-                PacketSimConfig {
-                    transport: TransportKind::Aimd(aimd),
-                    ..aimd_cfg()
-                },
-                PacketSimConfig {
-                    transport: TransportKind::Mixed {
-                        inrpp: inrpp::config::InrppConfig::default(),
-                        aimd,
-                    },
-                    ..mixed_cfg()
-                },
-            ] {
-                match PacketSim::try_new(&t, cfg) {
-                    Err(SessionError::InvalidConfig(m)) => {
-                        assert!(ns < 2 && m.contains("at least 2 ns"), "{ns} ns: {m}")
-                    }
-                    Err(e) => panic!("{ns} ns: {e}"),
-                    Ok(_) => assert_eq!(ns, 2, "a {ns} ns timer was accepted"),
-                }
-            }
-        }
     }
 
     #[test]
@@ -3426,7 +3369,7 @@ mod equivalence {
 
     fn aimd_cfg() -> PacketSimConfig {
         PacketSimConfig {
-            transport: TransportKind::Aimd(AimdConfig::default()),
+            transport: TransportKind::Aimd(AimdConfig),
             horizon: SimDuration::from_secs(30),
             ..PacketSimConfig::default()
         }

@@ -74,22 +74,12 @@ pub const INITIAL_SSTHRESH: f64 = 64.0;
 
 const _: () = assert!(1.0 <= INITIAL_WINDOW && INITIAL_WINDOW < INITIAL_SSTHRESH);
 
-/// AIMD baseline parameters (receiver-driven window, ICP/TCP-style). The
+/// The AIMD baseline (receiver-driven window, ICP/TCP-style). The
 /// window starts at [`INITIAL_WINDOW`] in slow start up to
-/// [`INITIAL_SSTHRESH`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AimdConfig {
-    /// Retransmission timeout for an outstanding chunk.
-    pub rto: SimDuration,
-}
-
-impl Default for AimdConfig {
-    fn default() -> Self {
-        AimdConfig {
-            rto: SimDuration::from_millis(500),
-        }
-    }
-}
+/// [`INITIAL_SSTHRESH`], and an outstanding chunk is re-requested after
+/// [`AIMD_RTO`]; nothing is left to set.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct AimdConfig;
 
 /// Which transport drives endpoints and routers.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -132,9 +122,25 @@ pub const DETOUR_QUEUE_THRESHOLD: SimDuration = SimDuration::from_millis(10);
 
 const _: () = assert!(DETOUR_QUEUE_THRESHOLD.as_nanos() < MAX_QUEUE.as_nanos());
 
+/// How long an INRPP receiver waits for a requested chunk before it
+/// requests it again. §3.2 replaces end-to-end loss inference with
+/// explicit timers at the receiver; the timer must outlast a chunk's
+/// round trip, or every check re-requests chunks still in flight.
+pub const RECEIVER_TIMEOUT: SimDuration = SimDuration::from_millis(500);
+
+/// How long an AIMD receiver waits for an outstanding chunk before it
+/// requests the chunk again and falls back to slow start: the baseline's
+/// counterpart of [`RECEIVER_TIMEOUT`].
+pub const AIMD_RTO: SimDuration = SimDuration::from_millis(500);
+
+// the receiver's check re-arms itself half a timeout ahead: under 2 ns
+// that would be the same instant forever
+const _: () = assert!(RECEIVER_TIMEOUT.as_nanos() >= 2 && AIMD_RTO.as_nanos() >= 2);
+
 /// Full configuration of a packet-level run. Requests are
-/// [`REQUEST_BYTES`] long, and every channel queues at most
-/// [`MAX_QUEUE`] of traffic.
+/// [`REQUEST_BYTES`] long, every channel queues at most [`MAX_QUEUE`] of
+/// traffic, and receivers re-request a missing chunk after
+/// [`RECEIVER_TIMEOUT`] (INRPP) or [`AIMD_RTO`] (AIMD).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PacketSimConfig {
     /// Payload size of a data chunk.
@@ -143,8 +149,6 @@ pub struct PacketSimConfig {
     pub transport: TransportKind,
     /// Hard stop.
     pub horizon: SimDuration,
-    /// Receiver loss-detection timeout (explicit timers per §3.2).
-    pub receiver_timeout: SimDuration,
     /// Fault injection applied to data channels.
     pub fault: FaultConfig,
     /// RNG seed (fault injection, tie-breaking).
@@ -157,7 +161,6 @@ impl Default for PacketSimConfig {
             chunk_bytes: ByteSize::bytes(1250),
             transport: TransportKind::Inrpp(InrppConfig::default()),
             horizon: SimDuration::from_secs(30),
-            receiver_timeout: SimDuration::from_millis(500),
             fault: FaultConfig::default(),
             seed: 1,
         }

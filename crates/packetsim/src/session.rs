@@ -88,9 +88,9 @@ impl PacketEngine {
 
     /// Convenience: the AIMD baseline transport, other knobs at their
     /// defaults.
-    pub fn aimd(config: AimdConfig) -> Self {
+    pub fn aimd() -> Self {
         PacketEngine::new(PacketSimConfig {
-            transport: TransportKind::Aimd(config),
+            transport: TransportKind::Aimd(AimdConfig),
             ..PacketSimConfig::default()
         })
     }
@@ -484,9 +484,7 @@ mod tests {
         let sp = base.clone().strategy(SessionStrategy::Sp).build().unwrap();
         assert!(sp.run_on(&PacketEngine::default(), &mut []).is_err());
         // ...and runs once the engine is configured for it
-        let report = sp
-            .run_on(&PacketEngine::aimd(AimdConfig::default()), &mut [])
-            .expect("AIMD run");
+        let report = sp.run_on(&PacketEngine::aimd(), &mut []).expect("AIMD run");
         assert_eq!(report.strategy, "AIMD");
     }
 

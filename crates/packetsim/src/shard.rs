@@ -77,7 +77,9 @@ use inrpp_topology::graph::{NodeId, Topology};
 use inrpp_topology::partition::Partition;
 
 use crate::engine::{Batch, Core, Ev, RegionCtx, RxCmd};
-use crate::packet::{FlowTransport, PacketSimConfig, TransferSpec, TransportKind};
+use crate::packet::{
+    FlowTransport, PacketSimConfig, TransferSpec, TransportKind, AIMD_RTO, RECEIVER_TIMEOUT,
+};
 use crate::report::PacketSimReport;
 
 /// Per-slot timer schedule shared by every worker: flow starts plus the
@@ -347,7 +349,7 @@ fn validate(
     let horizon = SimTime::ZERO + cfg.horizon;
     let rungs = transfers
         .iter()
-        .filter_map(|(spec, kind)| rung_chain(cfg, spec, *kind, horizon))
+        .filter_map(|(spec, kind)| rung_chain(spec, *kind, horizon))
         .map(|(first, step)| 1 + horizon.duration_since(first).as_nanos() / step.as_nanos())
         .fold(0, u64::saturating_add);
     let fills = lookahead.map_or(0, |d| cfg.horizon.as_nanos() / d.as_nanos());
@@ -391,42 +393,34 @@ fn build_barriers(
 }
 
 /// A slot's rx-check rungs ≤ horizon as `(first, step)`, matching the
-/// engine's timer chain exactly: the first check at `start +
-/// receiver_timeout`, then one every `timeout/2`, where the timeout is
-/// the AIMD `rto` for AIMD flows. `None` when no rung lies within the
+/// engine's timer chain exactly: the first check at `start +`
+/// [`RECEIVER_TIMEOUT`], then one every `timeout/2`, where the timeout is
+/// [`AIMD_RTO`] for AIMD flows. `None` when no rung lies within the
 /// horizon.
 fn rung_chain(
-    cfg: &PacketSimConfig,
     spec: &TransferSpec,
     kind: FlowTransport,
     horizon: SimTime,
 ) -> Option<(SimTime, SimDuration)> {
-    let timeout = match (kind, &cfg.transport) {
-        (FlowTransport::Aimd, TransportKind::Aimd(a) | TransportKind::Mixed { aimd: a, .. }) => {
-            a.rto
-        }
-        _ => cfg.receiver_timeout,
+    let timeout = match kind {
+        FlowTransport::Aimd => AIMD_RTO,
+        FlowTransport::Inrpp => RECEIVER_TIMEOUT,
     };
     let first = spec
         .start
-        .checked_add(cfg.receiver_timeout)
+        .checked_add(RECEIVER_TIMEOUT)
         .filter(|&t| t <= horizon)?;
     Some((first, timeout / 2))
 }
 
 /// Per-slot rx-check rung instants ≤ horizon (see [`rung_chain`]).
-fn build_ladder(
-    cfg: &PacketSimConfig,
-    specs: &[TransferSpec],
-    kinds: &[FlowTransport],
-    horizon: SimTime,
-) -> Ladder {
+fn build_ladder(specs: &[TransferSpec], kinds: &[FlowTransport], horizon: SimTime) -> Ladder {
     let rungs = specs
         .iter()
         .zip(kinds)
         .map(|(spec, &kind)| {
             let mut row = Vec::new();
-            if let Some((mut t, step)) = rung_chain(cfg, spec, kind, horizon) {
+            if let Some((mut t, step)) = rung_chain(spec, kind, horizon) {
                 while t <= horizon {
                     row.push(t);
                     t += step;
@@ -526,7 +520,7 @@ fn build_regions<'a>(
         cores.push(core);
     }
     let first = cores.first().expect("at least one region");
-    let ladder = Arc::new(build_ladder(&cfg, &first.specs, &first.kinds, horizon));
+    let ladder = Arc::new(build_ladder(&first.specs, &first.kinds, horizon));
     let workers = cores
         .into_iter()
         .enumerate()
@@ -801,14 +795,6 @@ mod tests {
             },
             2,
         ));
-        // refused where every run is built, sharded or not
-        invalid(sharded(
-            PacketSimConfig {
-                receiver_timeout: SimDuration::ZERO,
-                ..cfg
-            },
-            2,
-        ));
         // zero-delay cut channel
         let flat = Topology::line(4, Rate::mbps(9.7), SimDuration::ZERO);
         let ids: Vec<_> = flat.node_ids().collect();
@@ -938,12 +924,11 @@ mod tests {
 
     #[test]
     fn oversized_barrier_ladders_are_refused_before_building() {
-        let refusal = |delay: SimDuration, receiver_timeout: SimDuration| {
+        let refusal = |delay: SimDuration, horizon: SimDuration| {
             let topo = Topology::dumbbell(2, Rate::mbps(9.7), Rate::mbps(3.9), delay);
             let ids: Vec<_> = topo.node_ids().collect();
             let cfg = PacketSimConfig {
-                horizon: SimDuration::from_secs(60),
-                receiver_timeout,
+                horizon,
                 transport: TransportKind::Inrpp(InrppConfig {
                     load_aware_detour: false,
                     ..InrppConfig::default()
@@ -967,17 +952,17 @@ mod tests {
             }
         };
         // a 1 ns lookahead: one fill per nanosecond of the horizon
-        let msg = refusal(SimDuration::from_nanos(1), SimDuration::from_millis(500));
+        let msg = refusal(SimDuration::from_nanos(1), SimDuration::from_secs(60));
         assert!(
             msg.contains("239 rx-check rungs and 60000000000 lookahead steps"),
             "{msg}"
         );
-        // a 2 ns receiver timeout: one rung per nanosecond
-        let msg = refusal(
-            SimDuration::from_nanos(1_300_017),
-            SimDuration::from_nanos(2),
+        // a long horizon: one flow's receiver checks four times a second
+        let msg = refusal(SimDuration::from_secs(1), SimDuration::from_secs(260_000));
+        assert!(
+            msg.contains("1039999 rx-check rungs and 260000 lookahead steps"),
+            "{msg}"
         );
-        assert!(msg.contains("59999999999 rx-check rungs"), "{msg}");
         assert!(msg.contains("at most 1000000 barriers"), "{msg}");
     }
 }

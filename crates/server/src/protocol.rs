@@ -435,7 +435,7 @@ impl OpenSpec {
     pub fn packet_engine(&self) -> Result<PacketEngine, String> {
         let transport = match self.strategy()? {
             SessionStrategy::Urp(_) => TransportKind::Inrpp(InrppConfig::default()),
-            SessionStrategy::Sp => TransportKind::Aimd(AimdConfig::default()),
+            SessionStrategy::Sp => TransportKind::Aimd(AimdConfig),
             other => return Err(format!("no packet transport for {}", other.name())),
         };
         Ok(PacketEngine::new(PacketSimConfig {

@@ -6,37 +6,15 @@
 //! non-reproducibility in naive DES implementations.
 //!
 //! Control flow is poll-style, as in smoltcp: the [`Engine`] never calls into
-//! user code behind your back. Either drain events manually with
-//! [`Engine::next`], or hand a handler to [`Engine::run_with`], which pops
-//! one event at a time and passes `&mut Engine` back so the handler can
-//! schedule follow-ups.
+//! user code behind your back. The caller drains events with
+//! [`Engine::next`] (or [`Engine::next_at_or_before`] to stop at a
+//! boundary) and schedules follow-ups between polls.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::fmt;
 
 use crate::time::{SimDuration, SimTime};
-
-/// Why [`Engine::run_with`] returned.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StopReason {
-    /// The event queue drained completely.
-    QueueEmpty,
-    /// The time horizon was reached; the clock stops exactly at the horizon.
-    Horizon,
-    /// The handler requested a stop by returning [`Control::Stop`].
-    Requested,
-}
-
-/// Handler verdict for [`Engine::run_with`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Control {
-    /// Keep processing events.
-    #[default]
-    Continue,
-    /// Stop after this event.
-    Stop,
-}
 
 /// Error returned when scheduling into the past.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -137,17 +115,12 @@ impl<E> EventQueue<E> {
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
-
-    /// Drop all pending events.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-    }
 }
 
 /// The simulation engine: a clock plus the pending-event queue.
 ///
 /// ```
-/// use inrpp_sim::event::{Control, Engine};
+/// use inrpp_sim::event::Engine;
 /// use inrpp_sim::time::{SimDuration, SimTime};
 ///
 /// #[derive(Debug, PartialEq)]
@@ -156,14 +129,12 @@ impl<E> EventQueue<E> {
 /// let mut eng: Engine<Ev> = Engine::new();
 /// eng.schedule(SimDuration::from_secs(1), Ev::Ping(0));
 /// let mut fired = Vec::new();
-/// eng.run_with(|eng, now, ev| {
-///     let Ev::Ping(n) = ev;
+/// while let Some((now, Ev::Ping(n))) = eng.next() {
 ///     fired.push((now, n));
 ///     if n < 2 {
 ///         eng.schedule(SimDuration::from_secs(1), Ev::Ping(n + 1));
 ///     }
-///     Control::Continue
-/// });
+/// }
 /// assert_eq!(fired.len(), 3);
 /// assert_eq!(fired[2].0, SimTime::from_secs(3));
 /// ```
@@ -248,32 +219,6 @@ impl<E> Engine<E> {
         Some((t, e))
     }
 
-    /// Run the event loop, passing each event to `handler`.
-    ///
-    /// The handler receives the engine itself so it can schedule follow-up
-    /// events, inspect the clock, or request a stop.
-    pub fn run_with(
-        &mut self,
-        mut handler: impl FnMut(&mut Engine<E>, SimTime, E) -> Control,
-    ) -> StopReason {
-        loop {
-            match self.next() {
-                None => {
-                    return if self.queue.is_empty() {
-                        StopReason::QueueEmpty
-                    } else {
-                        StopReason::Horizon
-                    };
-                }
-                Some((t, e)) => {
-                    if handler(self, t, e) == Control::Stop {
-                        return StopReason::Requested;
-                    }
-                }
-            }
-        }
-    }
-
     /// Pop the next event only if it is due at or before `limit` (and
     /// within the horizon); otherwise leave the queue untouched and
     /// return `None`. Mirrors
@@ -302,11 +247,6 @@ impl<E> Engine<E> {
     pub fn advance_clock_to(&mut self, t: SimTime) {
         assert!(t >= self.now, "advance_clock_to would move time backwards");
         self.now = t;
-    }
-
-    /// Drop every pending event (the clock keeps its value).
-    pub fn clear(&mut self) {
-        self.queue.clear();
     }
 }
 
@@ -378,34 +318,13 @@ mod tests {
         eng.schedule(SimDuration::from_secs(5), 1);
         eng.schedule(SimDuration::from_secs(15), 2);
         let mut seen = Vec::new();
-        let reason = eng.run_with(|_, _, e| {
+        while let Some((_, e)) = eng.next() {
             seen.push(e);
-            Control::Continue
-        });
-        assert_eq!(reason, StopReason::Horizon);
+        }
         assert_eq!(seen, vec![1]);
+        // stopped by the horizon: the clock sits on it, one event pending
         assert_eq!(eng.now(), SimTime::from_secs(10));
         assert_eq!(eng.pending(), 1);
-    }
-
-    #[test]
-    fn handler_can_stop() {
-        let mut eng: Engine<u8> = Engine::new();
-        for i in 0..10 {
-            eng.schedule(SimDuration::from_secs(i as u64 + 1), i);
-        }
-        let mut count = 0;
-        let reason = eng.run_with(|_, _, _| {
-            count += 1;
-            if count == 3 {
-                Control::Stop
-            } else {
-                Control::Continue
-            }
-        });
-        assert_eq!(reason, StopReason::Requested);
-        assert_eq!(count, 3);
-        assert_eq!(eng.pending(), 7);
     }
 
     #[test]
@@ -416,14 +335,13 @@ mod tests {
         eng.schedule(SimDuration::from_secs(1), ("a", 1));
         eng.schedule(SimDuration::from_secs(2), ("b", 2));
         let mut order = Vec::new();
-        eng.run_with(|eng, now, (name, step)| {
+        while let Some((now, (name, step))) = eng.next() {
             order.push((name, now));
             if step < 3 {
                 // "a" reschedules every 2s, "b" every 2s => interleaved.
                 eng.schedule(SimDuration::from_secs(2), (name, step + 2));
             }
-            Control::Continue
-        });
+        }
         let times: Vec<u64> = order.iter().map(|(_, t)| t.as_nanos()).collect();
         let mut sorted = times.clone();
         sorted.sort_unstable();
@@ -500,10 +418,9 @@ mod tests {
                 eng.schedule(SimDuration::from_millis((i * 7 % 13) as u64), i);
             }
             let mut log = Vec::new();
-            eng.run_with(|_, t, e| {
+            while let Some((t, e)) = eng.next() {
                 log.push((t, e));
-                Control::Continue
-            });
+            }
             log
         }
         assert_eq!(run(), run());

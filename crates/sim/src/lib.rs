@@ -38,14 +38,3 @@ pub mod shard;
 pub mod snap;
 pub mod time;
 pub mod units;
-
-/// Convenient glob-import surface: `use inrpp_sim::prelude::*;`.
-pub mod prelude {
-    pub use crate::calendar::{CalendarEngine, CalendarQueue};
-    pub use crate::dist::{Distribution, Exponential, Pareto, PoissonProcess, Uniform};
-    pub use crate::event::{Engine, EventQueue, StopReason};
-    pub use crate::metrics::{Cdf, JainIndex, SummaryStats};
-    pub use crate::rng::SimRng;
-    pub use crate::time::{SimDuration, SimTime};
-    pub use crate::units::{bits, ByteSize, Rate};
-}

@@ -125,9 +125,8 @@ impl fmt::Display for SummaryStats {
 
 /// Sort quantile samples into ascending order using [`f64::total_cmp`].
 ///
-/// The one shared sort for every quantile path in the workspace (this
-/// module's [`Cdf`], flowsim's weighted CDF, the session facade's
-/// quantile probe). `total_cmp` is a total order, so a NaN sample —
+/// The one shared sort for every quantile path in the workspace
+/// (flowsim's weighted CDF, the session facade's quantile probe). `total_cmp` is a total order, so a NaN sample —
 /// e.g. a metric derived from a 0/0 ratio — sorts to the end instead of
 /// panicking the comparator mid-run; quantiles over the finite prefix
 /// stay exact and only the extreme upper quantiles surface the NaN.
@@ -142,98 +141,6 @@ pub fn sort_samples(xs: &mut [f64]) {
 /// get it, because the input order is itself deterministic.
 pub fn sort_weighted_samples(xs: &mut [(f64, f64)]) {
     xs.sort_by(|a, b| a.0.total_cmp(&b.0));
-}
-
-/// Empirical CDF built from retained samples; supports exact quantiles and
-/// `P(X <= x)` queries. Memory is O(samples) — fine at this project's scale,
-/// and exactness matters for reproducing the paper's Fig. 4b stretch CDF.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Cdf {
-    samples: Vec<f64>,
-    sorted: bool,
-}
-
-impl Cdf {
-    /// An empty CDF.
-    pub fn new() -> Self {
-        Cdf {
-            samples: Vec::new(),
-            sorted: true,
-        }
-    }
-
-    /// Record one observation. NaN is tolerated (it sorts after every
-    /// finite value and +∞, see [`sort_samples`]) so one degenerate
-    /// sample cannot crash a long service-mode run.
-    pub fn record(&mut self, x: f64) {
-        self.samples.push(x);
-        self.sorted = false;
-    }
-
-    /// Record a batch.
-    pub fn extend(&mut self, xs: impl IntoIterator<Item = f64>) {
-        for x in xs {
-            self.record(x);
-        }
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> usize {
-        self.samples.len()
-    }
-
-    fn ensure_sorted(&mut self) {
-        if !self.sorted {
-            sort_samples(&mut self.samples);
-            self.sorted = true;
-        }
-    }
-
-    /// The `q`-quantile (nearest-rank), `q` in `[0, 1]`. `None` when empty.
-    pub fn quantile(&mut self, q: f64) -> Option<f64> {
-        if self.samples.is_empty() {
-            return None;
-        }
-        assert!((0.0..=1.0).contains(&q), "quantile out of [0,1]: {q}");
-        self.ensure_sorted();
-        let n = self.samples.len();
-        let idx = ((q * n as f64).ceil() as usize).clamp(1, n) - 1;
-        Some(self.samples[idx])
-    }
-
-    /// Fraction of observations `<= x` (0 when empty).
-    pub fn fraction_le(&mut self, x: f64) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        self.ensure_sorted();
-        let n = self.samples.partition_point(|&s| s <= x);
-        n as f64 / self.samples.len() as f64
-    }
-
-    /// `(x, F(x))` step points for plotting, deduplicated on x.
-    pub fn points(&mut self) -> Vec<(f64, f64)> {
-        self.ensure_sorted();
-        let n = self.samples.len();
-        let mut out: Vec<(f64, f64)> = Vec::new();
-        for (i, &x) in self.samples.iter().enumerate() {
-            let f = (i + 1) as f64 / n as f64;
-            match out.last_mut() {
-                Some(last) if last.0 == x => last.1 = f,
-                _ => out.push((x, f)),
-            }
-        }
-        out
-    }
-
-    /// Sample mean (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.samples.is_empty() {
-            0.0
-        } else {
-            self.samples.iter().sum::<f64>() / self.samples.len() as f64
-        }
-    }
 }
 
 /// Jain's fairness index over a set of allocations.
@@ -323,40 +230,6 @@ mod tests {
     }
 
     #[test]
-    fn cdf_quantiles_and_fractions() {
-        let mut c = Cdf::new();
-        c.extend((1..=100).map(|i| i as f64));
-        assert_eq!(c.count(), 100);
-        assert_eq!(c.quantile(0.0), Some(1.0));
-        assert_eq!(c.quantile(0.5), Some(50.0));
-        assert_eq!(c.quantile(1.0), Some(100.0));
-        assert!((c.fraction_le(25.0) - 0.25).abs() < 1e-12);
-        assert_eq!(c.fraction_le(0.5), 0.0);
-        assert_eq!(c.fraction_le(1000.0), 1.0);
-        assert!((c.mean() - 50.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn cdf_empty() {
-        let mut c = Cdf::new();
-        assert_eq!(c.quantile(0.5), None);
-        assert_eq!(c.fraction_le(1.0), 0.0);
-        assert_eq!(c.mean(), 0.0);
-        assert!(c.points().is_empty());
-    }
-
-    #[test]
-    fn cdf_points_step_dedup() {
-        let mut c = Cdf::new();
-        c.extend([1.0, 1.0, 2.0, 3.0, 3.0, 3.0]);
-        let pts = c.points();
-        assert_eq!(pts.len(), 3);
-        assert!((pts[0].1 - 2.0 / 6.0).abs() < 1e-12);
-        assert!((pts[1].1 - 3.0 / 6.0).abs() < 1e-12);
-        assert_eq!(pts[2], (3.0, 1.0));
-    }
-
-    #[test]
     fn jain_matches_paper_example() {
         // Fig. 3 left: flows get 8 and 2 Mbps -> F = (10)^2/(2*68) = 0.7353
         let f = JainIndex::compute(&[8.0, 2.0]).unwrap();
@@ -373,24 +246,6 @@ mod tests {
         assert!((f - 0.25).abs() < 1e-12); // 1/n lower bound
         let f = JainIndex::compute(&[3.0, 3.0, 3.0]).unwrap();
         assert!((f - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn nan_samples_do_not_panic_quantiles() {
-        // Regression: the sort comparator used partial_cmp().expect(),
-        // so a single NaN sample (e.g. a 0/0-derived metric) panicked
-        // every quantile query. total_cmp sorts NaN after +inf: finite
-        // quantiles stay exact, only the extreme tail surfaces the NaN.
-        let mut cdf = Cdf::new();
-        cdf.extend([3.0, f64::NAN, 1.0, 2.0]);
-        assert_eq!(cdf.quantile(0.25), Some(1.0));
-        assert_eq!(cdf.quantile(0.5), Some(2.0));
-        assert_eq!(cdf.quantile(0.75), Some(3.0));
-        assert!(cdf.quantile(1.0).unwrap().is_nan());
-        // fraction_le and points must not panic either
-        assert!((cdf.fraction_le(3.0) - 0.75).abs() < 1e-12);
-        let pts = cdf.points();
-        assert_eq!(pts.len(), 4);
     }
 
     #[test]

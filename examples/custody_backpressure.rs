@@ -57,7 +57,7 @@ fn main() {
         ..PacketSimConfig::default()
     };
     let aimd_cfg = PacketSimConfig {
-        transport: TransportKind::Aimd(AimdConfig::default()),
+        transport: TransportKind::Aimd(AimdConfig),
         horizon: SimDuration::from_secs(120),
         fault,
         ..PacketSimConfig::default()

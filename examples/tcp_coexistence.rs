@@ -44,7 +44,7 @@ fn main() {
         PacketSimConfig {
             transport: TransportKind::Mixed {
                 inrpp: InrppConfig::default(),
-                aimd: AimdConfig::default(),
+                aimd: AimdConfig,
             },
             horizon: SimDuration::from_secs(300),
             ..PacketSimConfig::default()

@@ -1,7 +1,9 @@
 //! Golden-snapshot gate for the machine-readable report formats.
 //!
 //! Two scenario-catalog sweeps at fixed seeds are rendered to CSV and
-//! JSON and compared byte-for-byte against checked-in fixtures under
+//! JSON, and every paper table and ablation the CLI computes from a
+//! simulation is rendered to JSON (rows, notes and artifacts); each is
+//! compared byte-for-byte against a checked-in fixture under
 //! `tests/golden/`. Two distinct regression classes fail this test:
 //!
 //! * **report-schema drift** — column renames, row reordering, format
@@ -11,8 +13,10 @@
 //!   numbers.
 //!
 //! If a change is *intentional*, regenerate the fixtures with
-//! `UPDATE_GOLDEN=1 cargo test --test golden_snapshots` and review the
-//! diff like any other code change.
+//! `UPDATE_GOLDEN=1 cargo test --test golden_snapshots -- --include-ignored`
+//! and review the diff like any other code change. Four sweeps take
+//! seconds each in a debug build, so their fixtures are checked in
+//! release only (CI runs this file with `--release -- --include-ignored`).
 
 use inrpp_bench::sweeps::{self, OutputFormat, SweepOptions};
 use inrpp_runner::{run_sweep, RunnerConfig};
@@ -23,6 +27,27 @@ use inrpp_runner::{run_sweep, RunnerConfig};
 const GOLDEN_SCENARIOS: [&str; 2] = [
     "scenario:het-dumbbell:heavy-tail",
     "scenario:fat-tree:flash-crowd",
+];
+
+/// Paper tables, figures and ablations pinned as JSON (quick options,
+/// 2 threads), each cheap in a debug build.
+const GOLDEN_SWEEPS: [&str; 8] = [
+    "table1",
+    "fig3",
+    "custody",
+    "ablation-anticipation",
+    "ablation-cache-size",
+    "ablation-backpressure",
+    "ablation-interval",
+    "coexistence",
+];
+
+/// The pinned sweeps that take seconds each in a debug build.
+const SLOW_GOLDEN_SWEEPS: [&str; 4] = [
+    "fig2",
+    "ablation-detour-depth",
+    "ablation-load-sweep",
+    "ablation-link-failure",
 ];
 
 fn fixture_stem(id: &str) -> String {
@@ -74,6 +99,25 @@ fn scenario_csv_snapshots_are_stable() {
 #[test]
 fn scenario_json_snapshots_are_stable() {
     for id in GOLDEN_SCENARIOS {
+        check(id, OutputFormat::Json, "json");
+    }
+}
+
+#[test]
+fn paper_and_ablation_json_snapshots_are_stable() {
+    for id in GOLDEN_SWEEPS {
+        check(id, OutputFormat::Json, "json");
+    }
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "four fluid sweeps on the ISP maps take 2-6 s each in debug; \
+              CI's `--release -- --include-ignored` step runs them"
+)]
+fn slow_paper_and_ablation_json_snapshots_are_stable() {
+    for id in SLOW_GOLDEN_SWEEPS {
         check(id, OutputFormat::Json, "json");
     }
 }

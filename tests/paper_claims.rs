@@ -149,7 +149,7 @@ fn inrpp_beats_aimd_without_drops() {
     let mut aimd_sim = PacketSim::new(
         &topo,
         PacketSimConfig {
-            transport: TransportKind::Aimd(AimdConfig::default()),
+            transport: TransportKind::Aimd(AimdConfig),
             horizon: SimDuration::from_secs(60),
             ..PacketSimConfig::default()
         },

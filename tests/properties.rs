@@ -791,7 +791,7 @@ proptest! {
         if mixed {
             cfg.transport = TransportKind::Mixed {
                 inrpp: inrpp::config::InrppConfig::default(),
-                aimd: AimdConfig::default(),
+                aimd: AimdConfig,
             };
         }
         if knobs & 1 != 0 {

@@ -4,14 +4,10 @@
 //! artifact. Exercised end-to-end through the real experiment registry,
 //! not a toy spec.
 //!
-//! Cost split: the quick flow-level gates (fig4a, multiseed) always run —
-//! they are the surface the incremental allocation engine must keep
-//! byte-stable, and they are fast. The heavy gates (table1's detour
-//! tables, the 9-ISP export, the full scenario-catalog replay) take tens
-//! of seconds to minutes in debug builds, so they are `#[ignore]`d there
-//! and run un-ignored in release — CI executes
-//! `cargo test --release --test runner_determinism -- --include-ignored`
-//! to keep the full-fidelity coverage on every push.
+//! Every gate runs in every build: the Table 1, export and
+//! scenario-catalog gates take a few seconds at most in a debug build,
+//! less than the two quick Fig. 4a gates. CI also runs this file in
+//! release.
 
 use inrpp_bench::sweeps::{self, SweepOptions};
 use inrpp_runner::{run_sweep, RunnerConfig};
@@ -24,12 +20,6 @@ fn run_serialized(id: &str, opts: &SweepOptions, threads: usize) -> (String, Str
 }
 
 #[test]
-#[cfg_attr(
-    debug_assertions,
-    ignore = "builds 9 ISP detour tables 3x over — minutes in debug; runs \
-              un-ignored in release (CI's `--release -- --include-ignored` \
-              step keeps the full-fidelity gate)"
-)]
 fn table1_sweep_is_byte_identical_at_threads_1_2_8() {
     let opts = SweepOptions::default();
     let baseline = run_serialized("table1", &opts, 1);
@@ -87,12 +77,6 @@ fn multiseed_cells_use_derived_streams_and_stay_deterministic() {
 }
 
 #[test]
-#[cfg_attr(
-    debug_assertions,
-    ignore = "replays the whole scenario catalog twice — tens of seconds in \
-              debug; runs un-ignored in release (CI's `--release -- \
-              --include-ignored` step keeps the full-fidelity gate)"
-)]
 fn every_scenario_sweep_is_byte_identical_at_threads_1_and_8() {
     // the catalog acceptance gate: every scenario:<topology>:<traffic>
     // cell must serialize to the same bytes at any worker count
@@ -117,12 +101,6 @@ fn every_scenario_sweep_is_byte_identical_at_threads_1_and_8() {
 }
 
 #[test]
-#[cfg_attr(
-    debug_assertions,
-    ignore = "regenerates all 9 ISP topologies (diameter included) twice — \
-              slow in debug; runs un-ignored in release (CI's `--release -- \
-              --include-ignored` step keeps the full-fidelity gate)"
-)]
 fn export_artifacts_are_stable_across_thread_counts() {
     let opts = SweepOptions::default();
     let spec = sweeps::build("export-topologies", &opts).expect("export sweep");

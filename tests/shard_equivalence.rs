@@ -184,7 +184,7 @@ fn scenarios() -> Vec<Scenario> {
         let cfg = PacketSimConfig {
             horizon: SimDuration::from_secs(10),
             seed: 11,
-            transport: TransportKind::Aimd(AimdConfig::default()),
+            transport: TransportKind::Aimd(AimdConfig),
             ..PacketSimConfig::default()
         };
         // dumbbell layout: senders first, then receivers, then the two hubs
@@ -221,7 +221,7 @@ fn scenarios() -> Vec<Scenario> {
             seed: 23,
             transport: TransportKind::Mixed {
                 inrpp: inrpp_no_detour_probe(),
-                aimd: AimdConfig::default(),
+                aimd: AimdConfig,
             },
             fault: FaultConfig {
                 drop_chance: 0.01,
@@ -384,7 +384,7 @@ fn large_scenarios() -> Vec<Scenario> {
         cfg: PacketSimConfig {
             transport: TransportKind::Mixed {
                 inrpp: inrpp_no_detour_probe(),
-                aimd: AimdConfig::default(),
+                aimd: AimdConfig,
             },
             horizon: SimDuration::from_secs(5),
             ..PacketSimConfig::default()
@@ -636,7 +636,7 @@ proptest! {
             transport: if mixed {
                 TransportKind::Mixed {
                     inrpp: inrpp_no_detour_probe(),
-                    aimd: AimdConfig::default(),
+                    aimd: AimdConfig,
                 }
             } else {
                 TransportKind::Inrpp(inrpp_no_detour_probe())
