@@ -206,7 +206,6 @@ struct SenderFlow {
     highest_requested: Option<ChunkNo>,
     next_to_send: ChunkNo,
     mode: SenderMode,
-    acked: Option<ChunkNo>,
 }
 
 impl SenderFlow {
@@ -261,7 +260,6 @@ impl Sender {
                 highest_requested: None,
                 next_to_send: 0,
                 mode: SenderMode::PushData,
-                acked: None,
             },
         );
         assert!(prev.is_none(), "flow {flow} registered twice");
@@ -271,15 +269,12 @@ impl Sender {
     /// Process a request packet for `flow`.
     pub fn on_request(&mut self, flow: FlowId, req: Request) {
         let Some(f) = self.flows.get_mut(&flow) else {
-            return; // stale request for a finished flow: ignore
+            return; // a request for a flow this sender never registered: ignore
         };
         let hr = f
             .highest_requested
             .map_or(req.anticipated, |h| h.max(req.anticipated));
         f.highest_requested = Some(hr.min(f.total_chunks - 1));
-        if let Some(a) = req.ack {
-            f.acked = Some(f.acked.map_or(a, |prev| prev.max(a)));
-        }
     }
 
     /// Switch `flow`'s mode (back-pressure entry/exit).
@@ -287,11 +282,6 @@ impl Sender {
         if let Some(f) = self.flows.get_mut(&flow) {
             f.mode = mode;
         }
-    }
-
-    /// Current mode of `flow`.
-    pub fn mode(&self, flow: FlowId) -> Option<SenderMode> {
-        self.flows.get(&flow).map(|f| f.mode)
     }
 
     /// Processor-sharing scheduler: pick the next `(flow, chunk)` to emit,
@@ -326,19 +316,6 @@ impl Sender {
     /// True when some flow has chunks it may emit right now.
     pub fn has_eligible(&self) -> bool {
         self.flows.values().any(|f| f.eligible(self.push_ahead))
-    }
-
-    /// Drop all state for a finished flow.
-    pub fn finish(&mut self, flow: FlowId) {
-        self.flows.remove(&flow);
-        self.rr.retain(|&f| f != flow);
-    }
-
-    /// True if `flow` has emitted every chunk of its object.
-    pub fn drained(&self, flow: FlowId) -> bool {
-        self.flows
-            .get(&flow)
-            .is_some_and(|f| f.next_to_send >= f.total_chunks)
     }
 }
 
@@ -521,7 +498,6 @@ mod tests {
         }
         assert_eq!(count1, 2, "flow 1 only has 2 chunks");
         assert_eq!(count2, 10);
-        assert!(s.drained(1));
     }
 
     #[test]
@@ -536,21 +512,17 @@ mod tests {
                 anticipated: 0,
             },
         );
-        assert_eq!(s.mode(1), Some(SenderMode::PushData));
         // push-data allows 0..=5
         assert_eq!(s.next_chunk(), Some((1, 0)));
         s.set_mode(1, SenderMode::ClosedLoop);
-        assert_eq!(s.mode(1), Some(SenderMode::ClosedLoop));
         // closed loop: only chunk 0 was requested and it is already sent
         assert_eq!(s.next_chunk(), None);
     }
 
     #[test]
-    fn sender_finish_removes_flow() {
+    fn sender_ignores_requests_for_unregistered_flows() {
         let mut s = Sender::new(0);
-        s.register(1, 5);
         s.register(2, 5);
-        s.finish(1);
         s.on_request(
             1,
             Request {

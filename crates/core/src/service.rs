@@ -6,10 +6,10 @@
 //! [`ServiceSession`] is an open simulation that can be
 //!
 //! * **advanced** to an absolute instant ([`ServiceSession::advance`]),
-//!   with probe hooks firing in event order and an incremental
-//!   [`RunReport`] snapshot emitted through
-//!   [`Probe::on_report`] at every
-//!   boundary;
+//!   with probe hooks firing in event order and, only when a probe is
+//!   attached, an incremental [`RunReport`] snapshot emitted through
+//!   [`Probe::on_report`] at every boundary ([`ServiceSession::events`]
+//!   reads progress without one);
 //! * **fed** additional traffic while running
 //!   ([`ServiceSession::feed`]) — the streaming-ingestion half of
 //!   trace-driven operation (see [`crate::source`] for where the
@@ -292,10 +292,10 @@ pub trait ServiceSession {
     /// The hard stop.
     fn horizon(&self) -> SimTime;
 
-    /// Process every event at or before `to` (clamped to the horizon),
-    /// park the clock at the boundary, and emit one incremental
-    /// [`RunReport`] through [`Probe::on_report`]. Returns the new
-    /// clock value.
+    /// Process every event at or before `to` (clamped to the horizon)
+    /// and park the clock at the boundary. When a probe is attached, emit
+    /// one incremental [`RunReport`] through [`Probe::on_report`]; with
+    /// an empty `probes` no report is built. Returns the new clock value.
     fn advance(
         &mut self,
         to: SimTime,
@@ -308,6 +308,11 @@ pub trait ServiceSession {
 
     /// A [`RunReport`] of the run *so far*, without perturbing it.
     fn snapshot(&self) -> RunReport;
+
+    /// Events simulated so far, replayed history included, read in O(1)
+    /// from a counter the engine keeps: chunks delivered (packet engine),
+    /// flows arrived plus flows completed (fluid engine).
+    fn events(&self) -> u64;
 
     /// The session's [`ReplayLog`] as a resumable [`Checkpoint`].
     fn checkpoint(&self) -> Checkpoint;
@@ -490,6 +495,10 @@ impl ServiceSession for FluidService<'_> {
 
     fn snapshot(&self) -> RunReport {
         assemble_fluid_report(self.run.report_now(), self.records.clone())
+    }
+
+    fn events(&self) -> u64 {
+        self.run.arrived_plus_completed()
     }
 
     fn checkpoint(&self) -> Checkpoint {

@@ -287,6 +287,12 @@ impl<'a> FlowRun<'a> {
         self.horizon
     }
 
+    /// Flows arrived plus flows completed so far: the report's
+    /// `arrived_flows + completed_flows`, read without assembling one.
+    pub fn arrived_plus_completed(&self) -> u64 {
+        (self.arrived + self.completed) as u64
+    }
+
     /// Inject an additional flow while the run is live. The arrival must
     /// not precede the current clock; the flow joins the event stream
     /// exactly as if it had been scheduled up front (modulo insertion

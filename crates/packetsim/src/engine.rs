@@ -414,6 +414,12 @@ impl<'a> PacketRun<'a> {
         self.horizon
     }
 
+    /// Chunks delivered so far: the report's `chunks_delivered`, read
+    /// without assembling one.
+    pub fn chunks_delivered(&self) -> u64 {
+        self.core.counters.chunks_delivered
+    }
+
     /// Process every event due at or before `t` (clamped to the
     /// horizon), then park the clock at the boundary. Returns the
     /// clock's new value.

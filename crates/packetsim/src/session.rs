@@ -379,6 +379,10 @@ impl ServiceSession for PacketService<'_> {
         assemble_packet_report(&self.run.report_now(), self.run.transfers())
     }
 
+    fn events(&self) -> u64 {
+        self.run.chunks_delivered()
+    }
+
     fn checkpoint(&self) -> Checkpoint {
         self.log.checkpoint()
     }

@@ -47,7 +47,16 @@ pub fn drive_conn(
     out: &mut dyn Write,
     shared: &Arc<Shared>,
 ) -> io::Result<()> {
-    let mut sessions: BTreeMap<String, SessionHandle<'_>> = BTreeMap::new();
+    drive_table(input, out, shared, BTreeMap::new())
+}
+
+/// [`drive_conn`] over a session table that may already hold sessions.
+fn drive_table<'a>(
+    input: &mut dyn BufRead,
+    out: &mut dyn Write,
+    shared: &'a Shared,
+    mut sessions: BTreeMap<String, SessionHandle<'a>>,
+) -> io::Result<()> {
     let mut line = Vec::new();
     loop {
         if read_capped(input, &mut line, MAX_LINE_BYTES + 1)? == 0 {
@@ -138,7 +147,10 @@ pub fn drive_conn(
                             let handle = sessions.remove(&key).expect("present");
                             handle.close() // drops the host before replying
                         }
-                        Ok(host_cmd) => handle.request(host_cmd),
+                        Ok(host_cmd) => handle.request(host_cmd).unwrap_or_else(|died| {
+                            sessions.remove(&key); // the sid is free again
+                            died
+                        }),
                     },
                 }
             }
@@ -240,22 +252,21 @@ fn unknown_cmd(cmd: &str) -> String {
 }
 
 /// The `stats` reply: pool-wide counters plus a per-session array for
-/// this connection's sessions, in sid order.
+/// this connection's sessions, in sid order. A session whose host dies
+/// answering leaves the table and the array.
 fn stats_reply(shared: &Shared, sessions: &mut BTreeMap<String, SessionHandle<'_>>) -> String {
+    let mut per = Vec::new();
+    sessions.retain(|sid, handle| match handle.request(HostCmd::Stats) {
+        Ok(fragment) => {
+            per.push(format!("{{\"sid\":{},{fragment}}}", quote(sid)));
+            true
+        }
+        Err(_) => false,
+    });
+    let per = per.join(",");
     let s = &shared.stats;
     let opened = s.sessions_opened.load(Ordering::Relaxed);
     let closed = s.sessions_closed.load(Ordering::Relaxed);
-    let mut per = String::new();
-    for (i, (sid, handle)) in sessions.iter_mut().enumerate() {
-        if i > 0 {
-            per.push(',');
-        }
-        per.push_str(&format!(
-            "{{\"sid\":{},{}}}",
-            quote(sid),
-            handle.request(HostCmd::Stats)
-        ));
-    }
     format!(
         "{{\"ok\":true,\"event\":\"stats\",\"workers\":{},\"slots_free\":{},\
          \"pool_grants\":{},\"sessions_open\":{},\"sessions_opened\":{opened},\
@@ -1266,6 +1277,242 @@ mod tests {
             second[2]
         );
         fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The first `"name":<integer>` in `reply`.
+    fn int_field(reply: &str, name: &str) -> u64 {
+        let key = format!("\"{name}\":");
+        let at = reply
+            .find(&key)
+            .unwrap_or_else(|| panic!("no {name}: {reply}"))
+            + key.len();
+        let digits: String = reply[at..]
+            .chars()
+            .take_while(char::is_ascii_digit)
+            .collect();
+        digits.parse().unwrap_or_else(|_| panic!("{name}: {reply}"))
+    }
+
+    /// A `stats` reply's pool-wide `events`, then each listed session's.
+    fn stats_events(reply: &str) -> (u64, Vec<u64>) {
+        assert_ok(reply);
+        let (pool, per) = reply.split_once("\"sessions\":[").expect("session list");
+        let per = per.split("{\"sid\":").skip(1);
+        (
+            int_field(pool, "events"),
+            per.map(|s| int_field(s, "events")).collect(),
+        )
+    }
+
+    #[test]
+    fn stats_counts_the_events_an_in_process_session_simulates() {
+        use crate::protocol::{parse_object, topology_by_name, OpenSpec};
+        use inrpp::service::{FluidBacking, FluidService, ServiceSession};
+        use inrpp::session::{EngineKind, Session, Transfer};
+        use inrpp_packetsim::PacketService;
+        use inrpp_sim::time::{SimDuration, SimTime};
+        use inrpp_sim::units::ByteSize;
+
+        /// Events as `stats` defines them: delivered chunks (packet),
+        /// arrived plus completed flows (fluid).
+        fn events(svc: &dyn ServiceSession) -> u64 {
+            let r = svc.snapshot();
+            match r.packet() {
+                Some(p) => p.chunks_delivered,
+                None => (r.arrived_flows + r.completed_flows) as u64,
+            }
+        }
+        /// Advance through the daemon's 64 slice boundaries.
+        fn advance_sliced(svc: &mut dyn ServiceSession, secs: f64) {
+            let to = SimTime::from_secs_f64(secs);
+            let start = svc.now();
+            let step = SimDuration::from_nanos((to.duration_since(start).as_nanos() / 64).max(1));
+            let mut next = start;
+            while svc.now() < to.min(svc.horizon()) {
+                next = (next + step).min(to);
+                svc.advance(next, &mut []).expect("in-process advance");
+            }
+        }
+
+        let dir = std::env::temp_dir().join(format!("inrpp-events-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let feeds = [
+            (1, "1", "4", 200, 0.0),
+            (2, "2", "3", 400, 0.2),
+            (3, "1", "3", 4000, 1.0),
+        ];
+        for engine in ["fluid", "packet"] {
+            let spec = format!(
+                r#""engine":"{engine}","topology":"fig3","strategy":"urp","horizon_secs":30,"seed":7"#
+            );
+
+            // the same session in process, no probe attached
+            let open =
+                OpenSpec::parse(&parse_object(&format!("{{{spec}}}")).unwrap(), false).unwrap();
+            let topo = topology_by_name(&open.topology).unwrap();
+            let session = Session::builder()
+                .topology(&topo)
+                .transfers(Vec::new())
+                .strategy(open.strategy().unwrap())
+                .horizon_secs(open.horizon_secs)
+                .seed(7)
+                .build()
+                .unwrap();
+            let backing = FluidBacking::empty_for(&session);
+            let mut svc: Box<dyn ServiceSession> = match open.engine {
+                EngineKind::Fluid => Box::new(FluidService::open(&session, &backing).unwrap()),
+                EngineKind::Packet => {
+                    Box::new(PacketService::open(&open.packet_engine().unwrap(), &session).unwrap())
+                }
+            };
+            for (flow, src, dst, chunks, start) in feeds {
+                svc.feed(&Transfer {
+                    flow,
+                    src: topo.node_by_name(src).unwrap(),
+                    dst: topo.node_by_name(dst).unwrap(),
+                    chunks,
+                    chunk_bytes: ByteSize::bytes(open.chunk_bytes),
+                    start: SimTime::from_secs_f64(start),
+                })
+                .unwrap();
+            }
+            advance_sliced(&mut *svc, 1.0);
+            advance_sliced(&mut *svc, 2.5);
+            let at_ckpt = events(&*svc);
+            advance_sliced(&mut *svc, 6.0);
+            let at_end = events(&*svc);
+            assert!(
+                0 < at_ckpt && at_ckpt < at_end,
+                "{engine}: {at_ckpt} {at_end}"
+            );
+
+            let ckpt = dir.join(format!("{engine}.ckpt"));
+            let mut script = format!("{{\"cmd\":\"open\",\"sid\":\"s\",{spec}}}\n");
+            for (flow, src, dst, chunks, start) in feeds {
+                script.push_str(&format!(
+                    "{{\"cmd\":\"feed\",\"sid\":\"s\",\"flow\":{flow},\"src\":\"{src}\",\
+                     \"dst\":\"{dst}\",\"chunks\":{chunks},\"start_secs\":{start}}}\n"
+                ));
+            }
+            script.push_str(&format!(
+                concat!(
+                    r#"{{"cmd":"advance","sid":"s","to_secs":1}}"#,
+                    "\n",
+                    r#"{{"cmd":"advance","sid":"s","to_secs":2.5}}"#,
+                    "\n",
+                    r#"{{"cmd":"stats"}}"#,
+                    "\n",
+                    r#"{{"cmd":"checkpoint","sid":"s","path":"{ckpt}"}}"#,
+                    "\n",
+                    r#"{{"cmd":"close","sid":"s"}}"#,
+                    "\n",
+                    r#"{{"cmd":"stats"}}"#,
+                    "\n",
+                    r#"{{"cmd":"resume","sid":"r",{spec},"path":"{ckpt}"}}"#,
+                    "\n",
+                    r#"{{"cmd":"stats"}}"#,
+                    "\n",
+                    r#"{{"cmd":"advance","sid":"r","to_secs":1}}"#,
+                    "\n",
+                    r#"{{"cmd":"stats"}}"#,
+                    "\n",
+                    r#"{{"cmd":"advance","sid":"r","to_secs":6}}"#,
+                    "\n",
+                    r#"{{"cmd":"stats"}}"#,
+                    "\n",
+                    r#"{{"cmd":"advance","sid":"r","to_secs":2}}"#,
+                    "\n",
+                    r#"{{"cmd":"stats"}}"#,
+                    "\n",
+                    r#"{{"cmd":"close","sid":"r"}}"#,
+                    "\n",
+                ),
+                spec = spec,
+                ckpt = ckpt.display()
+            ));
+            let replies = run(&script);
+            assert_eq!(replies.len(), 19, "{engine}: {replies:?}");
+            let stats = |i: usize| stats_events(&replies[i]);
+            // two advances count what the in-process session simulated
+            assert_eq!(stats(6), (at_ckpt, vec![at_ckpt]), "{engine}");
+            // close drains the run, but its final drain is not counted
+            assert_ok(&replies[8]);
+            assert_eq!(stats(9), (at_ckpt, vec![]), "{engine}");
+            // a resumed session counts nothing until it advances...
+            assert!(
+                replies[10].contains("\"event\":\"resume\""),
+                "{}",
+                replies[10]
+            );
+            assert_eq!(stats(11), (at_ckpt, vec![0]), "{engine}");
+            // ...and an advance behind its clock changes nothing
+            assert_kind(&replies[12], "state");
+            assert_eq!(stats(13), (at_ckpt, vec![0]), "{engine}");
+            // its first advance adds its whole count, replayed history
+            // included
+            assert_ok(&replies[14]);
+            assert_eq!(stats(15), (at_ckpt + at_end, vec![at_end]), "{engine}");
+            assert_kind(&replies[16], "state");
+            assert_eq!(stats(17), (at_ckpt + at_end, vec![at_end]), "{engine}");
+            assert_ok(&replies[18]);
+        }
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_session_whose_host_died_leaves_the_table() {
+        use crate::daemon::{Daemon, DaemonConfig};
+        use crate::host::tests::panicking_handle;
+        use std::collections::BTreeMap;
+
+        // once "d" is gone, `stats` lists only "a" and a request naming
+        // "d" finds no session
+        fn check_gone(stats: &str, later: &str) {
+            assert!(
+                stats.contains("\"sessions_open\":1,")
+                    && stats.contains("\"conn_sessions\":1,\"sessions\":[{\"sid\":\"a\",")
+                    && stats.ends_with("}]}")
+                    && !stats.contains("\"sid\":\"d\"")
+                    && !stats.contains("\"ok\":false"),
+                "{stats}"
+            );
+            assert_kind(later, "state");
+            assert!(later.contains(r#"no session \"d\""#), "{later}");
+        }
+        let open_a = concat!(
+            r#"{"cmd":"open","sid":"a","engine":"fluid","topology":"fig3","strategy":"urp","horizon_secs":5}"#,
+            "\n",
+        );
+        let daemon = Daemon::new(DaemonConfig { workers: 1 });
+        let run_with_dead = |script: String| {
+            let shared = daemon.shared();
+            let table = BTreeMap::from([("d".to_string(), panicking_handle(shared))]);
+            let mut out = Vec::new();
+            super::drive_table(&mut Cursor::new(script), &mut out, shared, table).unwrap();
+            let out = String::from_utf8(out).unwrap();
+            out.lines().map(str::to_string).collect::<Vec<_>>()
+        };
+
+        // the host dies on a session request, which frees its sid at once...
+        let r = run_with_dead(format!(
+            "{open_a}{{\"cmd\":\"advance\",\"sid\":\"d\",\"to_secs\":1}}\n\
+             {{\"cmd\":\"snapshot\",\"sid\":\"d\"}}\n{{\"cmd\":\"stats\"}}\n"
+        ));
+        assert_eq!(r.len(), 4, "{r:?}");
+        assert_ok(&r[0]);
+        assert!(r[1].contains("died mid-request"), "{}", r[1]);
+        check_gone(&r[3], &r[2]);
+
+        // ...or while `stats` asks it for its counters, which then lists
+        // only the live session; either way the sid is free again
+        let r = run_with_dead(format!(
+            "{open_a}{{\"cmd\":\"stats\"}}\n{{\"cmd\":\"advance\",\"sid\":\"d\",\"to_secs\":1}}\n\
+             {{\"cmd\":\"open\",\"sid\":\"d\",\"engine\":\"fluid\",\"topology\":\"fig3\",\
+             \"strategy\":\"urp\",\"horizon_secs\":5}}\n"
+        ));
+        assert_eq!(r.len(), 4, "{r:?}");
+        check_gone(&r[1], &r[2]);
+        assert_ok(&r[3]);
     }
 
     #[test]

@@ -24,8 +24,11 @@ pub struct PoolStats {
     pub sessions_closed: AtomicU64,
     /// Successful `advance` requests.
     pub advances: AtomicU64,
-    /// Events simulated: delivered chunks (packet) plus flow
-    /// arrivals/completions (fluid).
+    /// Events simulated by advances: delivered chunks (packet), flow
+    /// arrivals plus completions (fluid). Each advance adds how far its
+    /// session's count moved; a session counts from 0 at `open` and
+    /// `resume`, so a resumed session's first advance adds its replayed
+    /// history. The final drain at `close` is not counted.
     pub events: AtomicU64,
     /// Payload bytes injected via `feed`.
     pub bytes_fed: AtomicU64,

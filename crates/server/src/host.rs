@@ -36,8 +36,8 @@ use std::time::{Duration, Instant};
 
 use inrpp::service::{Checkpoint, FluidBacking, FluidService, ServiceSession};
 use inrpp::session::{
-    AllocationEvent, EngineDetail, EngineKind, FlowEnd, FlowStart, Probe, RunReport, Sample,
-    Session, SessionError, Transfer,
+    AllocationEvent, EngineKind, FlowEnd, FlowStart, Probe, RunReport, Sample, Session,
+    SessionError, Transfer,
 };
 use inrpp::source::{pump, skip_until, TraceSource};
 use inrpp_packetsim::PacketService;
@@ -166,16 +166,20 @@ impl<'a> SessionHandle<'a> {
     }
 
     /// Leave `cmd` in the mailbox and poll the host once for its
-    /// rendered reply. A host that returns or panics is dropped.
-    pub(crate) fn request(&mut self, cmd: HostCmd) -> String {
+    /// rendered reply: `Ok` while the host lives on, `Err` once it has
+    /// returned or panicked, which drops it.
+    pub(crate) fn request(&mut self, cmd: HostCmd) -> Result<String, String> {
         let Some(host) = self.host.as_mut() else {
-            return err_reply("io", "session host is gone");
+            return Err(err_reply("io", "session host is gone"));
         };
         self.mailbox.cmd.set(Some(cmd));
-        if poll_once(host) != Some(Poll::Pending) {
+        let parked = poll_once(host) == Some(Poll::Pending);
+        let reply = self.mailbox.take_reply("session host died mid-request");
+        if !parked {
             self.host = None;
+            return Err(reply);
         }
-        self.mailbox.take_reply("session host died mid-request")
+        Ok(reply)
     }
 
     /// `close`: finish the run, then **drop the host before returning
@@ -183,7 +187,7 @@ impl<'a> SessionHandle<'a> {
     /// session's trace handles, checkpoint-directory state, and
     /// worker-slot claims are provably released.
     pub(crate) fn close(mut self) -> String {
-        self.request(HostCmd::Close)
+        self.request(HostCmd::Close).unwrap_or_else(|ended| ended)
     }
 }
 
@@ -198,33 +202,13 @@ impl Drop for SessionHandle<'_> {
 // Probes
 // ===================================================================
 
-/// Always-attached observer: tracks how much the session has simulated,
-/// for the `stats` op and the pool-wide event counter. Reads the latest
-/// incremental report (fired once per advance slice).
-#[derive(Default)]
-struct MonitorProbe {
-    /// Events simulated so far: delivered chunks (packet) or flow
-    /// arrivals + completions (fluid) — the same definition the bench
-    /// perf harness uses.
-    events: u64,
-}
-
-impl Probe for MonitorProbe {
-    fn on_report(&mut self, report: &RunReport) {
-        self.events = match &report.detail {
-            EngineDetail::Packet(p) => p.chunks_delivered,
-            EngineDetail::Fluid(_) => {
-                (report.aggregates.arrived_flows + report.aggregates.completed_flows) as u64
-            }
-        };
-    }
-}
-
 /// Opt-in (`"probe_fp":true` on `open`/`resume`) probe-stream
 /// fingerprint: an FNV-1a 64 running hash over every typed probe event,
 /// `f64`s hashed by bit pattern. Carried in `advance`/`close` replies,
 /// it makes "the probe stream is byte-identical" testable over the
-/// wire without shipping the stream itself.
+/// wire without shipping the stream itself. It is the only probe the
+/// daemon attaches: a session without it advances and closes with no
+/// probe, so no slice builds a report.
 struct FingerprintProbe {
     hash: u64,
 }
@@ -298,6 +282,11 @@ impl Probe for FingerprintProbe {
         self.f64(report.aggregates.delivered_bits);
         self.u64(report.flows.len() as u64);
     }
+}
+
+/// A session's probe list: its fingerprint probe, if it has one.
+fn fp_probes(fp: &mut Option<FingerprintProbe>) -> Vec<&mut dyn Probe> {
+    fp.iter_mut().map(|p| p as &mut dyn Probe).collect()
 }
 
 // ===================================================================
@@ -417,12 +406,14 @@ enum AdvanceError {
 /// (the service contract). An optional wall-clock deadline is consulted
 /// after each slice, so every advance makes at least one slice of
 /// progress; on expiry the advance stops at a boundary and can be
-/// re-issued.
+/// re-issued. `events` is refreshed from [`ServiceSession::events`]
+/// after every slice that succeeds.
 fn advance_pooled(
     shared: &Shared,
     mut source: Option<&mut Trace<'_>>,
     svc: &mut dyn ServiceSession,
     probes: &mut [&mut dyn Probe],
+    events: &mut u64,
     to: SimTime,
     deadline: Option<Instant>,
 ) -> Result<SimTime, AdvanceError> {
@@ -450,6 +441,7 @@ fn advance_pooled(
         if let Err(e) = r {
             return Err(AdvanceError::Session(e));
         }
+        *events = svc.events();
     }
 }
 
@@ -579,7 +571,8 @@ async fn host_main(spec: OpenSpec, shared: &Shared, mailbox: Rc<Mailbox>) {
         seq: recovered_seq,
     });
 
-    let mut monitor = MonitorProbe::default();
+    // `ServiceSession::events` as of the last successful slice, 0 before
+    let mut events = 0u64;
     let mut fp = spec.probe_fp.then(FingerprintProbe::new);
 
     let mut open_extra = format!(
@@ -635,13 +628,13 @@ async fn host_main(spec: OpenSpec, shared: &Shared, mailbox: Rc<Mailbox>) {
                 to_secs,
                 timeout_ms,
             } => {
-                let before = monitor.events;
+                let before = events;
                 let reply = advance_cmd(
                     shared,
                     &mut *svc,
                     trace.as_mut(),
                     auto.as_mut(),
-                    &mut monitor,
+                    &mut events,
                     &mut fp,
                     to_secs,
                     timeout_ms,
@@ -654,7 +647,7 @@ async fn host_main(spec: OpenSpec, shared: &Shared, mailbox: Rc<Mailbox>) {
                 shared
                     .stats
                     .events
-                    .fetch_add(monitor.events.saturating_sub(before), Ordering::Relaxed);
+                    .fetch_add(events.saturating_sub(before), Ordering::Relaxed);
                 reply
             }
             HostCmd::Snapshot => report_reply("snapshot", &topo, &svc.snapshot()),
@@ -674,26 +667,17 @@ async fn host_main(spec: OpenSpec, shared: &Shared, mailbox: Rc<Mailbox>) {
             }
             HostCmd::Stats => format!(
                 "\"engine\":\"{}\",\"now_secs\":{},\"advances\":{advances},\"feeds\":{feeds},\
-                 \"bytes_fed\":{bytes_fed},\"events\":{},\"ckpt_writes\":{ckpt_writes}",
+                 \"bytes_fed\":{bytes_fed},\"events\":{events},\"ckpt_writes\":{ckpt_writes}",
                 svc.kind(),
                 num(svc.now().as_secs_f64()),
-                monitor.events,
             ),
             HostCmd::Close => {
-                let before = monitor.events;
-                let mut probes: Vec<&mut dyn Probe> = vec![&mut monitor];
-                if let Some(p) = fp.as_mut() {
-                    probes.push(p);
-                }
+                let mut probes = fp_probes(&mut fp);
                 // the final drain is compute like any other: it runs
-                // under a worker slot
+                // under a worker slot; `stats` does not count its events
                 let slot = shared.pool.acquire();
                 let finished = svc.finish(&mut probes);
                 drop(slot);
-                shared
-                    .stats
-                    .events
-                    .fetch_add(monitor.events.saturating_sub(before), Ordering::Relaxed);
                 let reply = match finished {
                     Ok(report) => {
                         let base = report_reply("close", &topo, &report);
@@ -758,7 +742,7 @@ fn advance_cmd(
     svc: &mut dyn ServiceSession,
     trace: Option<&mut Trace<'_>>,
     auto: Option<&mut AutoCkpt>,
-    monitor: &mut MonitorProbe,
+    events: &mut u64,
     fp: &mut Option<FingerprintProbe>,
     to_secs: f64,
     timeout_ms: Option<u64>,
@@ -779,11 +763,8 @@ fn advance_cmd(
         );
     }
     let deadline = timeout_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
-    let mut probes: Vec<&mut dyn Probe> = vec![monitor];
-    if let Some(p) = fp.as_mut() {
-        probes.push(p);
-    }
-    match advance_pooled(shared, trace, svc, &mut probes, to, deadline) {
+    let mut probes = fp_probes(fp);
+    match advance_pooled(shared, trace, svc, &mut probes, events, to, deadline) {
         Ok(now) => {
             let mut extra = format!("\"now_secs\":{}", num(now.as_secs_f64()));
             if let Some(auto) = auto {
@@ -815,29 +796,37 @@ fn advance_cmd(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::daemon::{Daemon, DaemonConfig};
 
-    #[test]
-    fn a_host_that_panics_is_dropped_and_answered_with_an_io_error() {
-        let daemon = Daemon::new(DaemonConfig { workers: 1 });
+    /// An opened session whose host panics on its first command.
+    pub(crate) fn panicking_handle(shared: &Shared) -> SessionHandle<'_> {
         let mailbox = Rc::new(Mailbox::default());
         let inbox = Rc::clone(&mailbox);
         let host: Host<'_> = Box::pin(async move {
             let _ = inbox.next_cmd().await;
             panic!("a session host fault");
         });
-        let mut handle = SessionHandle {
+        shared.stats.sessions_opened.fetch_add(1, Ordering::Relaxed);
+        SessionHandle {
             host: Some(host),
             mailbox,
-            shared: daemon.shared(),
-        };
-        let died = handle.request(HostCmd::Stats);
+            shared,
+        }
+    }
+
+    #[test]
+    fn a_host_that_panics_is_dropped_and_answered_with_an_io_error() {
+        let daemon = Daemon::new(DaemonConfig { workers: 1 });
+        let mut handle = panicking_handle(daemon.shared());
+        let died = handle.request(HostCmd::Stats).expect_err("the host died");
         assert!(died.starts_with("{\"ok\":false,\"kind\":\"io\""), "{died}");
         assert!(died.contains("died mid-request"), "{died}");
         assert!(handle.host.is_none(), "the panicked host is dropped");
-        let gone = handle.request(HostCmd::Stats);
+        let gone = handle
+            .request(HostCmd::Stats)
+            .expect_err("the host is gone");
         assert!(gone.contains("session host is gone"), "{gone}");
         drop(handle);
         let closed = &daemon.shared().stats.sessions_closed;
