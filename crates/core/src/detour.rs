@@ -22,36 +22,31 @@ use inrpp_topology::spath::Path;
 /// the detour path can further detour, but for one extra hop only".
 pub const MAX_DETOUR_DEPTH: u8 = 2;
 
-/// Policy + precomputed table for picking detours on one topology.
+/// Bypass paths kept per directed link, shortest first.
+const MAX_DETOUR_PATHS: usize = 4;
+
+/// Precomputed table for picking detours on one topology, at depth
+/// [`MAX_DETOUR_DEPTH`].
 #[derive(Debug, Clone)]
 pub struct DetourSelector {
     table: DetourTable,
-    max_depth: u8,
-    max_paths: usize,
 }
 
 impl DetourSelector {
     /// Build a selector for `topo`.
-    ///
-    /// # Panics
-    /// Panics if `max_depth` is 0 (that would disable detouring; use the
-    /// baseline strategies instead).
-    pub fn new(topo: &Topology, max_depth: u8, max_paths: usize) -> Self {
-        assert!(max_depth >= 1, "detour depth must be at least 1");
+    pub fn new(topo: &Topology) -> Self {
         DetourSelector {
-            table: DetourTable::build(topo, max_paths.max(1)),
-            max_depth,
-            max_paths: max_paths.max(1),
+            table: DetourTable::build(topo, MAX_DETOUR_PATHS),
         }
     }
 
     /// Candidate bypass paths around `link` traversed `from -> to`,
-    /// shortest first, respecting the depth policy.
+    /// shortest first, of at most [`MAX_DETOUR_DEPTH`] + 1 hops.
     pub fn candidates(&self, topo: &Topology, link: LinkId, from: NodeId, to: NodeId) -> Vec<Path> {
         self.table
-            .detour_paths(topo, link, from, to, self.max_paths)
+            .detour_paths(topo, link, from, to, MAX_DETOUR_PATHS)
             .into_iter()
-            .filter(|p| p.hops() <= self.max_depth as usize + 1)
+            .filter(|p| p.hops() <= MAX_DETOUR_DEPTH as usize + 1)
             .collect()
     }
 }
@@ -79,7 +74,7 @@ mod tests {
     fn fig3_bottleneck_has_one_candidate() {
         let t = fig3();
         let (_, n2, n3, n4) = ids(&t);
-        let sel = DetourSelector::new(&t, 2, 4);
+        let sel = DetourSelector::new(&t);
         let link = t.link_between(n2, n4).unwrap();
         let cands = sel.candidates(&t, link, n2, n4);
         assert_eq!(cands.len(), 1);
@@ -90,13 +85,13 @@ mod tests {
     fn access_link_has_no_detour() {
         let t = fig3();
         let (n1, n2, _, _) = ids(&t);
-        let sel = DetourSelector::new(&t, 2, 4);
+        let sel = DetourSelector::new(&t);
         let link = t.link_between(n1, n2).unwrap();
         assert!(sel.candidates(&t, link, n1, n2).is_empty());
     }
 
     #[test]
-    fn depth_one_excludes_two_hop_paths() {
+    fn depth_two_admits_two_hop_paths() {
         // quad: detour around a-b requires 2 intermediates
         let mut t = Topology::new("quad");
         let n = t.add_nodes(4);
@@ -107,16 +102,7 @@ mod tests {
         t.add_link(n[2], n[3], c, d).unwrap();
         t.add_link(n[3], n[1], c, d).unwrap();
         let link = t.link_between(n[0], n[1]).unwrap();
-        let shallow = DetourSelector::new(&t, 1, 4);
-        assert!(shallow.candidates(&t, link, n[0], n[1]).is_empty());
-        let deep = DetourSelector::new(&t, 2, 4);
-        assert!(!deep.candidates(&t, link, n[0], n[1]).is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "at least 1")]
-    fn zero_depth_rejected() {
-        let t = fig3();
-        let _ = DetourSelector::new(&t, 0, 4);
+        let sel = DetourSelector::new(&t);
+        assert!(!sel.candidates(&t, link, n[0], n[1]).is_empty());
     }
 }

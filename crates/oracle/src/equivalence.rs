@@ -128,10 +128,7 @@ fn fault_injection_matches_reference() {
     // both engines must key the same fault draw to every send attempt
     let t = Topology::fig3();
     let mut cfg = inrpp_cfg();
-    cfg.fault = inrpp_sim::fault::FaultConfig {
-        drop_chance: 0.05,
-        corrupt_chance: 0.0,
-    };
+    cfg.drop_chance = 0.05;
     cfg.horizon = SimDuration::from_secs(60);
     let spec = transfer(&t, 1, "1", "3", 300);
     assert_equivalent(&t, &cfg, &[(spec, FlowTransport::Inrpp)]);

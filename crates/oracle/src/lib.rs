@@ -34,7 +34,8 @@ use inrpp_topology::Topology;
 /// Run `transfers` over `topo` on the seed engine and return its report.
 ///
 /// The seed engine predates fault plans, so there is no fault-plan
-/// argument; static drop and corrupt chances in `config.fault` apply.
+/// argument; the static `config.drop_chance` applies, with the same keyed
+/// draws as the shipped engine.
 /// Transfers are taken as given: validate them first (for example with
 /// `PacketSim::try_add_transfer_as`), because the seed engine panics on
 /// an unroutable or empty transfer.

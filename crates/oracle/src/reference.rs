@@ -16,7 +16,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
 use inrpp::backpressure::{BackpressureState, SlowdownMsg, BACKPRESSURE_TTL};
 use inrpp::config::InrppConfig;
-use inrpp::detour::{DetourSelector, MAX_DETOUR_DEPTH};
+use inrpp::detour::DetourSelector;
 use inrpp::endpoint::{Receiver, Request, Sender, SenderMode};
 use inrpp::flowlet::FlowletSplitter;
 use inrpp::phase::{Phase, PhaseController, PhaseInputs};
@@ -24,7 +24,7 @@ use inrpp::rate::RateEstimator;
 use inrpp::session::{FlowEnd, FlowStart, ProbeSet, Sample};
 use inrpp_cache::custody::CustodyStore;
 use inrpp_sim::event::Engine;
-use inrpp_sim::fault::{FaultInjector, FaultOutcome};
+use inrpp_sim::fault::FaultInjector;
 use inrpp_sim::time::{SimDuration, SimTime};
 use inrpp_sim::units::ByteSize;
 use inrpp_topology::graph::{NodeId, Topology};
@@ -112,9 +112,9 @@ pub(crate) struct Runner<'a> {
     resume_routes: HashMap<(NodeId, FlowId), Vec<NodeId>>,
     kick_scheduled: BTreeSet<NodeId>,
     fault: FaultInjector,
-    /// per `(flow, chunk, dir)`: send-attempt occurrence counter feeding
-    /// the keyed fault draw (same key derivation as the optimised engine)
-    fault_seq: HashMap<(FlowId, ChunkNo, u32), u32>,
+    /// per directed channel: data chunks it has accepted, numbering its
+    /// keyed loss draws as the optimised engine numbers them
+    data_sent: Vec<u64>,
     counters: Counters,
     custody_peak: ByteSize,
     /// arena of packets in flight (events reference by index)
@@ -171,10 +171,7 @@ impl<'a> Runner<'a> {
             .node_ids()
             .map(|_| CustodyStore::new(inrpp_cfg.map(|c| c.cache_budget).unwrap_or(ByteSize::ZERO)))
             .collect();
-        let selector = inrpp_cfg.map(|_| DetourSelector::new(topo, MAX_DETOUR_DEPTH, 4));
-        // keyed draws: identical derivation to the optimised engine, so
-        // both agree on every attempt's fate regardless of event order
-        let fault = FaultInjector::keyed(cfg.fault, cfg.seed);
+        let selector = inrpp_cfg.map(|_| DetourSelector::new(topo));
         let mut flows = BTreeMap::new();
         let mut senders: HashMap<NodeId, Sender> = HashMap::new();
         let push_ahead = inrpp_cfg.map(|c| c.anticipation).unwrap_or(0);
@@ -219,8 +216,8 @@ impl<'a> Runner<'a> {
             drain_scheduled: BTreeSet::new(),
             resume_routes: HashMap::new(),
             kick_scheduled: BTreeSet::new(),
-            fault,
-            fault_seq: HashMap::new(),
+            fault: FaultInjector::new(cfg.seed),
+            data_sent: vec![0; ndir],
             counters: Counters::default(),
             custody_peak: ByteSize::ZERO,
             in_flight: Vec::new(),
@@ -393,35 +390,24 @@ impl<'a> Runner<'a> {
         let bits = self.chunk_bits();
         match self.channels[d].try_send(now, bits) {
             Ok(arrival) => {
-                let occ = {
-                    let e = self.fault_seq.entry((flow, chunk, d as u32)).or_insert(0);
-                    let v = *e;
-                    *e += 1;
-                    v
-                };
-                let outcome = self
-                    .fault
-                    .apply_keyed(inrpp_sim::fault::fault_key(flow, chunk, d as u32, occ));
-                match outcome {
-                    FaultOutcome::Pass => {
-                        let idx = self.stash(Packet::Data {
-                            flow,
-                            chunk,
-                            route,
-                            hop: hop + 1,
-                            hops_travelled: hops_travelled + 1,
-                            detoured,
-                            sent_at,
-                        });
-                        eng.schedule_at(arrival, Ev::Deliver(idx))
-                            .expect("arrival is in the future");
-                        true
-                    }
-                    FaultOutcome::Drop | FaultOutcome::Corrupt => {
-                        self.counters.chunks_dropped += 1;
-                        false
-                    }
+                let n = self.data_sent[d];
+                self.data_sent[d] += 1;
+                if self.fault.drops(d, n, self.cfg.drop_chance) {
+                    self.counters.chunks_dropped += 1;
+                    return false;
                 }
+                let idx = self.stash(Packet::Data {
+                    flow,
+                    chunk,
+                    route,
+                    hop: hop + 1,
+                    hops_travelled: hops_travelled + 1,
+                    detoured,
+                    sent_at,
+                });
+                eng.schedule_at(arrival, Ev::Deliver(idx))
+                    .expect("arrival is in the future");
+                true
             }
             Err(_) if self.is_inrpp(flow) => {
                 // custody (store-and-forward) instead of dropping

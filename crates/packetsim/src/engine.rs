@@ -38,10 +38,10 @@
 //!   kick/drain dedup flags and retransmit queues are per-index vectors
 //!   rather than `BTreeMap`/`HashMap`, so the per-timestep custody and
 //!   AIMD window work is a dense sweep.
-//! * **No per-chunk maps or per-decision path building.** Fault-draw keys
-//!   are kept only in runs where a keyed draw can happen, both receiver
-//!   kinds track delivered chunks in a [`ChunkSet`] bitset, and every
-//!   channel's bypass paths are resolved once at build.
+//! * **No per-chunk maps or per-decision path building.** A loss draw is
+//!   numbered by one counter per directed channel, both receiver kinds
+//!   track delivered chunks in a [`ChunkSet`] bitset, and every channel's
+//!   bypass paths are resolved once at build.
 //!
 //! Simplifications relative to a real deployment:
 //!
@@ -58,7 +58,7 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 
 use inrpp::backpressure::{BackpressureState, SlowdownMsg, BACKPRESSURE_TTL};
 use inrpp::config::InrppConfig;
-use inrpp::detour::{DetourSelector, MAX_DETOUR_DEPTH};
+use inrpp::detour::DetourSelector;
 use inrpp::endpoint::{ChunkSet, Receiver, Request, Sender, SenderMode};
 use inrpp::flowlet::FlowletSplitter;
 use inrpp::phase::{Phase, PhaseController, PhaseInputs};
@@ -66,7 +66,7 @@ use inrpp::rate::RateEstimator;
 use inrpp::session::{FlowEnd, FlowStart, Probe, ProbeSet, Sample, SessionError};
 use inrpp_cache::custody::CustodyStore;
 use inrpp_sim::calendar::CalendarEngine;
-use inrpp_sim::fault::{fault_key, FaultEvent, FaultInjector, FaultKind, FaultOutcome, FaultPlan};
+use inrpp_sim::fault::{check_chance, FaultEvent, FaultInjector, FaultKind, FaultPlan};
 use inrpp_sim::time::{SimDuration, SimTime};
 use inrpp_sim::units::{ByteSize, Rate};
 use inrpp_topology::dense::DenseChannels;
@@ -129,6 +129,9 @@ impl<'a> PacketSim<'a> {
     /// configurations with a typed [`SessionError`] instead of a panic —
     /// the constructor the `inrpp::session` facade uses.
     ///
+    /// A `drop_chance` that is NaN or outside `[0, 1]` is rejected: NaN
+    /// would silently mean no loss, and above 1 every chunk would be lost.
+    ///
     /// Zero-capacity links are rejected here, at construction: the seed
     /// engine let them through and only blew up inside `run()` when the
     /// channel model asserted, which turned a configuration mistake into
@@ -137,6 +140,8 @@ impl<'a> PacketSim<'a> {
     /// wait, would arrive past the end of the u64-nanosecond clock. Every
     /// run, sequential or sharded, is built here.
     pub fn try_new(topo: &'a Topology, config: PacketSimConfig) -> Result<Self, SessionError> {
+        check_chance("drop_chance", config.drop_chance)
+            .map_err(|e| SessionError::InvalidConfig(e.to_string()))?;
         if let TransportKind::Inrpp(ic) | TransportKind::Mixed { inrpp: ic, .. } = &config.transport
         {
             ic.validate()
@@ -708,13 +713,10 @@ pub(crate) struct Core<'a> {
     resume_routes: HashMap<(u32, u32), Vec<NodeId>>,
     kick_scheduled: Vec<bool>,
     fault: FaultInjector,
-    /// per `(flow, chunk, dir)`: how many send attempts have been keyed —
-    /// the occurrence counter feeding [`fault_key`]. `None` when no keyed
-    /// draw can happen anywhere in the run (no static drop or corrupt
-    /// chance, no loss burst with a positive one): every send then passes
-    /// unkeyed. Decided once per run, not per instant, because sends made
-    /// before a burst opens number the draws inside it.
-    fault_seq: Option<HashMap<(FlowId, ChunkNo, u32), u32>>,
+    /// per directed channel: data chunks it has accepted, which numbers
+    /// its loss draws. Only the owner of the channel's source node sends
+    /// on it, so a shard region's count is the sequential one.
+    data_sent: Vec<u64>,
 
     // ---- fault-plan state (all zero/empty without a plan) ----
     /// the timed events, validated and sorted; indexed by [`Ev::Fault`]
@@ -791,7 +793,7 @@ impl<'a> Core<'a> {
             TransportKind::Aimd(ac) => (None, Some(ac)),
             TransportKind::Mixed { inrpp, aimd } => (Some(inrpp), Some(aimd)),
         };
-        let selector = inrpp_cfg.map(|_| DetourSelector::new(topo, MAX_DETOUR_DEPTH, 4));
+        let selector = inrpp_cfg.map(|_| DetourSelector::new(topo));
         let mut if_of_dir = vec![0u32; ndir];
         let mut bypass = vec![Vec::new(); ndir];
         let mut nbrs: Vec<Vec<(NodeId, u32)>> = Vec::with_capacity(nnodes);
@@ -826,16 +828,6 @@ impl<'a> Core<'a> {
             .node_ids()
             .map(|_| CustodyStore::new(inrpp_cfg.map(|c| c.cache_budget).unwrap_or(ByteSize::ZERO)))
             .collect();
-        // Keyed (order-independent) fault draws: each attempt's fate is a
-        // pure function of (seed, flow, chunk, dir, occurrence), so the
-        // reference engine and every shard of a partitioned run agree with
-        // this engine draw-for-draw.
-        let fault = FaultInjector::keyed(cfg.fault, cfg.seed);
-        let draws_possible = cfg.fault.drop_chance > 0.0
-            || cfg.fault.corrupt_chance > 0.0
-            || faults.events().iter().any(
-                |e| matches!(e.kind, FaultKind::LossBurst { drop_chance, .. } if drop_chance > 0.0),
-            );
         // Flow slots: ascending flow id; when the same id was added more
         // than once, the last spec wins — exactly the reference's
         // `BTreeMap::insert` semantics.
@@ -925,8 +917,8 @@ impl<'a> Core<'a> {
             drain_scheduled: vec![false; ndir],
             resume_routes: HashMap::new(),
             kick_scheduled: vec![false; nnodes],
-            fault,
-            fault_seq: draws_possible.then(HashMap::new),
+            fault: FaultInjector::new(cfg.seed),
+            data_sent: vec![0; ndir],
             fault_plan: faults.events().to_vec(),
             down_dirs: vec![0; ndir],
             node_down: vec![false; nnodes],
@@ -1576,49 +1568,37 @@ impl<'a> Core<'a> {
         let bits = self.chunk_bits();
         match self.channels.try_send(d, now, bits) {
             Ok(arrival) => {
-                let outcome = match self.fault_seq.as_mut() {
-                    None => FaultOutcome::Pass,
-                    Some(seq) => {
-                        let occ = seq.entry((flow, chunk, d as u32)).or_insert(0);
-                        let key = fault_key(flow, chunk, d as u32, *occ);
-                        *occ += 1;
-                        // Inside a loss-burst window the burst's drop chance
-                        // *replaces* the static per-packet chance; the draw
-                        // stays a pure function of the key, so every shard
-                        // agrees.
-                        if now < self.burst_until[d] {
-                            self.fault.apply_keyed_chance(key, self.burst_drop[d])
-                        } else {
-                            self.fault.apply_keyed(key)
-                        }
-                    }
+                let n = self.data_sent[d];
+                self.data_sent[d] += 1;
+                // inside a loss-burst window the burst's chance replaces
+                // the static one
+                let chance = if now < self.burst_until[d] {
+                    self.burst_drop[d]
+                } else {
+                    self.cfg.drop_chance
                 };
-                match outcome {
-                    FaultOutcome::Pass => {
-                        // the detour splice may have rewritten the next hop
-                        let target = self.rroute(slot, rref)[hop as usize + 1];
-                        self.schedule_deliver(
-                            eng,
-                            arrival,
-                            target,
-                            Pkt::Data {
-                                slot,
-                                chunk,
-                                route: rref,
-                                hop: hop + 1,
-                                hops_travelled: hops_travelled + 1,
-                                detoured,
-                                sent_at,
-                            },
-                        );
-                        Ok(true)
-                    }
-                    FaultOutcome::Drop | FaultOutcome::Corrupt => {
-                        self.free_route(rref);
-                        self.counters.chunks_dropped += 1;
-                        Ok(false)
-                    }
+                if self.fault.drops(d, n, chance) {
+                    self.free_route(rref);
+                    self.counters.chunks_dropped += 1;
+                    return Ok(false);
                 }
+                // the detour splice may have rewritten the next hop
+                let target = self.rroute(slot, rref)[hop as usize + 1];
+                self.schedule_deliver(
+                    eng,
+                    arrival,
+                    target,
+                    Pkt::Data {
+                        slot,
+                        chunk,
+                        route: rref,
+                        hop: hop + 1,
+                        hops_travelled: hops_travelled + 1,
+                        detoured,
+                        sent_at,
+                    },
+                );
+                Ok(true)
             }
             Err(_) if self.is_inrpp(slot) => {
                 // custody (store-and-forward) instead of dropping
@@ -2835,10 +2815,7 @@ mod tests {
     fn fault_injection_forces_retransmits() {
         let t = fig3();
         let mut cfg = inrpp_cfg();
-        cfg.fault = inrpp_sim::fault::FaultConfig {
-            drop_chance: 0.05,
-            corrupt_chance: 0.0,
-        };
+        cfg.drop_chance = 0.05;
         cfg.horizon = SimDuration::from_secs(60);
         let mut sim = PacketSim::new(&t, cfg);
         sim.add_transfer(transfer(&t, 1, "1", "3", 300));
@@ -2958,48 +2935,6 @@ mod tests {
         );
         assert_eq!(r.completed(), 1, "{}", r.summary());
         assert!(r.flows[0].retransmits > 0);
-    }
-
-    /// Fault-draw keys held after a fig3 INRPP run reached 0.9 s, or
-    /// `None` when the run keeps no keys.
-    fn fault_keys_at_900ms(cfg: PacketSimConfig, plan: FaultPlan) -> Option<usize> {
-        let t = fig3();
-        let mut sim = PacketSim::new(&t, cfg);
-        sim.set_faults(plan);
-        sim.add_transfer(transfer(&t, 1, "1", "4", 400));
-        let mut run = sim.start().unwrap();
-        run.run_until(SimTime::from_millis(900), &mut []).unwrap();
-        run.core.fault_seq.as_ref().map(HashMap::len)
-    }
-
-    #[test]
-    fn a_fault_free_run_keeps_no_fault_keys() {
-        assert_eq!(fault_keys_at_900ms(inrpp_cfg(), FaultPlan::empty()), None);
-    }
-
-    #[test]
-    fn a_static_drop_chance_keeps_fault_keys() {
-        let mut cfg = inrpp_cfg();
-        cfg.fault.drop_chance = 0.05;
-        let keys = fault_keys_at_900ms(cfg, FaultPlan::empty());
-        assert!(keys.is_some_and(|n| n > 0), "{keys:?}");
-    }
-
-    #[test]
-    fn a_later_loss_burst_keeps_fault_keys_from_the_start() {
-        // sends before the burst opens number the draws inside it, so the
-        // keys must be kept from the first send, not from 1 s
-        let plan = FaultPlan::try_new(vec![FaultEvent {
-            at: SimTime::from_secs(1),
-            kind: FaultKind::LossBurst {
-                link: 0,
-                drop_chance: 0.3,
-                until: SimTime::from_secs(2),
-            },
-        }])
-        .unwrap();
-        let keys = fault_keys_at_900ms(inrpp_cfg(), plan);
-        assert!(keys.is_some_and(|n| n > 0), "{keys:?}");
     }
 
     #[test]
@@ -3339,6 +3274,29 @@ mod equivalence {
             matches!(&err, SessionError::InvalidConfig(m) if m.contains("zero capacity")),
             "wrong error: {err}"
         );
+    }
+
+    #[test]
+    fn loss_chance_outside_zero_one_is_a_typed_error() {
+        // NaN used to mean no loss and 1.5 to drop every chunk
+        let t = Topology::fig3();
+        for bad in [f64::NAN, -0.1, 1.5] {
+            let mut cfg = inrpp_cfg();
+            cfg.drop_chance = bad;
+            let err = PacketSim::try_new(&t, cfg)
+                .err()
+                .expect("an out-of-range drop chance must be rejected");
+            assert!(
+                matches!(&err, SessionError::InvalidConfig(m)
+                    if m.contains("drop_chance") && m.contains(&bad.to_string())),
+                "wrong error for {bad}: {err}"
+            );
+        }
+        for good in [0.0, 1.0] {
+            let mut cfg = inrpp_cfg();
+            cfg.drop_chance = good;
+            assert!(PacketSim::try_new(&t, cfg).is_ok(), "{good}");
+        }
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Wire types and configuration for the chunk-level simulator.
 
 use inrpp::config::InrppConfig;
-use inrpp_sim::fault::FaultConfig;
 use inrpp_sim::time::{SimDuration, SimTime};
 use inrpp_sim::units::ByteSize;
 use inrpp_topology::graph::{LinkId, NodeId};
@@ -149,9 +148,11 @@ pub struct PacketSimConfig {
     pub transport: TransportKind,
     /// Hard stop.
     pub horizon: SimDuration,
-    /// Fault injection applied to data channels.
-    pub fault: FaultConfig,
-    /// RNG seed (fault injection, tie-breaking).
+    /// Probability in `[0, 1]` that a channel loses a data chunk it
+    /// accepted; a loss burst's chance replaces it inside the burst's
+    /// window. Requests are never lost this way.
+    pub drop_chance: f64,
+    /// Seed of the keyed loss draws; a lossless run never reads it.
     pub seed: u64,
 }
 
@@ -161,7 +162,7 @@ impl Default for PacketSimConfig {
             chunk_bytes: ByteSize::bytes(1250),
             transport: TransportKind::Inrpp(InrppConfig::default()),
             horizon: SimDuration::from_secs(30),
-            fault: FaultConfig::default(),
+            drop_chance: 0.0,
             seed: 1,
         }
     }

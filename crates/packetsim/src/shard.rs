@@ -53,10 +53,11 @@
 //! Sharded runs reject configurations the protocol cannot replay
 //! byte-identically: load-aware detouring (reads *remote* queue state
 //! mid-window) and zero-delay cut channels (no lookahead). The ladder
-//! steps by half a receiver timeout, which `PacketSim::try_new` keeps at
-//! 1 ns or more for every run by refusing timers under 2 ns; a ladder of
-//! more than a million barriers (rx-check rungs plus lookahead steps over
-//! the horizon) is refused before any of it is built. One
+//! steps by half a receiver timeout, which is 1 ns or more in every run:
+//! the timeouts are the constants `RECEIVER_TIMEOUT` and `AIMD_RTO`, and a
+//! `const` assertion in `packet.rs` holds both at 2 ns or more. A ladder
+//! of more than a million barriers (rx-check rungs plus lookahead steps
+//! over the horizon) is refused before any of it is built. One
 //! precondition is on the *scenario*, documented rather than checked:
 //! channel-derived instants (packet arrivals, drain and back-pressure
 //! expiries) must not collide with ladder instants or each other across
@@ -578,7 +579,7 @@ mod tests {
     use std::time::{Duration, Instant};
 
     use inrpp::config::InrppConfig;
-    use inrpp_sim::fault::{FaultConfig, FaultPlan};
+    use inrpp_sim::fault::FaultPlan;
     use inrpp_sim::shard::{run_sharded, ShardWorker};
     use inrpp_sim::time::{SimDuration, SimTime};
     use inrpp_sim::units::Rate;
@@ -676,10 +677,8 @@ mod tests {
                 load_aware_detour: false,
                 ..InrppConfig::default()
             }),
-            fault: FaultConfig {
-                drop_chance: 0.02,
-                corrupt_chance: 0.01,
-            },
+            // 0.02 drop and 0.01 corrupt, folded: d + (1 - d)c
+            drop_chance: 0.0298,
             ..PacketSimConfig::default()
         };
         let ids: Vec<_> = topo.node_ids().collect();

@@ -1,11 +1,11 @@
-//! Fault injection, smoltcp-style.
+//! Fault injection: keyed loss draws and timed fault plans.
 //!
-//! The smoltcp examples expose `--drop-chance` and `--corrupt-chance` so
-//! adverse conditions can be reproduced on demand; we provide the same
-//! knobs for the packet-level simulator and the examples.
-//! [`FaultInjector`] draws are keyed: each unit's fate is a pure function
-//! of `(seed, key)`, so enabling faults never perturbs unrelated
-//! randomness and the order units are evaluated in never matters.
+//! [`FaultInjector`] decides which data chunks a lossy channel loses.
+//! Each draw is keyed by the channel and the chunk's place in the
+//! channel's send order, so loss never perturbs unrelated randomness and
+//! the order in which draws are made never matters. [`FaultPlan`]
+//! schedules timed faults: link outages, capacity changes, node crashes
+//! and loss bursts.
 
 use crate::rng::{splitmix64, SimRng};
 use crate::time::SimTime;
@@ -99,134 +99,48 @@ impl std::fmt::Display for FaultError {
 
 impl std::error::Error for FaultError {}
 
-fn check_chance(what: &'static str, value: f64) -> Result<(), FaultError> {
+/// Check that a probability is in `[0, 1]` and not NaN; `what` names the
+/// knob in the error.
+pub fn check_chance(what: &'static str, value: f64) -> Result<(), FaultError> {
     if value.is_nan() || !(0.0..=1.0).contains(&value) {
         return Err(FaultError::ChanceOutOfRange { what, value });
     }
     Ok(())
 }
 
-/// Configuration for a [`FaultInjector`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FaultConfig {
-    /// Probability in `[0, 1]` that a unit (packet/chunk) is dropped.
-    pub drop_chance: f64,
-    /// Probability in `[0, 1]` that a unit is corrupted (delivered damaged).
-    pub corrupt_chance: f64,
-}
-
-impl Default for FaultConfig {
-    fn default() -> Self {
-        FaultConfig {
-            drop_chance: 0.0,
-            corrupt_chance: 0.0,
-        }
-    }
-}
-
-impl FaultConfig {
-    /// Build a validated config: both chances must be in `[0, 1]` and not NaN.
-    pub fn try_new(drop_chance: f64, corrupt_chance: f64) -> Result<Self, FaultError> {
-        let cfg = FaultConfig {
-            drop_chance,
-            corrupt_chance,
-        };
-        cfg.validate()?;
-        Ok(cfg)
-    }
-
-    /// Check that both chances are in `[0, 1]` and not NaN. The fields stay
-    /// public for struct-literal construction; engines call this before use.
-    pub fn validate(&self) -> Result<(), FaultError> {
-        check_chance("drop_chance", self.drop_chance)?;
-        check_chance("corrupt_chance", self.corrupt_chance)
-    }
-}
-
-/// Outcome of passing one unit through the injector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultOutcome {
-    /// Deliver unchanged.
-    Pass,
-    /// Silently discard.
-    Drop,
-    /// Deliver, but flag as corrupted (receiver should treat as loss).
-    Corrupt,
-}
-
-/// Keyed injector applying drop/corrupt chances in a fixed order (drop
-/// first, then corrupt — matching smoltcp's fault pipeline). Every draw
-/// is a pure function of `(seed, key)` instead of a position in a
-/// sequential stream, so two engines (or shards of one engine) that
-/// evaluate the same units in different orders still agree on every
-/// unit's fate.
+/// Keyed loss draws for the packet engines. A draw is a pure function of
+/// `(seed, dir, n)`: the directed channel `dir` and the number `n` of data
+/// chunks that channel accepted before this one. Every send on a channel
+/// happens at the channel's source node, in that node's event order, so
+/// the sequential engine, the reference oracle, every shard region and
+/// every resumed run number each send alike and agree on its fate.
 #[derive(Debug, Clone)]
 pub struct FaultInjector {
-    config: FaultConfig,
     key_base: u64,
 }
 
 impl FaultInjector {
-    /// Build an injector whose draws are keyed by `seed`.
-    pub fn keyed(config: FaultConfig, seed: u64) -> Self {
+    /// Draws keyed by `seed`.
+    pub fn new(seed: u64) -> Self {
         let mut s = seed ^ 0xFA17_0000_C0FF_EE00;
         FaultInjector {
-            config,
             key_base: splitmix64(&mut s),
         }
     }
 
-    /// Decide the fate of the unit identified by `key`. The same
-    /// `(seed, key)` always yields the same outcome; drop is decided
-    /// before corrupt.
-    pub fn apply_keyed(&self, key: u64) -> FaultOutcome {
-        if self.config.drop_chance <= 0.0 && self.config.corrupt_chance <= 0.0 {
-            return FaultOutcome::Pass;
+    /// Whether the data chunk that directed channel `dir` accepts after
+    /// `n` others is lost, at drop chance `chance` in `[0, 1]`. A zero
+    /// chance takes no draw. The same `(seed, dir, n)` always draws the
+    /// same uniform, so a higher chance drops a superset.
+    #[inline]
+    pub fn drops(&self, dir: usize, n: u64, chance: f64) -> bool {
+        if chance <= 0.0 {
+            return false;
         }
-        let mut s = self.key_base ^ key;
-        let mut rng = SimRng::from_seed_u64(splitmix64(&mut s));
-        if self.config.drop_chance > 0.0 && rng.chance(self.config.drop_chance) {
-            return FaultOutcome::Drop;
-        }
-        if self.config.corrupt_chance > 0.0 && rng.chance(self.config.corrupt_chance) {
-            return FaultOutcome::Corrupt;
-        }
-        FaultOutcome::Pass
+        let mut s = self.key_base ^ dir as u64;
+        let mut s = splitmix64(&mut s) ^ n;
+        SimRng::from_seed_u64(splitmix64(&mut s)).chance(chance)
     }
-
-    /// Keyed draw with an *explicit* drop chance, overriding the configured
-    /// one — used by [`FaultPlan`] loss-burst windows, where the chance in
-    /// force depends on simulated time rather than the injector config. The
-    /// key is mixed with a distinct salt so burst draws are decorrelated
-    /// from the base [`FaultInjector::apply_keyed`] stream for the same
-    /// unit. Never corrupts; order-independent like `apply_keyed`.
-    pub fn apply_keyed_chance(&self, key: u64, drop_chance: f64) -> FaultOutcome {
-        if drop_chance <= 0.0 {
-            return FaultOutcome::Pass;
-        }
-        let mut s = self.key_base ^ key ^ 0xB425_7000_0FA5_7001;
-        let mut rng = SimRng::from_seed_u64(splitmix64(&mut s));
-        if rng.chance(drop_chance) {
-            FaultOutcome::Drop
-        } else {
-            FaultOutcome::Pass
-        }
-    }
-}
-
-/// Order-independent fault-draw key for one packet send attempt: the
-/// `occurrence`-th time chunk `chunk` of flow `flow` is pushed onto
-/// directed channel `dir`. Shared by the packet engine, every shard of a
-/// partitioned run and the reference oracle, so all of them agree on each
-/// attempt's fate regardless of global event interleaving.
-#[inline]
-pub fn fault_key(flow: u64, chunk: u64, dir: u32, occurrence: u32) -> u64 {
-    let mut s = flow ^ 0x0BAD_5EED_F417_0001;
-    let mut k = splitmix64(&mut s);
-    s = k ^ chunk;
-    k = splitmix64(&mut s);
-    s = k ^ (((dir as u64) << 32) | occurrence as u64);
-    splitmix64(&mut s)
 }
 
 /// One kind of timed fault. Links and nodes are referenced by raw index;
@@ -265,9 +179,10 @@ pub enum FaultKind {
     },
     /// Elevated random loss on both directions of a link from the event
     /// time until `until`. During the window the packet engine drops each
-    /// chunk/request independently with `drop_chance` (keyed, so shard
-    /// order never matters); the fluid engine models the window as a
-    /// goodput derate to `1 - drop_chance` of capacity.
+    /// data chunk the link accepts with `drop_chance` in place of the
+    /// static chance (keyed, so shard order never matters; requests never
+    /// draw); the fluid engine models the window as a goodput derate to
+    /// `1 - drop_chance` of capacity.
     LossBurst {
         /// Link index.
         link: u32,
@@ -328,12 +243,7 @@ impl FaultPlan {
                 FaultKind::LossBurst {
                     drop_chance, until, ..
                 } => {
-                    check_chance("drop_chance", drop_chance).map_err(|_| {
-                        FaultError::ChanceOutOfRange {
-                            what: "drop_chance",
-                            value: drop_chance,
-                        }
-                    })?;
+                    check_chance("drop_chance", drop_chance)?;
                     if until <= ev.at {
                         return Err(FaultError::EmptyBurstWindow { index: i });
                     }
@@ -503,47 +413,18 @@ mod tests {
 
     #[test]
     fn drop_chance_is_respected() {
-        let cfg = FaultConfig {
-            drop_chance: 0.15,
-            corrupt_chance: 0.0,
-        };
-        let inj = FaultInjector::keyed(cfg, 1);
+        let inj = FaultInjector::new(1);
         let n = 100_000;
-        let drops = (0..n)
-            .filter(|&k| inj.apply_keyed(k) == FaultOutcome::Drop)
-            .count();
+        let drops = (0..n).filter(|&k| inj.drops(3, k, 0.15)).count();
         let freq = drops as f64 / n as f64;
         assert!((freq - 0.15).abs() < 0.01, "drop freq {freq}");
     }
 
     #[test]
-    fn corrupt_applies_after_drop() {
-        let cfg = FaultConfig {
-            drop_chance: 0.5,
-            corrupt_chance: 1.0,
-        };
-        let inj = FaultInjector::keyed(cfg, 2);
-        let mut seen_drop = false;
-        let mut seen_corrupt = false;
-        for k in 0..1000 {
-            match inj.apply_keyed(k) {
-                FaultOutcome::Drop => seen_drop = true,
-                FaultOutcome::Corrupt => seen_corrupt = true,
-                FaultOutcome::Pass => panic!("corrupt_chance=1 must never pass"),
-            }
-        }
-        assert!(seen_drop && seen_corrupt);
-    }
-
-    #[test]
     fn injector_is_deterministic() {
-        let cfg = FaultConfig {
-            drop_chance: 0.3,
-            corrupt_chance: 0.1,
-        };
         let run = |seed| {
-            let inj = FaultInjector::keyed(cfg, seed);
-            (0..64).map(|k| inj.apply_keyed(k)).collect::<Vec<_>>()
+            let inj = FaultInjector::new(seed);
+            (0..64).map(|n| inj.drops(0, n, 0.3)).collect::<Vec<_>>()
         };
         assert_eq!(run(7), run(7));
         assert_ne!(run(7), run(8));
@@ -551,88 +432,54 @@ mod tests {
 
     #[test]
     fn keyed_draws_are_order_independent() {
-        let cfg = FaultConfig {
-            drop_chance: 0.3,
-            corrupt_chance: 0.1,
-        };
-        let keys: Vec<u64> = (0..256u64).map(|i| i.wrapping_mul(0x9E37)).collect();
-        let fwd = FaultInjector::keyed(cfg, 42);
-        let rev = FaultInjector::keyed(cfg, 42);
-        let a: Vec<_> = keys.iter().map(|&k| fwd.apply_keyed(k)).collect();
-        let mut b: Vec<_> = keys.iter().rev().map(|&k| rev.apply_keyed(k)).collect();
+        let keys: Vec<(usize, u64)> = (0..256u64).map(|i| ((i % 5) as usize, i / 5)).collect();
+        let fwd = FaultInjector::new(42);
+        let rev = FaultInjector::new(42);
+        let a: Vec<_> = keys.iter().map(|&(d, n)| fwd.drops(d, n, 0.3)).collect();
+        let mut b: Vec<_> = keys
+            .iter()
+            .rev()
+            .map(|&(d, n)| rev.drops(d, n, 0.3))
+            .collect();
         b.reverse();
         assert_eq!(a, b);
         // different seeds decorrelate
-        let other = FaultInjector::keyed(cfg, 43);
-        let c: Vec<_> = keys.iter().map(|&k| other.apply_keyed(k)).collect();
+        let other = FaultInjector::new(43);
+        let c: Vec<_> = keys.iter().map(|&(d, n)| other.drops(d, n, 0.3)).collect();
         assert_ne!(a, c);
     }
 
     #[test]
     fn keyed_with_zero_chances_never_draws() {
-        let inj = FaultInjector::keyed(FaultConfig::default(), 9);
-        for k in 0..100 {
-            assert_eq!(inj.apply_keyed(k), FaultOutcome::Pass);
+        let inj = FaultInjector::new(9);
+        for n in 0..100 {
+            assert!(!inj.drops(n as usize % 4, n, 0.0));
+            assert!(inj.drops(n as usize % 4, n, 1.0));
         }
-    }
-
-    #[test]
-    fn fault_config_validation_rejects_bad_chances() {
-        assert!(FaultConfig::try_new(0.0, 0.0).is_ok());
-        assert!(FaultConfig::try_new(1.0, 1.0).is_ok());
-        for (d, c) in [
-            (-0.1, 0.0),
-            (1.1, 0.0),
-            (0.0, -1e-9),
-            (0.0, 2.0),
-            (f64::NAN, 0.0),
-            (0.0, f64::NAN),
-            (f64::INFINITY, 0.0),
-        ] {
-            let err = FaultConfig::try_new(d, c).unwrap_err();
-            assert!(
-                matches!(err, FaultError::ChanceOutOfRange { .. }),
-                "{d} {c}"
-            );
-        }
-        // struct-literal construction stays possible; validate() catches it
-        let cfg = FaultConfig {
-            drop_chance: 3.0,
-            corrupt_chance: 0.0,
-        };
-        assert!(cfg.validate().is_err());
     }
 
     #[test]
     fn keyed_chance_is_order_independent_and_decorrelated() {
-        let cfg = FaultConfig {
-            drop_chance: 0.3,
-            corrupt_chance: 0.0,
-        };
-        let keys: Vec<u64> = (0..512u64).map(|i| i.wrapping_mul(0x9E37)).collect();
-        let fwd = FaultInjector::keyed(cfg, 42);
-        let rev = FaultInjector::keyed(cfg, 42);
-        let a: Vec<_> = keys
-            .iter()
-            .map(|&k| fwd.apply_keyed_chance(k, 0.5))
+        let inj = FaultInjector::new(42);
+        // one uniform per key, whatever the chance: a higher chance drops
+        // a superset, as a loss burst over a static chance must
+        for n in 0..512 {
+            if inj.drops(2, n, 0.2) {
+                assert!(inj.drops(2, n, 0.6), "n {n}");
+            }
+        }
+        // each channel numbers its own sends, with its own draws
+        let on = |d| (0..512).map(|n| inj.drops(d, n, 0.5)).collect::<Vec<_>>();
+        assert_ne!(on(0), on(1));
+        // interleaving the channels' draws changes none of them
+        let mixed: Vec<_> = (0..512)
+            .flat_map(|n| [(1, n), (0, n)])
+            .map(|(d, n)| (d, inj.drops(d, n, 0.5)))
             .collect();
-        let mut b: Vec<_> = keys
-            .iter()
-            .rev()
-            .map(|&k| rev.apply_keyed_chance(k, 0.5))
-            .collect();
-        b.reverse();
-        assert_eq!(a, b);
-        // burst draws use a different stream than base keyed draws
-        let base = FaultInjector::keyed(cfg, 42);
-        let c: Vec<_> = keys
-            .iter()
-            .map(|&k| base.apply_keyed(k) == FaultOutcome::Drop)
-            .collect();
-        let a_drops: Vec<_> = a.iter().map(|&o| o == FaultOutcome::Drop).collect();
-        assert_ne!(a_drops, c);
-        // zero chance never draws
-        assert_eq!(fwd.apply_keyed_chance(7, 0.0), FaultOutcome::Pass);
+        for d in 0..2 {
+            let got: Vec<_> = mixed.iter().filter(|m| m.0 == d).map(|m| m.1).collect();
+            assert_eq!(got, on(d));
+        }
     }
 
     #[test]

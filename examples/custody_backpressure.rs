@@ -3,7 +3,7 @@
 //! Drives the packet-level simulator on the Fig. 3 network: a transfer
 //! crossing the 2 Mbps bottleneck under INRPP (push-data → detour →
 //! custody → back-pressure) and under the AIMD baseline, side by side —
-//! with smoltcp-style fault-injection knobs.
+//! with a chunk-loss knob.
 //!
 //! ```text
 //! cargo run --release --example custody_backpressure [--drop-chance P] [--cache KB]
@@ -13,7 +13,6 @@
 
 use inrpp::config::InrppConfig;
 use inrpp_packetsim::{AimdConfig, PacketSim, PacketSimConfig, TransferSpec, TransportKind};
-use inrpp_sim::fault::FaultConfig;
 use inrpp_sim::time::{SimDuration, SimTime};
 use inrpp_sim::units::ByteSize;
 use inrpp_topology::Topology;
@@ -37,10 +36,6 @@ fn main() {
     let src = topo.node_by_name("1").expect("fig3");
     let dst = topo.node_by_name("4").expect("fig3");
     let chunks = 800;
-    let fault = FaultConfig {
-        drop_chance,
-        corrupt_chance: 0.0,
-    };
 
     println!(
         "transfer: {chunks} x 1250 B chunks from node 1 to node 4 across the 2 Mbps bottleneck"
@@ -53,13 +48,13 @@ fn main() {
             ..InrppConfig::default()
         }),
         horizon: SimDuration::from_secs(120),
-        fault,
+        drop_chance,
         ..PacketSimConfig::default()
     };
     let aimd_cfg = PacketSimConfig {
         transport: TransportKind::Aimd(AimdConfig),
         horizon: SimDuration::from_secs(120),
-        fault,
+        drop_chance,
         ..PacketSimConfig::default()
     };
 

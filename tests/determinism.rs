@@ -47,10 +47,8 @@ fn packet_level_run_is_reproducible() {
             PacketSimConfig {
                 horizon: SimDuration::from_secs(30),
                 seed,
-                fault: inrpp_sim::fault::FaultConfig {
-                    drop_chance: 0.02,
-                    corrupt_chance: 0.01,
-                },
+                // 0.02 drop and 0.01 corrupt, folded: d + (1 - d)c
+                drop_chance: 0.0298,
                 ..PacketSimConfig::default()
             },
         );

@@ -125,10 +125,8 @@ fn lossy_isp_transfer_recovers() {
     let topo = generate_isp(Isp::Vsnl, 4);
     let cfg = PacketSimConfig {
         horizon: SimDuration::from_secs(60),
-        fault: inrpp_sim::fault::FaultConfig {
-            drop_chance: 0.03,
-            corrupt_chance: 0.01,
-        },
+        // 0.03 drop and 0.01 corrupt, folded: d + (1 - d)c
+        drop_chance: 0.0397,
         ..PacketSimConfig::default()
     };
     let n0 = inrpp_topology::graph::NodeId(0);

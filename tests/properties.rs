@@ -473,6 +473,101 @@ proptest! {
         }
     }
 
+    /// The sender against a full-scan model of its round robin: a ring of
+    /// every flow ever registered, in registration order, rotated one
+    /// place per flow examined, and an eligibility check that scans every
+    /// flow. Random `register`, `on_request`, `set_mode` and
+    /// `next_chunk_where` calls, the last with a random admit predicate,
+    /// must give the model's pick and its `has_eligible` at every step.
+    /// The reference packet engine shares `Sender`, so the engine
+    /// equivalence gates cannot catch a fault in its ring.
+    #[test]
+    fn sender_matches_a_full_scan_model(
+        push_ahead in 0u64..8,
+        steps in 1usize..400,
+        seed in 0u64..u64::MAX,
+    ) {
+        use inrpp::endpoint::{Request, Sender, SenderMode};
+        use std::collections::VecDeque;
+        struct Flow {
+            id: u64,
+            total: u64,
+            highest_requested: Option<u64>,
+            next_to_send: u64,
+            closed_loop: bool,
+        }
+        let eligible = |f: &Flow| {
+            f.highest_requested.is_some_and(|hr| {
+                let limit = if f.closed_loop { hr } else { hr.saturating_add(push_ahead) };
+                f.next_to_send <= limit.min(f.total - 1)
+            })
+        };
+        let mut tx = Sender::new(push_ahead);
+        let mut flows: Vec<Flow> = Vec::new();
+        let mut ring: VecDeque<usize> = VecDeque::new();
+        let mut r = SimRng::from_seed_u64(seed);
+        // ids are spread out and one past the last is never registered
+        let pick_id = |r: &mut SimRng, flows: &[Flow]| match r.index(flows.len() + 1) {
+            i if i < flows.len() => flows[i].id,
+            _ => 1_000,
+        };
+        for _ in 0..steps {
+            match r.index(10) {
+                0 if flows.len() < 12 => {
+                    let id = 3 * flows.len() as u64 + r.index(3) as u64;
+                    let total = 1 + r.index(40) as u64;
+                    tx.register(id, total);
+                    ring.push_back(flows.len());
+                    flows.push(Flow {
+                        id,
+                        total,
+                        highest_requested: None,
+                        next_to_send: 0,
+                        closed_loop: false,
+                    });
+                }
+                0..=3 => {
+                    let id = pick_id(&mut r, &flows);
+                    let anticipated = r.index(48) as u64;
+                    tx.on_request(id, Request { next: 0, ack: None, anticipated });
+                    if let Some(f) = flows.iter_mut().find(|f| f.id == id) {
+                        let hr = f.highest_requested.map_or(anticipated, |h| h.max(anticipated));
+                        f.highest_requested = Some(hr.min(f.total - 1));
+                    }
+                }
+                4 => {
+                    let id = pick_id(&mut r, &flows);
+                    let closed_loop = r.chance(0.5);
+                    let mode = if closed_loop { SenderMode::ClosedLoop } else { SenderMode::PushData };
+                    tx.set_mode(id, mode);
+                    if let Some(f) = flows.iter_mut().find(|f| f.id == id) {
+                        f.closed_loop = closed_loop;
+                    }
+                }
+                _ => {
+                    let mut admitted = 0u64;
+                    for bit in 0..64 {
+                        admitted |= u64::from(r.chance(0.75)) << bit;
+                    }
+                    let admit = |id: u64| admitted >> (id % 64) & 1 == 1;
+                    let mut want = None;
+                    for _ in 0..ring.len() {
+                        let i = ring.pop_front().expect("ring is non-empty in the loop");
+                        ring.push_back(i);
+                        let f = &mut flows[i];
+                        if eligible(f) && admit(f.id) {
+                            want = Some((f.id, f.next_to_send));
+                            f.next_to_send += 1;
+                            break;
+                        }
+                    }
+                    prop_assert_eq!(tx.next_chunk_where(admit), want);
+                }
+            }
+            prop_assert_eq!(tx.has_eligible(), flows.iter().any(eligible));
+        }
+    }
+
     /// Fuzz the packet engine: random tiny topologies and transfers must
     /// complete without panics, drops beyond fault injection, or custody
     /// leaks.
@@ -806,10 +901,7 @@ proptest! {
             }
         }
         if knobs & 2 != 0 {
-            cfg.fault = inrpp_sim::fault::FaultConfig {
-                drop_chance: 0.03,
-                corrupt_chance: 0.0,
-            };
+            cfg.drop_chance = 0.03;
         }
         let mut transfers: Vec<(TransferSpec, FlowTransport)> = Vec::new();
         for f in 0..nflows {

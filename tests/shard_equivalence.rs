@@ -30,7 +30,6 @@ use inrpp_packetsim::{
     AimdConfig, FlowTransport, PacketSim, PacketSimConfig, PacketSimReport, TransferSpec,
     TransportKind,
 };
-use inrpp_sim::fault::FaultConfig;
 use inrpp_sim::rng::SimRng;
 use inrpp_sim::time::{SimDuration, SimTime};
 use inrpp_sim::units::Rate;
@@ -140,10 +139,8 @@ fn scenarios() -> Vec<Scenario> {
             horizon: SimDuration::from_secs(12),
             seed: 5,
             transport: TransportKind::Inrpp(inrpp_no_detour_probe()),
-            fault: FaultConfig {
-                drop_chance: 0.02,
-                corrupt_chance: 0.01,
-            },
+            // 0.02 drop and 0.01 corrupt, folded: d + (1 - d)c
+            drop_chance: 0.0298,
             ..PacketSimConfig::default()
         };
         let t = |flow, src: usize, dst: usize, chunks, ms| {
@@ -223,10 +220,7 @@ fn scenarios() -> Vec<Scenario> {
                 inrpp: inrpp_no_detour_probe(),
                 aimd: AimdConfig,
             },
-            fault: FaultConfig {
-                drop_chance: 0.01,
-                corrupt_chance: 0.0,
-            },
+            drop_chance: 0.01,
             ..PacketSimConfig::default()
         };
         let transfers = vec![
@@ -644,10 +638,8 @@ proptest! {
             ..PacketSimConfig::default()
         };
         if knobs & 1 != 0 {
-            cfg.fault = FaultConfig {
-                drop_chance: 0.03,
-                corrupt_chance: 0.01,
-            };
+            // 0.03 drop and 0.01 corrupt, folded: d + (1 - d)c
+            cfg.drop_chance = 0.0397;
         }
         if knobs & 4 != 0 {
             if let TransportKind::Inrpp(ref mut ic)
